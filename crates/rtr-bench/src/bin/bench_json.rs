@@ -169,7 +169,6 @@ fn main() {
     // render the publishDiagnostics payload.
     let lsp_session = rtr::session::Session::new(rtr::session::SessionConfig {
         jobs: 1,
-        incremental: true,
         ..rtr::session::SessionConfig::default()
     });
     const LSP_URI: &str = "file:///bench/filler_50.rtr";

@@ -1,12 +1,12 @@
-//! The incremental module driver: splice-don't-recheck.
+//! The module driver: one per-item loop for every module check.
 //!
-//! [`crate::check::Checker::check_module`] re-derives every item's
-//! verdict from scratch. Editor traffic is the opposite workload:
+//! [`Checker::check_module_incremental`] checks a module's items in
+//! check order and replays a previous run's per-item results wherever
+//! doing so is *provably* equivalent to re-checking — editor traffic is
 //! thousands of re-checks where one definition changed and forty-nine
-//! did not. This module adds a second driver,
-//! [`Checker::check_module_incremental`], that replays the previous
-//! run's per-item results wherever doing so is *provably* equivalent to
-//! re-checking.
+//! did not. [`Checker::check_module`] is the same driver run with no
+//! cache: nothing can splice, every item is checked, and the cache the
+//! run builds is dropped.
 //!
 //! # Soundness argument
 //!
@@ -40,19 +40,26 @@
 //! that checked *cleanly on an untripped budget fork*: any diagnostic
 //! (type errors, `E0202` resource exhaustion, `E0203` ICEs) or a
 //! tripped per-item budget leaves `reuse = None`, so degraded or
-//! failing verdicts are always re-derived and can never go stale. The
-//! driver additionally refuses (`None`, caller falls back to the
-//! from-scratch path) when the interner's eviction epoch moved, when
-//! the module's `set!`-mutated variable set changed, or when any item
-//! needs the big-stack worker — conditions under which cached
-//! environment snapshots are not comparable.
+//! failing verdicts are always re-derived and can never go stale. A
+//! moved interner eviction epoch or a changed `set!`-mutated variable
+//! set discards the old cache (its environment snapshots are not
+//! comparable) and the run re-checks every slot, building a fresh one.
+//!
+//! # Deep modules
+//!
+//! An item nested past the inline-stack limit moves the whole run onto
+//! the persistent big-stack worker. The `fetch` callback borrows the
+//! caller's elaborator, so every [`IncrSlot::Reused`] item is elaborated
+//! before the move; records remember whether their item needed the big
+//! stack, so a later run that would splice a deep item still moves.
 
+use std::borrow::Cow;
 use std::collections::HashSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
 use crate::budget::LimitKind;
-use crate::check::{attach_node, panic_detail, Checker};
+use crate::check::{attach_node, big_stack, panic_detail, Checker};
 use crate::diag::Diagnostic;
 use crate::env::Env;
 use crate::fingerprint::{free_refs, item_fingerprint, item_salt};
@@ -75,7 +82,7 @@ struct ReuseData {
     value: Option<TyResult>,
 }
 
-/// What one run of the incremental driver learned about one item slot.
+/// What one run of the module driver learned about one item slot.
 #[derive(Clone, Debug)]
 pub struct ItemRecord {
     /// α-stable fingerprint of the elaborated item
@@ -88,6 +95,8 @@ pub struct ItemRecord {
     /// The `set!`-mutated variables of this item's body (the module
     /// mutation pre-pass is the union of these).
     mutated: Vec<Symbol>,
+    /// Did the item need the big-stack worker?
+    deep: bool,
     /// Value snapshot of the environment *after* this item, whether it
     /// checked cleanly or was poisoned.
     env_after: Env,
@@ -96,17 +105,7 @@ pub struct ItemRecord {
     reuse: Option<ReuseData>,
 }
 
-impl ItemRecord {
-    /// Is this the record of a trailing expression (as opposed to a
-    /// definition)?
-    fn is_expr(&self) -> bool {
-        self.reuse
-            .as_ref()
-            .is_some_and(|ru| ru.summary.name.is_none())
-    }
-}
-
-/// Everything a previous incremental run left behind for one module:
+/// Everything a previous driver run left behind for one module:
 /// per-slot records in check order, plus the run-wide preconditions
 /// (eviction epoch, mutated-variable set, initial environment) that
 /// gate their reuse.
@@ -135,9 +134,17 @@ impl ItemCache {
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
+
+    /// The environment that reached record `j` when it was made.
+    fn env_before(&self, j: usize) -> &Env {
+        match j {
+            0 => &self.init_env,
+            _ => &self.records[j - 1].env_after,
+        }
+    }
 }
 
-/// One slot of the incremental run, in check order.
+/// One slot of an incremental run, in check order.
 #[derive(Clone, Debug)]
 pub enum IncrSlot {
     /// This slot's source text is unchanged from the previous run:
@@ -150,7 +157,43 @@ pub enum IncrSlot {
     Fresh(ModuleItem),
 }
 
-/// Counters describing how much work one incremental run avoided.
+/// One slot as the driver sees it: a claim on an old record, the
+/// elaborated item, or both (a claimed item elaborated ahead of a
+/// big-stack run).
+pub(crate) struct Slot<'a> {
+    /// The old record this slot's unchanged source text claims.
+    reuse: Option<usize>,
+    /// The item, borrowed from the caller or elaborated through
+    /// `fetch`; `None` until a rejected splice needs it.
+    item: Option<Cow<'a, ModuleItem>>,
+    /// The body's `set!`-mutated variables (filled by the pre-pass).
+    mutated: Vec<Symbol>,
+    /// Does the item need the big-stack worker (filled by the pre-pass)?
+    deep: bool,
+}
+
+impl<'a> Slot<'a> {
+    /// A slot with no cached counterpart.
+    pub(crate) fn fresh(item: &'a ModuleItem) -> Slot<'a> {
+        Slot {
+            reuse: None,
+            item: Some(Cow::Borrowed(item)),
+            mutated: Vec::new(),
+            deep: false,
+        }
+    }
+
+    fn into_owned(self) -> Slot<'static> {
+        Slot {
+            item: self.item.map(|item| Cow::Owned(item.into_owned())),
+            reuse: self.reuse,
+            mutated: self.mutated,
+            deep: self.deep,
+        }
+    }
+}
+
+/// Counters describing how much work one driver run avoided.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecheckStats {
     /// Slots that were actually re-checked.
@@ -182,7 +225,7 @@ pub mod stats {
     /// Snapshot of the process-wide incremental counters.
     #[derive(Clone, Copy, Debug, Default)]
     pub struct IncrStats {
-        /// Total items re-checked across all incremental runs.
+        /// Total items re-checked across all driver runs.
         pub rechecked: u64,
         /// Total items spliced without re-checking.
         pub skipped: u64,
@@ -214,6 +257,34 @@ pub mod stats {
     }
 }
 
+/// What a driver run returns: the module verdict, the cache for the
+/// next run, and the work counters.
+type RunOutput = (ModuleCheck, ItemCache, RecheckStats);
+
+/// The state one run threads through its slots.
+#[derive(Default)]
+struct RunState {
+    /// The environment reaching the next slot.
+    env: Env,
+    /// Diagnostics, summaries and the module value so far.
+    out: ModuleCheck,
+    /// The binders opened along the way, innermost last. The nested
+    /// encoding existentializes every module-local binding out of the
+    /// final result at binder exit (T-Let's lifting substitution); the
+    /// driver replays the same lifts on the value before reporting it,
+    /// so the module's value never mentions out-of-scope names.
+    binders: Vec<(Symbol, Ty, Obj)>,
+    /// The first governance limit that tripped in *any* earlier item.
+    /// Once set, later items ran against possibly-coarser bindings (a
+    /// starved definition poisons at its declared type, weakening
+    /// everything downstream), so their conservative failures are
+    /// reported as `E0202` too — a starved run's errors are exactly
+    /// "identical to fault-free, or exhausted", never a different
+    /// verdict. Item panics do *not* set it: the post-ICE environment
+    /// equals the ordinary poison-path environment.
+    degraded: Option<LimitKind>,
+}
+
 impl Checker {
     /// Incrementally checks a module against the results of a previous
     /// run.
@@ -226,24 +297,47 @@ impl Checker {
     /// demand (with spans for the *current* file positions), returning
     /// `None` on failure.
     ///
-    /// Returns `None` when the incremental preconditions do not hold
-    /// (an item needs the big-stack worker, or a `fetch` failed) — the
-    /// caller must fall back to [`Checker::check_module`]. A stale
-    /// eviction epoch or a changed mutated-variable set does not fail
-    /// the run; it just discards the old cache and re-checks
-    /// everything, producing a fresh one.
+    /// Returns `None` only when a `fetch` failed. A stale eviction
+    /// epoch or a changed mutated-variable set does not fail the run; it
+    /// discards the old cache and re-checks everything, producing a
+    /// fresh one. Modules with deep items run on the big-stack worker.
     ///
-    /// On success the returned [`ModuleCheck`] is equivalent to a
-    /// from-scratch [`Checker::check_module`] over the same items (the
-    /// equivalence property tests pin this, modulo fresh-symbol
-    /// numbering), alongside the new [`ItemCache`] and the run's
-    /// [`RecheckStats`].
+    /// The returned [`ModuleCheck`] is equivalent to a from-scratch
+    /// [`Checker::check_module`] over the same items (the equivalence
+    /// property tests pin this, modulo fresh-symbol numbering),
+    /// alongside the new [`ItemCache`] and the run's [`RecheckStats`].
     pub fn check_module_incremental(
         &self,
         slots: &[IncrSlot],
         old: Option<&ItemCache>,
         fetch: &mut dyn FnMut(usize) -> Option<ModuleItem>,
     ) -> Option<(ModuleCheck, ItemCache, RecheckStats)> {
+        let slots = slots
+            .iter()
+            .map(|slot| match slot {
+                IncrSlot::Fresh(item) => Slot::fresh(item),
+                IncrSlot::Reused(j) => Slot {
+                    reuse: Some(*j),
+                    item: None,
+                    mutated: Vec::new(),
+                    deep: false,
+                },
+            })
+            .collect();
+        self.drive(slots, old, true, fetch)
+    }
+
+    /// The driver's entry: validates the old cache, runs the mutation
+    /// pre-pass, and picks the stack the item loop runs on. Without
+    /// `keep` the run records nothing for a next run and returns an
+    /// empty cache.
+    pub(crate) fn drive(
+        &self,
+        mut slots: Vec<Slot<'_>>,
+        old: Option<&ItemCache>,
+        keep: bool,
+        fetch: &mut dyn FnMut(usize) -> Option<ModuleItem>,
+    ) -> Option<RunOutput> {
         let this = self.fork_check();
         let _live = crate::intern::check_guard();
         this.caches().reconcile_evictions();
@@ -252,95 +346,84 @@ impl Checker {
         // The old cache is only trusted if nothing was evicted since it
         // was built: interned ids inside its snapshots would dangle
         // otherwise. A stale cache is discarded, not an error — the run
-        // proceeds all-fresh (Reused slots are elaborated via `fetch`)
-        // and rebuilds it.
+        // proceeds all-fresh and rebuilds it.
         let mut old = old.filter(|c| c.epoch == epoch);
 
-        // Turns every Reused slot into a Fresh one by elaborating it,
-        // for the discard paths where the old records are unusable.
-        fn materialize(
-            slots: &[IncrSlot],
-            fetch: &mut dyn FnMut(usize) -> Option<ModuleItem>,
-        ) -> Option<Vec<IncrSlot>> {
-            slots
-                .iter()
-                .enumerate()
-                .map(|(i, s)| match s {
-                    IncrSlot::Fresh(item) => Some(IncrSlot::Fresh(item.clone())),
-                    IncrSlot::Reused(_) => fetch(i).map(IncrSlot::Fresh),
-                })
-                .collect()
-        }
-
-        let mut owned: Option<Vec<IncrSlot>> = None;
-        if old.is_none() && slots.iter().any(|s| matches!(s, IncrSlot::Reused(_))) {
-            owned = Some(materialize(slots, fetch)?);
-        }
-        let slots: &[IncrSlot] = owned.as_deref().unwrap_or(slots);
-
-        // Mutation pre-pass over the whole module (matching
-        // `check_module`'s): the union of every item's `set!`-mutated
-        // variables. Reused slots contribute their recorded set without
-        // being elaborated.
+        // Mutation pre-pass over the whole module: the union of every
+        // item's `set!`-mutated variables. Claimed slots contribute
+        // their recorded set without being elaborated; a claim with no
+        // record behind it is elaborated now.
         let mut mutated: HashSet<Symbol> = HashSet::new();
-        for slot in slots {
-            match slot {
-                IncrSlot::Fresh(item) => {
-                    if let Some(e) = item.body() {
-                        mutated.extend(mutated_vars(e));
-                    }
-                }
-                IncrSlot::Reused(j) => {
-                    let rec = old.and_then(|c| c.records.get(*j))?;
+        for (i, slot) in slots.iter_mut().enumerate() {
+            if slot.item.is_none() {
+                if let Some(rec) = slot.reuse.and_then(|j| old?.records.get(j)) {
+                    slot.mutated.clone_from(&rec.mutated);
+                    slot.deep = rec.deep;
                     mutated.extend(rec.mutated.iter().copied());
+                    continue;
                 }
+                slot.item = Some(Cow::Owned(fetch(i)?));
+            }
+            if let Some(e) = slot.item.as_deref().and_then(ModuleItem::body) {
+                let vars = mutated_vars(e);
+                mutated.extend(vars.iter().copied());
+                slot.mutated = vars.into_iter().collect();
+                slot.deep = !this.fits_inline_stack(e);
             }
         }
         // Cached environments were snapshotted under the old mutability
         // marking; if the set changed they are incomparable. Discard
         // and rebuild.
-        let mut owned2: Option<Vec<IncrSlot>> = None;
-        if let Some(c) = old {
-            if mutated != c.mutated {
-                old = None;
-                if slots.iter().any(|s| matches!(s, IncrSlot::Reused(_))) {
-                    owned2 = Some(materialize(slots, fetch)?);
+        if old.is_some_and(|c| c.mutated != mutated) {
+            old = None;
+        }
+        // Without a cache every claimed item is re-checked, and a deep
+        // run moves to a thread `fetch` cannot follow: elaborate now.
+        let deep = slots.iter().any(|s| s.deep);
+        if old.is_none() || deep {
+            for (i, slot) in slots.iter_mut().enumerate() {
+                if slot.item.is_none() {
+                    slot.item = Some(Cow::Owned(fetch(i)?));
                 }
             }
         }
-        let slots: &[IncrSlot] = owned2.as_deref().unwrap_or(slots);
-
-        // Fresh items that need the big-stack worker can't ride this
-        // driver (the fetch callback borrows the caller's elaborator,
-        // so the module can't move to the worker thread). Reused slots
-        // are fine: a cache is only ever built by a run that proved
-        // every item inline-sized.
-        for slot in slots {
-            if let IncrSlot::Fresh(item) = slot {
-                if let Some(e) = item.body() {
-                    if !this.fits_inline_stack(e) {
-                        return None;
-                    }
-                }
-            }
+        if !deep {
+            return this.run_items(&slots, old, mutated, epoch, keep, fetch);
         }
+        // Deep modules ride the persistent big-stack worker (warm stack
+        // pages) when it is free, else a one-shot big-stack thread; see
+        // `check_program`. The worker needs owned inputs.
+        let slots: Vec<Slot<'static>> = slots.into_iter().map(Slot::into_owned).collect();
+        let old = old.cloned();
+        let that = this.clone();
+        let job = move || that.run_items(&slots, old.as_ref(), mutated, epoch, keep, &mut |_| None);
+        match big_stack::try_run(job) {
+            Ok(r) => r,
+            Err(job) => this.on_big_stack(job),
+        }
+    }
 
-        let fuel = this.config().logic_fuel;
-        let mut env = Env::new();
+    /// The item loop: splices or re-checks each slot in order.
+    fn run_items(
+        &self,
+        slots: &[Slot<'_>],
+        old: Option<&ItemCache>,
+        mutated: HashSet<Symbol>,
+        epoch: u64,
+        keep: bool,
+        fetch: &mut dyn FnMut(usize) -> Option<ModuleItem>,
+    ) -> Option<RunOutput> {
+        let mut st = RunState::default();
         for x in &mutated {
-            env.mark_mutable(*x);
+            st.env.mark_mutable(*x);
         }
-        let init_env = env.clone();
-
-        let mut out = ModuleCheck::default();
-        let mut degraded: Option<LimitKind> = None;
-        let mut binders: Vec<(Symbol, Ty, Obj)> = Vec::new();
-        let mut records: Vec<Arc<ItemRecord>> = Vec::new();
+        let init_env = st.env.clone();
+        let mut records: Vec<Arc<ItemRecord>> = Vec::with_capacity(slots.len());
         let mut stats = RecheckStats::default();
         // Names of items re-checked so far this run, for the
         // cutoff-stopped accounting.
         let mut rechecked_names: HashSet<Symbol> = HashSet::new();
-        // Positional cursor into the old records, so a Fresh slot whose
+        // Positional cursor into the old records, so a fresh slot whose
         // *term* is unchanged (whitespace-only edit) can still find its
         // old record by position + fingerprint.
         let mut cursor: usize = 0;
@@ -348,38 +431,28 @@ impl Checker {
         let mut saw_trailing = false;
 
         for (i, slot) in slots.iter().enumerate() {
-            let is_last_slot = i + 1 == n;
+            let last = i + 1 == n;
 
-            // Resolve this slot's splice candidate.
-            let (candidate, cand_idx, mut item_owned): (
-                Option<Arc<ItemRecord>>,
-                usize,
-                Option<ModuleItem>,
-            ) = match slot {
-                IncrSlot::Reused(j) => {
-                    let rec = old.and_then(|c| c.records.get(*j))?.clone();
-                    cursor = *j + 1;
-                    (Some(rec), *j, None)
+            // Resolve this slot's splice candidate: its claimed record,
+            // or the positional one when the fingerprints agree.
+            let claimed = slot
+                .reuse
+                .and_then(|j| old.and_then(|c| Some((c, j, c.records.get(j)?))));
+            let candidate = match (claimed, old, slot.item.as_deref()) {
+                (Some((c, j, rec)), _, _) => {
+                    cursor = j + 1;
+                    Some((c, j, rec))
                 }
-                IncrSlot::Fresh(item) => {
-                    let mut cand = None;
-                    let mut idx = 0;
-                    if let Some(c) = old {
-                        if cursor < c.records.len() {
-                            idx = cursor;
-                            let rec = &c.records[cursor];
-                            cursor += 1;
-                            if rec.fp == item_fingerprint(item) {
-                                cand = Some(rec.clone());
-                            }
-                        }
-                    }
-                    (cand, idx, Some(item.clone()))
+                (None, Some(c), Some(item)) if cursor < c.records.len() => {
+                    let j = cursor;
+                    cursor += 1;
+                    let rec = &c.records[j];
+                    (rec.fp == item_fingerprint(item)).then_some((c, j, rec))
                 }
+                _ => None,
             };
-
-            let usable = candidate.as_ref().is_some_and(|rec| rec.reuse.is_some());
-            if usable {
+            let reusable = candidate.and_then(|(c, j, rec)| Some((c, j, rec, rec.reuse.as_ref()?)));
+            if reusable.is_some() {
                 stats.fp_hits += 1;
             } else {
                 stats.fp_misses += 1;
@@ -387,53 +460,37 @@ impl Checker {
 
             // The splice rule: reusable record, same trailing role, and
             // a value-equal incoming environment.
-            let splice = usable && {
-                let rec = candidate.as_ref().unwrap();
-                let role_ok =
-                    !rec.is_expr() || (rec.reuse.as_ref().unwrap().value.is_some() == is_last_slot);
-                role_ok && {
-                    let c = old.unwrap();
-                    let prev = if cand_idx == 0 {
-                        &c.init_env
-                    } else {
-                        &c.records[cand_idx - 1].env_after
-                    };
-                    env.same_contents(prev)
-                }
-            };
-
-            if splice {
-                let rec = candidate.unwrap();
-                let ru = rec.reuse.as_ref().unwrap();
+            let splice = reusable.filter(|(c, j, _, ru)| {
+                let role_ok = ru.summary.name.is_some() || ru.value.is_some() == last;
+                role_ok && st.env.same_contents(c.env_before(*j))
+            });
+            if let Some((_, _, rec, ru)) = splice {
                 stats.skipped += 1;
                 if rec.free_refs.iter().any(|s| rechecked_names.contains(s)) {
                     stats.cutoff_stopped += 1;
                 }
-                env = rec.env_after.clone();
-                out.results.push(ru.summary.clone());
+                st.env = rec.env_after.clone();
+                st.out.results.push(ru.summary.clone());
                 if let Some(b) = &ru.binder {
-                    binders.push(b.clone());
+                    st.binders.push(b.clone());
                 }
                 if ru.summary.name.is_none() {
                     saw_trailing = true;
                     if let Some(v) = &ru.value {
-                        out.value = Some(v.clone());
+                        st.out.value = Some(v.clone());
                     }
                 }
-                records.push(rec);
+                records.push(Arc::clone(rec));
                 continue;
             }
 
-            // Re-check. Reused slots are elaborated on demand now.
-            if item_owned.is_none() {
-                item_owned = Some(fetch(i)?);
-            }
-            let item = item_owned.unwrap();
-            if let Some(e) = item.body() {
-                if !this.fits_inline_stack(e) {
-                    return None;
-                }
-            }
+            // Re-check. Claimed slots are elaborated on demand now; their
+            // records proved them inline-sized.
+            let item: Cow<'_, ModuleItem> = match slot.item.as_deref() {
+                Some(item) => Cow::Borrowed(item),
+                None => Cow::Owned(fetch(i)?),
+            };
+            let item = &*item;
             stats.rechecked += 1;
             if let Some(name) = item.name() {
                 rechecked_names.insert(name);
@@ -442,193 +499,45 @@ impl Checker {
                 saw_trailing = true;
             }
 
-            let results_before = out.results.len();
-            let diags_before = out.diagnostics.len();
-            let binders_before = binders.len();
-            let c = this.fork_item(item_salt(&item));
-            let mut value_here: Option<TyResult> = None;
-
-            match &item {
-                ModuleItem::DefineRec {
-                    name,
-                    sig,
-                    lam,
-                    node,
-                    sig_node,
-                } => {
-                    c.chaos_item_entry();
-                    let ctx = || format!("(define ({name} …) …)");
-                    let caught = catch_unwind(AssertUnwindSafe(|| {
-                        c.chaos_item_panic();
-                        c.bind(&mut env, *name, sig, fuel);
-                        c.check_lambda(&env, lam, sig, &ctx)
-                    }));
-                    c.budget().note_margin();
-                    match caught {
-                        Ok(Ok(())) => out.results.push(ItemSummary {
-                            span: None,
-                            name: Some(*name),
-                            ty: Some(sig.clone()),
-                            poisoned: false,
-                        }),
-                        Ok(Err(d)) => {
-                            let d = c.degrade_with(
-                                *attach_node(d, *node),
-                                c.budget().tripped().or(degraded),
-                                ctx,
-                            );
-                            this.poison(&mut out, d, *name, sig, *sig_node);
-                        }
-                        Err(p) => {
-                            c.bind(&mut env, *name, sig, fuel);
-                            let d = Diagnostic::ice(ctx(), panic_detail(&*p)).at(*node);
-                            this.poison(&mut out, d, *name, sig, *sig_node);
-                        }
-                    }
-                    binders.push((*name, sig.clone(), Obj::Null));
-                }
-                ModuleItem::Define {
-                    name,
-                    sig,
-                    rhs,
-                    node,
-                    sig_node,
-                } => {
-                    c.chaos_item_entry();
-                    let caught = catch_unwind(AssertUnwindSafe(|| {
-                        c.chaos_item_panic();
-                        let r1 = c.synth(&env, rhs)?;
-                        let (o1, mutable) = c.open_let_binding(&mut env, *name, &r1);
-                        Ok((r1, o1, mutable))
-                    }));
-                    c.budget().note_margin();
-                    match caught {
-                        Ok(Ok((r1, o1, mutable))) => {
-                            let lift_obj = if mutable { Obj::Null } else { o1 };
-                            binders.push((*name, r1.ty.clone(), lift_obj));
-                            out.results.push(ItemSummary {
-                                span: None,
-                                name: Some(*name),
-                                ty: Some(r1.ty),
-                                poisoned: false,
-                            });
-                        }
-                        Ok(Err(d)) => {
-                            let assumed = sig.clone().unwrap_or(Ty::Top);
-                            this.bind(&mut env, *name, &assumed, fuel);
-                            binders.push((*name, assumed.clone(), Obj::Null));
-                            let d = c.degrade_with(
-                                *attach_node(d, *node),
-                                c.budget().tripped().or(degraded),
-                                || format!("(define {name} …)"),
-                            );
-                            this.poison(&mut out, d, *name, &assumed, *sig_node);
-                        }
-                        Err(p) => {
-                            let assumed = sig.clone().unwrap_or(Ty::Top);
-                            this.bind(&mut env, *name, &assumed, fuel);
-                            binders.push((*name, assumed.clone(), Obj::Null));
-                            let d =
-                                Diagnostic::ice(format!("(define {name} …)"), panic_detail(&*p))
-                                    .at(*node);
-                            this.poison(&mut out, d, *name, &assumed, *sig_node);
-                        }
-                    }
-                }
-                ModuleItem::Opaque { name, ty } => {
-                    this.bind(&mut env, *name, ty, fuel);
-                    binders.push((*name, ty.clone(), Obj::Null));
-                    out.results.push(ItemSummary {
-                        span: None,
-                        name: Some(*name),
-                        ty: Some(ty.clone()),
-                        poisoned: true,
-                    });
-                }
-                ModuleItem::Expr { expr, node } => {
-                    c.chaos_item_entry();
-                    let caught = catch_unwind(AssertUnwindSafe(|| {
-                        c.chaos_item_panic();
-                        c.synth(&env, expr)
-                    }));
-                    c.budget().note_margin();
-                    match caught {
-                        Ok(Ok(r)) => {
-                            if is_last_slot {
-                                value_here = Some(r.clone());
-                                out.value = Some(r);
-                            } else {
-                                let tmp = Symbol::fresh("ignored");
-                                let (o1, mutable) = this.open_let_binding(&mut env, tmp, &r);
-                                let lift_obj = if mutable { Obj::Null } else { o1 };
-                                binders.push((tmp, r.ty.clone(), lift_obj));
-                            }
-                            out.results.push(ItemSummary {
-                                span: None,
-                                name: None,
-                                ty: value_here.as_ref().map(|r| r.ty.clone()),
-                                poisoned: false,
-                            });
-                        }
-                        Ok(Err(d)) => {
-                            let d = c.degrade_with(
-                                *attach_node(d, *node),
-                                c.budget().tripped().or(degraded),
-                                || "this expression".to_owned(),
-                            );
-                            out.diagnostics.push(d);
-                            out.results.push(ItemSummary {
-                                span: None,
-                                name: None,
-                                ty: None,
-                                poisoned: false,
-                            });
-                        }
-                        Err(p) => {
-                            out.diagnostics.push(
-                                Diagnostic::ice("this expression".to_owned(), panic_detail(&*p))
-                                    .at(*node),
-                            );
-                            out.results.push(ItemSummary {
-                                span: None,
-                                name: None,
-                                ty: None,
-                                poisoned: false,
-                            });
-                        }
-                    }
-                }
+            let results_before = st.out.results.len();
+            let diags_before = st.out.diagnostics.len();
+            let binders_before = st.binders.len();
+            let c = self.fork_item(item_salt(item));
+            let value = self.check_item(&c, item, last, &mut st);
+            let tripped = c.budget().tripped();
+            st.degraded = st.degraded.or(tripped);
+            if !keep {
+                continue;
             }
-            degraded = degraded.or(c.budget().tripped());
 
             // Build this slot's record. Results are reusable only for
             // items that checked cleanly on an untripped fork: a
             // diagnostic or a tripped budget means the verdict may be
             // degraded, and degraded verdicts are never cached.
-            let clean = out.diagnostics.len() == diags_before && c.budget().tripped().is_none();
+            let clean = st.out.diagnostics.len() == diags_before && tripped.is_none();
             let reuse = clean.then(|| ReuseData {
-                summary: out.results[results_before].clone(),
-                binder: binders.get(binders_before).cloned(),
-                value: value_here,
+                summary: st.out.results[results_before].clone(),
+                binder: st.binders.get(binders_before).cloned(),
+                value,
             });
-            let muts = item
-                .body()
-                .map(|e| mutated_vars(e).into_iter().collect())
-                .unwrap_or_default();
             records.push(Arc::new(ItemRecord {
-                fp: item_fingerprint(&item),
-                free_refs: free_refs(&item),
-                mutated: muts,
-                env_after: env.clone(),
+                fp: item_fingerprint(item),
+                free_refs: free_refs(item),
+                mutated: slot.mutated.clone(),
+                deep: slot.deep,
+                env_after: st.env.clone(),
                 reuse,
             }));
         }
 
+        let mut out = st.out;
         if !saw_trailing {
+            // The module without trailing expressions has value `#t`, as
+            // in the nested encoding.
             out.value = Some(TyResult::new(Ty::True, Prop::TT, Prop::FF, Obj::Null));
         }
         if let Some(v) = out.value.take() {
-            out.value = Some(v.lift_subst_all(&binders));
+            out.value = Some(v.lift_subst_all(&st.binders));
         }
 
         #[cfg(feature = "stats")]
@@ -641,6 +550,173 @@ impl Checker {
             records,
         };
         Some((out, cache, stats))
+    }
+
+    /// Checks one item on its budget fork `c` (salted by the item's
+    /// *name*, so chaos schedules survive edits that insert or reorder
+    /// definitions). A failing definition is reported and *poisoned*
+    /// (bound at its declared type); an internal checker panic becomes
+    /// one `E0203` ICE for the item, poisoned the same way. Returns the
+    /// pre-lift module value when `item` is the checked last trailing
+    /// expression.
+    fn check_item(
+        &self,
+        c: &Checker,
+        item: &ModuleItem,
+        last: bool,
+        st: &mut RunState,
+    ) -> Option<TyResult> {
+        let fuel = self.config().logic_fuel;
+        let RunState {
+            env,
+            out,
+            binders,
+            degraded,
+        } = st;
+        match item {
+            ModuleItem::DefineRec {
+                name,
+                sig,
+                lam,
+                node,
+                sig_node,
+            } => {
+                c.chaos_item_entry();
+                let ctx = || format!("(define ({name} …) …)");
+                let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    c.chaos_item_panic();
+                    c.bind(env, *name, sig, fuel);
+                    c.check_lambda(env, lam, sig, &ctx)
+                }));
+                c.budget().note_margin();
+                match caught {
+                    Ok(Ok(())) => out.results.push(ItemSummary {
+                        span: None,
+                        name: Some(*name),
+                        ty: Some(sig.clone()),
+                        poisoned: false,
+                    }),
+                    Ok(Err(d)) => {
+                        let d = c.degrade_with(
+                            *attach_node(d, *node),
+                            c.budget().tripped().or(*degraded),
+                            ctx,
+                        );
+                        self.poison(out, d, *name, sig, *sig_node);
+                    }
+                    Err(p) => {
+                        // Re-bind: the panic may have interrupted the
+                        // original bind half-way.
+                        c.bind(env, *name, sig, fuel);
+                        let d = Diagnostic::ice(ctx(), panic_detail(&*p)).at(*node);
+                        self.poison(out, d, *name, sig, *sig_node);
+                    }
+                }
+                binders.push((*name, sig.clone(), Obj::Null));
+                None
+            }
+            ModuleItem::Define {
+                name,
+                sig,
+                rhs,
+                node,
+                sig_node,
+            } => {
+                c.chaos_item_entry();
+                let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    c.chaos_item_panic();
+                    let r1 = c.synth(env, rhs)?;
+                    let (o1, mutable) = c.open_let_binding(env, *name, &r1);
+                    Ok((r1, o1, mutable))
+                }));
+                c.budget().note_margin();
+                let d = match caught {
+                    Ok(Ok((r1, o1, mutable))) => {
+                        let lift_obj = if mutable { Obj::Null } else { o1 };
+                        binders.push((*name, r1.ty.clone(), lift_obj));
+                        out.results.push(ItemSummary {
+                            span: None,
+                            name: Some(*name),
+                            ty: Some(r1.ty),
+                            poisoned: false,
+                        });
+                        return None;
+                    }
+                    Ok(Err(d)) => c.degrade_with(
+                        *attach_node(d, *node),
+                        c.budget().tripped().or(*degraded),
+                        || format!("(define {name} …)"),
+                    ),
+                    Err(p) => {
+                        Diagnostic::ice(format!("(define {name} …)"), panic_detail(&*p)).at(*node)
+                    }
+                };
+                let assumed = sig.clone().unwrap_or(Ty::Top);
+                self.bind(env, *name, &assumed, fuel);
+                binders.push((*name, assumed.clone(), Obj::Null));
+                self.poison(out, d, *name, &assumed, *sig_node);
+                None
+            }
+            ModuleItem::Opaque { name, ty } => {
+                self.bind(env, *name, ty, fuel);
+                binders.push((*name, ty.clone(), Obj::Null));
+                out.results.push(ItemSummary {
+                    span: None,
+                    name: Some(*name),
+                    ty: Some(ty.clone()),
+                    poisoned: true,
+                });
+                None
+            }
+            // Trailing expressions: all but the last are opened as
+            // fresh-named `let` bindings (mirroring `begin_form`'s let
+            // chain), the last one is the module's value.
+            ModuleItem::Expr { expr, node } => {
+                c.chaos_item_entry();
+                let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    c.chaos_item_panic();
+                    c.synth(env, expr)
+                }));
+                c.budget().note_margin();
+                let d = match caught {
+                    Ok(Ok(r)) => {
+                        let value = if last {
+                            out.value = Some(r.clone());
+                            Some(r)
+                        } else {
+                            let tmp = Symbol::fresh("ignored");
+                            let (o1, mutable) = self.open_let_binding(env, tmp, &r);
+                            let lift_obj = if mutable { Obj::Null } else { o1 };
+                            binders.push((tmp, r.ty.clone(), lift_obj));
+                            None
+                        };
+                        out.results.push(ItemSummary {
+                            span: None,
+                            name: None,
+                            ty: value.as_ref().map(|r| r.ty.clone()),
+                            poisoned: false,
+                        });
+                        return value;
+                    }
+                    Ok(Err(d)) => c.degrade_with(
+                        *attach_node(d, *node),
+                        c.budget().tripped().or(*degraded),
+                        || "this expression".to_owned(),
+                    ),
+                    Err(p) => {
+                        Diagnostic::ice("this expression".to_owned(), panic_detail(&*p)).at(*node)
+                    }
+                };
+                out.diagnostics.push(d);
+                out.results.push(ItemSummary {
+                    span: None,
+                    name: None,
+                    ty: None,
+                    poisoned: false,
+                });
+                None
+            }
+        }
     }
 }
 
@@ -697,7 +773,7 @@ mod tests {
         let full = checker.check_module(&items);
         let (incr, cache, stats) = checker
             .check_module_incremental(&all_fresh(&items), None, &mut no_fetch)
-            .expect("inline-sized module");
+            .expect("nothing to fetch");
         assert_eq!(incr.error_count(), full.error_count());
         assert_eq!(incr.results.len(), full.results.len());
         for (a, b) in incr.results.iter().zip(&full.results) {

@@ -5,8 +5,9 @@
 //! *every* check site in a library — needs the opposite: check a whole
 //! module and report **all** of its diagnostics. This module provides
 //! the item-structured representation ([`ModuleItem`]) the surface
-//! language elaborates into and the recovering driver
-//! ([`Checker::check_module`]).
+//! language elaborates into and the recovering entry point
+//! ([`Checker::check_module`]): the module driver of
+//! [`crate::incremental`] run with no cache.
 //!
 //! Recovery works by *poisoning*: when a definition fails to check, its
 //! binding is entered into the environment at its **declared** type (the
@@ -22,15 +23,12 @@
 //! `check_program` accepts its nested encoding (the corpus equivalence
 //! tests pin this).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use crate::budget::LimitKind;
-use crate::check::{attach_node, panic_detail, Checker};
+use crate::check::Checker;
 use crate::diag::{Diagnostic, NodeId, Span};
-use crate::env::Env;
-use crate::mutation::mutated_vars;
-use crate::syntax::{Expr, Lambda, Obj, Prop, Symbol, Ty, TyResult};
+use crate::incremental::Slot;
+use crate::syntax::{Expr, Lambda, Symbol, Ty, TyResult};
 
 /// One top-level form of an elaborated module.
 #[derive(Clone, Debug)]
@@ -160,254 +158,24 @@ impl Checker {
     /// expressions — the same scoping the nested `letrec`/`let` encoding
     /// produces. A failing definition is reported and *poisoned* (bound
     /// at its declared type); checking continues, so every independently
-    /// ill-typed item contributes its own [`Diagnostic`].
+    /// ill-typed item contributes its own [`Diagnostic`]. This is
+    /// [`Checker::check_module_incremental`]'s driver with no cache.
     ///
     /// Diagnostics carry [`NodeId`]s; callers holding the elaborator's
     /// span table resolve them with
     /// [`Diagnostic::resolve_spans`].
     pub fn check_module(&self, items: &[ModuleItem]) -> ModuleCheck {
-        let this = self.fork_check();
-        let _live = crate::intern::check_guard();
-        this.caches().reconcile_evictions();
-        let deep = items
+        let is_expr = |item: &&ModuleItem| matches!(item, ModuleItem::Expr { .. });
+        let slots = items
             .iter()
-            .filter_map(ModuleItem::body)
-            .any(|e| !this.fits_inline_stack(e));
-        if !deep {
-            return this.check_module_inner(items);
-        }
-        // Deep modules ride the persistent big-stack worker (warm stack
-        // pages) when it is free; see `check_program`.
-        let that = this.clone();
-        let owned = items.to_vec();
-        match crate::check::big_stack::run(move || that.check_module_inner(&owned)) {
-            Some(r) => r,
-            None => this.on_big_stack(|| this.check_module_inner(items)),
-        }
-    }
-
-    fn check_module_inner(&self, items: &[ModuleItem]) -> ModuleCheck {
-        let fuel = self.config().logic_fuel;
-        let mut env = Env::new();
-        for item in items {
-            if let Some(e) = item.body() {
-                for x in mutated_vars(e) {
-                    env.mark_mutable(x);
-                }
-            }
-        }
-
-        let mut out = ModuleCheck::default();
-        // The first governance limit that tripped in *any* earlier item.
-        // Once set, later items ran against possibly-coarser bindings
-        // (a starved definition poisons at its declared type, weakening
-        // everything downstream), so their conservative failures are
-        // reported as `E0202` too — a starved run's errors are exactly
-        // "identical to fault-free, or exhausted", never a different
-        // verdict. Item panics do *not* set it: the post-ICE environment
-        // equals the ordinary poison-path environment.
-        let mut degraded: Option<LimitKind> = None;
-        // The binders opened along the way, innermost last. The nested
-        // encoding existentializes every module-local binding out of
-        // the final result at binder exit (T-Let's lifting
-        // substitution); the item loop replays the same lifts on the
-        // value before reporting it, so the module's value never
-        // mentions out-of-scope names.
-        let mut binders: Vec<(Symbol, Ty, Obj)> = Vec::new();
-
-        // Definitions first: every define scopes over all trailing
-        // expressions, exactly as in the nested encoding. Each item
-        // checks on its own budget fork (salted by the item's *name*,
-        // so chaos schedules are independent of thread scheduling and
-        // stable when an edit inserts or reorders definitions) and
-        // inside `catch_unwind`: an internal checker bug yields one
-        // `E0203` ICE for the item, the binding is poisoned at its
-        // declared type, and the rest of the module checks normally on
-        // the surviving warm caches.
-        for item in items {
-            match item {
-                ModuleItem::DefineRec {
-                    name,
-                    sig,
-                    lam,
-                    node,
-                    sig_node,
-                } => {
-                    let c = self.fork_item(crate::fingerprint::item_salt(item));
-                    c.chaos_item_entry();
-                    let ctx = || format!("(define ({name} …) …)");
-                    let caught = catch_unwind(AssertUnwindSafe(|| {
-                        c.chaos_item_panic();
-                        c.bind(&mut env, *name, sig, fuel);
-                        c.check_lambda(&env, lam, sig, &ctx)
-                    }));
-                    c.budget().note_margin();
-                    match caught {
-                        Ok(Ok(())) => out.results.push(ItemSummary {
-                            span: None,
-                            name: Some(*name),
-                            ty: Some(sig.clone()),
-                            poisoned: false,
-                        }),
-                        Ok(Err(d)) => {
-                            let d = c.degrade_with(
-                                *attach_node(d, *node),
-                                c.budget().tripped().or(degraded),
-                                ctx,
-                            );
-                            self.poison(&mut out, d, *name, sig, *sig_node);
-                        }
-                        Err(p) => {
-                            // Re-bind: the panic may have interrupted the
-                            // original bind half-way.
-                            c.bind(&mut env, *name, sig, fuel);
-                            let d = Diagnostic::ice(ctx(), panic_detail(&*p)).at(*node);
-                            self.poison(&mut out, d, *name, sig, *sig_node);
-                        }
-                    }
-                    binders.push((*name, sig.clone(), Obj::Null));
-                    degraded = degraded.or(c.budget().tripped());
-                }
-                ModuleItem::Define {
-                    name,
-                    sig,
-                    rhs,
-                    node,
-                    sig_node,
-                } => {
-                    let c = self.fork_item(crate::fingerprint::item_salt(item));
-                    c.chaos_item_entry();
-                    let caught = catch_unwind(AssertUnwindSafe(|| {
-                        c.chaos_item_panic();
-                        let r1 = c.synth(&env, rhs)?;
-                        let (o1, mutable) = c.open_let_binding(&mut env, *name, &r1);
-                        Ok((r1, o1, mutable))
-                    }));
-                    c.budget().note_margin();
-                    match caught {
-                        Ok(Ok((r1, o1, mutable))) => {
-                            let lift_obj = if mutable { Obj::Null } else { o1 };
-                            binders.push((*name, r1.ty.clone(), lift_obj));
-                            out.results.push(ItemSummary {
-                                span: None,
-                                name: Some(*name),
-                                ty: Some(r1.ty),
-                                poisoned: false,
-                            });
-                        }
-                        Ok(Err(d)) => {
-                            let assumed = sig.clone().unwrap_or(Ty::Top);
-                            self.bind(&mut env, *name, &assumed, fuel);
-                            binders.push((*name, assumed.clone(), Obj::Null));
-                            let d = c.degrade_with(
-                                *attach_node(d, *node),
-                                c.budget().tripped().or(degraded),
-                                || format!("(define {name} …)"),
-                            );
-                            self.poison(&mut out, d, *name, &assumed, *sig_node);
-                        }
-                        Err(p) => {
-                            let assumed = sig.clone().unwrap_or(Ty::Top);
-                            self.bind(&mut env, *name, &assumed, fuel);
-                            binders.push((*name, assumed.clone(), Obj::Null));
-                            let d =
-                                Diagnostic::ice(format!("(define {name} …)"), panic_detail(&*p))
-                                    .at(*node);
-                            self.poison(&mut out, d, *name, &assumed, *sig_node);
-                        }
-                    }
-                    degraded = degraded.or(c.budget().tripped());
-                }
-                ModuleItem::Opaque { name, ty } => {
-                    self.bind(&mut env, *name, ty, fuel);
-                    binders.push((*name, ty.clone(), Obj::Null));
-                    out.results.push(ItemSummary {
-                        span: None,
-                        name: Some(*name),
-                        ty: Some(ty.clone()),
-                        poisoned: true,
-                    });
-                }
-                ModuleItem::Expr { .. } => {}
-            }
-        }
-
-        // Trailing expressions: all but the last are opened as
-        // fresh-named `let` bindings (mirroring `begin_form`'s let
-        // chain), the last one is the module's value.
-        let trailing: Vec<(u64, &Expr, Option<NodeId>)> = items
-            .iter()
-            .filter_map(|item| match item {
-                ModuleItem::Expr { expr, node } => {
-                    Some((crate::fingerprint::item_salt(item), expr, *node))
-                }
-                _ => None,
-            })
+            .filter(|item| !is_expr(item))
+            .chain(items.iter().filter(is_expr))
+            .map(Slot::fresh)
             .collect();
-        let count = trailing.len();
-        for (i, (salt, expr, node)) in trailing.into_iter().enumerate() {
-            let c = self.fork_item(salt);
-            c.chaos_item_entry();
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                c.chaos_item_panic();
-                c.synth(&env, expr)
-            }));
-            c.budget().note_margin();
-            match caught {
-                Ok(Ok(r)) => {
-                    let last = i + 1 == count;
-                    if last {
-                        out.value = Some(r);
-                    } else {
-                        let tmp = Symbol::fresh("ignored");
-                        let (o1, mutable) = self.open_let_binding(&mut env, tmp, &r);
-                        let lift_obj = if mutable { Obj::Null } else { o1 };
-                        binders.push((tmp, r.ty.clone(), lift_obj));
-                    }
-                    out.results.push(ItemSummary {
-                        span: None,
-                        name: None,
-                        ty: out.value.as_ref().map(|r| r.ty.clone()).filter(|_| last),
-                        poisoned: false,
-                    });
-                }
-                Ok(Err(d)) => {
-                    let d = c.degrade_with(
-                        *attach_node(d, node),
-                        c.budget().tripped().or(degraded),
-                        || "this expression".to_owned(),
-                    );
-                    out.diagnostics.push(d);
-                    out.results.push(ItemSummary {
-                        span: None,
-                        name: None,
-                        ty: None,
-                        poisoned: false,
-                    });
-                }
-                Err(p) => {
-                    out.diagnostics.push(
-                        Diagnostic::ice("this expression".to_owned(), panic_detail(&*p)).at(node),
-                    );
-                    out.results.push(ItemSummary {
-                        span: None,
-                        name: None,
-                        ty: None,
-                        poisoned: false,
-                    });
-                }
-            }
-            degraded = degraded.or(c.budget().tripped());
-        }
-        if count == 0 {
-            // The empty module's value is `#t`, as in the nested
-            // encoding.
-            out.value = Some(TyResult::new(Ty::True, Prop::TT, Prop::FF, Obj::Null));
-        }
-        if let Some(v) = out.value.take() {
-            out.value = Some(v.lift_subst_all(&binders));
-        }
-        out
+        let (mc, _, _) = self
+            .drive(slots, None, false, &mut |_| None)
+            .expect("fresh slots are never fetched");
+        mc
     }
 
     pub(crate) fn poison(

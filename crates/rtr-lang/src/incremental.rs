@@ -22,11 +22,10 @@
 //!    read at their *new* file positions ([`read_all_from`]);
 //!    changed slots elaborate eagerly and go in as [`IncrSlot::Fresh`].
 //!
-//! Anything the fast path cannot prove equivalent — scanner anomalies,
-//! unconsumed or overwritten signatures (`W0001` territory), any
-//! elaboration error, or a driver refusal — falls back to the
-//! from-scratch [`check_module_source`], so the incremental entry point
-//! is *never* wrong, only sometimes slower.
+//! Anything the textual account cannot mirror exactly — scanner
+//! anomalies, unconsumed or overwritten signatures (`W0001` territory),
+//! or any elaboration error — goes through [`check_module_source`]: the
+//! same driver, cold, over [`crate::elaborate_module_items`]' output.
 
 use std::collections::HashMap;
 
@@ -488,24 +487,33 @@ impl ModuleCache {
 }
 
 /// Checks a module incrementally against the previous run's
-/// [`ModuleCache`], falling back to [`check_module_source`] whenever
-/// the fast path cannot prove equivalence.
+/// [`ModuleCache`].
 ///
 /// Returns the report, the cache to use for the next edit (`None` when
-/// this run fell back — keep the old cache in that case), and the
-/// driver's [`RecheckStats`] when the incremental path ran.
+/// the textual account did not apply — keep the old cache in that
+/// case), and the driver's [`RecheckStats`] (always `Some`; a cold run
+/// re-checks every item).
 pub fn check_module_source_incremental(
     src: &str,
     checker: &Checker,
     old: Option<&ModuleCache>,
 ) -> (ModuleReport, Option<ModuleCache>, Option<RecheckStats>) {
-    let fallback = |src: &str| (check_module_source(src, checker), None, None);
+    let whole = |src: &str| {
+        let report = check_module_source(src, checker);
+        let n = report.results.len() as u32;
+        let stats = RecheckStats {
+            rechecked: n,
+            fp_misses: n,
+            ..RecheckStats::default()
+        };
+        (report, None, Some(stats))
+    };
 
     let Some(forms) = scan_forms(src) else {
-        return fallback(src);
+        return whole(src);
     };
     let Some(descs) = pair_slots(src, &forms) else {
-        return fallback(src);
+        return whole(src);
     };
     let n_defines = descs.iter().filter(|d| d.is_define).count();
 
@@ -531,7 +539,7 @@ pub fn check_module_source_incremental(
             Some(j) => slots.push(IncrSlot::Reused(j)),
             None => match elaborate_slot(src, &forms, d, &mut elab) {
                 Some(item) => slots.push(IncrSlot::Fresh(item)),
-                None => return fallback(src),
+                None => return whole(src),
             },
         }
     }
@@ -540,7 +548,8 @@ pub fn check_module_source_incremental(
     let Some((mc, core, stats)) =
         checker.check_module_incremental(&slots, old.map(|c| &c.core), &mut fetch)
     else {
-        return fallback(src);
+        // A claimed slot no longer elaborates on its own.
+        return whole(src);
     };
 
     let spans = elab.into_spans();
@@ -664,10 +673,11 @@ mod tests {
 
     #[test]
     fn syntax_errors_fall_back_to_the_full_path() {
-        let src = "(define (f x) (if))";
+        let src = "(define (f x) (if))\n(define (g [y : Int]) y)";
         let (r, cache, stats) = check_module_source_incremental(src, &checker(), None);
         assert_eq!(r.error_count(), 1);
-        assert!(cache.is_none(), "fallback builds no cache");
-        assert!(stats.is_none());
+        assert!(cache.is_none(), "no textual account, no cache");
+        let stats = stats.expect("the driver ran");
+        assert_eq!((stats.rechecked, stats.skipped), (2, 0));
     }
 }

@@ -318,13 +318,9 @@ fn check_command(opts: &Options) -> ExitCode {
             }
         }
     }
-    // A one-shot `check` has no prior run to reuse: stay on the
-    // from-scratch path (incremental reports would only add the
-    // additive stats fields to the JSON without reusing anything).
     let session = Session::new(SessionConfig {
         checker: checker_config(opts),
         jobs: if opts.jobs == 0 { 1 } else { opts.jobs },
-        incremental: false,
         ..SessionConfig::default()
     });
     let reports = session.check_all(&sources);
@@ -397,7 +393,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// The one-line verdict for a `watch` delta, with the incremental
-/// counters when the re-check spliced from a cache.
+/// counters.
 fn watch_summary(report: &CheckReport) -> String {
     let delta = match (report.stats.rechecked_items, report.stats.unchanged_items) {
         (Some(r), Some(u)) => format!("; {r} rechecked, {u} unchanged"),
@@ -440,7 +436,6 @@ fn lsp_command(opts: &Options) -> ExitCode {
     let session = Session::new(SessionConfig {
         checker: checker_config(opts),
         jobs: 1,
-        incremental: true,
         ..SessionConfig::default()
     });
     let stdin = std::io::BufReader::new(std::io::stdin());
@@ -472,7 +467,6 @@ fn watch_command(opts: &Options) -> ExitCode {
     let session = Session::new(SessionConfig {
         checker: checker_config(opts),
         jobs: 1,
-        incremental: true,
         ..SessionConfig::default()
     });
     let mut watched: Vec<Watched> = opts
@@ -835,19 +829,12 @@ mod tests {
     fn watch_summary_carries_the_incremental_delta_counters() {
         let session = Session::new(SessionConfig::default());
         let file = SourceFile::new("m.rtr", QUICKSTART);
-        session.check(&file);
-        let warm = session.check(&file);
-        let line = watch_summary(&warm);
-        assert!(line.starts_with("m.rtr: ok ("), "got {line:?}");
-        assert!(line.contains("rechecked") && line.contains("unchanged"));
-
-        // From-scratch reports keep the plain summary shape.
-        let scratch = Session::new(SessionConfig {
-            incremental: false,
-            ..SessionConfig::default()
-        });
-        let cold = watch_summary(&scratch.check(&file));
-        assert!(!cold.contains("rechecked"), "got {cold:?}");
+        // A cold check re-checks every item and reuses none…
+        let cold = watch_summary(&session.check(&file));
+        assert_eq!(cold, "m.rtr: ok (1 definition; 2 rechecked, 0 unchanged)");
+        // …and an identical warm re-check splices them all.
+        let warm = watch_summary(&session.check(&file));
+        assert_eq!(warm, "m.rtr: ok (1 definition; 0 rechecked, 2 unchanged)");
     }
 
     #[test]

@@ -34,7 +34,7 @@ use rtr_core::config::CheckerConfig;
 use rtr_core::diag::{Diagnostic, Severity};
 use rtr_core::module::ItemSummary;
 use rtr_core::syntax::TyResult;
-use rtr_lang::{check_module_source, check_module_source_incremental, ModuleCache};
+use rtr_lang::{check_module_source_incremental, ModuleCache};
 
 /// Retire the interner's fresh-id region once it holds this many entries
 /// and no check is in flight. Fresh names never recur across modules, so
@@ -50,11 +50,6 @@ pub struct SessionConfig {
     /// Worker threads for [`Session::check_all`]; `0` means one per
     /// available core. Reports are returned in input order regardless.
     pub jobs: usize,
-    /// Re-check edited files incrementally (the default): the session
-    /// keeps a per-file item cache and only re-checks changed
-    /// definitions and the dependents the early cutoff cannot clear.
-    /// `false` keeps the from-scratch reference path.
-    pub incremental: bool,
     /// Most distinct files the session keeps incremental caches for;
     /// past the cap the least-recently-checked file's cache is dropped
     /// (it simply re-checks from scratch next time). Keeps a long-lived
@@ -73,7 +68,6 @@ impl Default for SessionConfig {
         SessionConfig {
             checker: CheckerConfig::default(),
             jobs: 0,
-            incremental: true,
             max_cached_files: SessionConfig::DEFAULT_MAX_CACHED_FILES,
         }
     }
@@ -122,11 +116,11 @@ pub struct CheckStats {
     pub warnings: usize,
     /// Wall-clock time for the whole check (parse → diagnostics).
     pub elapsed: Duration,
-    /// Items re-checked by the incremental path (`None` when the check
-    /// ran from scratch).
+    /// Items actually re-checked (every item on a cold check; `None`
+    /// only when the check failed outside per-item isolation).
     pub rechecked_items: Option<u32>,
-    /// Items the incremental path reused without re-checking (`None`
-    /// when the check ran from scratch).
+    /// Items spliced from the file's cache without re-checking (`0` on
+    /// a cold check; `None` exactly when `rechecked_items` is).
     pub unchanged_items: Option<u32>,
 }
 
@@ -173,7 +167,6 @@ impl CheckReport {
 pub struct Session {
     checker: Checker,
     jobs: usize,
-    incremental: bool,
     /// Per-file incremental caches, keyed by file name. Shared across
     /// clones (like the checker's memo tables); a file's cache is taken
     /// out while it is being checked, so concurrent checks of the same
@@ -225,7 +218,6 @@ impl Session {
         Session {
             checker: Checker::with_config(config.checker),
             jobs: config.jobs,
-            incremental: config.incremental,
             caches: Arc::new(Mutex::new(CacheMap {
                 cap: config.max_cached_files,
                 ..CacheMap::default()
@@ -237,12 +229,7 @@ impl Session {
     pub fn from_checker(checker: Checker) -> Session {
         Session {
             checker,
-            jobs: 0,
-            incremental: true,
-            caches: Arc::new(Mutex::new(CacheMap {
-                cap: SessionConfig::DEFAULT_MAX_CACHED_FILES,
-                ..CacheMap::default()
-            })),
+            ..Session::default()
         }
     }
 
@@ -304,17 +291,10 @@ impl Session {
         // Take the file's cache out for the duration of the check: a
         // panic leaves it dropped (next check runs cold), concurrent
         // checks of the same name just miss.
-        let old_cache = self
-            .incremental
-            .then(|| self.lock_caches().take(&file.name))
-            .flatten();
+        let old_cache = self.lock_caches().take(&file.name);
         let (report, new_cache, incr_stats) =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if self.incremental {
-                    check_module_source_incremental(&file.text, checker, old_cache.as_ref())
-                } else {
-                    (check_module_source(&file.text, checker), None, None)
-                }
+                check_module_source_incremental(&file.text, checker, old_cache.as_ref())
             }))
             .unwrap_or_else(|p| {
                 (
@@ -329,13 +309,11 @@ impl Session {
                     None,
                 )
             });
-        if self.incremental {
-            // A fallback run (`new_cache` = None) keeps the previous
-            // cache: textual matching re-validates it against whatever
-            // the file looks like next time.
-            if let Some(cache) = new_cache.or(old_cache) {
-                self.lock_caches().insert(file.name.clone(), cache);
-            }
+        // A run without a textual account (`new_cache` = None) keeps
+        // the previous cache: textual matching re-validates it against
+        // whatever the file looks like next time.
+        if let Some(cache) = new_cache.or(old_cache) {
+            self.lock_caches().insert(file.name.clone(), cache);
         }
         // Reports hold owned trees, never interned ids, so retiring the
         // fresh interner region between checks cannot invalidate them.
@@ -474,13 +452,9 @@ mod tests {
     #[test]
     fn item_summaries_carry_surface_spans_on_both_paths() {
         let text = "(define (f [x : Int]) (add1 x))\n(f 3)\n";
-        for incremental in [false, true] {
-            let session = Session::new(SessionConfig {
-                incremental,
-                ..SessionConfig::default()
-            });
-            // Two checks: the second exercises the warm splice path.
-            session.check(&SourceFile::new("s.rtr", text));
+        let session = Session::new(SessionConfig::default());
+        // The first check runs cold, the second splices every item.
+        for _ in 0..2 {
             let report = session.check(&SourceFile::new("s.rtr", text));
             let f = &report.results[0];
             let span = f.span.expect("definition span");
@@ -507,8 +481,9 @@ mod tests {
         let warm = session.check(&SourceFile::new("m9.rtr", "(define x 1)".to_string()));
         assert_eq!(warm.stats.rechecked_items, Some(0), "m9 stayed cached");
         let cold = session.check(&SourceFile::new("m0.rtr", "(define x 1)".to_string()));
-        assert!(
-            cold.stats.rechecked_items.is_none() || cold.stats.rechecked_items == Some(1),
+        assert_eq!(
+            cold.stats.rechecked_items,
+            Some(1),
             "m0 was evicted and re-checks"
         );
         session.forget("m9.rtr");

@@ -34,22 +34,24 @@ fn fresh_hungry_module() -> SourceFile {
 
 #[test]
 fn repeated_session_checks_keep_the_fresh_arena_bounded() {
-    // From-scratch sessions re-mint every ghost existential per check —
-    // the workload this bound is about. (An incremental session splices
-    // unchanged items instead, so the fresh region barely grows and the
-    // eviction epoch never needs to advance; cache invalidation across
-    // evictions is covered by the epoch-guard tests in rtr-core.)
-    let session = Session::new(SessionConfig {
-        incremental: false,
-        ..SessionConfig::default()
-    });
+    // Cold checks re-mint every ghost existential per check — the
+    // workload this bound is about — so every check first forgets the
+    // file's cache. (A warm check splices unchanged items instead, so
+    // the fresh region barely grows and the eviction epoch never needs
+    // to advance; cache invalidation across evictions is covered by the
+    // epoch-guard tests in rtr-core.)
+    let session = Session::new(SessionConfig::default());
     let file = fresh_hungry_module();
+    let check_cold = || {
+        session.forget(&file.name);
+        session.check(&file)
+    };
     let epoch_before = intern::evict_epoch();
 
     // Calibrate: one check's worth of fresh minting must be far below
     // the budget, or "bounded" would be vacuous.
     let base = fresh_total();
-    assert!(session.check(&file).is_clean());
+    assert!(check_cold().is_clean());
     let per_check = fresh_total().saturating_sub(base);
     assert!(per_check > 0, "workload mints no fresh entries");
     assert!(
@@ -62,7 +64,7 @@ fn repeated_session_checks_keep_the_fresh_arena_bounded() {
     // one check's overshoot.
     let mut high_water = fresh_total();
     for _ in 0..(2 * BUDGET / per_check + 4) {
-        assert!(session.check(&file).is_clean());
+        assert!(check_cold().is_clean());
         high_water = high_water.max(fresh_total());
     }
     assert!(
@@ -75,5 +77,5 @@ fn repeated_session_checks_keep_the_fresh_arena_bounded() {
          per-check {per_check})"
     );
     // And the verdict after all that recycling is still the same one.
-    assert!(session.check(&file).is_clean());
+    assert!(check_cold().is_clean());
 }

@@ -54,13 +54,13 @@ fn session_with(chaos: Option<ChaosConfig>, jobs: usize) -> Session {
         chaos,
         ..CheckerConfig::default()
     };
-    // From-scratch checking: this suite compares verdicts across seeds
-    // and job counts, so every check must run the full module, not a
-    // cache splice from an earlier check of the same path.
+    // Cold checking: this suite compares verdicts across seeds and job
+    // counts, so every check must run the full module, not a cache
+    // splice from an earlier check of the same path. Each session
+    // checks each file once, so no check finds a cache.
     Session::new(SessionConfig {
         checker,
         jobs,
-        incremental: false,
         ..SessionConfig::default()
     })
 }

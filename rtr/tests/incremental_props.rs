@@ -2,7 +2,7 @@
 //!
 //! One warm incremental [`Session`] replays a script of edits against a
 //! synthetic module; after every step, the report is compared against a
-//! from-scratch check of the same text. Diagnostic codes, primary
+//! cold check of the same text (a session that forgets the file first). Diagnostic codes, primary
 //! spans, per-item verdicts, the module value type, and the whole
 //! human rendering must agree. (The single permitted normalization:
 //! fresh existential names `%N` are numbered per *run*, not per
@@ -203,10 +203,7 @@ fn mutate(items: &mut Vec<Item>, rng: &mut Rng, fresh_name: &mut usize) {
 fn random_edit_scripts_match_the_from_scratch_path() {
     for seed in 1..=12u64 {
         let warm = Session::new(SessionConfig::default());
-        let scratch = Session::new(SessionConfig {
-            incremental: false,
-            ..SessionConfig::default()
-        });
+        let scratch = Session::new(SessionConfig::default());
         let mut rng = Rng(seed);
         let mut fresh_name = 4;
         let mut items: Vec<Item> = (0..4)
@@ -232,10 +229,12 @@ fn random_edit_scripts_match_the_from_scratch_path() {
             let src = render(&items, &mut rng);
             let file = SourceFile::new("props.rtr", &src);
             let incremental = warm.check(&file);
+            scratch.forget(&file.name);
             let full = scratch.check(&file);
-            assert!(
-                full.stats.rechecked_items.is_none(),
-                "the comparator must run from scratch"
+            assert_eq!(
+                full.stats.unchanged_items,
+                Some(0),
+                "the comparator must run cold"
             );
             assert_eq!(
                 report_key(&incremental, &src),
@@ -279,4 +278,64 @@ fn one_item_edit_reuses_the_unchanged_items() {
         "the other defines must be reused, got {:?}",
         warm.stats.unchanged_items
     );
+}
+
+/// A definition whose body is an `n`-binder `let` alias chain: nested
+/// past the checker's 160-level inline-stack limit for large `n`, so
+/// the module runs on the big-stack worker.
+fn alias_chain(n: usize) -> String {
+    let mut binds = String::from("(let ([a0 (len v)])\n");
+    for k in 1..n {
+        binds.push_str(&format!("(let ([a{k} a{}])\n", k - 1));
+    }
+    format!(
+        "(define (chain [v : (Vecof Int)] [i : Int])\n{binds}(if (and (<= 0 i) (< i a{})) (safe-vec-ref v i) 0){})\n",
+        n - 1,
+        ")".repeat(n)
+    )
+}
+
+#[test]
+fn deep_modules_splice_on_the_big_stack() {
+    // The reader and elaborator recurse once per binder; 200 binders
+    // need more than a debug build's default 2 MiB test-thread stack.
+    std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(deep_module_edit)
+        .expect("spawn")
+        .join()
+        .expect("deep module edit");
+}
+
+fn deep_module_edit() {
+    let session = Session::new(SessionConfig::default());
+    let mut rng = Rng(11);
+    let items: Vec<Item> = (0..3)
+        .map(|name| Item::Define {
+            name,
+            a: name as i64,
+            body: Body::Clean,
+        })
+        .collect();
+    let src = format!("{}{}", render(&items, &mut rng), alias_chain(200));
+    let cold = session.check(&SourceFile::new("deep.rtr", &src));
+    assert!(cold.is_clean(), "{:#?}", cold.diagnostics);
+    assert_eq!(cold.stats.rechecked_items, Some(4));
+
+    // Edit one shallow body: the deep chain still splices.
+    let mut edited = items;
+    if let Item::Define { a, .. } = &mut edited[1] {
+        *a = 99;
+    }
+    let src2 = format!("{}{}", render(&edited, &mut rng), alias_chain(200));
+    let file = SourceFile::new("deep.rtr", &src2);
+    let warm = session.check(&file);
+    assert_eq!(
+        warm.stats.rechecked_items,
+        Some(1),
+        "exactly the edited item"
+    );
+    assert_eq!(warm.stats.unchanged_items, Some(3));
+    let fresh = Session::new(SessionConfig::default()).check(&file);
+    assert_eq!(report_key(&warm, &src2), report_key(&fresh, &src2));
 }
