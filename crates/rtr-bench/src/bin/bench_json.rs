@@ -334,7 +334,7 @@ fn main() {
                 let report = lsp_session.check_cancellable(&file, &token);
                 if lsp_warm && epoch == lsp_epoch {
                     assert_eq!(
-                        report.stats.rechecked_items,
+                        report.stats.trace.map(|t| t.rechecked),
                         Some(1),
                         "exactly the edited definition re-checks through the overlay"
                     );

@@ -1,97 +1,51 @@
-//! Cache-effectiveness smoke test (`stats` feature only): checking the
-//! §4.1 alias-chain workload must actually *hit* the subtype memo table —
-//! if these assertions fail, the caches compile but never fire, and the
-//! perf numbers in `BENCH_checker.json` are a lie.
+//! Work-counter smoke tests: checking the §4.1 alias-chain workload and
+//! the theory-heavy modules must actually *hit* the memo tables and
+//! solver caches — if these assertions fail, the caches compile but
+//! never fire, and the perf numbers in `BENCH_checker.json` are a lie.
 //!
-//! Run with: `cargo test -p rtr-bench --features stats --test stats_smoke`
-#![cfg(feature = "stats")]
+//! Every assertion reads one check's own counters (or, for a judgment
+//! called directly, the checker's resident trace), so the tests are
+//! independent of each other and of the parallel test runner.
 
+use rtr::session::{Session, SessionConfig, SourceFile};
 use rtr_bench::alias_chain_src;
 use rtr_core::check::Checker;
-use rtr_lang::check_source;
+use rtr_core::trace::TraceCounts;
+use rtr_lang::check_module_source_incremental;
+
+/// One cold module check on `checker`: its work counters.
+fn counts(src: &str, checker: &Checker) -> TraceCounts {
+    let (report, _, trace) = check_module_source_incremental(src, checker, None);
+    assert!(report.is_clean(), "{:#?}", report.diagnostics);
+    trace.expect("the driver ran")
+}
 
 #[test]
 fn alias_chain_hits_the_memo_tables() {
     let checker = Checker::default();
     let src = alias_chain_src(16);
-    check_source(&src, &checker).expect("alias chain checks");
-    let stats = checker.cache_stats();
+    let cold = counts(&src, &checker);
+    assert!(cold.steps_synth > 0, "no synth steps counted: {cold:?}");
     assert!(
-        stats.subtype.0 > 0,
-        "subtype memo table never hit: {stats:?}"
+        cold.subtype.hits > 0,
+        "subtype memo table never hit: {cold:?}"
     );
     assert!(
-        stats.inconsistent.0 + stats.inconsistent.1 > 0,
-        "inconsistency memo table never consulted: {stats:?}"
+        cold.inconsistent.total() > 0,
+        "inconsistency memo table never consulted: {cold:?}"
     );
     assert!(
-        stats.update.0 > 0,
-        "id-native update± memo table never hit: {stats:?}"
+        cold.update.hits > 0,
+        "id-native update± memo table never hit: {cold:?}"
     );
     assert!(checker.cache_entry_count() > 0, "memo tables are empty");
 
-    // A second check of the same module should hit even more (environment
-    // generations differ, but env-free subtype pairs are cached globally).
-    let before = stats.subtype.0;
-    check_source(&src, &checker).expect("alias chain re-checks");
-    let after = checker.cache_stats().subtype.0;
-    assert!(after > before, "re-check produced no further hits");
-}
-
-#[test]
-fn env_maps_share_structure_and_fresh_names_stay_out_of_the_permanent_arena() {
-    let checker = Checker::default();
-    // dot-prod mints ghost existentials (fresh names) at every
-    // application whose argument has no symbolic object — the workload
-    // whose goals used to leak permanent arena entries per check.
-    let src = rtr_bench::dot_prod_module_src(2);
-    // Warm-up: let first-seen trees (annotations, Δ-table instantiations)
-    // populate the permanent arena — including every source the *other*
-    // tests in this binary check, since they share the global interner
-    // and run concurrently.
-    for warm in [
-        src.clone(),
-        alias_chain_src(16),
-        rtr_bench::dot_prod_module_src(4),
-        rtr_bench::xtime_module_src(2),
-    ] {
-        check_source(&warm, &checker).expect("warm-up module checks");
-    }
-
-    let env_before = rtr_core::env::env_stats();
-    let arena_before = rtr_core::intern::arena_stats();
-    check_source(&src, &checker).expect("dot-prod module re-checks");
-    let env_after = rtr_core::env::env_stats();
-    let arena_after = rtr_core::intern::arena_stats();
-
-    // The persistent environment maps were written to and shared
-    // structurally: writes happened, and far fewer trie nodes were cloned
-    // than a whole-map copy-on-write would have copied.
-    let writes = env_after.pmap_writes - env_before.pmap_writes;
-    let cloned = env_after.pmap_nodes_cloned - env_before.pmap_nodes_cloned;
-    let spared = env_after.pmap_entries_spared - env_before.pmap_entries_spared;
-    assert!(writes > 0, "no persistent-map writes recorded");
-    assert!(env_after.snapshots > env_before.snapshots, "no snapshots");
+    // A second check of the same module on the warm checker hits more
+    // (environment generations differ, but env-free pairs carry over).
+    let warm = counts(&src, &checker);
     assert!(
-        cloned < spared,
-        "structural sharing ineffective: {cloned} nodes cloned vs {spared} entries a map copy would have touched"
-    );
-
-    // Re-checking a warm module mints fresh names (ghost existentials),
-    // and those must land in the fresh region, not the permanent arena.
-    assert_eq!(
-        arena_after.tys, arena_before.tys,
-        "a warm re-check grew the permanent type arena"
-    );
-    assert_eq!(
-        arena_after.props, arena_before.props,
-        "a warm re-check grew the permanent proposition arena"
-    );
-    assert!(
-        arena_after.fresh_props > arena_before.fresh_props
-            || arena_after.fresh_tys > arena_before.fresh_tys
-            || arena_after.fresh_objs > arena_before.fresh_objs,
-        "fresh-name-bearing goals produced no fresh-region growth: {arena_after:?}"
+        warm.subtype.hits > cold.subtype.hits,
+        "re-check produced no further hits: {warm:?}"
     );
 }
 
@@ -135,38 +89,34 @@ fn lazy_split_scheduler_defers_irrelevant_clauses() {
         checker.proves(&env, &goal, FUEL),
         "case split must decide the goal"
     );
-    let stats = checker.cache_stats();
-    let (_, taken, deferred) = stats.splits;
-    assert!(taken > 0, "no case splits taken: {stats:?}");
+    // The judgments ran on the checker directly: its resident trace.
+    let t = checker.trace_counts();
+    assert!(t.splits_taken > 0, "no case splits taken: {t:?}");
     assert!(
-        deferred > 0,
-        "goal-irrelevant clause was never deferred: {stats:?}"
+        t.splits_deferred > 0,
+        "goal-irrelevant clause was never deferred: {t:?}"
     );
     assert!(
-        stats.clause_meta.0 + stats.clause_meta.1 > 0,
-        "clause-relevance metadata never consulted: {stats:?}"
+        t.clause_meta.total() > 0,
+        "clause-relevance metadata never consulted: {t:?}"
     );
 }
 
 #[test]
 fn string_module_hits_the_regex_session() {
     let checker = Checker::default();
-    let src = rtr_bench::string_module_src(8);
-    check_source(&src, &checker).expect("string module checks");
-    let stats = checker.cache_stats();
+    let t = counts(&rtr_bench::string_module_src(8), &checker);
     assert!(
-        stats.re.0 + stats.re.1 > 0,
-        "regex verdict table never consulted: {stats:?}"
+        t.re.total() > 0,
+        "regex verdict table never consulted: {t:?}"
     );
-    let re = stats.re_session;
+    // The regex session outlives checks: its counters are the checker's.
+    let re = checker.re_session_stats();
     assert!(
         re.dfa_misses > 0,
-        "regex session never compiled a DFA: {stats:?}"
+        "regex session never compiled a DFA: {re:?}"
     );
-    assert!(
-        re.dfa_hits > 0,
-        "regex session DFA cache never hit: {stats:?}"
-    );
+    assert!(re.dfa_hits > 0, "regex session DFA cache never hit: {re:?}");
 }
 
 #[test]
@@ -174,27 +124,49 @@ fn theory_heavy_programs_hit_the_solver_caches() {
     // A scaled dot-prod module: every function re-poses alpha-renamed
     // copies of the same linear systems, so the canonical-fingerprint
     // verdict table must both be consulted and actually hit.
-    let checker = Checker::default();
-    let src = rtr_bench::dot_prod_module_src(4);
-    check_source(&src, &checker).expect("dot-prod module checks");
-    let stats = checker.cache_stats();
-    assert!(
-        stats.lin.0 + stats.lin.1 > 0,
-        "linear solver cache never consulted: {stats:?}"
-    );
-    assert!(stats.lin.0 > 0, "linear solver cache never hit: {stats:?}");
+    let t = counts(&rtr_bench::dot_prod_module_src(4), &Checker::default());
+    assert!(t.lin.hits > 0, "linear solver cache never hit: {t:?}");
 
     // Same for the bitvector table on an xtime module.
-    let checker = Checker::default();
-    let src = rtr_bench::xtime_module_src(2);
-    check_source(&src, &checker).expect("xtime module checks");
-    let stats = checker.cache_stats();
-    assert!(
-        stats.bv.0 + stats.bv.1 > 0,
-        "bitvector solver cache never consulted: {stats:?}"
-    );
-    assert!(
-        stats.bv.0 > 0,
-        "bitvector solver cache never hit: {stats:?}"
-    );
+    let t = counts(&rtr_bench::xtime_module_src(2), &Checker::default());
+    assert!(t.bv.hits > 0, "bitvector solver cache never hit: {t:?}");
+}
+
+#[test]
+fn concurrent_sessions_keep_their_counters_apart() {
+    let modules = [
+        ("dot.rtr", rtr_bench::dot_prod_module_src(4)),
+        ("xtime.rtr", rtr_bench::xtime_module_src(2)),
+    ];
+    let solo = |(name, src): &(&str, String)| {
+        Session::new(SessionConfig::default())
+            .check(&SourceFile::new(*name, src.as_str()))
+            .stats
+            .trace
+            .expect("the driver ran")
+    };
+    let alone: Vec<TraceCounts> = modules.iter().map(solo).collect();
+    for _ in 0..4 {
+        let start = std::sync::Barrier::new(modules.len());
+        let together: Vec<TraceCounts> = std::thread::scope(|scope| {
+            let handles: Vec<_> = modules
+                .iter()
+                .map(|m| {
+                    let start = &start;
+                    scope.spawn(move || {
+                        start.wait();
+                        solo(m)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("check"))
+                .collect()
+        });
+        assert_eq!(
+            together, alone,
+            "a concurrent check changed another's counters"
+        );
+    }
 }

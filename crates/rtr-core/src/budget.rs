@@ -49,6 +49,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::config::CheckerConfig;
+use crate::trace::Trace;
 
 /// Which resource limit tripped (carried by `E0202` diagnostics and the
 /// JSON payload's `"limit"` field).
@@ -155,7 +156,8 @@ impl CancelToken {
     }
 }
 
-/// The judgment family a step is attributed to (`--stats` accounting).
+/// The judgment family a step is attributed to in the check's
+/// `Trace` (`rtr check --stats`).
 #[derive(Clone, Copy, Debug)]
 pub enum Judgment {
     /// The typing judgment (`synth` / `check_result`).
@@ -173,66 +175,14 @@ pub enum Judgment {
 /// steps keeps the overhead invisible while bounding overshoot.
 const DEADLINE_POLL_MASK: u64 = 0xff;
 
-/// Aggregate budget-consumption counters (`stats` feature), shared by a
-/// check's per-item budget forks so `rtr check --stats` can report how
-/// close a workload runs to its limits.
-#[cfg(feature = "stats")]
-#[derive(Debug)]
-pub(crate) struct BudgetTotals {
-    steps_synth: AtomicU64,
-    steps_proves: AtomicU64,
-    steps_subtype: AtomicU64,
-    steps_update: AtomicU64,
-    depth_high: AtomicU32,
-    /// Smallest remaining wall-clock margin observed at an item
-    /// boundary, in microseconds (`u64::MAX` = no deadline was set).
-    min_margin_us: AtomicU64,
-    trips: AtomicU64,
-}
-
-#[cfg(feature = "stats")]
-impl Default for BudgetTotals {
-    fn default() -> BudgetTotals {
-        BudgetTotals {
-            steps_synth: AtomicU64::new(0),
-            steps_proves: AtomicU64::new(0),
-            steps_subtype: AtomicU64::new(0),
-            steps_update: AtomicU64::new(0),
-            depth_high: AtomicU32::new(0),
-            min_margin_us: AtomicU64::new(u64::MAX),
-            trips: AtomicU64::new(0),
-        }
-    }
-}
-
-/// A snapshot of [`BudgetTotals`] (surfaced by `rtr check --stats`).
-#[cfg(feature = "stats")]
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BudgetStats {
-    /// Steps attributed to the typing judgment.
-    pub steps_synth: u64,
-    /// Steps attributed to the proof system.
-    pub steps_proves: u64,
-    /// Steps attributed to subtyping.
-    pub steps_subtype: u64,
-    /// Steps attributed to `update±`.
-    pub steps_update: u64,
-    /// Deepest typing-judgment recursion observed.
-    pub depth_high_water: u32,
-    /// Smallest wall-clock margin left at an item boundary
-    /// (microseconds); `None` when no deadline was configured.
-    pub deadline_margin_us: Option<u64>,
-    /// Governance-limit trips recorded (steps/deadline/depth/chaos).
-    pub trips: u64,
-}
-
 /// The mutable resource state of one check (or one module item).
 ///
 /// Shared by a checker and its clones through an `Arc`; a fresh state is
 /// forked per checked item so one pathological item cannot starve — or
 /// mis-attribute a trip to — its neighbours. All fields are atomics:
 /// checking itself is single-threaded, but the checker must stay `Sync`
-/// for the big-stack worker hop.
+/// for the big-stack worker hop. Each check fork starts a fresh
+/// `Trace`, which its item forks share.
 #[derive(Debug)]
 pub struct BudgetState {
     max_steps: Option<u64>,
@@ -246,8 +196,7 @@ pub struct BudgetState {
     tripped: AtomicU8,
     /// External revocation handle, polled alongside the deadline.
     cancel: Option<CancelToken>,
-    #[cfg(feature = "stats")]
-    totals: Arc<BudgetTotals>,
+    trace: Arc<Trace>,
     #[cfg(feature = "chaos")]
     chaos: Option<ChaosState>,
 }
@@ -271,19 +220,18 @@ impl BudgetState {
             depth: AtomicU32::new(0),
             tripped: AtomicU8::new(0),
             cancel: None,
-            #[cfg(feature = "stats")]
-            totals: Arc::default(),
+            trace: Arc::default(),
             #[cfg(feature = "chaos")]
             chaos: config.chaos.map(|c| ChaosState::new(c, 0)),
         }
     }
 
     /// Forks a fresh budget for one module item: same limits and
-    /// deadline, zeroed counters and trip flag, shared `--stats`
-    /// totals. `salt` makes the chaos stream deterministic per item
-    /// (independent of thread scheduling); callers key it by the item's
-    /// *name*, keeping the stream stable across edits that insert or
-    /// reorder neighbouring items.
+    /// deadline, zeroed counters and trip flag, the check's `Trace`.
+    /// `salt` makes the chaos stream deterministic per item (independent
+    /// of thread scheduling); callers key it by the item's *name*,
+    /// keeping the stream stable across edits that insert or reorder
+    /// neighbouring items.
     pub(crate) fn fork_item(&self, salt: u64) -> BudgetState {
         #[cfg(not(feature = "chaos"))]
         let _ = salt;
@@ -295,8 +243,7 @@ impl BudgetState {
             depth: AtomicU32::new(0),
             tripped: AtomicU8::new(0),
             cancel: self.cancel.clone(),
-            #[cfg(feature = "stats")]
-            totals: Arc::clone(&self.totals),
+            trace: Arc::clone(&self.trace),
             #[cfg(feature = "chaos")]
             chaos: self.chaos.as_ref().map(|c| ChaosState::new(c.config, salt)),
         };
@@ -310,11 +257,11 @@ impl BudgetState {
     }
 
     /// Forks a fresh budget for one whole check call: zeroed counters,
-    /// a deadline freshly computed from `timeout_ms`, shared `--stats`
-    /// totals.
+    /// a deadline freshly computed from `timeout_ms`, a fresh `Trace`.
     pub(crate) fn fork_check(&self, timeout_ms: Option<u64>) -> BudgetState {
         let mut b = self.fork_item(0);
         b.deadline = timeout_ms.map(|ms| Instant::now() + std::time::Duration::from_millis(ms));
+        b.trace = Arc::default();
         b
     }
 
@@ -336,14 +283,18 @@ impl BudgetState {
         self.deadline
     }
 
+    /// The work counters of the check this budget belongs to.
+    pub(crate) fn trace(&self) -> &Trace {
+        &self.trace
+    }
+
     /// Records a governance-limit trip. The first trip wins and is
     /// sticky; every later [`BudgetState::burn`] short-circuits.
     pub(crate) fn trip(&self, kind: LimitKind) {
         let _ =
             self.tripped
                 .compare_exchange(0, kind.to_u8(), Ordering::Relaxed, Ordering::Relaxed);
-        #[cfg(feature = "stats")]
-        self.totals.trips.fetch_add(1, Ordering::Relaxed);
+        self.trace.trips.bump();
     }
 
     /// The first governance limit that tripped during this item, if any.
@@ -361,18 +312,13 @@ impl BudgetState {
             return Some(k);
         }
         let n = self.steps.fetch_add(1, Ordering::Relaxed) + 1;
-        #[cfg(feature = "stats")]
-        {
-            let c = match j {
-                Judgment::Synth => &self.totals.steps_synth,
-                Judgment::Proves => &self.totals.steps_proves,
-                Judgment::Subtype => &self.totals.steps_subtype,
-                Judgment::Update => &self.totals.steps_update,
-            };
-            c.fetch_add(1, Ordering::Relaxed);
+        match j {
+            Judgment::Synth => &self.trace.steps_synth,
+            Judgment::Proves => &self.trace.steps_proves,
+            Judgment::Subtype => &self.trace.steps_subtype,
+            Judgment::Update => &self.trace.steps_update,
         }
-        #[cfg(not(feature = "stats"))]
-        let _ = j;
+        .bump();
         if let Some(max) = self.max_steps {
             if n > max {
                 self.trip(LimitKind::Steps);
@@ -430,36 +376,19 @@ impl BudgetState {
             self.trip(LimitKind::Depth);
             return Err(LimitKind::Depth);
         }
-        #[cfg(feature = "stats")]
-        self.totals.depth_high.fetch_max(d, Ordering::Relaxed);
+        self.trace.depth_high_water.raise_to(u64::from(d));
         Ok(DepthGuard { budget: self })
     }
 
     /// Records the remaining wall-clock margin at an item boundary
-    /// (`--stats`: "how close did this run get to its deadline").
+    /// ("how close did this check get to its deadline").
     pub(crate) fn note_margin(&self) {
-        #[cfg(feature = "stats")]
         if let Some(d) = self.deadline {
             let left = d
                 .checked_duration_since(Instant::now())
                 .map(|d| d.as_micros() as u64)
                 .unwrap_or(0);
-            self.totals.min_margin_us.fetch_min(left, Ordering::Relaxed);
-        }
-    }
-
-    #[cfg(feature = "stats")]
-    pub(crate) fn stats(&self) -> BudgetStats {
-        let t = &self.totals;
-        let margin = t.min_margin_us.load(Ordering::Relaxed);
-        BudgetStats {
-            steps_synth: t.steps_synth.load(Ordering::Relaxed),
-            steps_proves: t.steps_proves.load(Ordering::Relaxed),
-            steps_subtype: t.steps_subtype.load(Ordering::Relaxed),
-            steps_update: t.steps_update.load(Ordering::Relaxed),
-            depth_high_water: t.depth_high.load(Ordering::Relaxed),
-            deadline_margin_us: (margin != u64::MAX).then_some(margin),
-            trips: t.trips.load(Ordering::Relaxed),
+            self.trace.min_margin_us.lower_to(left);
         }
     }
 

@@ -18,9 +18,9 @@
 //! so the locks are uncontended. Each table is capped — on overflow it is
 //! simply cleared, which is always sound for a memo table.
 //!
-//! With the `stats` Cargo feature, per-table hit/miss counters are
-//! maintained and exposed through [`crate::check::Checker`]'s stats API
-//! (surfaced by `rtr check --stats`).
+//! The tables are shared by every check on a checker, so they count
+//! nothing themselves: each lookup records its hit or miss in the
+//! calling check's [`crate::trace::Trace`].
 
 use std::hash::Hash;
 
@@ -29,6 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use crate::intern::{PropId, TyId};
+use crate::trace::LookupCounter;
 
 /// Poison-recovering lock: a memo table only ever holds *valid-if-present*
 /// entries (every store is sound to replay or to lose), so a panic while a
@@ -60,38 +61,10 @@ enum Entry {
     FalseAt(u32),
 }
 
-/// Hit/miss counters for one table (compiled only with `stats`).
-#[cfg(feature = "stats")]
-#[derive(Debug, Default)]
-pub(crate) struct Counters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-#[cfg(feature = "stats")]
-impl Counters {
-    fn hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn snapshot(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-}
-
 /// A fuel-aware memo table.
 #[derive(Debug)]
 pub(crate) struct Table<K> {
     map: Mutex<FxHashMap<K, Entry>>,
-    #[cfg(feature = "stats")]
-    pub(crate) counters: Counters,
 }
 
 // Manual impl: `derive(Default)` would needlessly bound `K: Default`.
@@ -99,25 +72,18 @@ impl<K> Default for Table<K> {
     fn default() -> Self {
         Table {
             map: Mutex::new(FxHashMap::default()),
-            #[cfg(feature = "stats")]
-            counters: Counters::default(),
         }
     }
 }
 
 impl<K: Eq + Hash + Copy> Table<K> {
-    pub(crate) fn lookup(&self, key: K, fuel: u32) -> Option<bool> {
+    pub(crate) fn lookup(&self, key: K, fuel: u32, count: &LookupCounter) -> Option<bool> {
         let verdict = match self.map.lock_recover().get(&key) {
             Some(Entry::True) => Some(true),
             Some(Entry::FalseAt(f)) if fuel <= *f => Some(false),
             _ => None,
         };
-        #[cfg(feature = "stats")]
-        match verdict {
-            Some(_) => self.counters.hit(),
-            None => self.counters.miss(),
-        }
-        verdict
+        count.record(verdict)
     }
 
     pub(crate) fn store(&self, key: K, fuel: u32, verdict: bool) {
@@ -151,29 +117,19 @@ impl<K: Eq + Hash + Copy> Table<K> {
 #[derive(Debug)]
 pub(crate) struct SimpleTable<K> {
     map: Mutex<FxHashMap<K, bool>>,
-    #[cfg(feature = "stats")]
-    pub(crate) counters: Counters,
 }
 
 impl<K> Default for SimpleTable<K> {
     fn default() -> Self {
         SimpleTable {
             map: Mutex::new(FxHashMap::default()),
-            #[cfg(feature = "stats")]
-            counters: Counters::default(),
         }
     }
 }
 
 impl<K: Eq + Hash + Copy> SimpleTable<K> {
-    pub(crate) fn lookup(&self, key: K) -> Option<bool> {
-        let verdict = self.map.lock_recover().get(&key).copied();
-        #[cfg(feature = "stats")]
-        match verdict {
-            Some(_) => self.counters.hit(),
-            None => self.counters.miss(),
-        }
-        verdict
+    pub(crate) fn lookup(&self, key: K, count: &LookupCounter) -> Option<bool> {
+        count.record(self.map.lock_recover().get(&key).copied())
     }
 
     pub(crate) fn store(&self, key: K, verdict: bool) {
@@ -200,29 +156,19 @@ impl<K: Eq + Hash + Copy> SimpleTable<K> {
 #[derive(Debug)]
 pub(crate) struct VerdictMap<K, V> {
     map: Mutex<FxHashMap<K, V>>,
-    #[cfg(feature = "stats")]
-    pub(crate) counters: Counters,
 }
 
 impl<K, V> Default for VerdictMap<K, V> {
     fn default() -> Self {
         VerdictMap {
             map: Mutex::new(FxHashMap::default()),
-            #[cfg(feature = "stats")]
-            counters: Counters::default(),
         }
     }
 }
 
 impl<K: Eq + Hash, V: Clone> VerdictMap<K, V> {
-    pub(crate) fn lookup(&self, key: &K) -> Option<V> {
-        let verdict = self.map.lock_recover().get(key).cloned();
-        #[cfg(feature = "stats")]
-        match verdict {
-            Some(_) => self.counters.hit(),
-            None => self.counters.miss(),
-        }
-        verdict
+    pub(crate) fn lookup(&self, key: &K, count: &LookupCounter) -> Option<V> {
+        count.record(self.map.lock_recover().get(key).cloned())
     }
 
     pub(crate) fn store(&self, key: K, verdict: V) {
@@ -280,37 +226,6 @@ pub(crate) fn path_fingerprint(fields: &[crate::syntax::Field]) -> Option<u64> {
 /// literals' free variables (sorted) and their `THEORY_*` bits.
 pub(crate) type ClauseMeta = (std::sync::Arc<[crate::syntax::Symbol]>, u8);
 
-/// Counters for the lazy case-split scheduler (compiled only with
-/// `stats`; the scheduler itself runs identically without them).
-#[cfg(feature = "stats")]
-#[derive(Debug, Default)]
-pub(crate) struct SplitStats {
-    /// Clauses that collapsed to a unit literal at split time (one side
-    /// absurd under the current environment).
-    pub(crate) units: AtomicU64,
-    /// Case splits actually performed (both branches explored).
-    pub(crate) taken: AtomicU64,
-    /// Clauses scheduled behind the goal-relevant ones (pass 1). Each
-    /// deferral that never gets split is proof search the eager order
-    /// would have paid for.
-    pub(crate) deferred: AtomicU64,
-}
-
-#[cfg(feature = "stats")]
-impl SplitStats {
-    pub(crate) fn snapshot(&self) -> (u64, u64, u64) {
-        (
-            self.units.load(Ordering::Relaxed),
-            self.taken.load(Ordering::Relaxed),
-            self.deferred.load(Ordering::Relaxed),
-        )
-    }
-
-    pub(crate) fn bump(c: &AtomicU64, by: u64) {
-        c.fetch_add(by, Ordering::Relaxed);
-    }
-}
-
 /// The full cache set shared by a [`crate::check::Checker`] (and its
 /// clones — verdicts depend only on the immutable config, globally unique
 /// environment generations and interned ids, so sharing is sound).
@@ -354,9 +269,6 @@ pub(crate) struct Caches {
     /// id pair — computed once per distinct clause, consulted by the
     /// lazy split scheduler on every `proves` that reaches ∨-elimination.
     pub(crate) clause_meta: VerdictMap<(PropId, PropId), ClauseMeta>,
-    /// Lazy split scheduler counters (`--stats`).
-    #[cfg(feature = "stats")]
-    pub(crate) splits: SplitStats,
     /// Instantiated polymorphic Δ-table types, keyed
     /// `(primitive, canonical argument type ids)` — local type inference
     /// is deterministic in its inputs, so the monomorphic function type

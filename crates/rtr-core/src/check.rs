@@ -145,45 +145,6 @@ pub struct Checker {
     budget: std::sync::Arc<BudgetState>,
 }
 
-/// Cache-effectiveness counters, per memo table (`hits`, `misses`).
-///
-/// Only available with the `stats` Cargo feature; surfaced by
-/// `rtr check --stats`.
-#[cfg(feature = "stats")]
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CacheStats {
-    /// Subtype memo table.
-    pub subtype: (u64, u64),
-    /// Proof (`proves`) memo table.
-    pub proves: (u64, u64),
-    /// Environment-inconsistency memo table.
-    pub inconsistent: (u64, u64),
-    /// Type-emptiness memo table.
-    pub empty: (u64, u64),
-    /// Id-native `update±` memo table.
-    pub update: (u64, u64),
-    /// Type-overlap memo table.
-    pub overlap: (u64, u64),
-    /// Linear-theory fingerprint verdict table.
-    pub lin: (u64, u64),
-    /// Bitvector-theory fingerprint verdict table.
-    pub bv: (u64, u64),
-    /// Regex-theory fingerprint verdict table.
-    pub re: (u64, u64),
-    /// Clause-relevance metadata table (free variables + theory mask per
-    /// stored disjunction, consulted by the lazy split scheduler).
-    pub clause_meta: (u64, u64),
-    /// Case-split scheduler counters: `(unit_propagations, splits_taken,
-    /// splits_deferred)`. Units are split branches collapsed without
-    /// recursion because assuming one disjunct refuted the environment;
-    /// deferred counts clauses postponed to the second (goal-irrelevant)
-    /// pass of a lazy split round.
-    pub splits: (u64, u64, u64),
-    /// Persistent regex-session cache counters (DFA compilations,
-    /// intersection products, emptiness witnesses).
-    pub re_session: rtr_solver::re::ReSessionStats,
-}
-
 impl Checker {
     /// A checker with the default (full λ_RTR) configuration.
     pub fn new() -> Checker {
@@ -232,8 +193,22 @@ impl Checker {
         &self.budget
     }
 
+    /// The work counters of the current check.
+    pub(crate) fn trace(&self) -> &crate::trace::Trace {
+        self.budget.trace()
+    }
+
+    /// A snapshot of this checker's resident work counters: the
+    /// judgments called on it directly (`proves`, `subtype`, …). Each
+    /// check call counts into a trace of its own instead; the module
+    /// drivers return theirs.
+    pub fn trace_counts(&self) -> crate::trace::TraceCounts {
+        self.trace().counts()
+    }
+
     /// A clone of this checker with a fresh per-check budget (deadline
-    /// computed now from `timeout_ms`, zeroed counters and trip flag).
+    /// computed now from `timeout_ms`, zeroed counters and trip flag, a
+    /// fresh trace).
     pub(crate) fn fork_check(&self) -> Checker {
         Checker {
             config: self.config.clone(),
@@ -344,33 +319,6 @@ impl Checker {
     /// Total entries currently held across the memo tables.
     pub fn cache_entry_count(&self) -> usize {
         self.caches.entry_count()
-    }
-
-    /// Hit/miss counters for each memo table.
-    #[cfg(feature = "stats")]
-    pub fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            subtype: self.caches.subtype.counters.snapshot(),
-            proves: self.caches.proves.counters.snapshot(),
-            inconsistent: self.caches.inconsistent.counters.snapshot(),
-            empty: self.caches.empty.counters.snapshot(),
-            update: self.caches.update.counters.snapshot(),
-            overlap: self.caches.overlap.counters.snapshot(),
-            lin: self.caches.lin.counters.snapshot(),
-            bv: self.caches.bv.counters.snapshot(),
-            re: self.caches.re.counters.snapshot(),
-            clause_meta: self.caches.clause_meta.counters.snapshot(),
-            splits: self.caches.splits.snapshot(),
-            re_session: self.re_session_stats(),
-        }
-    }
-
-    /// Budget-consumption counters accumulated by this checker's forks:
-    /// steps burned per judgment, the recursion-depth high-water mark,
-    /// the minimum wall-clock margin observed, and limit trips.
-    #[cfg(feature = "stats")]
-    pub fn budget_stats(&self) -> crate::budget::BudgetStats {
-        self.budget.stats()
     }
 
     /// Type checks a whole program: runs the mutation pre-pass (§4.2) and

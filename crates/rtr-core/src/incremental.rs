@@ -66,6 +66,7 @@ use crate::fingerprint::{free_refs, item_fingerprint, item_salt};
 use crate::module::{ItemSummary, ModuleCheck, ModuleItem};
 use crate::mutation::mutated_vars;
 use crate::syntax::{Obj, Prop, Symbol, Ty, TyResult};
+use crate::trace::TraceCounts;
 
 /// The reusable outcome of one *cleanly* checked item.
 #[derive(Clone, Debug)]
@@ -193,73 +194,9 @@ impl<'a> Slot<'a> {
     }
 }
 
-/// Counters describing how much work one driver run avoided.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RecheckStats {
-    /// Slots that were actually re-checked.
-    pub rechecked: u32,
-    /// Slots spliced from the cache without re-checking.
-    pub skipped: u32,
-    /// Spliced slots that *depend on* (mention) an item re-checked
-    /// earlier in this run — dependents the early cutoff stopped from
-    /// dirtying.
-    pub cutoff_stopped: u32,
-    /// Slots for which a usable cached record existed (fingerprint or
-    /// source text matched, with reusable results).
-    pub fp_hits: u32,
-    /// Slots with no usable cached record.
-    pub fp_misses: u32,
-}
-
-/// Process-wide accumulation of [`RecheckStats`], for `--stats`.
-#[cfg(feature = "stats")]
-pub mod stats {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    pub(super) static RECHECKED: AtomicU64 = AtomicU64::new(0);
-    pub(super) static SKIPPED: AtomicU64 = AtomicU64::new(0);
-    pub(super) static CUTOFF_STOPPED: AtomicU64 = AtomicU64::new(0);
-    pub(super) static FP_HITS: AtomicU64 = AtomicU64::new(0);
-    pub(super) static FP_MISSES: AtomicU64 = AtomicU64::new(0);
-
-    /// Snapshot of the process-wide incremental counters.
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct IncrStats {
-        /// Total items re-checked across all driver runs.
-        pub rechecked: u64,
-        /// Total items spliced without re-checking.
-        pub skipped: u64,
-        /// Total dependents the early cutoff stopped from dirtying.
-        pub cutoff_stopped: u64,
-        /// Total fingerprint-table hits.
-        pub fp_hits: u64,
-        /// Total fingerprint-table misses.
-        pub fp_misses: u64,
-    }
-
-    /// Reads the process-wide incremental counters.
-    pub fn incr_stats() -> IncrStats {
-        IncrStats {
-            rechecked: RECHECKED.load(Ordering::Relaxed),
-            skipped: SKIPPED.load(Ordering::Relaxed),
-            cutoff_stopped: CUTOFF_STOPPED.load(Ordering::Relaxed),
-            fp_hits: FP_HITS.load(Ordering::Relaxed),
-            fp_misses: FP_MISSES.load(Ordering::Relaxed),
-        }
-    }
-
-    pub(super) fn accumulate(s: &super::RecheckStats) {
-        RECHECKED.fetch_add(u64::from(s.rechecked), Ordering::Relaxed);
-        SKIPPED.fetch_add(u64::from(s.skipped), Ordering::Relaxed);
-        CUTOFF_STOPPED.fetch_add(u64::from(s.cutoff_stopped), Ordering::Relaxed);
-        FP_HITS.fetch_add(u64::from(s.fp_hits), Ordering::Relaxed);
-        FP_MISSES.fetch_add(u64::from(s.fp_misses), Ordering::Relaxed);
-    }
-}
-
 /// What a driver run returns: the module verdict, the cache for the
-/// next run, and the work counters.
-type RunOutput = (ModuleCheck, ItemCache, RecheckStats);
+/// next run, and the run's work counters.
+type RunOutput = (ModuleCheck, ItemCache, TraceCounts);
 
 /// The state one run threads through its slots.
 #[derive(Default)]
@@ -305,13 +242,15 @@ impl Checker {
     /// The returned [`ModuleCheck`] is equivalent to a from-scratch
     /// [`Checker::check_module`] over the same items (the equivalence
     /// property tests pin this, modulo fresh-symbol numbering),
-    /// alongside the new [`ItemCache`] and the run's [`RecheckStats`].
+    /// alongside the new [`ItemCache`] and the run's work counters
+    /// (`rechecked`, `skipped`, `cutoff_stopped`, and everything the
+    /// judgments counted).
     pub fn check_module_incremental(
         &self,
         slots: &[IncrSlot],
         old: Option<&ItemCache>,
         fetch: &mut dyn FnMut(usize) -> Option<ModuleItem>,
-    ) -> Option<(ModuleCheck, ItemCache, RecheckStats)> {
+    ) -> Option<RunOutput> {
         let slots = slots
             .iter()
             .map(|slot| match slot {
@@ -419,7 +358,7 @@ impl Checker {
         }
         let init_env = st.env.clone();
         let mut records: Vec<Arc<ItemRecord>> = Vec::with_capacity(slots.len());
-        let mut stats = RecheckStats::default();
+        let trace = self.trace();
         // Names of items re-checked so far this run, for the
         // cutoff-stopped accounting.
         let mut rechecked_names: HashSet<Symbol> = HashSet::new();
@@ -453,9 +392,9 @@ impl Checker {
             };
             let reusable = candidate.and_then(|(c, j, rec)| Some((c, j, rec, rec.reuse.as_ref()?)));
             if reusable.is_some() {
-                stats.fp_hits += 1;
+                trace.fp_hits.bump();
             } else {
-                stats.fp_misses += 1;
+                trace.fp_misses.bump();
             }
 
             // The splice rule: reusable record, same trailing role, and
@@ -465,9 +404,9 @@ impl Checker {
                 role_ok && st.env.same_contents(c.env_before(*j))
             });
             if let Some((_, _, rec, ru)) = splice {
-                stats.skipped += 1;
+                trace.skipped.bump();
                 if rec.free_refs.iter().any(|s| rechecked_names.contains(s)) {
-                    stats.cutoff_stopped += 1;
+                    trace.cutoff_stopped.bump();
                 }
                 st.env = rec.env_after.clone();
                 st.out.results.push(ru.summary.clone());
@@ -491,7 +430,7 @@ impl Checker {
                 None => Cow::Owned(fetch(i)?),
             };
             let item = &*item;
-            stats.rechecked += 1;
+            trace.rechecked.bump();
             if let Some(name) = item.name() {
                 rechecked_names.insert(name);
             }
@@ -540,16 +479,13 @@ impl Checker {
             out.value = Some(v.lift_subst_all(&st.binders));
         }
 
-        #[cfg(feature = "stats")]
-        stats::accumulate(&stats);
-
         let cache = ItemCache {
             epoch,
             mutated,
             init_env,
             records,
         };
-        Some((out, cache, stats))
+        Some((out, cache, trace.counts()))
     }
 
     /// Checks one item on its budget fork `c` (salted by the item's

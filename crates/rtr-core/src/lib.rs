@@ -28,6 +28,7 @@
 //! * [`intern`] — hash-consed `TyId`/`PropId`/`ObjId` handles backing the
 //!   checker's memo tables and the environment's id-native storage.
 //! * [`pmap`] — the persistent HAMT the environment stores those ids in.
+//! * [`trace`] — the per-check work counters every check returns.
 //!
 //! # Examples
 //!
@@ -73,4 +74,5 @@ pub mod prims;
 mod solver_cache;
 pub mod subtype;
 pub mod syntax;
+pub mod trace;
 pub mod update;

@@ -458,7 +458,7 @@ impl Checker {
             return self.proves_structural(env, goal, fuel, splits, from);
         }
         let key = (env.generation(), PropId::of(goal), splits);
-        if let Some(verdict) = self.caches().proves.lookup(key, fuel) {
+        if let Some(verdict) = self.caches().proves.lookup(key, fuel, &self.trace().proves) {
             return verdict;
         }
         let verdict = self.proves_structural(env, goal, fuel, splits, from);
@@ -511,11 +511,9 @@ impl Checker {
                     mask & goal_mask != 0 || goal_vars.iter().any(|x| vars.binary_search(x).is_ok())
                 })
                 .collect();
-            #[cfg(feature = "stats")]
-            crate::cache::SplitStats::bump(
-                &self.caches().splits.deferred,
-                relevant.iter().filter(|r| !**r).count() as u64,
-            );
+            self.trace()
+                .splits_deferred
+                .add(relevant.iter().filter(|r| !**r).count() as u64);
             for pass in 0..2 {
                 for i in from..n {
                     if relevant[i - from] == (pass == 0)
@@ -545,12 +543,10 @@ impl Checker {
         let (p, q) = left.take_disj(i);
         let (p, q) = (p.get(), q.get());
         let mut right = left.clone();
-        #[cfg(feature = "stats")]
-        crate::cache::SplitStats::bump(&self.caches().splits.taken, 1);
+        self.trace().splits_taken.bump();
         self.assume(&mut left, &p, fuel);
         if left.is_absurd() {
-            #[cfg(feature = "stats")]
-            crate::cache::SplitStats::bump(&self.caches().splits.units, 1);
+            self.trace().splits_unit.bump();
         } else if !self.proves_with_splits_from(&left, goal, fuel, splits - 1, i) {
             return false;
         }
@@ -562,7 +558,11 @@ impl Checker {
     /// literals' free variables and theory bits — memoized per literal
     /// pair.
     fn clause_meta(&self, p: PropId, q: PropId) -> crate::cache::ClauseMeta {
-        if let Some(meta) = self.caches().clause_meta.lookup(&(p, q)) {
+        if let Some(meta) = self
+            .caches()
+            .clause_meta
+            .lookup(&(p, q), &self.trace().clause_meta)
+        {
             return meta;
         }
         let lits = crate::intern::props_relevance([p, q]);
@@ -757,7 +757,11 @@ impl Checker {
             return false;
         }
         let key = env.generation();
-        if let Some(verdict) = self.caches().inconsistent.lookup(key, fuel) {
+        if let Some(verdict) =
+            self.caches()
+                .inconsistent
+                .lookup(key, fuel, &self.trace().inconsistent)
+        {
             return verdict;
         }
         let verdict = self.env_inconsistent_structural(env, fuel);
@@ -903,7 +907,7 @@ impl Checker {
         }
         if self.config.solver_cache {
             let fp = crate::solver_cache::str_fingerprint(env.str_facts(), Some(goal));
-            if let Some(v) = self.caches().re.lookup(&fp) {
+            if let Some(v) = self.caches().re.lookup(&fp, &self.trace().re) {
                 return v;
             }
             let v = self.str_entails_session(env, goal);
@@ -941,7 +945,7 @@ impl Checker {
     fn str_unsat(&self, env: &Env) -> bool {
         if self.config.solver_cache {
             let fp = crate::solver_cache::str_fingerprint(env.str_facts(), None);
-            if let Some(v) = self.caches().re.lookup(&fp) {
+            if let Some(v) = self.caches().re.lookup(&fp, &self.trace().re) {
                 return v;
             }
             let v = self.str_check_session(env).is_unsat();

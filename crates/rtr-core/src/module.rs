@@ -29,6 +29,7 @@ use crate::check::Checker;
 use crate::diag::{Diagnostic, NodeId, Span};
 use crate::incremental::Slot;
 use crate::syntax::{Expr, Lambda, Symbol, Ty, TyResult};
+use crate::trace::TraceCounts;
 
 /// One top-level form of an elaborated module.
 #[derive(Clone, Debug)]
@@ -165,6 +166,12 @@ impl Checker {
     /// span table resolve them with
     /// [`Diagnostic::resolve_spans`].
     pub fn check_module(&self, items: &[ModuleItem]) -> ModuleCheck {
+        self.check_module_traced(items).0
+    }
+
+    /// [`Checker::check_module`], also returning the check's work
+    /// counters.
+    pub fn check_module_traced(&self, items: &[ModuleItem]) -> (ModuleCheck, TraceCounts) {
         let is_expr = |item: &&ModuleItem| matches!(item, ModuleItem::Expr { .. });
         let slots = items
             .iter()
@@ -172,10 +179,10 @@ impl Checker {
             .chain(items.iter().filter(is_expr))
             .map(Slot::fresh)
             .collect();
-        let (mc, _, _) = self
+        let (mc, _, trace) = self
             .drive(slots, None, false, &mut |_| None)
             .expect("fresh slots are never fetched");
-        mc
+        (mc, trace)
     }
 
     pub(crate) fn poison(

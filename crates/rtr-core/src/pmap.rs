@@ -30,38 +30,14 @@
 //! Iteration order is the (deterministic) hash order of the keys —
 //! arbitrary but stable, like `HashMap`'s within one process. The
 //! `pmap_props` property suite pins the map to `HashMap` semantics under
-//! random operation sequences, including snapshot/write independence.
-//!
-//! With the `stats` Cargo feature, global counters track writes and the
-//! nodes cloned by copy-on-write paths; `rtr check --stats` reports them
-//! as a structural-sharing rate.
+//! random operation sequences, including snapshot/write independence,
+//! and [`PMap::nodes_not_shared_with`] lets it pin the structural
+//! sharing itself.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use crate::syntax::Symbol;
-
-#[cfg(feature = "stats")]
-pub(crate) mod stats {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// Insert/remove operations performed on any [`super::PMap`].
-    pub static WRITES: AtomicU64 = AtomicU64::new(0);
-    /// Nodes physically cloned because a write hit a shared node.
-    pub static NODES_CLONED: AtomicU64 = AtomicU64::new(0);
-    /// Entries that would have been copied had the write cloned the whole
-    /// map (i.e. the map's size at each write) — the denominator of the
-    /// structural-share rate.
-    pub static ENTRIES_SPARED: AtomicU64 = AtomicU64::new(0);
-
-    pub(super) fn count_write(map_len: usize) {
-        WRITES.fetch_add(1, Ordering::Relaxed);
-        ENTRIES_SPARED.fetch_add(map_len as u64, Ordering::Relaxed);
-    }
-
-    pub(super) fn count_clone() {
-        NODES_CLONED.fetch_add(1, Ordering::Relaxed);
-    }
-}
 
 /// Bits consumed per trie level.
 const BITS: u32 = 5;
@@ -167,8 +143,6 @@ impl<V: Copy> PMap<V> {
     /// the path to the key is copied; all other nodes stay shared with
     /// snapshots.
     pub fn insert(&mut self, key: Symbol, value: V) -> Option<V> {
-        #[cfg(feature = "stats")]
-        stats::count_write(self.len);
         let prev = match &mut self.root {
             None => {
                 self.root = Some(Arc::new(Node::Leaf(key, value)));
@@ -191,8 +165,6 @@ impl<V: Copy> PMap<V> {
         if !self.contains_key(key) {
             return None;
         }
-        #[cfg(feature = "stats")]
-        stats::count_write(self.len);
         let root = self.root.as_mut()?;
         let (removed, empty) = remove_rec(root, 0, hash(key), key);
         if empty {
@@ -209,6 +181,47 @@ impl<V: Copy> PMap<V> {
         Iter {
             stack: self.root.as_deref().map(|n| vec![n]).unwrap_or_default(),
         }
+    }
+
+    /// Nodes on the longest root-to-leaf path (`0` when empty).
+    pub fn depth(&self) -> usize {
+        fn go<V>(n: &Node<V>) -> usize {
+            match n {
+                Node::Leaf(..) => 1,
+                Node::Branch { children, .. } => {
+                    1 + children.iter().map(|c| go(c)).max().unwrap_or(0)
+                }
+            }
+        }
+        self.root.as_deref().map_or(0, go)
+    }
+
+    /// How many of this map's trie nodes `other` does not share (the
+    /// same `Arc`, wherever it sits). Against an empty map it is the
+    /// node count; against the snapshot a map was cloned from it is
+    /// exactly the nodes the writes since then allocated.
+    pub fn nodes_not_shared_with(&self, other: &PMap<V>) -> usize {
+        fn nodes<V>(n: &Arc<Node<V>>, out: &mut Vec<*const Node<V>>) {
+            out.push(Arc::as_ptr(n));
+            if let Node::Branch { children, .. } = &**n {
+                children.iter().for_each(|c| nodes(c, out));
+            }
+        }
+        fn unshared<V>(n: &Arc<Node<V>>, theirs: &HashSet<*const Node<V>>) -> usize {
+            match &**n {
+                _ if theirs.contains(&Arc::as_ptr(n)) => 0,
+                Node::Leaf(..) => 1,
+                Node::Branch { children, .. } => {
+                    1 + children.iter().map(|c| unshared(c, theirs)).sum::<usize>()
+                }
+            }
+        }
+        let mut theirs = Vec::new();
+        if let Some(r) = &other.root {
+            nodes(r, &mut theirs);
+        }
+        let theirs: HashSet<_> = theirs.into_iter().collect();
+        self.root.as_ref().map_or(0, |r| unshared(r, &theirs))
     }
 }
 
@@ -233,15 +246,6 @@ impl<V: Copy + PartialEq> PMap<V> {
     }
 }
 
-/// Clones-on-write access to a node, counting shared-node copies.
-fn make_mut<V: Copy>(node: &mut Arc<Node<V>>) -> &mut Node<V> {
-    #[cfg(feature = "stats")]
-    if Arc::strong_count(node) != 1 {
-        stats::count_clone();
-    }
-    Arc::make_mut(node)
-}
-
 fn insert_rec<V: Copy>(
     node: &mut Arc<Node<V>>,
     shift: u32,
@@ -249,15 +253,17 @@ fn insert_rec<V: Copy>(
     key: Symbol,
     value: V,
 ) -> Option<V> {
-    match make_mut(node) {
-        Node::Leaf(k, v) if *k == key => Some(std::mem::replace(v, value)),
-        leaf @ Node::Leaf(..) => {
-            let Node::Leaf(k0, v0) = *leaf else {
-                unreachable!()
-            };
-            *leaf = join(shift, hash(k0), Arc::new(Node::Leaf(k0, v0)), h, key, value);
-            None
+    // A different key's leaf moves, still shared, under a new branch
+    // spine; copying it would only duplicate a snapshot's node.
+    if let Node::Leaf(k0, _) = **node {
+        if k0 != key {
+            let leaf0 = Arc::clone(node);
+            *node = Arc::new(join(shift, hash(k0), leaf0, h, key, value));
+            return None;
         }
+    }
+    match Arc::make_mut(node) {
+        Node::Leaf(_, v) => Some(std::mem::replace(v, value)),
         Node::Branch { bitmap, children } => {
             let bit = 1u32 << ((h >> shift) & LEVEL_MASK);
             let i = (*bitmap & (bit - 1)).count_ones() as usize;
@@ -319,7 +325,7 @@ fn remove_rec<V: Copy>(
         }
         Node::Leaf(..) => {}
     }
-    let (removed, collapse) = match make_mut(node) {
+    let (removed, collapse) = match Arc::make_mut(node) {
         Node::Leaf(_, v) => return (Some(*v), true),
         Node::Branch { bitmap, children } => {
             let bit = 1u32 << ((h >> shift) & LEVEL_MASK);

@@ -560,7 +560,7 @@ impl Checker {
         }
         let neg = goal.negate();
         let fp = lin_fingerprint(env.lin_facts(), Some(&neg));
-        if let Some(r) = self.caches().lin.lookup(&fp) {
+        if let Some(r) = self.caches().lin.lookup(&fp, &self.trace().lin) {
             return r.is_unsat();
         }
         let store = self.lin_store_for(env);
@@ -666,7 +666,7 @@ impl Checker {
     /// persistent session.
     pub(crate) fn bv_check_cached(&self, env: &Env) -> BvResult {
         let fp = bv_fingerprint(env.bv_facts(), None);
-        if let Some(r) = self.caches().bv.lookup(&fp) {
+        if let Some(r) = self.caches().bv.lookup(&fp, &self.trace().bv) {
             return r;
         }
         let result = self.with_bv_oracle(|oracle, width| {
@@ -689,7 +689,7 @@ impl Checker {
     pub(crate) fn bv_entails_cached(&self, env: &Env, goal: &BvAtomProp) -> bool {
         let neg = goal.negate();
         let fp = bv_fingerprint(env.bv_facts(), Some(&neg));
-        if let Some(r) = self.caches().bv.lookup(&fp) {
+        if let Some(r) = self.caches().bv.lookup(&fp, &self.trace().bv) {
             return r.is_unsat();
         }
         let result = self.with_bv_oracle(|oracle, width| {
@@ -776,10 +776,11 @@ impl Checker {
         query(oracle)
     }
 
-    /// Cache-effectiveness counters of the live regex session (zeroes
-    /// when no string-theory query has run yet).
-    #[cfg(feature = "stats")]
-    pub(crate) fn re_session_stats(&self) -> rtr_solver::re::ReSessionStats {
+    /// Cache-effectiveness counters of the checker's regex session over
+    /// its lifetime, shared by every check on the checker (zeroes when
+    /// no string-theory query has run yet, or right after the session
+    /// was retired for outgrowing its state budget).
+    pub fn re_session_stats(&self) -> rtr_solver::re::ReSessionStats {
         self.caches()
             .re_oracle
             .lock_recover()

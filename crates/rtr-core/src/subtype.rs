@@ -102,7 +102,11 @@ impl Checker {
             env.generation()
         };
         let key = (generation, a, b);
-        if let Some(verdict) = self.caches().subtype.lookup(key, fuel) {
+        if let Some(verdict) = self
+            .caches()
+            .subtype
+            .lookup(key, fuel, &self.trace().subtype)
+        {
             return verdict;
         }
         // No cycle guard: λ_RTR types are finite trees, so subtyping has

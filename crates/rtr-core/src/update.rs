@@ -67,7 +67,7 @@ impl Checker {
             .then(|| path_fingerprint(fields).map(|fp| (t, fp, s, positive, fuel)))
             .flatten();
         if let Some(key) = &key {
-            if let Some(hit) = self.caches().update.lookup(key) {
+            if let Some(hit) = self.caches().update.lookup(key, &self.trace().update) {
                 return hit;
             }
         }
@@ -175,7 +175,7 @@ impl Checker {
             return self.overlap(&t.get(), &s.get());
         }
         let key = (t, s);
-        if let Some(verdict) = self.caches().overlap.lookup(key) {
+        if let Some(verdict) = self.caches().overlap.lookup(key, &self.trace().overlap) {
             return verdict;
         }
         let verdict = self.overlap(&t.get(), &s.get());
@@ -199,7 +199,7 @@ impl Checker {
         match &*tree {
             Ty::Union(ts) if ts.is_empty() => true,
             Ty::Union(_) | Ty::Pair(_, _) | Ty::Refine(_) => {
-                if let Some(verdict) = self.caches().empty.lookup(t) {
+                if let Some(verdict) = self.caches().empty.lookup(t, &self.trace().empty) {
                     return verdict;
                 }
                 let verdict = self.is_empty_structural(&tree);

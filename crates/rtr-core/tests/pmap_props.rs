@@ -127,3 +127,37 @@ proptest! {
         assert_same(&witness, &frozen);
     }
 }
+
+/// One write to a snapshot of a 1,000-entry map copies at most the trie
+/// path to the written key; every other node stays shared (`Arc::ptr_eq`)
+/// with the snapshot. This is the structural sharing that keeps the
+/// environment's snapshot-and-extend style cheap.
+#[test]
+fn one_write_to_a_snapshot_copies_at_most_one_trie_path() {
+    fn sym(i: u32) -> Symbol {
+        Symbol::intern(&format!("pms{i}"))
+    }
+    let mut map: PMap<u32> = PMap::new();
+    for i in 0..1000 {
+        map.insert(sym(i), i);
+    }
+    let nodes = map.nodes_not_shared_with(&PMap::new());
+    assert!(nodes > 1000, "1,000 leaves plus branches, got {nodes}");
+    assert_eq!(map.nodes_not_shared_with(&map.clone()), 0);
+
+    // A new key, an overwrite, a removal.
+    for (key, value) in [(1000, Some(1000)), (500, Some(0)), (7, None)] {
+        let mut copy = map.clone();
+        match value {
+            Some(v) => copy.insert(sym(key), v),
+            None => copy.remove(sym(key)),
+        };
+        let copied = copy.nodes_not_shared_with(&map);
+        assert!(
+            (1..=copy.depth()).contains(&copied),
+            "{copied} nodes copied, trie depth {}",
+            copy.depth()
+        );
+        assert_eq!(map.len(), 1000, "the snapshot is untouched");
+    }
+}

@@ -24,19 +24,21 @@
 //!
 //! Anything the textual account cannot mirror exactly — scanner
 //! anomalies, unconsumed or overwritten signatures (`W0001` territory),
-//! or any elaboration error — goes through [`check_module_source`]: the
-//! same driver, cold, over [`crate::elaborate_module_items`]' output.
+//! or any elaboration error — goes through
+//! [`crate::check_module_source`]: the same driver, cold, over
+//! [`crate::elaborate_module_items`]' output.
 
 use std::collections::HashMap;
 
 use rtr_core::check::Checker;
 use rtr_core::diag::{NodeId, Span};
-use rtr_core::incremental::{IncrSlot, ItemCache, RecheckStats};
+use rtr_core::incremental::{IncrSlot, ItemCache};
 use rtr_core::module::ModuleItem;
 use rtr_core::syntax::{Symbol, Ty};
+use rtr_core::trace::TraceCounts;
 
 use crate::elab::Elaborator;
-use crate::module::{check_module_source, define_form, signature_form, ModuleReport};
+use crate::module::{check_module_source_traced, define_form, signature_form, ModuleReport};
 use crate::sexp::{read_all_from, Pos, Sexp};
 
 /// What kind of top-level form a slice is, as far as the scanner can
@@ -491,22 +493,16 @@ impl ModuleCache {
 ///
 /// Returns the report, the cache to use for the next edit (`None` when
 /// the textual account did not apply — keep the old cache in that
-/// case), and the driver's [`RecheckStats`] (always `Some`; a cold run
+/// case), and the check's work counters (always `Some`; a cold run
 /// re-checks every item).
 pub fn check_module_source_incremental(
     src: &str,
     checker: &Checker,
     old: Option<&ModuleCache>,
-) -> (ModuleReport, Option<ModuleCache>, Option<RecheckStats>) {
+) -> (ModuleReport, Option<ModuleCache>, Option<TraceCounts>) {
     let whole = |src: &str| {
-        let report = check_module_source(src, checker);
-        let n = report.results.len() as u32;
-        let stats = RecheckStats {
-            rechecked: n,
-            fp_misses: n,
-            ..RecheckStats::default()
-        };
-        (report, None, Some(stats))
+        let (report, trace) = check_module_source_traced(src, checker);
+        (report, None, Some(trace))
     };
 
     let Some(forms) = scan_forms(src) else {
@@ -581,6 +577,7 @@ pub fn check_module_source_incremental(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check_module_source;
 
     fn checker() -> Checker {
         Checker::default()

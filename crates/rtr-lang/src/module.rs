@@ -40,6 +40,7 @@ use rtr_core::diag::{Code, Diagnostic, SpanTable};
 use rtr_core::interp::{eval_program, EvalError, Value};
 use rtr_core::module::{ItemSummary, ModuleItem};
 use rtr_core::syntax::{Expr, Lambda, Symbol, Ty, TyResult};
+use rtr_core::trace::TraceCounts;
 
 use crate::elab::{err, ElabError, Elaborator};
 use crate::expand::begin_form;
@@ -486,13 +487,23 @@ impl ModuleReport {
 /// spans. Never fails — a module that cannot even be read produces a
 /// report with one `E0101` diagnostic.
 pub fn check_module_source(src: &str, checker: &Checker) -> ModuleReport {
+    check_module_source_traced(src, checker).0
+}
+
+/// [`check_module_source`], also returning the check's work counters
+/// (all zero when the module cannot be read).
+pub(crate) fn check_module_source_traced(
+    src: &str,
+    checker: &Checker,
+) -> (ModuleReport, TraceCounts) {
     let m = match elaborate_module_items(src) {
         Err(e) => {
-            return ModuleReport {
+            let report = ModuleReport {
                 diagnostics: vec![LangError::Read(e).to_diagnostic()],
                 results: Vec::new(),
                 value: None,
-            }
+            };
+            return (report, TraceCounts::default());
         }
         Ok(m) => m,
     };
@@ -502,18 +513,19 @@ pub fn check_module_source(src: &str, checker: &Checker) -> ModuleReport {
         .map(ElabError::to_diagnostic)
         .collect();
     diagnostics.extend(m.warnings.iter().cloned());
-    let mc = checker.check_module(&m.items);
+    let (mc, trace) = checker.check_module_traced(&m.items);
     diagnostics.extend(mc.diagnostics);
     for d in &mut diagnostics {
         d.resolve_spans(&m.spans);
     }
     let mut results = mc.results;
     stamp_item_spans(&mut results, &m.items, &m.spans);
-    ModuleReport {
+    let report = ModuleReport {
         diagnostics,
         results,
         value: mc.value,
-    }
+    };
+    (report, trace)
 }
 
 /// Stamps each [`ItemSummary`] with its item's surface extent from the

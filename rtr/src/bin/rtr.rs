@@ -25,9 +25,11 @@
 //! * `--json` — with `check`, emit the `rtr-check-v1` report on stdout.
 //! * `--jobs N` — with `check`, shard multiple files over N worker
 //!   threads (default: serial).
-//! * `--stats` — with `check`, print memo-table hit/miss counters and
-//!   budget-consumption gauges after checking (requires a build with
-//!   the `stats` Cargo feature).
+//! * `--stats` — with `check` and `watch`, print each file's work
+//!   counters after checking (judgment steps, budget gauges, memo-table
+//!   hits/misses, case splits, re-checked and spliced items), then the
+//!   process-wide interner arena sizes and the regex session's
+//!   checker-lifetime cache counters. Works in every build.
 //! * `--timeout-ms N` — with `check`, a wall-clock budget per file;
 //!   items past the deadline degrade to `E0202` diagnostics instead of
 //!   running forever (see the README's Robustness section).
@@ -356,7 +358,7 @@ fn check_command(opts: &Options) -> ExitCode {
         }
     }
     if opts.stats {
-        print_cache_stats(session.checker());
+        print_stats(&reports, session.checker());
     }
     batch_exit_code(&reports)
 }
@@ -395,10 +397,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// The one-line verdict for a `watch` delta, with the incremental
 /// counters.
 fn watch_summary(report: &CheckReport) -> String {
-    let delta = match (report.stats.rechecked_items, report.stats.unchanged_items) {
-        (Some(r), Some(u)) => format!("; {r} rechecked, {u} unchanged"),
-        _ => String::new(),
-    };
+    let delta = report.stats.trace.map_or_else(String::new, |t| {
+        format!("; {} rechecked, {} unchanged", t.rechecked, t.skipped)
+    });
     if report.is_clean() {
         format!(
             "{}: ok ({} definition{}{delta})",
@@ -524,7 +525,7 @@ fn watch_command(opts: &Options) -> ExitCode {
                 }
             }
             if opts.stats {
-                print_cache_stats(session.checker());
+                print_stats(&reports, session.checker());
             }
             if opts.once {
                 return batch_exit_code(&reports);
@@ -567,37 +568,56 @@ fn run_command(src: &str, opts: &Options) -> ExitCode {
     }
 }
 
-/// Prints per-table memo hit/miss counters (cache effectiveness),
-/// environment-map sharing stats and interner arena-region sizes.
-#[cfg(feature = "stats")]
-fn print_cache_stats(checker: &Checker) {
-    let s = checker.cache_stats();
-    eprintln!("cache stats (hits/misses):");
-    for (name, (hits, misses)) in [
-        ("subtype", s.subtype),
-        ("proves", s.proves),
-        ("inconsistent", s.inconsistent),
-        ("empty", s.empty),
-        ("update", s.update),
-        ("overlap", s.overlap),
-        ("solver/lin", s.lin),
-        ("solver/bv", s.bv),
-        ("solver/re", s.re),
-        ("clause-meta", s.clause_meta),
-    ] {
-        let total = hits + misses;
-        let rate = if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64 * 100.0
+/// `--stats`: each report's own work counters, then the process-wide
+/// interner arenas and the checker-lifetime regex session, on stderr.
+fn print_stats(reports: &[CheckReport], checker: &Checker) {
+    for report in reports {
+        eprintln!("work counters for {} (this check):", report.file);
+        let Some(t) = report.stats.trace else {
+            eprintln!("  none: the check failed outside per-item isolation");
+            continue;
         };
-        eprintln!("  {name:<14} {hits:>10} / {misses:<10} ({rate:.1}% hit)");
+        eprintln!(
+            "  judgment steps   synth {}   proves {}   subtype {}   update {}",
+            t.steps_synth, t.steps_proves, t.steps_subtype, t.steps_update
+        );
+        let margin = match t.deadline_margin_us {
+            None => "no deadline".to_owned(),
+            Some(us) => format!("{us} µs min margin"),
+        };
+        eprintln!(
+            "  budget           depth high-water {}   deadline {margin}   limit trips {}",
+            t.depth_high_water, t.trips
+        );
+        eprintln!("  memo lookups     (hits / misses)");
+        for (name, l) in t.tables() {
+            let rate = if l.total() == 0 {
+                0.0
+            } else {
+                l.hits as f64 / l.total() as f64 * 100.0
+            };
+            eprintln!(
+                "    {name:<14} {:>10} / {:<10} ({rate:.1}% hit)",
+                l.hits, l.misses
+            );
+        }
+        eprintln!(
+            "  case splits      taken {}   unit-propagated {}   deferred to 2nd pass {}",
+            t.splits_taken, t.splits_unit, t.splits_deferred
+        );
+        eprintln!(
+            "  module items     rechecked {}   spliced {}   early-cutoff stops {}   cached records usable {} / missing {}",
+            t.rechecked, t.skipped, t.cutoff_stopped, t.fp_hits, t.fp_misses
+        );
     }
-    let (units, taken, deferred) = s.splits;
-    eprintln!("case splits:");
-    eprintln!("  taken {taken}   unit-propagated {units}   deferred to 2nd pass {deferred}");
-    let re = s.re_session;
-    eprintln!("regex session (hits/misses):");
+    let a = rtr::core::intern::arena_stats();
+    eprintln!("interner arenas (process-wide; permanent / fresh-region):");
+    eprintln!(
+        "  types {} / {}   props {} / {}   objects {} / {}",
+        a.tys, a.fresh_tys, a.props, a.fresh_props, a.objs, a.fresh_objs
+    );
+    let re = checker.re_session_stats();
+    eprintln!("regex session (checker lifetime; hits / misses):");
     eprintln!(
         "  dfa {} / {}   product {} / {}   witness {} / {}",
         re.dfa_hits,
@@ -606,58 +626,6 @@ fn print_cache_stats(checker: &Checker) {
         re.product_misses,
         re.witness_hits,
         re.witness_misses
-    );
-    let e = rtr::core::env::env_stats();
-    eprintln!("environment maps:");
-    eprintln!(
-        "  snapshots      {:>10}   unbind fast-path {}/{}",
-        e.snapshots, e.unbind_fast, e.unbind_total
-    );
-    let share = if e.pmap_entries_spared == 0 {
-        100.0
-    } else {
-        (1.0 - e.pmap_nodes_cloned as f64 / e.pmap_entries_spared as f64) * 100.0
-    };
-    eprintln!(
-        "  pmap writes    {:>10}   nodes cloned {} / entries spared {} ({share:.1}% structural share)",
-        e.pmap_writes, e.pmap_nodes_cloned, e.pmap_entries_spared
-    );
-    let a = rtr::core::intern::arena_stats();
-    eprintln!("interner arenas (permanent / fresh-region):");
-    eprintln!(
-        "  types {} / {}   props {} / {}   objects {} / {}",
-        a.tys, a.fresh_tys, a.props, a.fresh_props, a.objs, a.fresh_objs
-    );
-    let b = checker.budget_stats();
-    eprintln!("budget (steps per judgment):");
-    eprintln!(
-        "  synth {}   proves {}   subtype {}   update {}",
-        b.steps_synth, b.steps_proves, b.steps_subtype, b.steps_update
-    );
-    let margin = match b.deadline_margin_us {
-        None => "no deadline".to_owned(),
-        Some(us) => format!("{us} µs min margin"),
-    };
-    eprintln!(
-        "  depth high-water {}   deadline {margin}   limit trips {}",
-        b.depth_high_water, b.trips
-    );
-    let i = rtr::core::incremental::stats::incr_stats();
-    eprintln!("incremental re-checking (per-item fingerprints):");
-    eprintln!(
-        "  cache lookups  {:>10} usable / {:<10} missing",
-        i.fp_hits, i.fp_misses
-    );
-    eprintln!(
-        "  items          rechecked {}   spliced {}   early-cutoff stops {}",
-        i.rechecked, i.skipped, i.cutoff_stopped
-    );
-}
-
-#[cfg(not(feature = "stats"))]
-fn print_cache_stats(_checker: &Checker) {
-    eprintln!(
-        "rtr: --stats requires a build with the `stats` feature (cargo build --features stats)"
     );
 }
 

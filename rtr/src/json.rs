@@ -210,13 +210,12 @@ fn report_json(r: &CheckReport) -> String {
         .join(",\n        ");
     // The incremental counters are additive fields, so `rtr-check-v1`
     // consumers unaware of them keep parsing.
-    let mut incr = String::new();
-    if let Some(n) = r.stats.rechecked_items {
-        incr.push_str(&format!(", \"rechecked_items\": {n}"));
-    }
-    if let Some(n) = r.stats.unchanged_items {
-        incr.push_str(&format!(", \"unchanged_items\": {n}"));
-    }
+    let incr = r.stats.trace.map_or_else(String::new, |t| {
+        format!(
+            ", \"rechecked_items\": {}, \"unchanged_items\": {}",
+            t.rechecked, t.skipped
+        )
+    });
     format!(
         "{{\n      \"name\": {},\n      \"clean\": {},\n      \"items\": [{items}],\n      \"value_type\": {},\n      \"diagnostics\": [\n        {diagnostics}\n      ],\n      \"stats\": {{\"definitions\": {}, \"errors\": {}, \"warnings\": {}, \"elapsed_us\": {}{incr}}}\n    }}",
         str_lit(&r.file),

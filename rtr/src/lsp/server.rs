@@ -360,11 +360,11 @@ impl<W: Write> Server<W> {
         let report = self.session.check_cancellable(&file, &token);
         *self.shared.lock_current() = None;
         self.stats.checks += 1;
-        let (rechecked, unchanged) = (report.stats.rechecked_items, report.stats.unchanged_items);
-        if let (Some(r), Some(u)) = (rechecked, unchanged) {
-            self.stats.rechecked_items += u64::from(r);
-            self.stats.unchanged_items += u64::from(u);
-            if u > 0 {
+        let trace = report.stats.trace;
+        if let Some(t) = trace {
+            self.stats.rechecked_items += t.rechecked;
+            self.stats.unchanged_items += t.skipped;
+            if t.skipped > 0 {
                 self.stats.overlay_hits += 1;
             }
         }
@@ -376,8 +376,8 @@ impl<W: Write> Server<W> {
                 uri,
                 version,
                 report.stats.errors,
-                rechecked.map_or_else(|| "-".into(), |n| n.to_string()),
-                unchanged.map_or_else(|| "-".into(), |n| n.to_string()),
+                trace.map_or_else(|| "-".into(), |t| t.rechecked.to_string()),
+                trace.map_or_else(|| "-".into(), |t| t.skipped.to_string()),
                 stale,
                 report.stats.elapsed.as_micros(),
             );

@@ -34,6 +34,7 @@ use rtr_core::config::CheckerConfig;
 use rtr_core::diag::{Diagnostic, Severity};
 use rtr_core::module::ItemSummary;
 use rtr_core::syntax::TyResult;
+use rtr_core::trace::TraceCounts;
 use rtr_lang::{check_module_source_incremental, ModuleCache};
 
 /// Retire the interner's fresh-id region once it holds this many entries
@@ -116,12 +117,11 @@ pub struct CheckStats {
     pub warnings: usize,
     /// Wall-clock time for the whole check (parse → diagnostics).
     pub elapsed: Duration,
-    /// Items actually re-checked (every item on a cold check; `None`
-    /// only when the check failed outside per-item isolation).
-    pub rechecked_items: Option<u32>,
-    /// Items spliced from the file's cache without re-checking (`0` on
-    /// a cold check; `None` exactly when `rechecked_items` is).
-    pub unchanged_items: Option<u32>,
+    /// This check's own work counters: items re-checked (`rechecked`,
+    /// every item on a cold check) and spliced from the file's cache
+    /// (`skipped`), judgment steps, memo lookups and case splits.
+    /// `None` only when the check failed outside per-item isolation.
+    pub trace: Option<TraceCounts>,
 }
 
 /// Everything learned from checking one [`SourceFile`].
@@ -292,7 +292,7 @@ impl Session {
         // panic leaves it dropped (next check runs cold), concurrent
         // checks of the same name just miss.
         let old_cache = self.lock_caches().take(&file.name);
-        let (report, new_cache, incr_stats) =
+        let (report, new_cache, trace) =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 check_module_source_incremental(&file.text, checker, old_cache.as_ref())
             }))
@@ -331,8 +331,7 @@ impl Session {
                 .filter(|d| d.severity == Severity::Warning)
                 .count(),
             elapsed,
-            rechecked_items: incr_stats.map(|s| s.rechecked),
-            unchanged_items: incr_stats.map(|s| s.skipped),
+            trace,
         };
         CheckReport {
             file: file.name.clone(),
@@ -479,13 +478,10 @@ mod tests {
         assert_eq!(session.cached_file_count(), 3);
         // The surviving caches are the most recently checked ones.
         let warm = session.check(&SourceFile::new("m9.rtr", "(define x 1)".to_string()));
-        assert_eq!(warm.stats.rechecked_items, Some(0), "m9 stayed cached");
+        let rechecked = |r: CheckReport| r.stats.trace.map(|t| t.rechecked);
+        assert_eq!(rechecked(warm), Some(0), "m9 stayed cached");
         let cold = session.check(&SourceFile::new("m0.rtr", "(define x 1)".to_string()));
-        assert_eq!(
-            cold.stats.rechecked_items,
-            Some(1),
-            "m0 was evicted and re-checks"
-        );
+        assert_eq!(rechecked(cold), Some(1), "m0 was evicted and re-checks");
         session.forget("m9.rtr");
         assert!(session.cached_file_count() <= 3);
     }

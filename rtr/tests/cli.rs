@@ -173,6 +173,42 @@ fn check_accepts_multiple_files_and_reports_each() {
 }
 
 #[test]
+fn check_stats_prints_the_checks_own_counters_in_a_default_build() {
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/refinement.rtr");
+    let plain = rtr().args(["check", golden]).output().expect("spawn");
+    let out = rtr()
+        .args(["check", "--stats", golden])
+        .output()
+        .expect("spawn");
+    assert_eq!(
+        out.status.code(),
+        plain.status.code(),
+        "--stats keeps the verdict"
+    );
+    assert_eq!(out.stdout, plain.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("work counters for {golden} (this check):")),
+        "{stderr}"
+    );
+    // The numbers on the counter line that starts with `label`.
+    let numbers = |label: &str| -> Vec<u64> {
+        let line = stderr
+            .lines()
+            .find(|l| l.trim_start().starts_with(label))
+            .unwrap_or_else(|| panic!("no `{label}` line in:\n{stderr}"));
+        line.split(|c: char| !c.is_ascii_digit())
+            .filter_map(|w| w.parse().ok())
+            .collect()
+    };
+    let steps = numbers("judgment steps");
+    assert!(steps[0] > 0, "no synth steps:\n{stderr}");
+    let subtype = numbers("subtype ");
+    assert!(subtype[0] + subtype[1] > 0, "no subtype lookups:\n{stderr}");
+    assert!(!stderr.contains("requires a build"), "{stderr}");
+}
+
+#[test]
 fn inapplicable_flags_are_rejected_with_usage_errors() {
     let path = fixture("flags.rtr", "(+ 1 2)");
     for (args, rejected) in [

@@ -232,7 +232,7 @@ fn random_edit_scripts_match_the_from_scratch_path() {
             scratch.forget(&file.name);
             let full = scratch.check(&file);
             assert_eq!(
-                full.stats.unchanged_items,
+                full.stats.trace.map(|t| t.skipped),
                 Some(0),
                 "the comparator must run cold"
             );
@@ -269,14 +269,14 @@ fn one_item_edit_reuses_the_unchanged_items() {
     let warm = session.check(&SourceFile::new("edit.rtr", &src2));
     assert!(warm.is_clean());
     assert_eq!(
-        warm.stats.rechecked_items,
+        warm.stats.trace.map(|t| t.rechecked),
         Some(1),
         "exactly the edited item"
     );
     assert!(
-        warm.stats.unchanged_items.is_some_and(|u| u >= 4),
+        warm.stats.trace.map(|t| t.skipped).is_some_and(|u| u >= 4),
         "the other defines must be reused, got {:?}",
-        warm.stats.unchanged_items
+        warm.stats.trace.map(|t| t.skipped)
     );
 }
 
@@ -320,7 +320,7 @@ fn deep_module_edit() {
     let src = format!("{}{}", render(&items, &mut rng), alias_chain(200));
     let cold = session.check(&SourceFile::new("deep.rtr", &src));
     assert!(cold.is_clean(), "{:#?}", cold.diagnostics);
-    assert_eq!(cold.stats.rechecked_items, Some(4));
+    assert_eq!(cold.stats.trace.map(|t| t.rechecked), Some(4));
 
     // Edit one shallow body: the deep chain still splices.
     let mut edited = items;
@@ -331,11 +331,11 @@ fn deep_module_edit() {
     let file = SourceFile::new("deep.rtr", &src2);
     let warm = session.check(&file);
     assert_eq!(
-        warm.stats.rechecked_items,
+        warm.stats.trace.map(|t| t.rechecked),
         Some(1),
         "exactly the edited item"
     );
-    assert_eq!(warm.stats.unchanged_items, Some(3));
+    assert_eq!(warm.stats.trace.map(|t| t.skipped), Some(3));
     let fresh = Session::new(SessionConfig::default()).check(&file);
     assert_eq!(report_key(&warm, &src2), report_key(&fresh, &src2));
 }
