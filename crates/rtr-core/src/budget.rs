@@ -297,6 +297,11 @@ impl BudgetState {
         self.trace.trips.bump();
     }
 
+    /// Has the client revoked this check through its [`CancelToken`]?
+    pub(crate) fn cancelled(&self) -> bool {
+        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
+    }
+
     /// The first governance limit that tripped during this item, if any.
     pub fn tripped(&self) -> Option<LimitKind> {
         LimitKind::from_u8(self.tripped.load(Ordering::Relaxed))

@@ -135,24 +135,86 @@ impl Env {
     /// the environment it would be re-checked in holds the same facts as
     /// the one it was recorded under.
     ///
-    /// Every `Arc`-shared field gets a pointer-equality fast path, so
+    /// Every `Arc`-shared field gets a pointer-equality fast path and
+    /// the persistent maps compare shared subtrees by pointer, so
     /// comparing an environment against the snapshot it was cloned from
-    /// is `O(fields)`.
+    /// costs only what was written since.
     pub fn same_contents(&self, other: &Env) -> bool {
+        (self.generation == other.generation)
+            || (self.types.same_entries(&other.types) && self.same_facts(other))
+    }
+
+    /// Do two environments agree on everything but the `types` map?
+    fn same_facts(&self, other: &Env) -> bool {
         fn arc_eq<T: PartialEq + ?Sized>(a: &Arc<T>, b: &Arc<T>) -> bool {
             Arc::ptr_eq(a, b) || **a == **b
         }
-        (self.generation == other.generation)
-            || (self.absurd == other.absurd
-                && self.types.same_entries(&other.types)
-                && self.aliases.same_entries(&other.aliases)
-                && arc_eq(&self.negs, &other.negs)
-                && arc_eq(&self.disjs, &other.disjs)
-                && arc_eq(&self.lin_facts, &other.lin_facts)
-                && arc_eq(&self.bv_facts, &other.bv_facts)
-                && arc_eq(&self.str_facts, &other.str_facts)
-                && arc_eq(&self.pending, &other.pending)
-                && arc_eq(&self.mutables, &other.mutables))
+        self.absurd == other.absurd
+            && self.aliases.same_entries(&other.aliases)
+            && arc_eq(&self.negs, &other.negs)
+            && arc_eq(&self.disjs, &other.disjs)
+            && arc_eq(&self.lin_facts, &other.lin_facts)
+            && arc_eq(&self.bv_facts, &other.bv_facts)
+            && arc_eq(&self.str_facts, &other.str_facts)
+            && arc_eq(&self.pending, &other.pending)
+            && arc_eq(&self.mutables, &other.mutables)
+    }
+
+    /// `Some(t)` iff this environment is `before` plus exactly one new
+    /// binding `x : t`: `x` was unbound (no type, no alias) and not
+    /// mutable in `before`, and every other fact — the other bindings,
+    /// aliases, negative facts, disjunctions, theory literals, pending
+    /// atoms, mutability marks and absurdity — is unchanged. The
+    /// incremental module driver records this as an item's *export*.
+    pub fn added_binding(&self, before: &Env, x: Symbol) -> Option<TyId> {
+        if before.aliases.contains_key(x) || before.is_mutable(x) || !self.same_facts(before) {
+            return None;
+        }
+        self.types.extends(&before.types, x)
+    }
+
+    /// Makes `names` bound exactly as in `from` — rebound at `from`'s
+    /// type, or unbound where `from` has no type — touching nothing
+    /// else. Unlike [`Env::unbind`] no other fact is rewritten: the
+    /// incremental module driver uses this to carry this run's versions
+    /// of the bindings that differ from a cached snapshot, which it has
+    /// checked no other fact mentions.
+    pub fn copy_bindings(&mut self, from: &Env, names: &[Symbol]) {
+        for &x in names {
+            match from.raw_ty_id(x) {
+                Some(t) => self.set_ty_id(x, t),
+                None => {
+                    if self.types.remove(x).is_some() {
+                        self.touch();
+                    }
+                }
+            }
+        }
+    }
+
+    /// Does any fact other than the type bindings mention `x`: an alias
+    /// from or to it, a negative fact, a stored disjunction, a theory
+    /// literal or a pending atom?
+    pub fn facts_mention(&self, x: Symbol) -> bool {
+        use crate::intern::{objs_mentioning, props_mentioning, tys_mentioning};
+        let aliased = !self.aliases.is_empty()
+            && (self.aliases.contains_key(x)
+                || objs_mentioning(x, self.aliases.iter().map(|(_, o)| *o)).contains(&true));
+        let negated = !self.negs.is_empty()
+            && (self.negs.keys().any(|p| p.base == x)
+                || tys_mentioning(x, self.negs.values().flatten().copied()).contains(&true));
+        let split = !self.disjs.is_empty()
+            && props_mentioning(x, self.disjs.iter().flat_map(|&(p, q)| [p, q])).contains(&true);
+        let pending = !self.pending.is_empty()
+            && (self.pending.iter().any(|(p, _, _)| p.base == x)
+                || tys_mentioning(x, self.pending.iter().map(|(_, t, _)| *t)).contains(&true));
+        aliased
+            || negated
+            || split
+            || pending
+            || self.lin_facts.iter().any(|a| a.mentions_var(x))
+            || self.bv_facts.iter().any(|a| a.mentions_var(x))
+            || self.str_facts.iter().any(|a| a.mentions_var(x))
     }
 
     /// Marks `x` as mutable (no symbolic object, §4.2).
@@ -529,6 +591,43 @@ mod tests {
         assert!(a.same_contents(&b));
         b.mark_absurd();
         assert!(!a.same_contents(&b));
+    }
+
+    #[test]
+    fn added_binding_sees_one_new_name_and_nothing_else() {
+        let mut before = Env::new();
+        before.set_ty(s("ab_a"), Ty::Int);
+        let mut after = before.clone();
+        after.set_ty(s("ab_f"), Ty::bool_ty());
+        let t = TyId::of(&Ty::bool_ty());
+        assert_eq!(after.added_binding(&before, s("ab_f")), Some(t));
+        assert_eq!(after.added_binding(&before, s("ab_a")), None);
+        // A rebinding is not an addition.
+        let mut rebound = before.clone();
+        rebound.set_ty(s("ab_a"), Ty::bool_ty());
+        assert_eq!(rebound.added_binding(&before, s("ab_a")), None);
+        // Any other fact spoils it.
+        let mut noisy = after.clone();
+        noisy.add_neg(Path::var(s("ab_a")), TyId::of(&Ty::bool_ty()));
+        assert_eq!(noisy.added_binding(&before, s("ab_f")), None);
+        let mut aliased = after.clone();
+        aliased.add_alias(s("ab_g"), Obj::var(s("ab_a")));
+        assert_eq!(aliased.added_binding(&before, s("ab_f")), None);
+        assert!(aliased.facts_mention(s("ab_a")));
+        assert!(!after.facts_mention(s("ab_a")));
+    }
+
+    #[test]
+    fn copy_bindings_rebinds_and_unbinds_only_the_named_entries() {
+        let mut from = Env::new();
+        from.set_ty(s("cb_x"), Ty::Int);
+        let mut to = Env::new();
+        to.set_ty(s("cb_y"), Ty::Int);
+        to.set_ty(s("cb_z"), Ty::bool_ty());
+        to.copy_bindings(&from, &[s("cb_x"), s("cb_y")]);
+        assert_eq!(to.raw_ty(s("cb_x")).as_deref(), Some(&Ty::Int));
+        assert!(to.raw_ty_id(s("cb_y")).is_none());
+        assert_eq!(to.raw_ty(s("cb_z")).as_deref(), Some(&Ty::bool_ty()));
     }
 
     #[test]

@@ -16,23 +16,65 @@
 //! inputs: the item's elaborated core term and the **value** of the
 //! environment it is checked under. The checker judgements consult
 //! nothing else — `generation`/`lin_epoch` stamps key memo tables and
-//! never change a verdict (see [`Env::same_contents`]). So the splice
-//! rule is:
+//! never change a verdict (see [`Env::same_contents`]). A cached record
+//! may therefore replace re-checking item *i* when the item's term is
+//! unchanged (same fingerprint / same source text), its trailing role
+//! is unchanged, and the environment reaching slot *i* looks the same
+//! *to that item* as the one the record was made under. Two rules
+//! establish the last condition.
 //!
-//! > a cached record may replace re-checking item *i* iff the item's
-//! > term is unchanged (same fingerprint / same source text) **and**
-//! > the environment reaching slot *i* this run is value-equal to the
-//! > environment that reached it when the record was made.
+//! **The dependency rule.** The driver aligns this run with the old
+//! one: each slot with the old record it claims (or, for a changed
+//! slot, the next old record if the fingerprints agree), the old
+//! records a claim jumps over counting as deleted. It keeps a *ledger*:
+//! the names whose binding differs between this run's environment and
+//! the old run's at the aligned point, every other fact being equal.
+//! The ledger stays exact as long as every item involved has an
+//! *export* — its only effect on the environment was binding one
+//! previously unbound, non-mutable name ([`Env::added_binding`]):
 //!
-//! Early cutoff falls out of the same rule, stronger than the usual
-//! "exported type id unchanged" check: after re-checking a dirty item,
-//! if the environment it leaves behind is value-equal to the cached
-//! one, *every* downstream comparison succeeds (each splice restores
-//! the cached `env_after`, so consecutive splices compare
-//! generation-equal environments in O(1)) and the item's dependents are
-//! never re-checked. If the re-check changed the exported binding, the
-//! environment comparison fails exactly for the suffix that can
-//! observe it.
+//! * a re-checked or fresh slot, and a deleted old record, re-derive
+//!   the ledger entry of the name they bind (equal bindings leave it);
+//! * a spliced record binds its name identically on both sides and
+//!   leaves the ledger as it was.
+//!
+//! The next unconsumed old record may splice under a non-empty ledger
+//! when its item cannot read any ledger binding:
+//!
+//! * it has an export, and neither its own name nor any of its free
+//!   references ([`crate::fingerprint::free_refs`]: term free variables
+//!   plus names in dependent signature positions) is in the ledger;
+//! * the current types of those free references mention no ledger
+//!   name (a signature refinement may name another module-level
+//!   define, and reading the signature reads that name);
+//! * no ledger binding, old or new, is an empty type, and no fact other
+//!   than the bindings (an alias, negative fact, disjunction or theory
+//!   literal) mentions a ledger name. These are checked as names enter
+//!   the ledger: they are the only ways a judgment reaches a binding
+//!   without naming it (the consistency check scans every binding for
+//!   emptiness).
+//!
+//! Every name the item's judgments look up then has the same type on
+//! both sides, so the verdict and the export are the recorded ones. A
+//! binder inside the item that shadows a ledger name unbinds it and
+//! rewrites the types that mention it; by the conditions above the item
+//! reads none of those. The spliced environment is the record's
+//! snapshot with the ledger's bindings re-applied
+//! ([`Env::copy_bindings`]): O(|ledger|), and no environment
+//! comparison. Early cutoff falls out of the ledger: a re-checked item
+//! whose binding came out equal adds no entry, and its dependents
+//! splice.
+//!
+//! **The strict rule.** Anything the ledger cannot describe — an item
+//! without an export (a value `define` that adds facts or aliases, a
+//! trailing expression's fresh `ignored` binder, a redefinition), a
+//! claim that goes backwards (a reorder), or a failed ledger check —
+//! drops the ledger, and splices fall back to comparing the whole
+//! environment with the one the record was made under
+//! ([`Env::same_contents`]), which is always sound. A splice under the
+//! strict rule proves the two environments equal, so the run resumes
+//! with an empty ledger there; a re-checked slot without an export
+//! tries the same comparison.
 //!
 //! # What is never cached
 //!
@@ -44,6 +86,16 @@
 //! moved interner eviction epoch or a changed `set!`-mutated variable
 //! set discards the old cache (its environment snapshots are not
 //! comparable) and the run re-checks every slot, building a fresh one.
+//!
+//! # Cancellation
+//!
+//! Once the check's [`crate::budget::CancelToken`] is revoked, the
+//! driver re-checks one more slot — its budget fork trips at entry, so
+//! the report carries that item's `E0202` (`limit: "cancelled"`) — and
+//! stops: the remaining slots are neither fetched nor checked, and the
+//! report holds fewer results than there are slots. The cache such a
+//! run returns covers only the slots it reached; callers keep their
+//! previous cache instead.
 //!
 //! # Deep modules
 //!
@@ -63,6 +115,7 @@ use crate::check::{attach_node, big_stack, panic_detail, Checker};
 use crate::diag::Diagnostic;
 use crate::env::Env;
 use crate::fingerprint::{free_refs, item_fingerprint, item_salt};
+use crate::intern::TyId;
 use crate::module::{ItemSummary, ModuleCheck, ModuleItem};
 use crate::mutation::mutated_vars;
 use crate::syntax::{Obj, Prop, Symbol, Ty, TyResult};
@@ -83,33 +136,39 @@ struct ReuseData {
     value: Option<TyResult>,
 }
 
-/// What one run of the module driver learned about one item slot.
-#[derive(Clone, Debug)]
+/// What one run of the module driver learned about one item. Records
+/// are shared (`Arc`) by every later run that splices them; the
+/// environment snapshot each slot leaves behind lives beside the record
+/// in [`ItemCache`], since a splice under a non-empty ledger leaves a
+/// different environment than the run that made the record.
+#[derive(Debug)]
 pub struct ItemRecord {
     /// α-stable fingerprint of the elaborated item
     /// ([`crate::fingerprint::item_fingerprint`]).
     fp: u128,
     /// Module-level names the item can read
-    /// ([`crate::fingerprint::free_refs`]) — the dependency edges used
-    /// by the cutoff accounting.
+    /// ([`crate::fingerprint::free_refs`]) — the dependency edges of the
+    /// splice rule and the cutoff accounting.
     free_refs: Vec<Symbol>,
     /// The `set!`-mutated variables of this item's body (the module
     /// mutation pre-pass is the union of these).
     mutated: Vec<Symbol>,
     /// Did the item need the big-stack worker?
     deep: bool,
-    /// Value snapshot of the environment *after* this item, whether it
-    /// checked cleanly or was poisoned.
-    env_after: Env,
+    /// `Some((name, type))` iff the item's only effect on the
+    /// environment was binding one previously unbound, non-mutable name
+    /// ([`Env::added_binding`]), whether it checked cleanly or was
+    /// poisoned.
+    export: Option<(Symbol, TyId)>,
     /// Reusable results; `None` for items that produced diagnostics or
     /// tripped their budget fork (never cached).
     reuse: Option<ReuseData>,
 }
 
 /// Everything a previous driver run left behind for one module:
-/// per-slot records in check order, plus the run-wide preconditions
-/// (eviction epoch, mutated-variable set, initial environment) that
-/// gate their reuse.
+/// per-slot records in check order with the environment after each,
+/// plus the run-wide preconditions (eviction epoch, mutated-variable
+/// set, initial environment) that gate their reuse.
 #[derive(Clone, Debug)]
 pub struct ItemCache {
     /// [`crate::intern::evict_epoch`] when the cache was built; a moved
@@ -123,6 +182,9 @@ pub struct ItemCache {
     /// One record per item, in check order (definitions first, then
     /// trailing expressions).
     records: Vec<Arc<ItemRecord>>,
+    /// Value snapshot of the environment after each record's slot,
+    /// whether the item checked cleanly or was poisoned.
+    envs: Vec<Env>,
 }
 
 impl ItemCache {
@@ -140,7 +202,7 @@ impl ItemCache {
     fn env_before(&self, j: usize) -> &Env {
         match j {
             0 => &self.init_env,
-            _ => &self.records[j - 1].env_after,
+            _ => &self.envs[j - 1],
         }
     }
 }
@@ -243,8 +305,10 @@ impl Checker {
     /// [`Checker::check_module`] over the same items (the equivalence
     /// property tests pin this, modulo fresh-symbol numbering),
     /// alongside the new [`ItemCache`] and the run's work counters
-    /// (`rechecked`, `skipped`, `cutoff_stopped`, and everything the
-    /// judgments counted).
+    /// (`rechecked`, `skipped`, `cutoff_stopped`, `dep_spliced`, and
+    /// everything the judgments counted). A check revoked through its
+    /// cancel token stops early (see the module docs): its results are
+    /// shorter than `slots` and its cache is partial.
     pub fn check_module_incremental(
         &self,
         slots: &[IncrSlot],
@@ -358,38 +422,59 @@ impl Checker {
         }
         let init_env = st.env.clone();
         let mut records: Vec<Arc<ItemRecord>> = Vec::with_capacity(slots.len());
+        let mut envs: Vec<Env> = Vec::with_capacity(slots.len());
         let trace = self.trace();
         // Names of items re-checked so far this run, for the
         // cutoff-stopped accounting.
         let mut rechecked_names: HashSet<Symbol> = HashSet::new();
-        // Positional cursor into the old records, so a fresh slot whose
-        // *term* is unchanged (whitespace-only edit) can still find its
-        // old record by position + fingerprint.
-        let mut cursor: usize = 0;
+        // The next old record not yet aligned with a slot of this run.
+        let mut old_next: usize = 0;
+        // The ledger (see the module docs): `Some(names)` while this
+        // run's environment equals the old run's at `old_next` except
+        // in the bindings of `names`; `None` while the strict rule
+        // applies.
+        let mut ledger: Option<Vec<Symbol>> = old
+            .filter(|c| st.env.same_contents(&c.init_env))
+            .map(|_| Vec::new());
         let n = slots.len();
         let mut saw_trailing = false;
 
         for (i, slot) in slots.iter().enumerate() {
             let last = i + 1 == n;
+            // A revoked check re-checks this one slot, whose budget
+            // fork trips at entry, and stops after it.
+            let cancelled = self.budget().cancelled();
 
             // Resolve this slot's splice candidate: its claimed record,
-            // or the positional one when the fingerprints agree.
+            // or the next old one when the fingerprints agree.
             let claimed = slot
                 .reuse
                 .and_then(|j| old.and_then(|c| Some((c, j, c.records.get(j)?))));
             let candidate = match (claimed, old, slot.item.as_deref()) {
-                (Some((c, j, rec)), _, _) => {
-                    cursor = j + 1;
-                    Some((c, j, rec))
-                }
-                (None, Some(c), Some(item)) if cursor < c.records.len() => {
-                    let j = cursor;
-                    cursor += 1;
-                    let rec = &c.records[j];
-                    (rec.fp == item_fingerprint(item)).then_some((c, j, rec))
-                }
+                (Some(found), _, _) => Some(found),
+                (None, Some(c), Some(item)) => c
+                    .records
+                    .get(old_next)
+                    .filter(|rec| rec.fp == item_fingerprint(item))
+                    .map(|rec| (c, old_next, rec)),
                 _ => None,
             };
+            // Align the old run with this slot: the old records a claim
+            // jumps over were deleted; a claim behind the cursor is a
+            // reorder the ledger cannot follow.
+            let aligned = match (&mut ledger, candidate) {
+                (Some(names), Some((c, j, _))) => {
+                    j >= old_next
+                        && (old_next..j).all(|k| match c.records[k].export {
+                            Some((x, _)) => self.note(names, x, &st.env, &c.envs[k]),
+                            None => false,
+                        })
+                }
+                _ => true,
+            };
+            if !aligned {
+                ledger = None;
+            }
             let reusable = candidate.and_then(|(c, j, rec)| Some((c, j, rec, rec.reuse.as_ref()?)));
             if reusable.is_some() {
                 trace.fp_hits.bump();
@@ -398,17 +483,32 @@ impl Checker {
             }
 
             // The splice rule: reusable record, same trailing role, and
-            // a value-equal incoming environment.
-            let splice = reusable.filter(|(c, j, _, ru)| {
+            // an incoming environment the item cannot tell apart from
+            // the recorded one.
+            let splice = reusable.filter(|(c, j, rec, ru)| {
                 let role_ok = ru.summary.name.is_some() || ru.value.is_some() == last;
-                role_ok && st.env.same_contents(c.env_before(*j))
+                role_ok
+                    && !cancelled
+                    && match &ledger {
+                        Some(names) => names.is_empty() || !reads_ledger(&st.env, rec, names),
+                        None => st.env.same_contents(c.env_before(*j)),
+                    }
             });
-            if let Some((_, _, rec, ru)) = splice {
+            if let Some((c, j, rec, ru)) = splice {
                 trace.skipped.bump();
                 if rec.free_refs.iter().any(|s| rechecked_names.contains(s)) {
                     trace.cutoff_stopped.bump();
                 }
-                st.env = rec.env_after.clone();
+                // A strict splice proved the environments equal: the
+                // ledger restarts empty.
+                let names = ledger.get_or_insert_with(Vec::new);
+                let mut env = c.envs[j].clone();
+                if !names.is_empty() {
+                    trace.dep_spliced.bump();
+                    env.copy_bindings(&st.env, names);
+                }
+                st.env = env;
+                old_next = j + 1;
                 st.out.results.push(ru.summary.clone());
                 if let Some(b) = &ru.binder {
                     st.binders.push(b.clone());
@@ -420,6 +520,7 @@ impl Checker {
                     }
                 }
                 records.push(Arc::clone(rec));
+                envs.push(st.env.clone());
                 continue;
             }
 
@@ -438,6 +539,7 @@ impl Checker {
                 saw_trailing = true;
             }
 
+            let env_before = st.env.clone();
             let results_before = st.out.results.len();
             let diags_before = st.out.diagnostics.len();
             let binders_before = st.binders.len();
@@ -445,8 +547,42 @@ impl Checker {
             let value = self.check_item(&c, item, last, &mut st);
             let tripped = c.budget().tripped();
             st.degraded = st.degraded.or(tripped);
+            if tripped == Some(LimitKind::Cancelled) {
+                break;
+            }
             if !keep {
                 continue;
+            }
+            let export = item
+                .name()
+                .and_then(|x| Some((x, st.env.added_binding(&env_before, x)?)));
+
+            // This slot consumed its candidate, if any. Re-derive the
+            // ledger entries of the names both sides bound; an effect
+            // the ledger cannot describe needs the environments equal.
+            if let Some((_, j, _)) = candidate {
+                old_next = j + 1;
+            }
+            if let Some(names) = &mut ledger {
+                let old_env = old
+                    .expect("a ledger implies an old cache")
+                    .env_before(old_next);
+                // `Some(None)`: no old record consumed; `None`: the
+                // consumed one has no export.
+                let old_export = candidate.map_or(Some(None), |(_, _, rec)| rec.export.map(Some));
+                let kept = match (export, old_export) {
+                    (Some((x, _)), Some(y)) => {
+                        self.note(names, x, &st.env, old_env)
+                            && y.is_none_or(|(y, _)| self.note(names, y, &st.env, old_env))
+                    }
+                    _ => {
+                        names.clear();
+                        st.env.same_contents(old_env)
+                    }
+                };
+                if !kept {
+                    ledger = None;
+                }
             }
 
             // Build this slot's record. Results are reusable only for
@@ -464,9 +600,10 @@ impl Checker {
                 free_refs: free_refs(item),
                 mutated: slot.mutated.clone(),
                 deep: slot.deep,
-                env_after: st.env.clone(),
+                export,
                 reuse,
             }));
+            envs.push(st.env.clone());
         }
 
         let mut out = st.out;
@@ -484,8 +621,27 @@ impl Checker {
             mutated,
             init_env,
             records,
+            envs,
         };
         Some((out, cache, trace.counts()))
+    }
+
+    /// Re-derives `x`'s ledger entry from its binding in `new` (this
+    /// run) and in `old` (the old run at the aligned point). Returns
+    /// `false` when the ledger cannot describe the difference: a side is
+    /// bound at an empty type, or another fact mentions `x`.
+    fn note(&self, names: &mut Vec<Symbol>, x: Symbol, new: &Env, old: &Env) -> bool {
+        names.retain(|&n| n != x);
+        let (a, b) = (new.raw_ty_id(x), old.raw_ty_id(x));
+        if a == b {
+            return true;
+        }
+        let empty = |t: Option<TyId>| t.is_some_and(|t| self.is_empty_id(t));
+        if empty(a) || empty(b) || new.facts_mention(x) {
+            return false;
+        }
+        names.push(x);
+        true
     }
 
     /// Checks one item on its budget fork `c` (salted by the item's
@@ -656,6 +812,23 @@ impl Checker {
     }
 }
 
+/// Could `rec`'s item observe a binding in the ledger `names`? Yes
+/// unless it exports one binding whose name is not in the ledger, and
+/// neither its free references nor their current types in `env`
+/// mention a ledger name.
+fn reads_ledger(env: &Env, rec: &ItemRecord, names: &[Symbol]) -> bool {
+    let Some((x, _)) = rec.export else {
+        return true;
+    };
+    names.contains(&x)
+        || rec.free_refs.iter().any(|r| {
+            names.contains(r)
+                || env
+                    .raw_ty_id(*r)
+                    .is_some_and(|t| names.iter().any(|n| t.mentions_var(*n)))
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -789,5 +962,128 @@ mod tests {
         assert!(r.is_clean());
         assert_eq!(s.rechecked, 2);
         assert_eq!(s.skipped, 0);
+    }
+
+    /// `name : [x : dom] -> Int`, defined as `(add1 x)`.
+    fn helper(name: &str, refined: bool) -> ModuleItem {
+        use crate::syntax::LinCmp;
+        let (x, v) = (Symbol::intern("x"), Symbol::intern("v"));
+        let dom = if refined {
+            Ty::refine(v, Ty::Int, Prop::lin(Obj::int(0), LinCmp::Le, Obj::var(v)))
+        } else {
+            Ty::Int
+        };
+        ModuleItem::DefineRec {
+            name: Symbol::intern(name),
+            sig: Ty::fun(vec![(x, dom)], TyResult::of_type(Ty::Int)),
+            lam: Arc::new(Lambda {
+                params: vec![(x, Ty::Top)],
+                body: Expr::prim_app(Prim::Add1, vec![Expr::Var(x)]),
+            }),
+            node: None,
+            sig_node: None,
+        }
+    }
+
+    /// `name : [x : Int] -> Int`, defined as `(callee 3)`.
+    fn caller(name: &str, callee: &str) -> ModuleItem {
+        define(
+            name,
+            Expr::app(Expr::Var(Symbol::intern(callee)), vec![Expr::Int(3)]),
+        )
+    }
+
+    fn same_verdicts(a: &ModuleCheck, b: &ModuleCheck) {
+        assert_eq!(a.error_count(), b.error_count());
+        assert_eq!(a.results.len(), b.results.len());
+        for (x, y) in a.results.iter().zip(&b.results) {
+            assert_eq!((x.name, &x.ty, x.poisoned), (y.name, &y.ty, y.poisoned));
+        }
+    }
+
+    #[test]
+    fn a_signature_edit_rechecks_exactly_the_helper_and_its_callers() {
+        let v1 = vec![
+            helper("sg_h", false),
+            caller("sg_c1", "sg_h"),
+            good("sg_a"),
+            caller("sg_c2", "sg_h"),
+            good("sg_b"),
+        ];
+        let checker = Checker::default();
+        let (_, cache, _) = checker
+            .check_module_incremental(&all_fresh(&v1), None, &mut no_fetch)
+            .expect("cold run");
+
+        // Flip the helper's domain to a refinement its callers satisfy.
+        let mut v2 = v1.clone();
+        v2[0] = helper("sg_h", true);
+        let mut slots: Vec<IncrSlot> = (0..5).map(IncrSlot::Reused).collect();
+        slots[0] = IncrSlot::Fresh(v2[0].clone());
+        let mut fetch = |i: usize| Some(v2[i].clone());
+        let (r2, _, s2) = checker
+            .check_module_incremental(&slots, Some(&cache), &mut fetch)
+            .expect("incremental run");
+        same_verdicts(&r2, &checker.check_module(&v2));
+        assert!(r2.is_clean(), "{:?}", r2.diagnostics);
+        assert_eq!(s2.rechecked, 3, "the helper and its two callers: {s2:?}");
+        assert_eq!(s2.skipped, 2, "{s2:?}");
+        assert_eq!(
+            s2.dep_spliced, 2,
+            "spliced past the changed binding: {s2:?}"
+        );
+    }
+
+    #[test]
+    fn inserting_an_unreferenced_helper_rechecks_it_alone_and_deleting_it_nothing() {
+        let v1 = vec![good("ins_a"), caller("ins_b", "ins_a"), good("ins_c")];
+        let checker = Checker::default();
+        let (_, cache, _) = checker
+            .check_module_incremental(&all_fresh(&v1), None, &mut no_fetch)
+            .expect("cold run");
+
+        let v2 = vec![v1[0].clone(), good("ins_z"), v1[1].clone(), v1[2].clone()];
+        let slots = vec![
+            IncrSlot::Reused(0),
+            IncrSlot::Fresh(v2[1].clone()),
+            IncrSlot::Reused(1),
+            IncrSlot::Reused(2),
+        ];
+        let mut fetch = |i: usize| Some(v2[i].clone());
+        let (r2, cache2, s2) = checker
+            .check_module_incremental(&slots, Some(&cache), &mut fetch)
+            .expect("insert run");
+        same_verdicts(&r2, &checker.check_module(&v2));
+        assert_eq!((s2.rechecked, s2.skipped), (1, 3), "{s2:?}");
+
+        // Delete it again: the claims jump over its record.
+        let slots: Vec<IncrSlot> = [0, 2, 3].into_iter().map(IncrSlot::Reused).collect();
+        let mut fetch = |i: usize| Some(v1[i].clone());
+        let (r3, _, s3) = checker
+            .check_module_incremental(&slots, Some(&cache2), &mut fetch)
+            .expect("delete run");
+        same_verdicts(&r3, &checker.check_module(&v1));
+        assert_eq!((s3.rechecked, s3.skipped), (0, 3), "{s3:?}");
+        assert_eq!(s3.dep_spliced, 2, "{s3:?}");
+    }
+
+    #[test]
+    fn a_pre_cancelled_run_checks_one_item_and_stops() {
+        let items: Vec<ModuleItem> = (0..6).map(|k| good(&format!("pc_{k}"))).collect();
+        let token = crate::budget::CancelToken::new();
+        token.cancel();
+        let checker = Checker::default().with_cancel_token(token);
+        let (r, _, s) = checker
+            .check_module_incremental(&all_fresh(&items), None, &mut no_fetch)
+            .expect("nothing to fetch");
+        assert_eq!(s.rechecked, 1, "{s:?}");
+        assert_eq!(r.results.len(), 1);
+        assert_eq!(r.diagnostics.len(), 1);
+        assert_eq!(
+            r.diagnostics[0].code,
+            crate::diag::Code::ResourceExhausted,
+            "{:?}",
+            r.diagnostics
+        );
     }
 }

@@ -228,22 +228,70 @@ impl<V: Copy> PMap<V> {
 impl<V: Copy + PartialEq> PMap<V> {
     /// Structural equality: the same key set mapped to equal values.
     ///
-    /// A shared root is an `O(1)` yes (snapshots that were never written
-    /// to compare in one pointer check — the incremental module driver's
-    /// common case). Otherwise the entry sequences are compared: because
-    /// the key hash is a bijection, iteration order is a function of the
-    /// key *set* alone, independent of insertion/removal history, so two
-    /// maps with equal contents always enumerate identically.
+    /// Because the key hash is a bijection, a key's trie position is a
+    /// function of the key alone, so two maps can be compared subtree
+    /// by subtree: a shared node is an `O(1)` yes at every level, and
+    /// only the paths where the tries differ are walked. A snapshot
+    /// against its source after `k` writes costs `O(k · depth)` — the
+    /// incremental module driver's common case.
     pub fn same_entries(&self, other: &PMap<V>) -> bool {
-        if self.len != other.len {
-            return false;
+        self.len == other.len && same_nodes(self.root.as_ref(), other.root.as_ref(), None)
+    }
+
+    /// `Some(v)` iff this map is exactly `base` plus one entry
+    /// `key ↦ v` that `base` lacks. Costs what [`PMap::same_entries`]
+    /// costs: a map written from a snapshot of `base` shares all but
+    /// the path to `key`.
+    pub fn extends(&self, base: &PMap<V>, key: Symbol) -> Option<V> {
+        let v = *self.get(key)?;
+        let same_rest = self.len == base.len + 1
+            && !base.contains_key(key)
+            && same_nodes(self.root.as_ref(), base.root.as_ref(), Some(key));
+        same_rest.then_some(v)
+    }
+}
+
+/// Do two subtrees at the same trie level hold the same entries, `skip`
+/// aside? Shared nodes are equal by pointer; two branches compare child
+/// by child, since an entry's child slot depends on its key alone; any
+/// other shape pair (a leaf, or a branch the other trie never split)
+/// compares its entry sequences in hash order.
+fn same_nodes<V: Copy + PartialEq>(
+    a: Option<&Arc<Node<V>>>,
+    b: Option<&Arc<Node<V>>>,
+    skip: Option<Symbol>,
+) -> bool {
+    fn entries<V: Copy>(
+        n: Option<&Arc<Node<V>>>,
+        skip: Option<Symbol>,
+    ) -> impl Iterator<Item = (Symbol, &V)> {
+        let stack = n.map(|n| vec![&**n]).unwrap_or_default();
+        Iter { stack }.filter(move |(k, _)| Some(*k) != skip)
+    }
+    if let (Some(x), Some(y)) = (a, b) {
+        if Arc::ptr_eq(x, y) {
+            return true;
         }
-        match (&self.root, &other.root) {
-            (None, None) => true,
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b) || self.iter().eq(other.iter()),
-            _ => false,
+        if let (
+            Node::Branch {
+                bitmap: bx,
+                children: cx,
+            },
+            Node::Branch {
+                bitmap: by,
+                children: cy,
+            },
+        ) = (&**x, &**y)
+        {
+            let (mut cx, mut cy) = (cx.iter(), cy.iter());
+            return (0..32).all(|bit| {
+                let x = (bx >> bit & 1 == 1).then(|| cx.next()).flatten();
+                let y = (by >> bit & 1 == 1).then(|| cy.next()).flatten();
+                same_nodes(x, y, skip)
+            });
         }
     }
+    entries(a, skip).eq(entries(b, skip))
 }
 
 fn insert_rec<V: Copy>(
@@ -470,6 +518,40 @@ mod tests {
         b.insert(s(3), 3);
         b.remove(s(63));
         assert!(!a.same_entries(&b), "missing key must be detected");
+    }
+
+    #[test]
+    fn extends_detects_exactly_one_new_entry() {
+        let mut base: PMap<u32> = PMap::new();
+        for i in 0..200 {
+            base.insert(s(i), i);
+        }
+        let mut m = base.clone();
+        m.insert(s(500), 5);
+        assert_eq!(m.extends(&base, s(500)), Some(5));
+        assert_eq!(m.extends(&base, s(3)), None, "the key must be the new one");
+        assert_eq!(base.extends(&base, s(500)), None, "no entry added");
+        let mut changed = m.clone();
+        changed.insert(s(7), 70);
+        assert_eq!(
+            changed.extends(&base, s(500)),
+            None,
+            "another entry changed"
+        );
+        let mut two = m.clone();
+        two.insert(s(501), 1);
+        assert_eq!(two.extends(&base, s(500)), None, "two entries added");
+        // An equal map built by another history still counts.
+        let mut rebuilt: PMap<u32> = PMap::new();
+        for i in (0..200).rev() {
+            rebuilt.insert(s(i), i);
+        }
+        rebuilt.insert(s(500), 5);
+        assert_eq!(rebuilt.extends(&base, s(500)), Some(5));
+        // Nothing but the new entry: an empty base.
+        let mut one: PMap<u32> = PMap::new();
+        one.insert(s(1), 1);
+        assert_eq!(one.extends(&PMap::new(), s(1)), Some(1));
     }
 
     #[test]

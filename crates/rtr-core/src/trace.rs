@@ -186,6 +186,10 @@ trace_fields! {
         /// Spliced items that mention an item re-checked earlier in the
         /// same run: dependents the early cutoff stopped from dirtying.
         cutoff_stopped,
+        /// Spliced items whose incoming environment differed from the
+        /// recorded one, but only in bindings the item cannot read (the
+        /// dependency splice).
+        dep_spliced,
         /// Module items with a usable cached record.
         fp_hits,
         /// Module items without a usable cached record.

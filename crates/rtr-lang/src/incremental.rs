@@ -492,9 +492,10 @@ impl ModuleCache {
 /// [`ModuleCache`].
 ///
 /// Returns the report, the cache to use for the next edit (`None` when
-/// the textual account did not apply — keep the old cache in that
-/// case), and the check's work counters (always `Some`; a cold run
-/// re-checks every item).
+/// the textual account did not apply, or a cancelled check stopped
+/// before the last slot — keep the old cache in that case), and the
+/// check's work counters (always `Some`; a cold run re-checks every
+/// item).
 pub fn check_module_source_incremental(
     src: &str,
     checker: &Checker,
@@ -555,23 +556,27 @@ pub fn check_module_source_incremental(
     }
     // Stamp every summary's extent from the *current* scan: spliced
     // summaries carry the previous run's span, which an edit above them
-    // may have shifted. Results and descs share check order.
+    // may have shifted. Results and descs share check order; a
+    // cancelled check stopped early and covers a prefix of the slots.
     let mut results = mc.results;
-    debug_assert_eq!(results.len(), descs.len());
+    debug_assert!(results.len() <= descs.len());
     for (summary, desc) in results.iter_mut().zip(&descs) {
         summary.span = Some(forms[desc.form].span(src));
     }
+    // A cut-short run's cache covers only the slots it reached: keep the
+    // previous one.
+    let complete = core.len() == descs.len();
     let report = ModuleReport {
         diagnostics,
         results,
         value: mc.value,
     };
-    let cache = ModuleCache {
+    let cache = complete.then(|| ModuleCache {
         keys: descs.iter().map(|d| d.key).collect(),
         n_defines,
         core,
-    };
-    (report, Some(cache), Some(stats))
+    });
+    (report, cache, Some(stats))
 }
 
 #[cfg(test)]

@@ -606,8 +606,8 @@ fn print_stats(reports: &[CheckReport], checker: &Checker) {
             t.splits_taken, t.splits_unit, t.splits_deferred
         );
         eprintln!(
-            "  module items     rechecked {}   spliced {}   early-cutoff stops {}   cached records usable {} / missing {}",
-            t.rechecked, t.skipped, t.cutoff_stopped, t.fp_hits, t.fp_misses
+            "  module items     rechecked {}   spliced {} (past changed bindings {})   early-cutoff stops {}   cached records usable {} / missing {}",
+            t.rechecked, t.skipped, t.dep_spliced, t.cutoff_stopped, t.fp_hits, t.fp_misses
         );
     }
     let a = rtr::core::intern::arena_stats();

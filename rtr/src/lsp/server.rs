@@ -59,6 +59,9 @@ pub struct LspStats {
     pub rechecked_items: u64,
     /// Total items spliced from warm caches across incremental checks.
     pub unchanged_items: u64,
+    /// Of those, items spliced past changed bindings they cannot read
+    /// (the dependency splice).
+    pub dep_spliced_items: u64,
     /// `publishDiagnostics` notifications sent.
     pub published: u64,
 }
@@ -364,6 +367,7 @@ impl<W: Write> Server<W> {
         if let Some(t) = trace {
             self.stats.rechecked_items += t.rechecked;
             self.stats.unchanged_items += t.skipped;
+            self.stats.dep_spliced_items += t.dep_spliced;
             if t.skipped > 0 {
                 self.stats.overlay_hits += 1;
             }
@@ -372,12 +376,13 @@ impl<W: Write> Server<W> {
             token.is_cancelled() || self.shared.latest_version(uri).is_some_and(|v| v > version);
         if self.stats_enabled {
             eprintln!(
-                "lsp check: uri={} version={} errors={} rechecked={} unchanged={} stale={} elapsed_us={}",
+                "lsp check: uri={} version={} errors={} rechecked={} unchanged={} dep_spliced={} stale={} elapsed_us={}",
                 uri,
                 version,
                 report.stats.errors,
                 trace.map_or_else(|| "-".into(), |t| t.rechecked.to_string()),
                 trace.map_or_else(|| "-".into(), |t| t.skipped.to_string()),
+                trace.map_or_else(|| "-".into(), |t| t.dep_spliced.to_string()),
                 stale,
                 report.stats.elapsed.as_micros(),
             );
@@ -448,7 +453,7 @@ impl<W: Write> Server<W> {
     fn report_stats(&self) {
         let s = &self.stats;
         eprintln!(
-            "lsp stats: requests={} notifications={} checks={} cancelled={} overlay_hits={} rechecked_items={} unchanged_items={} published={}",
+            "lsp stats: requests={} notifications={} checks={} cancelled={} overlay_hits={} rechecked_items={} unchanged_items={} dep_spliced_items={} published={}",
             s.requests,
             s.notifications,
             s.checks,
@@ -456,6 +461,7 @@ impl<W: Write> Server<W> {
             s.overlay_hits,
             s.rechecked_items,
             s.unchanged_items,
+            s.dep_spliced_items,
             s.published,
         );
     }

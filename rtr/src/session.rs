@@ -264,16 +264,18 @@ impl Session {
     /// checker panic that escapes the per-item isolation in
     /// `check_module` is caught here as a file-level `E0203`.
     pub fn check(&self, file: &SourceFile) -> CheckReport {
-        self.check_inner(file, &self.checker)
+        self.check_inner(file, &self.checker, None)
     }
 
     /// Like [`Session::check`], but revocable: once `token` is
     /// cancelled (from any thread), the in-flight check trips
     /// [`rtr_core::budget::LimitKind::Cancelled`] at the next budget
-    /// poll and degrades immediately — remaining items come back as
-    /// `E0202` (`limit: "cancelled"`) verdicts, which are never written
-    /// to the persistent caches, so the next check of the same file
-    /// re-checks them against the still-warm cache.
+    /// poll and stops after the item it was checking — that item comes
+    /// back as an `E0202` (`limit: "cancelled"`) verdict, and the items
+    /// after it are neither elaborated nor checked, so the report covers
+    /// a prefix of the file. A cancelled check never replaces the file's
+    /// cache: the next check of the file splices against the cache the
+    /// last completed check left.
     ///
     /// This is the overlay entry point for editor servers: pass the
     /// unsaved buffer contents as [`SourceFile::text`] under the
@@ -283,10 +285,15 @@ impl Session {
     /// and discard the stale report.
     pub fn check_cancellable(&self, file: &SourceFile, token: &CancelToken) -> CheckReport {
         let checker = self.checker.with_cancel_token(token.clone());
-        self.check_inner(file, &checker)
+        self.check_inner(file, &checker, Some(token))
     }
 
-    fn check_inner(&self, file: &SourceFile, checker: &Checker) -> CheckReport {
+    fn check_inner(
+        &self,
+        file: &SourceFile,
+        checker: &Checker,
+        token: Option<&CancelToken>,
+    ) -> CheckReport {
         let start = Instant::now();
         // Take the file's cache out for the duration of the check: a
         // panic leaves it dropped (next check runs cold), concurrent
@@ -311,7 +318,9 @@ impl Session {
             });
         // A run without a textual account (`new_cache` = None) keeps
         // the previous cache: textual matching re-validates it against
-        // whatever the file looks like next time.
+        // whatever the file looks like next time. So does a cancelled
+        // run, whose verdicts are degraded or missing.
+        let new_cache = new_cache.filter(|_| !token.is_some_and(CancelToken::is_cancelled));
         if let Some(cache) = new_cache.or(old_cache) {
             self.lock_caches().insert(file.name.clone(), cache);
         }
@@ -508,5 +517,92 @@ mod tests {
         // check of the same file comes back clean.
         let clean = session.check(&file);
         assert!(clean.is_clean(), "{:#?}", clean.diagnostics);
+    }
+
+    /// `n` definitions `d0…`; every third one is ill typed.
+    fn mixed_module(n: usize, edited: Option<usize>) -> String {
+        (0..n)
+            .map(|k| {
+                let body = if k % 3 == 0 {
+                    "#t".to_owned()
+                } else {
+                    format!("(+ x {})", k + usize::from(edited == Some(k)))
+                };
+                format!("(: d{k} : [x : Int] -> Int)\n(define (d{k} x) {body})\n")
+            })
+            .collect()
+    }
+
+    fn rechecked(r: &CheckReport) -> u64 {
+        r.stats.trace.expect("incremental path").rechecked
+    }
+
+    #[test]
+    fn a_signature_edit_rechecks_exactly_the_helper_and_its_callers() {
+        let text = |dom: &str| {
+            format!(
+                "(: h : [x : {dom}] -> Int)\n(define (h x) (add1 x))\n\
+                 (: c1 : [y : Int] -> Int)\n(define (c1 y) (h 3))\n\
+                 (: a : [y : Int] -> Int)\n(define (a y) (add1 y))\n\
+                 (: c2 : [y : Int] -> Int)\n(define (c2 y) (+ (h 4) y))\n\
+                 (: b : [y : Int] -> Int)\n(define (b y) (+ y 2))\n"
+            )
+        };
+        let session = Session::new(SessionConfig::default());
+        let cold = session.check(&SourceFile::new("sig.rtr", text("Int")));
+        assert!(cold.is_clean(), "{:#?}", cold.diagnostics);
+        let warm = session.check(&SourceFile::new(
+            "sig.rtr",
+            text("(Refine [n : Int] (>= n 0))"),
+        ));
+        assert!(warm.is_clean(), "{:#?}", warm.diagnostics);
+        let t = warm.stats.trace.expect("incremental path");
+        assert_eq!((t.rechecked, t.skipped, t.dep_spliced), (3, 2, 2), "{t:?}");
+    }
+
+    #[test]
+    fn inserting_an_unreferenced_helper_rechecks_one_item_and_deleting_it_none() {
+        let session = Session::new(SessionConfig::default());
+        let base = mixed_module(6, None);
+        session.check(&SourceFile::new("ins.rtr", base.as_str()));
+        // Ill-typed items are never cached: they re-check every time.
+        let ill = 2;
+        let (head, tail) = base.split_at(base.find("(: d3").expect("d3"));
+        let inserted = format!("{head}(: zz : [q : Int] -> Int)\n(define (zz q) q)\n{tail}");
+        let r = session.check(&SourceFile::new("ins.rtr", inserted.as_str()));
+        assert_eq!(rechecked(&r), 1 + ill);
+        let r = session.check(&SourceFile::new("ins.rtr", base.as_str()));
+        assert_eq!(rechecked(&r), ill);
+        assert_eq!(r.stats.errors, ill as usize);
+    }
+
+    #[test]
+    fn after_a_cancelled_check_an_edit_rechecks_only_itself_and_the_failing_items() {
+        let session = Session::new(SessionConfig::default());
+        let n = 12;
+        session.check(&SourceFile::new("burst.rtr", mixed_module(n, None)));
+        let edited = SourceFile::new("burst.rtr", mixed_module(n, Some(7)));
+        let token = CancelToken::new();
+        token.cancel();
+        session.check_cancellable(&edited, &token);
+        let r = session.check(&edited);
+        let ill = n.div_ceil(3) as u64;
+        assert!(rechecked(&r) <= 1 + ill, "{:?}", r.stats.trace);
+        assert_eq!(r.stats.errors, ill as usize);
+    }
+
+    #[test]
+    fn a_pre_cancelled_check_checks_at_most_one_item() {
+        let session = Session::new(SessionConfig::default());
+        let file = SourceFile::new("pre.rtr", mixed_module(9, None));
+        let token = CancelToken::new();
+        token.cancel();
+        let r = session.check_cancellable(&file, &token);
+        assert!(rechecked(&r) <= 1, "{:?}", r.stats.trace);
+        assert!(r.results.len() <= 1);
+        assert!(r
+            .diagnostics
+            .iter()
+            .any(|d| d.code == Code::ResourceExhausted));
     }
 }

@@ -12,7 +12,12 @@
 //! Edits cover every cache-relevant transition: body tweaks, flipping
 //! an item clean ↔ ill-typed ↔ unbound, insertion, deletion,
 //! reordering, dependency rewiring, and whitespace/comment-only
-//! touches that must splice everything.
+//! touches that must splice everything. They also cover what the
+//! driver's dependency splice must see through: signature flips
+//! between `Int` and a refined domain, signature refinements that name
+//! another module-level define, lambda parameters named like a
+//! module-level item inserted later (shadowing), value defines that add
+//! linear facts (the strict fallback), and bindings at an empty type.
 
 use rtr::prelude::*;
 
@@ -38,10 +43,29 @@ enum Body {
     /// `(+ (u<dep> x y) a)` — well typed, *depends on* `u<dep>` (which
     /// may or may not exist: an unbound dep is a legal ill-typed step).
     Calls(usize),
+    /// `(+ (u<dep> x 3) a)` — like `Calls`, with an argument that also
+    /// meets a non-negative domain.
+    CallsConst(usize),
+    /// `((lambda ([u<k> : Int]) (+ u<k> x)) y)` — a parameter named like
+    /// a module-level definition, which may exist or be inserted later.
+    Shadow(usize),
     /// `(+ x #t)` — a type error; the definition is poisoned.
     IllTyped,
     /// `(+ x zzz)` — an unbound variable; also poisoned.
     Unbound,
+}
+
+/// The declared domain of a definition's `y` parameter.
+#[derive(Clone, Copy, PartialEq)]
+enum Dom {
+    Int,
+    /// `(Refine [n : Int] (>= n 0))`.
+    Nat,
+    /// `(Refine [n : Int] (< n k<j>))` — names a value define.
+    BelowValue(usize),
+    /// `(Refine [n : Int] (isnot u<j> False))` — names a function
+    /// define, so proving it reads that define's binding.
+    NotFalse(usize),
 }
 
 #[derive(Clone)]
@@ -50,12 +74,15 @@ enum Item {
         name: usize,
         a: i64,
         body: Body,
+        dom: Dom,
     },
+    /// `(define k<name> : (Refine [n : Int] (<= 0 n)) c)` — a value
+    /// define whose binding adds linear facts (ill typed when `c < 0`).
+    Value { name: usize, c: i64 },
+    /// `(define z<name> : (U) 0)` — poisoned at an empty type.
+    Empty { name: usize },
     /// A trailing expression `(u<callee> <arg> 2)`.
-    Call {
-        callee: usize,
-        arg: i64,
-    },
+    Call { callee: usize, arg: i64 },
 }
 
 fn render(items: &[Item], rng: &mut Rng) -> String {
@@ -69,16 +96,28 @@ fn render(items: &[Item], rng: &mut Rng) -> String {
             _ => {}
         }
         match item {
-            Item::Define { name, a, body } => {
-                src.push_str(&format!("(: u{name} : [x : Int] [y : Int] -> Int)\n"));
+            Item::Define { name, a, body, dom } => {
+                let dom = match dom {
+                    Dom::Int => "Int".to_owned(),
+                    Dom::Nat => "(Refine [n : Int] (>= n 0))".to_owned(),
+                    Dom::BelowValue(j) => format!("(Refine [n : Int] (< n k{j}))"),
+                    Dom::NotFalse(j) => format!("(Refine [n : Int] (isnot u{j} False))"),
+                };
+                src.push_str(&format!("(: u{name} : [x : Int] [y : {dom}] -> Int)\n"));
                 let body = match body {
                     Body::Clean => format!("(+ (* {a} x) y)"),
                     Body::Calls(dep) => format!("(+ (u{dep} x y) {a})"),
+                    Body::CallsConst(dep) => format!("(+ (u{dep} x 3) {a})"),
+                    Body::Shadow(k) => format!("((lambda ([u{k} : Int]) (+ u{k} x)) y)"),
                     Body::IllTyped => "(+ x #t)".to_owned(),
                     Body::Unbound => "(+ x zzz)".to_owned(),
                 };
                 src.push_str(&format!("(define (u{name} x y) {body})\n"));
             }
+            Item::Value { name, c } => src.push_str(&format!(
+                "(define k{name} : (Refine [n : Int] (<= 0 n)) {c})\n"
+            )),
+            Item::Empty { name } => src.push_str(&format!("(define z{name} : (U) 0)\n")),
             Item::Call { callee, arg } => src.push_str(&format!("(u{callee} {arg} 2)\n")),
         }
     }
@@ -137,13 +176,23 @@ fn report_key(r: &CheckReport, source: &str) -> String {
 }
 
 fn mutate(items: &mut Vec<Item>, rng: &mut Rng, fresh_name: &mut usize) {
+    let names = *fresh_name;
     let bodies = [
         Body::Clean,
-        Body::Calls(rng.next(*fresh_name)),
+        Body::Calls(rng.next(names)),
+        Body::CallsConst(rng.next(names)),
+        // Possibly the name of a definition inserted by a later step.
+        Body::Shadow(rng.next(names + 4)),
         Body::IllTyped,
         Body::Unbound,
     ];
-    match rng.next(6) {
+    let doms = [
+        Dom::Int,
+        Dom::Nat,
+        Dom::BelowValue(rng.next(names)),
+        Dom::NotFalse(rng.next(names)),
+    ];
+    match rng.next(9) {
         // Tweak a definition's coefficient (the classic one-line edit).
         0 => {
             let at = rng.next(items.len());
@@ -151,31 +200,41 @@ fn mutate(items: &mut Vec<Item>, rng: &mut Rng, fresh_name: &mut usize) {
                 *a += 1;
             }
         }
-        // Flip a definition's body shape (clean / calls / ill-typed /
-        // unbound) — exercises poisoning going stale in both directions.
+        // Flip a definition's body shape (clean / calls / shadowing /
+        // ill-typed / unbound) — exercises poisoning going stale in both
+        // directions.
         1 => {
             let (at, shape) = (rng.next(items.len()), rng.next(bodies.len()));
             if let Some(Item::Define { body, .. }) = items.get_mut(at) {
                 *body = bodies[shape];
             }
         }
-        // Insert a new definition or call at a random position.
+        // Insert a new item at a random position: mostly definitions
+        // and calls, sometimes a fact-adding value define or a binding
+        // at an empty type.
         2 => {
             let at = rng.next(items.len() + 1);
-            let item = if rng.next(2) == 0 {
-                let name = *fresh_name;
-                *fresh_name += 1;
-                Item::Define {
+            let name = *fresh_name;
+            let item = match rng.next(8) {
+                0..=3 => Item::Define {
                     name,
                     a: rng.next(9) as i64,
                     body: bodies[rng.next(bodies.len())],
-                }
-            } else {
-                Item::Call {
-                    callee: rng.next(*fresh_name),
+                    dom: doms[rng.next(doms.len())],
+                },
+                4 => Item::Value {
+                    name,
+                    c: rng.next(9) as i64 - 2,
+                },
+                5 => Item::Empty { name },
+                _ => Item::Call {
+                    callee: rng.next(names),
                     arg: rng.next(9) as i64,
-                }
+                },
             };
+            if !matches!(item, Item::Call { .. }) {
+                *fresh_name += 1;
+            }
             items.insert(at, item);
         }
         // Delete an item (callers of a deleted define go unbound).
@@ -189,6 +248,21 @@ fn mutate(items: &mut Vec<Item>, rng: &mut Rng, fresh_name: &mut usize) {
             let (i, j) = (rng.next(items.len()), rng.next(items.len()));
             items.swap(i, j);
         }
+        // Flip a definition's signature domain: callers may start or
+        // stop meeting it, and a refinement may name another define.
+        5 | 6 => {
+            let (at, d) = (rng.next(items.len()), rng.next(doms.len()));
+            if let Some(Item::Define { dom, .. }) = items.get_mut(at) {
+                *dom = doms[d];
+            }
+        }
+        // Tweak a value define's constant (possibly below zero).
+        7 => {
+            let at = rng.next(items.len());
+            if let Some(Item::Value { c, .. }) = items.get_mut(at) {
+                *c -= 1;
+            }
+        }
         // Tweak a call site.
         _ => {
             let at = rng.next(items.len());
@@ -201,11 +275,14 @@ fn mutate(items: &mut Vec<Item>, rng: &mut Rng, fresh_name: &mut usize) {
 
 #[test]
 fn random_edit_scripts_match_the_from_scratch_path() {
-    for seed in 1..=12u64 {
+    // Splices past a changed binding, over all scripts: the oracle must
+    // actually see the dependency splice at work.
+    let mut dep_spliced = 0;
+    for seed in 1..=24u64 {
         let warm = Session::new(SessionConfig::default());
         let scratch = Session::new(SessionConfig::default());
         let mut rng = Rng(seed);
-        let mut fresh_name = 4;
+        let mut fresh_name = 5;
         let mut items: Vec<Item> = (0..4)
             .map(|name| Item::Define {
                 name,
@@ -215,11 +292,13 @@ fn random_edit_scripts_match_the_from_scratch_path() {
                 } else {
                     Body::Calls(name - 1)
                 },
+                dom: Dom::Int,
             })
             .collect();
+        items.insert(1, Item::Value { name: 4, c: 5 });
         items.push(Item::Call { callee: 3, arg: 1 });
 
-        for step in 0..10 {
+        for step in 0..12 {
             // Step 0 checks the seed module cold; later steps mutate
             // (and sometimes only re-render trivia, exercising the
             // pure-splice path).
@@ -229,6 +308,7 @@ fn random_edit_scripts_match_the_from_scratch_path() {
             let src = render(&items, &mut rng);
             let file = SourceFile::new("props.rtr", &src);
             let incremental = warm.check(&file);
+            dep_spliced += incremental.stats.trace.map_or(0, |t| t.dep_spliced);
             scratch.forget(&file.name);
             let full = scratch.check(&file);
             assert_eq!(
@@ -243,6 +323,33 @@ fn random_edit_scripts_match_the_from_scratch_path() {
             );
         }
     }
+    assert!(dep_spliced > 0, "no script spliced past a changed binding");
+}
+
+#[test]
+fn a_disjunction_naming_a_deleted_define_forces_the_strict_rule() {
+    // `k`'s poisoned binding stores `w ∈ Int ∨ k ∈ Bool`. While `w` is a
+    // function both disjuncts are absurd, so `d`'s unprovable range
+    // checks vacuously; deleting `w`, which `d` never names, makes `d`
+    // fail. The stored disjunction is a way to read `w` without naming
+    // it, so the driver must not splice `d` past `w`'s deletion.
+    let w = "(: w : [x : Int] -> Int)\n(define (w x) x)\n";
+    let text = |with_w: bool| {
+        format!(
+            "(define k : (Refine [n : Int] (or (is w Int) (is n Bool))) 3)\n{}\
+             (: d : [y : Int] -> (Refine [r : Int] (< r 0)))\n(define (d y) 5)\n",
+            if with_w { w } else { "" }
+        )
+    };
+    let warm = Session::new(SessionConfig::default());
+    for with_w in [true, false, true] {
+        let src = text(with_w);
+        let file = SourceFile::new("disj.rtr", &src);
+        let incremental = warm.check(&file);
+        let full = Session::new(SessionConfig::default()).check(&file);
+        assert_eq!(incremental.stats.errors, if with_w { 1 } else { 2 });
+        assert_eq!(report_key(&incremental, &src), report_key(&full, &src));
+    }
 }
 
 #[test]
@@ -254,6 +361,7 @@ fn one_item_edit_reuses_the_unchanged_items() {
             name,
             a: name as i64,
             body: Body::Clean,
+            dom: Dom::Int,
         })
         .collect();
     let src = render(&items, &mut rng);
@@ -315,6 +423,7 @@ fn deep_module_edit() {
             name,
             a: name as i64,
             body: Body::Clean,
+            dom: Dom::Int,
         })
         .collect();
     let src = format!("{}{}", render(&items, &mut rng), alias_chain(200));
