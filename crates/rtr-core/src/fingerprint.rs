@@ -551,11 +551,13 @@ pub fn item_salt(item: &ModuleItem) -> u64 {
 }
 
 /// The free references of an item: every module-level name its check can
-/// read (term free variables plus names mentioned by the declared
-/// signature's dependent positions), minus the item's own recursive
-/// binding. Sorted for determinism. These are the edges of the
-/// item-level dependency graph the incremental driver's early-cutoff
-/// accounting walks.
+/// read (term free variables, including names read by the types written
+/// in the term, plus names mentioned by the declared signature's
+/// dependent positions), minus the item's own recursive binding. Sorted
+/// for determinism. These are the edges of the item-level dependency
+/// graph: the incremental driver splices an item past a changed binding
+/// only when the changed name is not among them, so a name missing here
+/// is a stale verdict.
 pub fn free_refs(item: &ModuleItem) -> Vec<Symbol> {
     let mut set: HashSet<Symbol> = HashSet::new();
     match item {
@@ -694,5 +696,29 @@ mod tests {
         assert!(refs.contains(&s("fr_g")));
         assert!(!refs.contains(&s("fr_f")), "self-reference excluded");
         assert!(!refs.contains(&s("x")), "parameters are bound");
+    }
+
+    #[test]
+    fn free_refs_cover_names_read_by_types_written_in_the_body() {
+        // A refinement `{n : Int | (! <name> False)}`.
+        let naming = |name: &str| {
+            Ty::refine(
+                s("n"),
+                Ty::Int,
+                crate::syntax::Prop::is_not(crate::syntax::Obj::var(s(name)), Ty::False),
+            )
+        };
+        let body = Expr::Begin(vec![
+            Expr::ann(Expr::Var(s("x")), naming("frt_ann")),
+            Expr::lam(vec![(s("y"), naming("frt_param"))], Expr::Var(s("y"))),
+            Expr::ann(Expr::Var(s("x")), naming("x")),
+        ]);
+        let refs = free_refs(&rec_item("frt_f", "x", body));
+        assert!(refs.contains(&s("frt_ann")), "{refs:?}");
+        assert!(refs.contains(&s("frt_param")), "{refs:?}");
+        assert!(
+            !refs.contains(&s("x")),
+            "a bound name stays bound: {refs:?}"
+        );
     }
 }

@@ -42,8 +42,10 @@
 //! when its item cannot read any ledger binding:
 //!
 //! * it has an export, and neither its own name nor any of its free
-//!   references ([`crate::fingerprint::free_refs`]: term free variables
-//!   plus names in dependent signature positions) is in the ledger;
+//!   references ([`crate::fingerprint::free_refs`]: term free
+//!   variables, names in dependent signature positions, and names read
+//!   by the types written in the term — an `ann` refinement reads the
+//!   names it mentions) is in the ledger;
 //! * the current types of those free references mention no ledger
 //!   name (a signature refinement may name another module-level
 //!   define, and reading the signature reads that name);
@@ -1065,6 +1067,39 @@ mod tests {
         same_verdicts(&r3, &checker.check_module(&v1));
         assert_eq!((s3.rechecked, s3.skipped), (0, 3), "{s3:?}");
         assert_eq!(s3.dep_spliced, 2, "{s3:?}");
+    }
+
+    #[test]
+    fn deleting_a_define_named_by_an_ascription_rechecks_the_ascribing_item() {
+        // `an_d` reads `an_w` only through the refinement in its body's
+        // ascription `(ann x (Refine [n : Int] (! an_w False)))`.
+        let (x, n, w) = (
+            Symbol::intern("x"),
+            Symbol::intern("n"),
+            Symbol::intern("an_w"),
+        );
+        let refined = Ty::refine(n, Ty::Int, Prop::is_not(Obj::var(w), Ty::False));
+        let d = define("an_d", Expr::ann(Expr::Var(x), refined));
+        let v1 = vec![good("an_w"), d, good("an_m")];
+        let checker = Checker::default();
+        let (_, cache, _) = checker
+            .check_module_incremental(&all_fresh(&v1), None, &mut no_fetch)
+            .expect("cold run");
+
+        let v2 = vec![v1[1].clone(), v1[2].clone()];
+        let slots: Vec<IncrSlot> = [1, 2].into_iter().map(IncrSlot::Reused).collect();
+        let mut fetch = |i: usize| Some(v2[i].clone());
+        let (r2, _, s2) = checker
+            .check_module_incremental(&slots, Some(&cache), &mut fetch)
+            .expect("delete run");
+        same_verdicts(&r2, &checker.check_module(&v2));
+        assert_eq!(
+            r2.error_count(),
+            1,
+            "an_w ∉ False is unprovable once an_w is gone"
+        );
+        assert_eq!((s2.rechecked, s2.skipped), (1, 1), "{s2:?}");
+        assert_eq!(s2.dep_spliced, 1, "{s2:?}");
     }
 
     #[test]

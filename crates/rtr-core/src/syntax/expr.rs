@@ -446,9 +446,20 @@ impl Expr {
         }
     }
 
-    /// Collects free program variables.
+    /// Collects free program variables: those the term names, and those
+    /// named by the types written inside it (ascriptions, lambda
+    /// parameter types, `letrec` signatures), whose refinements read
+    /// program variables too. A type written at a binder is read in the
+    /// scope *outside* that binder — an over-approximation when it names
+    /// a sibling parameter, never a miss.
     pub fn free_vars(&self, out: &mut std::collections::HashSet<Symbol>) {
-        fn go(e: &Expr, bound: &mut Vec<Symbol>, out: &mut std::collections::HashSet<Symbol>) {
+        type Set = std::collections::HashSet<Symbol>;
+        fn ty_refs(t: &Ty, bound: &[Symbol], out: &mut Set) {
+            let mut fv = Set::new();
+            t.free_obj_vars(&mut fv);
+            out.extend(fv.into_iter().filter(|x| !bound.contains(x)));
+        }
+        fn go(e: &Expr, bound: &mut Vec<Symbol>, out: &mut Set) {
             match e {
                 Expr::Var(x) => {
                     if !bound.contains(x) {
@@ -463,6 +474,9 @@ impl Expr {
                 | Expr::Prim(_)
                 | Expr::Error(_) => {}
                 Expr::Lam(l) => {
+                    for (_, t) in &l.params {
+                        ty_refs(t, bound, out);
+                    }
                     let n = bound.len();
                     bound.extend(l.params.iter().map(|(x, _)| *x));
                     go(&l.body, bound, out);
@@ -485,7 +499,11 @@ impl Expr {
                     go(body, bound, out);
                     bound.pop();
                 }
-                Expr::LetRec(f, _, l, body) => {
+                Expr::LetRec(f, fty, l, body) => {
+                    ty_refs(fty, bound, out);
+                    for (_, t) in &l.params {
+                        ty_refs(t, bound, out);
+                    }
                     bound.push(*f);
                     let n = bound.len();
                     bound.extend(l.params.iter().map(|(x, _)| *x));
@@ -498,7 +516,11 @@ impl Expr {
                     go(a, bound, out);
                     go(b, bound, out);
                 }
-                Expr::Fst(a) | Expr::Snd(a) | Expr::Ann(a, _) => go(a, bound, out),
+                Expr::Fst(a) | Expr::Snd(a) => go(a, bound, out),
+                Expr::Ann(a, t) => {
+                    go(a, bound, out);
+                    ty_refs(t, bound, out);
+                }
                 Expr::Set(x, a) => {
                     if !bound.contains(x) {
                         out.insert(*x);

@@ -264,7 +264,7 @@ impl Session {
     /// checker panic that escapes the per-item isolation in
     /// `check_module` is caught here as a file-level `E0203`.
     pub fn check(&self, file: &SourceFile) -> CheckReport {
-        self.check_inner(file, &self.checker, None)
+        self.check_inner(file, &self.checker)
     }
 
     /// Like [`Session::check`], but revocable: once `token` is
@@ -273,9 +273,11 @@ impl Session {
     /// poll and stops after the item it was checking — that item comes
     /// back as an `E0202` (`limit: "cancelled"`) verdict, and the items
     /// after it are neither elaborated nor checked, so the report covers
-    /// a prefix of the file. A cancelled check never replaces the file's
-    /// cache: the next check of the file splices against the cache the
-    /// last completed check left.
+    /// a prefix of the file. A check cut short this way never replaces
+    /// the file's cache (its account of the file is incomplete): the
+    /// next check of the file splices against the cache the last
+    /// complete check left. A token revoked only after the last item has
+    /// been checked cancels nothing, and that check's cache is kept.
     ///
     /// This is the overlay entry point for editor servers: pass the
     /// unsaved buffer contents as [`SourceFile::text`] under the
@@ -285,15 +287,10 @@ impl Session {
     /// and discard the stale report.
     pub fn check_cancellable(&self, file: &SourceFile, token: &CancelToken) -> CheckReport {
         let checker = self.checker.with_cancel_token(token.clone());
-        self.check_inner(file, &checker, Some(token))
+        self.check_inner(file, &checker)
     }
 
-    fn check_inner(
-        &self,
-        file: &SourceFile,
-        checker: &Checker,
-        token: Option<&CancelToken>,
-    ) -> CheckReport {
+    fn check_inner(&self, file: &SourceFile, checker: &Checker) -> CheckReport {
         let start = Instant::now();
         // Take the file's cache out for the duration of the check: a
         // panic leaves it dropped (next check runs cold), concurrent
@@ -316,11 +313,10 @@ impl Session {
                     None,
                 )
             });
-        // A run without a textual account (`new_cache` = None) keeps
-        // the previous cache: textual matching re-validates it against
-        // whatever the file looks like next time. So does a cancelled
-        // run, whose verdicts are degraded or missing.
-        let new_cache = new_cache.filter(|_| !token.is_some_and(CancelToken::is_cancelled));
+        // A run without a complete account (`new_cache` = None: the
+        // cold path, or a cancelled check cut short) keeps the previous
+        // cache: textual matching re-validates it against whatever the
+        // file looks like next time.
         if let Some(cache) = new_cache.or(old_cache) {
             self.lock_caches().insert(file.name.clone(), cache);
         }

@@ -49,6 +49,12 @@ enum Body {
     /// `((lambda ([u<k> : Int]) (+ u<k> x)) y)` — a parameter named like
     /// a module-level definition, which may exist or be inserted later.
     Shadow(usize),
+    /// `(+ (ann y (Refine [n : Int] (isnot u<j> False))) x)` — reads
+    /// `u<j>` only through a type written in the body.
+    Ascribes(usize),
+    /// `((lambda ([p : (Refine [n : Int] (isnot u<j> False))]) (+ p x)) y)`
+    /// — reads `u<j>` only through a lambda parameter's type.
+    ParamNames(usize),
     /// `(+ x #t)` — a type error; the definition is poisoned.
     IllTyped,
     /// `(+ x zzz)` — an unbound variable; also poisoned.
@@ -109,6 +115,12 @@ fn render(items: &[Item], rng: &mut Rng) -> String {
                     Body::Calls(dep) => format!("(+ (u{dep} x y) {a})"),
                     Body::CallsConst(dep) => format!("(+ (u{dep} x 3) {a})"),
                     Body::Shadow(k) => format!("((lambda ([u{k} : Int]) (+ u{k} x)) y)"),
+                    Body::Ascribes(j) => {
+                        format!("(+ (ann y (Refine [n : Int] (isnot u{j} False))) x)")
+                    }
+                    Body::ParamNames(j) => format!(
+                        "((lambda ([p : (Refine [n : Int] (isnot u{j} False))]) (+ p x)) y)"
+                    ),
                     Body::IllTyped => "(+ x #t)".to_owned(),
                     Body::Unbound => "(+ x zzz)".to_owned(),
                 };
@@ -177,12 +189,27 @@ fn report_key(r: &CheckReport, source: &str) -> String {
 
 fn mutate(items: &mut Vec<Item>, rng: &mut Rng, fresh_name: &mut usize) {
     let names = *fresh_name;
+    // A definition that exists now, so that a body reading it only
+    // through a type is likely to see it deleted or re-signed later.
+    let defines: Vec<usize> = items
+        .iter()
+        .filter_map(|it| match it {
+            Item::Define { name, .. } => Some(*name),
+            _ => None,
+        })
+        .collect();
+    let live = match defines.len() {
+        0 => rng.next(names),
+        n => defines[rng.next(n)],
+    };
     let bodies = [
         Body::Clean,
         Body::Calls(rng.next(names)),
         Body::CallsConst(rng.next(names)),
         // Possibly the name of a definition inserted by a later step.
         Body::Shadow(rng.next(names + 4)),
+        Body::Ascribes(live),
+        Body::ParamNames(live),
         Body::IllTyped,
         Body::Unbound,
     ];
@@ -201,7 +228,7 @@ fn mutate(items: &mut Vec<Item>, rng: &mut Rng, fresh_name: &mut usize) {
             }
         }
         // Flip a definition's body shape (clean / calls / shadowing /
-        // ill-typed / unbound) — exercises poisoning going stale in both
+        // types naming a define / ill-typed / unbound) — exercises poisoning going stale in both
         // directions.
         1 => {
             let (at, shape) = (rng.next(items.len()), rng.next(bodies.len()));
@@ -349,6 +376,36 @@ fn a_disjunction_naming_a_deleted_define_forces_the_strict_rule() {
         let full = Session::new(SessionConfig::default()).check(&file);
         assert_eq!(incremental.stats.errors, if with_w { 1 } else { 2 });
         assert_eq!(report_key(&incremental, &src), report_key(&full, &src));
+    }
+}
+
+#[test]
+fn deleting_a_define_named_only_by_a_type_in_a_body_rechecks_the_reader() {
+    // `d` reads `w` only through the refinement in an ascription or in a
+    // lambda parameter's type: deleting `w` must re-check `d`, which
+    // then cannot prove `w ∉ False`.
+    let w = "(: w : [x : Int] -> Int)\n(define (w x) x)\n";
+    let reads = [
+        "(ann y (Refine [n : Int] (isnot w False)))",
+        "((lambda ([p : (Refine [n : Int] (isnot w False))]) p) y)",
+    ];
+    for body in reads {
+        let text = |with_w: bool| {
+            format!(
+                "{}(: d : [y : Int] -> Int)\n(define (d y) {body})\n\
+                 (: e : [y : Int] -> Int)\n(define (e y) y)\n",
+                if with_w { w } else { "" }
+            )
+        };
+        let warm = Session::new(SessionConfig::default());
+        for with_w in [true, false, true] {
+            let src = text(with_w);
+            let file = SourceFile::new("ann.rtr", &src);
+            let incremental = warm.check(&file);
+            let full = Session::new(SessionConfig::default()).check(&file);
+            assert_eq!(incremental.stats.errors, usize::from(!with_w), "{body}");
+            assert_eq!(report_key(&incremental, &src), report_key(&full, &src));
+        }
     }
 }
 
