@@ -129,6 +129,20 @@ fn measure(name: &'static str, samples: usize, quick: bool, mut f: impl FnMut())
     }
 }
 
+/// One warm-edit iteration: re-checks `src` against the previous
+/// iteration's `cache` and, once the cache is warm, asserts that exactly
+/// the edited definition re-checked.
+fn warm_edit(src: &str, checker: &Checker, cache: &mut Option<ModuleCache>) {
+    let was_warm = cache.is_some();
+    let (report, next, stats) = check_module_source_incremental(src, checker, cache.as_ref());
+    assert!(report.is_clean(), "the warm module checks");
+    if was_warm {
+        let s = stats.expect("the incremental path must engage");
+        assert_eq!(s.rechecked, 1, "exactly the edited definition re-checks");
+    }
+    *cache = next;
+}
+
 fn main() {
     let opts = parse_args();
     let alias16 = alias_chain_src(16);
@@ -153,6 +167,15 @@ fn main() {
         "(define (u25 x y) (+ (* 3 x) (- y 4)))",
     );
     assert_ne!(filler50_a, filler50_b, "the warm filler edit must land");
+    let filler500_a = filler_module_src(500);
+    let filler500_b = filler500_a.replace(
+        "(define (u250 x y) (+ (* 2 x) (- y 5)))",
+        "(define (u250 x y) (+ (* 3 x) (- y 5)))",
+    );
+    assert_ne!(
+        filler500_a, filler500_b,
+        "the warm filler_500 edit must land"
+    );
     let string8_a = string_module_src(8);
     let string8_b = string8_a.replace(
         "(define (digits3 s) (string-length s))",
@@ -163,6 +186,7 @@ fn main() {
     let (mut filler_cache, mut string_cache): (Option<ModuleCache>, Option<ModuleCache>) =
         (None, None);
     let (mut filler_flip, mut string_flip) = (false, false);
+    let (mut filler500_cache, mut filler500_flip): (Option<ModuleCache>, bool) = (None, false);
     // The LSP didChange round trip (PR 10): everything `rtr lsp` does
     // per keystroke except the pipe itself — frame + parse the
     // notification, incremental overlay check through the session, and
@@ -295,15 +319,22 @@ fn main() {
                 } else {
                     &filler50_a
                 };
-                let was_warm = filler_cache.is_some();
-                let (report, cache, stats) =
-                    check_module_source_incremental(src, &warm_checker, filler_cache.as_ref());
-                assert!(report.is_clean(), "warm filler checks");
-                if was_warm {
-                    let s = stats.expect("the incremental path must engage");
-                    assert_eq!(s.rechecked, 1, "exactly the edited definition re-checks");
-                }
-                filler_cache = cache;
+                warm_edit(src, &warm_checker, &mut filler_cache);
+            }),
+        ),
+        // The same one-body edit in a module ten times larger: a warm
+        // keystroke should cost O(edit), so this stays close to
+        // `warm_edit/filler_50`.
+        (
+            "warm_edit/filler_500",
+            Box::new(|| {
+                filler500_flip = !filler500_flip;
+                let src = if filler500_flip {
+                    &filler500_b
+                } else {
+                    &filler500_a
+                };
+                warm_edit(src, &warm_checker, &mut filler500_cache);
             }),
         ),
         (
@@ -359,15 +390,7 @@ fn main() {
             Box::new(|| {
                 string_flip = !string_flip;
                 let src = if string_flip { &string8_b } else { &string8_a };
-                let was_warm = string_cache.is_some();
-                let (report, cache, stats) =
-                    check_module_source_incremental(src, &warm_checker, string_cache.as_ref());
-                assert!(report.is_clean(), "warm string module checks");
-                if was_warm {
-                    let s = stats.expect("the incremental path must engage");
-                    assert_eq!(s.rechecked, 1, "exactly the edited definition re-checks");
-                }
-                string_cache = cache;
+                warm_edit(src, &warm_checker, &mut string_cache);
             }),
         ),
     ];

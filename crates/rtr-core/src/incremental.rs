@@ -118,24 +118,26 @@ use crate::diag::Diagnostic;
 use crate::env::Env;
 use crate::fingerprint::{free_refs, item_fingerprint, item_salt};
 use crate::intern::TyId;
-use crate::module::{ItemSummary, ModuleCheck, ModuleItem};
+use crate::module::{Binder, ItemSummary, ModuleCheck, ModuleItem, ModuleValue};
 use crate::mutation::mutated_vars;
-use crate::syntax::{Obj, Prop, Symbol, Ty, TyResult};
+use crate::syntax::{Obj, Symbol, Ty, TyResult};
 use crate::trace::TraceCounts;
 
-/// The reusable outcome of one *cleanly* checked item.
+/// The reusable outcome of one *cleanly* checked item. Every tree in it
+/// is shared (`Arc`) with the run that recorded it and with every run
+/// that splices it: a splice copies pointers, never types.
 #[derive(Clone, Debug)]
 struct ReuseData {
     /// The summary pushed onto [`ModuleCheck::results`].
     summary: ItemSummary,
-    /// The binder this item opened (replayed for the final lifting
-    /// substitution), if any.
-    binder: Option<(Symbol, Ty, Obj)>,
+    /// The binder this item opened (part of the prefix the module value
+    /// is lifted over), if any.
+    binder: Option<Arc<Binder>>,
     /// `Some` iff this item was recorded as the module's *last trailing
     /// expression*: its pre-lift value result. A record made in the
     /// "last" role cannot splice into a non-last slot (and vice versa) —
     /// the two roles leave different environments behind.
-    value: Option<TyResult>,
+    value: Option<Arc<TyResult>>,
 }
 
 /// What one run of the module driver learned about one item. Records
@@ -185,8 +187,9 @@ pub struct ItemCache {
     /// trailing expressions).
     records: Vec<Arc<ItemRecord>>,
     /// Value snapshot of the environment after each record's slot,
-    /// whether the item checked cleanly or was poisoned.
-    envs: Vec<Env>,
+    /// whether the item checked cleanly or was poisoned; shared with the
+    /// runs that splice the record.
+    envs: Vec<Arc<Env>>,
 }
 
 impl ItemCache {
@@ -265,16 +268,18 @@ type RunOutput = (ModuleCheck, ItemCache, TraceCounts);
 /// The state one run threads through its slots.
 #[derive(Default)]
 struct RunState {
-    /// The environment reaching the next slot.
-    env: Env,
-    /// Diagnostics, summaries and the module value so far.
+    /// The environment reaching the next slot (shared with the
+    /// snapshot of the slot that left it; a re-check copies it).
+    env: Arc<Env>,
+    /// Diagnostics and summaries so far.
     out: ModuleCheck,
     /// The binders opened along the way, innermost last. The nested
     /// encoding existentializes every module-local binding out of the
     /// final result at binder exit (T-Let's lifting substitution); the
-    /// driver replays the same lifts on the value before reporting it,
-    /// so the module's value never mentions out-of-scope names.
-    binders: Vec<(Symbol, Ty, Obj)>,
+    /// reported [`ModuleValue`] carries this prefix and replays the same
+    /// lifts when it is read, so the module's value never mentions
+    /// out-of-scope names.
+    binders: Vec<Arc<Binder>>,
     /// The first governance limit that tripped in *any* earlier item.
     /// Once set, later items ran against possibly-coarser bindings (a
     /// starved definition poisons at its declared type, weakening
@@ -419,12 +424,13 @@ impl Checker {
         fetch: &mut dyn FnMut(usize) -> Option<ModuleItem>,
     ) -> Option<RunOutput> {
         let mut st = RunState::default();
+        let mut init_env = Env::new();
         for x in &mutated {
-            st.env.mark_mutable(*x);
+            init_env.mark_mutable(*x);
         }
-        let init_env = st.env.clone();
+        st.env = Arc::new(init_env.clone());
         let mut records: Vec<Arc<ItemRecord>> = Vec::with_capacity(slots.len());
-        let mut envs: Vec<Env> = Vec::with_capacity(slots.len());
+        let mut envs: Vec<Arc<Env>> = Vec::with_capacity(slots.len());
         let trace = self.trace();
         // Names of items re-checked so far this run, for the
         // cutoff-stopped accounting.
@@ -440,6 +446,8 @@ impl Checker {
             .map(|_| Vec::new());
         let n = slots.len();
         let mut saw_trailing = false;
+        // The last trailing expression's pre-lift result, once checked.
+        let mut value: Option<Arc<TyResult>> = None;
 
         for (i, slot) in slots.iter().enumerate() {
             let last = i + 1 == n;
@@ -504,25 +512,27 @@ impl Checker {
                 // A strict splice proved the environments equal: the
                 // ledger restarts empty.
                 let names = ledger.get_or_insert_with(Vec::new);
-                let mut env = c.envs[j].clone();
-                if !names.is_empty() {
+                st.env = if names.is_empty() {
+                    Arc::clone(&c.envs[j])
+                } else {
                     trace.dep_spliced.bump();
+                    let mut env = Env::clone(&c.envs[j]);
                     env.copy_bindings(&st.env, names);
-                }
-                st.env = env;
+                    Arc::new(env)
+                };
                 old_next = j + 1;
                 st.out.results.push(ru.summary.clone());
                 if let Some(b) = &ru.binder {
-                    st.binders.push(b.clone());
+                    st.binders.push(Arc::clone(b));
                 }
                 if ru.summary.name.is_none() {
                     saw_trailing = true;
                     if let Some(v) = &ru.value {
-                        st.out.value = Some(v.clone());
+                        value = Some(Arc::clone(v));
                     }
                 }
                 records.push(Arc::clone(rec));
-                envs.push(st.env.clone());
+                envs.push(Arc::clone(&st.env));
                 continue;
             }
 
@@ -546,7 +556,10 @@ impl Checker {
             let diags_before = st.out.diagnostics.len();
             let binders_before = st.binders.len();
             let c = self.fork_item(item_salt(item));
-            let value = self.check_item(&c, item, last, &mut st);
+            let result = self.check_item(&c, item, last, &mut st);
+            if let Some(v) = &result {
+                value = Some(Arc::clone(v));
+            }
             let tripped = c.budget().tripped();
             st.degraded = st.degraded.or(tripped);
             if tripped == Some(LimitKind::Cancelled) {
@@ -595,7 +608,7 @@ impl Checker {
             let reuse = clean.then(|| ReuseData {
                 summary: st.out.results[results_before].clone(),
                 binder: st.binders.get(binders_before).cloned(),
-                value,
+                value: result,
             });
             records.push(Arc::new(ItemRecord {
                 fp: item_fingerprint(item),
@@ -605,18 +618,19 @@ impl Checker {
                 export,
                 reuse,
             }));
-            envs.push(st.env.clone());
+            envs.push(Arc::clone(&st.env));
         }
 
-        let mut out = st.out;
         if !saw_trailing {
             // The module without trailing expressions has value `#t`, as
             // in the nested encoding.
-            out.value = Some(TyResult::new(Ty::True, Prop::TT, Prop::FF, Obj::Null));
+            value = Some(Arc::new(TyResult::truthy(Ty::True, Obj::Null)));
         }
-        if let Some(v) = out.value.take() {
-            out.value = Some(v.lift_subst_all(&st.binders));
-        }
+        let mut out = st.out;
+        out.value = value.map(|result| ModuleValue {
+            result,
+            binders: st.binders.into(),
+        });
 
         let cache = ItemCache {
             epoch,
@@ -659,7 +673,7 @@ impl Checker {
         item: &ModuleItem,
         last: bool,
         st: &mut RunState,
-    ) -> Option<TyResult> {
+    ) -> Option<Arc<TyResult>> {
         let fuel = self.config().logic_fuel;
         let RunState {
             env,
@@ -667,6 +681,7 @@ impl Checker {
             binders,
             degraded,
         } = st;
+        let env = Arc::make_mut(env);
         match item {
             ModuleItem::DefineRec {
                 name,
@@ -687,7 +702,7 @@ impl Checker {
                     Ok(Ok(())) => out.results.push(ItemSummary {
                         span: None,
                         name: Some(*name),
-                        ty: Some(sig.clone()),
+                        ty: Some(Arc::new(sig.clone())),
                         poisoned: false,
                     }),
                     Ok(Err(d)) => {
@@ -706,7 +721,7 @@ impl Checker {
                         self.poison(out, d, *name, sig, *sig_node);
                     }
                 }
-                binders.push((*name, sig.clone(), Obj::Null));
+                binders.push(Arc::new((*name, sig.clone(), Obj::Null)));
                 None
             }
             ModuleItem::Define {
@@ -727,11 +742,11 @@ impl Checker {
                 let d = match caught {
                     Ok(Ok((r1, o1, mutable))) => {
                         let lift_obj = if mutable { Obj::Null } else { o1 };
-                        binders.push((*name, r1.ty.clone(), lift_obj));
+                        binders.push(Arc::new((*name, r1.ty.clone(), lift_obj)));
                         out.results.push(ItemSummary {
                             span: None,
                             name: Some(*name),
-                            ty: Some(r1.ty),
+                            ty: Some(Arc::new(r1.ty)),
                             poisoned: false,
                         });
                         return None;
@@ -747,17 +762,17 @@ impl Checker {
                 };
                 let assumed = sig.clone().unwrap_or(Ty::Top);
                 self.bind(env, *name, &assumed, fuel);
-                binders.push((*name, assumed.clone(), Obj::Null));
+                binders.push(Arc::new((*name, assumed.clone(), Obj::Null)));
                 self.poison(out, d, *name, &assumed, *sig_node);
                 None
             }
             ModuleItem::Opaque { name, ty } => {
                 self.bind(env, *name, ty, fuel);
-                binders.push((*name, ty.clone(), Obj::Null));
+                binders.push(Arc::new((*name, ty.clone(), Obj::Null)));
                 out.results.push(ItemSummary {
                     span: None,
                     name: Some(*name),
-                    ty: Some(ty.clone()),
+                    ty: Some(Arc::new(ty.clone())),
                     poisoned: true,
                 });
                 None
@@ -775,19 +790,18 @@ impl Checker {
                 let d = match caught {
                     Ok(Ok(r)) => {
                         let value = if last {
-                            out.value = Some(r.clone());
-                            Some(r)
+                            Some(Arc::new(r))
                         } else {
                             let tmp = Symbol::fresh("ignored");
                             let (o1, mutable) = self.open_let_binding(env, tmp, &r);
                             let lift_obj = if mutable { Obj::Null } else { o1 };
-                            binders.push((tmp, r.ty.clone(), lift_obj));
+                            binders.push(Arc::new((tmp, r.ty, lift_obj)));
                             None
                         };
                         out.results.push(ItemSummary {
                             span: None,
                             name: None,
-                            ty: value.as_ref().map(|r| r.ty.clone()),
+                            ty: value.as_ref().map(|r| Arc::new(r.ty.clone())),
                             poisoned: false,
                         });
                         return value;
@@ -834,7 +848,7 @@ fn reads_ledger(env: &Env, rec: &ItemRecord, names: &[Symbol]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::syntax::{Expr, Lambda, Prim};
+    use crate::syntax::{Expr, Lambda, Prim, Prop};
 
     fn int_to_int(name: &str) -> (Symbol, Ty) {
         let x = Symbol::intern("x");
@@ -943,6 +957,37 @@ mod tests {
         assert!(s3.rechecked >= 1, "{s3:?}");
         assert!(s3.skipped >= 1, "{s3:?}");
         assert!(cache3.records[1].reuse.is_none());
+    }
+
+    #[test]
+    fn a_splice_shares_the_recorded_summary_types_and_binders() {
+        let v1 = vec![good("pe_a"), good("pe_b"), good("pe_c")];
+        let checker = Checker::default();
+        let (_, cache, _) = checker
+            .check_module_incremental(&all_fresh(&v1), None, &mut no_fetch)
+            .expect("cold run");
+        let slots: Vec<IncrSlot> = (0..3).map(IncrSlot::Reused).collect();
+        let (r2, _, s2) = checker
+            .check_module_incremental(&slots, Some(&cache), &mut no_fetch)
+            .expect("all-splice run");
+        assert_eq!(s2.skipped, 3, "{s2:?}");
+        let value = r2
+            .value
+            .expect("a module without trailing expressions has #t");
+        assert_eq!(value.binders.len(), 3);
+        for (k, rec) in cache.records.iter().enumerate() {
+            let ru = rec.reuse.as_ref().expect("clean items are cached");
+            let (got, recorded) = (r2.results[k].ty.as_ref(), ru.summary.ty.as_ref());
+            assert!(
+                Arc::ptr_eq(got.expect("spliced type"), recorded.expect("recorded type")),
+                "result {k}'s type was copied, not shared"
+            );
+            let binder = ru.binder.as_ref().expect("a define opens a binder");
+            assert!(
+                Arc::ptr_eq(&value.binders[k], binder),
+                "binder {k} was copied, not shared"
+            );
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use crate::check::Checker;
 use crate::diag::{Diagnostic, NodeId, Span};
 use crate::incremental::Slot;
-use crate::syntax::{Expr, Lambda, Symbol, Ty, TyResult};
+use crate::syntax::{Expr, Lambda, Obj, Symbol, Ty, TyResult};
 use crate::trace::TraceCounts;
 
 /// One top-level form of an elaborated module.
@@ -110,8 +110,9 @@ pub struct ItemSummary {
     /// The defined name (`None` for trailing expressions).
     pub name: Option<Symbol>,
     /// The type the item was recorded at: the synthesized type for
-    /// successful items, the declared type for poisoned ones.
-    pub ty: Option<Ty>,
+    /// successful items, the declared type for poisoned ones. Shared
+    /// with the item cache, so a spliced summary is a pointer copy.
+    pub ty: Option<Arc<Ty>>,
     /// Did this item fail to check, leaving its binding assumed at its
     /// declared type?
     pub poisoned: bool,
@@ -134,9 +135,35 @@ pub struct ModuleCheck {
     /// Per-item outcomes, definitions first then trailing expressions
     /// (the order they are checked in).
     pub results: Vec<ItemSummary>,
-    /// The type-result of the module's final trailing expression (the
-    /// module's value), when it checked.
-    pub value: Option<TyResult>,
+    /// The module's value before its exit lift, when the final trailing
+    /// expression checked; [`ModuleValue::lift`] closes it.
+    pub value: Option<ModuleValue>,
+}
+
+/// One binder a module item opened, as the module-exit lift replays it:
+/// the bound name, its type, and the object the name lifts to
+/// (`Obj::Null` existentializes it).
+pub type Binder = (Symbol, Ty, Obj);
+
+/// A module's value before its exit lift: the type-result of the final
+/// trailing expression (`#t` for a module without one) and the binders
+/// the run opened, outermost first, shared with the run's item cache.
+/// The lift is computed only when the value is read.
+#[derive(Clone, Debug)]
+pub struct ModuleValue {
+    pub(crate) result: Arc<TyResult>,
+    pub(crate) binders: Arc<[Arc<Binder>]>,
+}
+
+impl ModuleValue {
+    /// The module's value closed over its definitions: the lifting
+    /// substitution `R[x ⟹τ o]` (§3.2) of every binder, as the nested
+    /// encoding applies at each binder exit, so the result never
+    /// mentions a module-local name. Every call mints fresh names for
+    /// the existentialized binders.
+    pub fn lift(&self) -> TyResult {
+        TyResult::clone(&self.result).lift_subst_all(&self.binders)
+    }
 }
 
 impl ModuleCheck {
@@ -203,7 +230,7 @@ impl Checker {
         out.results.push(ItemSummary {
             span: None,
             name: Some(name),
-            ty: Some(assumed.clone()),
+            ty: Some(Arc::new(assumed.clone())),
             poisoned: true,
         });
     }
@@ -281,7 +308,8 @@ mod tests {
         assert_eq!(mc.error_count(), 1);
         let value = mc
             .value
-            .expect("trailing expr checks against the poisoned f");
+            .expect("trailing expr checks against the poisoned f")
+            .lift();
         assert_eq!(value.ty, Ty::Int);
     }
 
@@ -296,13 +324,13 @@ mod tests {
         ];
         let mc = Checker::default().check_module(&items);
         assert!(mc.is_clean());
-        assert_eq!(mc.value.expect("value").ty, Ty::Int);
+        assert_eq!(mc.value.expect("value").lift().ty, Ty::Int);
     }
 
     #[test]
     fn empty_module_value_is_true() {
         let mc = Checker::default().check_module(&[]);
         assert!(mc.is_clean());
-        assert_eq!(mc.value.expect("value").ty, Ty::True);
+        assert_eq!(mc.value.expect("value").lift().ty, Ty::True);
     }
 }

@@ -9,6 +9,7 @@
 //! implementation propagates them upward rather than eagerly simplifying
 //! (§4.1, "propagating existentials").
 
+use std::borrow::Borrow;
 use std::fmt;
 
 use super::obj::Obj;
@@ -116,8 +117,9 @@ impl TyResult {
     /// each binder's mention check is a set lookup, each quantifier type
     /// is walked once when minted — and assembles the final prefix in
     /// one splice. The output is identical, fresh-name minting order
-    /// included.
-    pub fn lift_subst_all(self, binders: &[(Symbol, Ty, Obj)]) -> TyResult {
+    /// included. The binders are read in place, so a prefix of shared
+    /// (`Arc`) binders is never copied.
+    pub fn lift_subst_all<B: Borrow<(Symbol, Ty, Obj)>>(self, binders: &[B]) -> TyResult {
         if binders.is_empty() {
             return self;
         }
@@ -138,7 +140,7 @@ impl TyResult {
         // Quantifiers are minted innermost binder first (matching the
         // fold) and reversed into source order at the end.
         let mut minted: Vec<(Symbol, Ty)> = Vec::with_capacity(binders.len());
-        for (x, ty, o) in binders.iter().rev() {
+        for (x, ty, o) in binders.iter().rev().map(Borrow::borrow) {
             if o.is_null() {
                 let fresh = Symbol::fresh(x.as_str());
                 if free.contains(x) {

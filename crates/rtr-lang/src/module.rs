@@ -38,7 +38,7 @@ use std::sync::Arc;
 use rtr_core::check::Checker;
 use rtr_core::diag::{Code, Diagnostic, SpanTable};
 use rtr_core::interp::{eval_program, EvalError, Value};
-use rtr_core::module::{ItemSummary, ModuleItem};
+use rtr_core::module::{ItemSummary, ModuleItem, ModuleValue};
 use rtr_core::syntax::{Expr, Lambda, Symbol, Ty, TyResult};
 use rtr_core::trace::TraceCounts;
 
@@ -458,15 +458,16 @@ pub fn check_source(src: &str, checker: &Checker) -> Result<TyResult, LangError>
 /// Everything learned from checking one module's source: located
 /// diagnostics (reader, syntax, warnings and type errors — *all* of
 /// them, thanks to the recovering checker), per-item outcomes and the
-/// module's value type.
+/// module's value.
 #[derive(Clone, Debug, Default)]
 pub struct ModuleReport {
     /// All diagnostics in source-processing order, spans resolved.
     pub diagnostics: Vec<Diagnostic>,
     /// Per-item outcomes (definitions first, then trailing expressions).
     pub results: Vec<ItemSummary>,
-    /// The type-result of the module's final trailing expression.
-    pub value: Option<TyResult>,
+    /// The module's value before its exit lift, when the final trailing
+    /// expression checked; [`ModuleValue::lift`] closes it.
+    pub value: Option<ModuleValue>,
 }
 
 impl ModuleReport {
@@ -724,7 +725,7 @@ mod tests {
         let src = "(define b #t) (if b 1 2)";
         let report = check_module_source(src, &checker());
         assert!(report.is_clean());
-        let value = report.value.expect("value");
+        let value = report.value.expect("value").lift();
         let strict = check_source(src, &checker()).expect("checks");
         // The existentialized binder is freshened per elaboration run
         // (`b%24` vs `b%25`), so compare modulo the fresh suffix.

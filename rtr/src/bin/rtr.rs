@@ -335,7 +335,7 @@ fn check_command(opts: &Options) -> ExitCode {
             eprint!("{}", report.render_human(&source.text));
             if report.is_clean() {
                 match (&report.value, single) {
-                    (Some(v), true) => println!("{v}"),
+                    (Some(v), true) => println!("{}", v.lift()),
                     _ => println!(
                         "{}: ok ({} definition{})",
                         report.file,

@@ -220,7 +220,7 @@ fn report_json(r: &CheckReport) -> String {
         "{{\n      \"name\": {},\n      \"clean\": {},\n      \"items\": [{items}],\n      \"value_type\": {},\n      \"diagnostics\": [\n        {diagnostics}\n      ],\n      \"stats\": {{\"definitions\": {}, \"errors\": {}, \"warnings\": {}, \"elapsed_us\": {}{incr}}}\n    }}",
         str_lit(&r.file),
         r.is_clean(),
-        opt_str(r.value.as_ref().map(|v| v.ty.to_string())),
+        opt_str(r.value.as_ref().map(|v| v.lift().ty.to_string())),
         r.stats.definitions,
         r.stats.errors,
         r.stats.warnings,

@@ -32,8 +32,7 @@ use rtr_core::budget::CancelToken;
 use rtr_core::check::Checker;
 use rtr_core::config::CheckerConfig;
 use rtr_core::diag::{Diagnostic, Severity};
-use rtr_core::module::ItemSummary;
-use rtr_core::syntax::TyResult;
+use rtr_core::module::{ItemSummary, ModuleValue};
 use rtr_core::trace::TraceCounts;
 use rtr_lang::{check_module_source_incremental, ModuleCache};
 
@@ -134,8 +133,9 @@ pub struct CheckReport {
     pub results: Vec<ItemSummary>,
     /// Every diagnostic, spans resolved into the surface source.
     pub diagnostics: Vec<Diagnostic>,
-    /// The type-result of the module's final trailing expression.
-    pub value: Option<TyResult>,
+    /// The module's value before its exit lift, when the final trailing
+    /// expression checked; [`ModuleValue::lift`] closes it.
+    pub value: Option<ModuleValue>,
     /// Tallies and timing.
     pub stats: CheckStats,
 }

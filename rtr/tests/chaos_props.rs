@@ -84,7 +84,7 @@ fn fingerprint(r: &CheckReport) -> String {
     }
     out.push_str(&format!(
         "value={:?}\n",
-        r.value.as_ref().map(|v| v.ty.to_string())
+        r.value.as_ref().map(|v| v.lift().ty.to_string())
     ));
     out
 }

@@ -32,8 +32,45 @@ fn check_prints_the_type_result() {
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("Int"), "unexpected output: {stdout}");
+    // The module value, closed over `max` by the exit lift; the
+    // existential's fresh suffix depends on the process, so it is
+    // dropped before comparing.
+    assert_eq!(
+        without_fresh_suffixes(&String::from_utf8_lossy(&out.stdout)),
+        "∃max%:([x : Int], [y : Int] → ({z : Int | ((x ≤ z) ∧ (y ≤ z))} ; tt | tt ; ∅)). \
+         ({z : Int | ((3 ≤ z) ∧ (7 ≤ z))} ; tt | tt ; ∅)\n"
+    );
+
+    let out = rtr()
+        .args(["check", "--json"])
+        .arg(&path)
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+    let doc = rtr::json::parse(&String::from_utf8_lossy(&out.stdout)).expect("valid JSON");
+    let value_type = doc
+        .get("files")
+        .and_then(|f| f.as_array()?.first()?.get("value_type")?.as_str())
+        .map(without_fresh_suffixes);
+    assert_eq!(
+        value_type.as_deref(),
+        Some("{z : Int | ((3 ≤ z) ∧ (7 ≤ z))}")
+    );
+}
+
+/// `text` with the digits after every `%` (fresh-name suffixes) removed.
+fn without_fresh_suffixes(text: &str) -> String {
+    let mut out = String::new();
+    let mut fresh = false;
+    for c in text.chars() {
+        fresh = match c {
+            '%' => true,
+            _ if fresh && c.is_ascii_digit() => continue,
+            _ => false,
+        };
+        out.push(c);
+    }
+    out
 }
 
 #[test]

@@ -176,7 +176,9 @@ fn report_key(r: &CheckReport, source: &str) -> String {
     }
     out.push_str(&format!(
         "value {:?}\n",
-        r.value.as_ref().map(|v| normalize(&v.ty.to_string()))
+        r.value
+            .as_ref()
+            .map(|v| normalize(&v.lift().ty.to_string()))
     ));
     out.push_str(&format!(
         "clean {} errors {}\n",
