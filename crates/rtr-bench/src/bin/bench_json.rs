@@ -29,7 +29,8 @@ use std::time::{Duration, Instant};
 
 use rtr_bench::{
     alias_chain_src, bv_chain_src, dot_prod_module_src, filler_module_src, many_errors_module_src,
-    narrowing_chain_src, string_module_src, xtime_module_src, DOT_PROD_SRC, MAX_SRC, XTIME_SRC,
+    narrowing_chain_src, string_module_src, values_module_src, xtime_module_src, DOT_PROD_SRC,
+    MAX_SRC, XTIME_SRC,
 };
 use rtr_core::check::Checker;
 use rtr_lang::{check_module_source, check_module_source_incremental, check_source, ModuleCache};
@@ -129,18 +130,23 @@ fn measure(name: &'static str, samples: usize, quick: bool, mut f: impl FnMut())
     }
 }
 
-/// One warm-edit iteration: re-checks `src` against the previous
-/// iteration's `cache` and, once the cache is warm, asserts that exactly
-/// the edited definition re-checked.
-fn warm_edit(src: &str, checker: &Checker, cache: &mut Option<ModuleCache>) {
-    let was_warm = cache.is_some();
-    let (report, next, stats) = check_module_source_incremental(src, checker, cache.as_ref());
-    assert!(report.is_clean(), "the warm module checks");
-    if was_warm {
-        let s = stats.expect("the incremental path must engage");
-        assert_eq!(s.rechecked, 1, "exactly the edited definition re-checks");
-    }
-    *cache = next;
+/// A warm-edit workload: each iteration re-checks the next of `a` and
+/// `b` (alternating) against the previous iteration's cache and, once
+/// the cache is warm, asserts that exactly the edited definition
+/// re-checked.
+fn warm_edit<'a>(a: &'a str, b: &'a str, checker: &'a Checker) -> Box<dyn FnMut() + 'a> {
+    let (mut cache, mut flip): (Option<ModuleCache>, bool) = (None, false);
+    Box::new(move || {
+        flip = !flip;
+        let src = if flip { b } else { a };
+        let (report, next, stats) = check_module_source_incremental(src, checker, cache.as_ref());
+        assert!(report.is_clean(), "the warm module checks");
+        if cache.is_some() {
+            let s = stats.expect("the incremental path must engage");
+            assert_eq!(s.rechecked, 1, "exactly the edited definition re-checks");
+        }
+        cache = next;
+    })
 }
 
 fn main() {
@@ -176,6 +182,14 @@ fn main() {
         filler500_a, filler500_b,
         "the warm filler_500 edit must land"
     );
+    // Flip one unannotated value define's constant: its alias changes,
+    // nothing reads it, and every other item splices past it.
+    let values500_a = values_module_src(500);
+    let values500_b = values500_a.replace("(define k250 5)\n", "(define k250 6)\n");
+    assert_ne!(
+        values500_a, values500_b,
+        "the warm values_500 edit must land"
+    );
     let string8_a = string_module_src(8);
     let string8_b = string8_a.replace(
         "(define (digits3 s) (string-length s))",
@@ -183,10 +197,6 @@ fn main() {
     );
     assert_ne!(string8_a, string8_b, "the warm string edit must land");
     let warm_checker = Checker::default();
-    let (mut filler_cache, mut string_cache): (Option<ModuleCache>, Option<ModuleCache>) =
-        (None, None);
-    let (mut filler_flip, mut string_flip) = (false, false);
-    let (mut filler500_cache, mut filler500_flip): (Option<ModuleCache>, bool) = (None, false);
     // The LSP didChange round trip (PR 10): everything `rtr lsp` does
     // per keystroke except the pipe itself — frame + parse the
     // notification, incremental overlay check through the session, and
@@ -312,30 +322,18 @@ fn main() {
         // built for. Compare against the cold module workloads above.
         (
             "warm_edit/filler_50",
-            Box::new(|| {
-                filler_flip = !filler_flip;
-                let src = if filler_flip {
-                    &filler50_b
-                } else {
-                    &filler50_a
-                };
-                warm_edit(src, &warm_checker, &mut filler_cache);
-            }),
+            warm_edit(&filler50_a, &filler50_b, &warm_checker),
         ),
         // The same one-body edit in a module ten times larger: a warm
         // keystroke should cost O(edit), so this stays close to
         // `warm_edit/filler_50`.
         (
             "warm_edit/filler_500",
-            Box::new(|| {
-                filler500_flip = !filler500_flip;
-                let src = if filler500_flip {
-                    &filler500_b
-                } else {
-                    &filler500_a
-                };
-                warm_edit(src, &warm_checker, &mut filler500_cache);
-            }),
+            warm_edit(&filler500_a, &filler500_b, &warm_checker),
+        ),
+        (
+            "warm_edit/values_500",
+            warm_edit(&values500_a, &values500_b, &warm_checker),
         ),
         (
             "lsp_edit/filler_50",
@@ -387,11 +385,7 @@ fn main() {
         ),
         (
             "warm_edit/string_8",
-            Box::new(|| {
-                string_flip = !string_flip;
-                let src = if string_flip { &string8_b } else { &string8_a };
-                warm_edit(src, &warm_checker, &mut string_cache);
-            }),
+            warm_edit(&string8_a, &string8_b, &warm_checker),
         ),
     ];
 

@@ -169,17 +169,30 @@ pub fn string_module_src(n: usize) -> String {
     out
 }
 
+/// The `k`-th definition of [`filler_module_src`].
+fn filler_define(k: usize) -> String {
+    format!(
+        "(: u{k} : [x : Int] [y : Int] -> Int)\n\
+         (define (u{k} x y) (+ (* 2 x) (- y {})))\n",
+        k % 7
+    )
+}
+
 /// A module of `n` simple well-typed definitions (checker throughput).
 pub fn filler_module_src(n: usize) -> String {
-    let mut out = String::new();
-    for k in 0..n {
-        out.push_str(&format!(
-            "(: u{k} : [x : Int] [y : Int] -> Int)\n\
-             (define (u{k} x y) (+ (* 2 x) (- y {})))\n",
-            k % 7
-        ));
-    }
-    out
+    (0..n).map(filler_define).collect()
+}
+
+/// [`filler_module_src`] with every fifth definition replaced by an
+/// unannotated value define `(define k<k> c)`, whose only effect on the
+/// environment is an alias: the warm-edit workload for value defines.
+pub fn values_module_src(n: usize) -> String {
+    (0..n)
+        .map(|k| match k % 5 {
+            0 => format!("(define k{k} {})\n", k % 7),
+            _ => filler_define(k),
+        })
+        .collect()
 }
 
 /// A module of `n` definitions where every third one is ill-typed — the
@@ -227,6 +240,7 @@ mod tests {
         });
         assert!(check_source(&narrowing_chain_src(6), &pure).is_ok());
         assert!(check_source(&filler_module_src(5), &c).is_ok());
+        assert!(check_source(&values_module_src(10), &c).is_ok());
         assert!(check_source(&dot_prod_module_src(2), &c).is_ok());
         assert!(check_source(&xtime_module_src(2), &c).is_ok());
         assert!(check_source(&bv_chain_src(4), &c).is_ok());

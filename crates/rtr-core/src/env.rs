@@ -122,87 +122,85 @@ impl Env {
         self.generation = next_generation();
     }
 
-    /// Do two environments hold exactly the same facts?
+    /// The names whose entries differ between two environments: a type
+    /// binding, an alias from the name, or a negative fact about a path
+    /// rooted at it. `None` when a fact keyed by no name differs: a
+    /// disjunction, a theory literal, a pending atom, the mutability
+    /// marks or absurdity. The `generation`/`lin_epoch` stamps only key
+    /// memo tables and are ignored.
     ///
-    /// Compares the *semantic* fields only — the stored types, aliases,
-    /// negative facts, theory literals, disjunctions, pending atoms,
-    /// mutability set and absurdity flag. The `generation`/`lin_epoch`
-    /// identity stamps are deliberately ignored: they key memo tables,
-    /// so two value-equal environments with different stamps behave
-    /// identically in every judgment (at worst a cache miss recomputes
-    /// the same verdict). The incremental module driver uses this as its
-    /// splice guard: a cached item verdict may be replayed exactly when
-    /// the environment it would be re-checked in holds the same facts as
-    /// the one it was recorded under.
-    ///
-    /// Every `Arc`-shared field gets a pointer-equality fast path and
-    /// the persistent maps compare shared subtrees by pointer, so
-    /// comparing an environment against the snapshot it was cloned from
-    /// costs only what was written since.
-    pub fn same_contents(&self, other: &Env) -> bool {
-        (self.generation == other.generation)
-            || (self.types.same_entries(&other.types) && self.same_facts(other))
-    }
-
-    /// Do two environments agree on everything but the `types` map?
-    fn same_facts(&self, other: &Env) -> bool {
+    /// Shared `Arc` fields and shared map subtrees are skipped by
+    /// pointer, so diffing an environment against the snapshot it was
+    /// cloned from costs only what was written since.
+    pub fn diff(&self, other: &Env) -> Option<Vec<Symbol>> {
         fn arc_eq<T: PartialEq + ?Sized>(a: &Arc<T>, b: &Arc<T>) -> bool {
             Arc::ptr_eq(a, b) || **a == **b
         }
-        self.absurd == other.absurd
-            && self.aliases.same_entries(&other.aliases)
-            && arc_eq(&self.negs, &other.negs)
+        let unkeyed_same = self.absurd == other.absurd
             && arc_eq(&self.disjs, &other.disjs)
             && arc_eq(&self.lin_facts, &other.lin_facts)
             && arc_eq(&self.bv_facts, &other.bv_facts)
             && arc_eq(&self.str_facts, &other.str_facts)
             && arc_eq(&self.pending, &other.pending)
-            && arc_eq(&self.mutables, &other.mutables)
-    }
-
-    /// `Some(t)` iff this environment is `before` plus exactly one new
-    /// binding `x : t`: `x` was unbound (no type, no alias) and not
-    /// mutable in `before`, and every other fact — the other bindings,
-    /// aliases, negative facts, disjunctions, theory literals, pending
-    /// atoms, mutability marks and absurdity — is unchanged. The
-    /// incremental module driver records this as an item's *export*.
-    pub fn added_binding(&self, before: &Env, x: Symbol) -> Option<TyId> {
-        if before.aliases.contains_key(x) || before.is_mutable(x) || !self.same_facts(before) {
+            && arc_eq(&self.mutables, &other.mutables);
+        if !unkeyed_same {
             return None;
         }
-        self.types.extends(&before.types, x)
+        let mut names = self.types.diff(&other.types);
+        names.extend(self.aliases.diff(&other.aliases));
+        if !Arc::ptr_eq(&self.negs, &other.negs) {
+            let changed = |a: &HashMap<Path, Vec<TyId>>, b: &HashMap<Path, Vec<TyId>>| {
+                let ps = a.iter().filter(|(p, ts)| b.get(*p) != Some(*ts));
+                ps.map(|(p, _)| p.base).collect::<Vec<_>>()
+            };
+            names.extend(changed(&self.negs, &other.negs));
+            names.extend(changed(&other.negs, &self.negs));
+        }
+        names.sort_unstable();
+        names.dedup();
+        Some(names)
     }
 
-    /// Makes `names` bound exactly as in `from` — rebound at `from`'s
-    /// type, or unbound where `from` has no type — touching nothing
-    /// else. Unlike [`Env::unbind`] no other fact is rewritten: the
-    /// incremental module driver uses this to carry this run's versions
-    /// of the bindings that differ from a cached snapshot, which it has
-    /// checked no other fact mentions.
+    /// Makes the entries of `names` (type binding, alias and negative
+    /// facts) exactly as in `from`, touching nothing else. Unlike
+    /// [`Env::unbind`] no other fact is rewritten: the incremental module
+    /// driver uses this to carry this run's versions of the entries that
+    /// differ from a cached snapshot, which it has checked no other fact
+    /// mentions.
     pub fn copy_bindings(&mut self, from: &Env, names: &[Symbol]) {
+        self.touch();
         for &x in names {
-            match from.raw_ty_id(x) {
-                Some(t) => self.set_ty_id(x, t),
-                None => {
-                    if self.types.remove(x).is_some() {
-                        self.touch();
-                    }
-                }
-            }
+            match from.types.get(x) {
+                Some(t) => self.types.insert(x, *t),
+                None => self.types.remove(x),
+            };
+            match from.aliases.get(x) {
+                Some(o) => self.aliases.insert(x, *o),
+                None => self.aliases.remove(x),
+            };
+        }
+        let own = |p: &Path| names.contains(&p.base);
+        if !Arc::ptr_eq(&self.negs, &from.negs)
+            && (self.negs.keys().any(own) || from.negs.keys().any(own))
+        {
+            let theirs = from.negs.iter().filter(|(p, _)| own(p));
+            let negs = Arc::make_mut(&mut self.negs);
+            negs.retain(|p, _| !own(p));
+            negs.extend(theirs.map(|(p, ts)| (p.clone(), ts.clone())));
         }
     }
 
-    /// Does any fact other than the type bindings mention `x`: an alias
-    /// from or to it, a negative fact, a stored disjunction, a theory
-    /// literal or a pending atom?
+    /// Does any fact other than `x`'s own entries (its type, its alias
+    /// and the negative facts about paths rooted at it) mention `x`: an
+    /// alias to it, a negative fact about another name, a stored
+    /// disjunction, a theory literal or a pending atom?
     pub fn facts_mention(&self, x: Symbol) -> bool {
         use crate::intern::{objs_mentioning, props_mentioning, tys_mentioning};
         let aliased = !self.aliases.is_empty()
-            && (self.aliases.contains_key(x)
-                || objs_mentioning(x, self.aliases.iter().map(|(_, o)| *o)).contains(&true));
+            && objs_mentioning(x, self.aliases.iter().map(|(_, o)| *o)).contains(&true);
+        let others = self.negs.iter().filter(|(p, _)| p.base != x);
         let negated = !self.negs.is_empty()
-            && (self.negs.keys().any(|p| p.base == x)
-                || tys_mentioning(x, self.negs.values().flatten().copied()).contains(&true));
+            && tys_mentioning(x, others.flat_map(|(_, ts)| ts.iter().copied())).contains(&true);
         let split = !self.disjs.is_empty()
             && props_mentioning(x, self.disjs.iter().flat_map(|&(p, q)| [p, q])).contains(&true);
         let pending = !self.pending.is_empty()
@@ -215,6 +213,24 @@ impl Env {
             || self.lin_facts.iter().any(|a| a.mentions_var(x))
             || self.bv_facts.iter().any(|a| a.mentions_var(x))
             || self.str_facts.iter().any(|a| a.mentions_var(x))
+    }
+
+    /// The names `x`'s own entries (its type, its alias and the negative
+    /// facts about paths rooted at it) mention, with repeats.
+    pub fn entry_vars(&self, x: Symbol) -> Vec<Symbol> {
+        let negs = self.negs.iter().filter(|(p, _)| p.base == x);
+        let tys = self
+            .types
+            .get(x)
+            .into_iter()
+            .chain(negs.flat_map(|(_, ts)| ts));
+        let mut vars: Vec<Symbol> = tys.flat_map(|t| t.free_obj_vars().to_vec()).collect();
+        let mut alias = HashSet::new();
+        self.aliases
+            .get(x)
+            .inspect(|o| o.get().free_vars(&mut alias));
+        vars.extend(alias);
+        vars
     }
 
     /// Marks `x` as mutable (no symbolic object, §4.2).
@@ -509,6 +525,7 @@ impl Env {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::syntax::Prop;
 
     fn s(name: &str) -> Symbol {
         Symbol::intern(name)
@@ -573,7 +590,7 @@ mod tests {
     }
 
     #[test]
-    fn same_contents_ignores_identity_stamps() {
+    fn diff_ignores_identity_stamps() {
         let mut a = Env::new();
         a.set_ty(s("sc_x"), Ty::Int);
         a.mark_mutable(s("sc_m"));
@@ -583,51 +600,72 @@ mod tests {
         // Different generations (each mutation stamps a fresh one), same
         // facts.
         assert_ne!(a.generation(), b.generation());
-        assert!(a.same_contents(&b));
-        assert!(a.same_contents(&a.clone()), "snapshot fast path");
+        assert_eq!(a.diff(&b), Some(vec![]));
+        assert_eq!(a.diff(&a.clone()), Some(vec![]), "snapshot fast path");
         b.set_ty(s("sc_x"), Ty::bool_ty());
-        assert!(!a.same_contents(&b));
+        assert_eq!(a.diff(&b), Some(vec![s("sc_x")]));
         b.set_ty(s("sc_x"), Ty::Int);
-        assert!(a.same_contents(&b));
+        assert_eq!(a.diff(&b), Some(vec![]));
         b.mark_absurd();
-        assert!(!a.same_contents(&b));
+        assert_eq!(a.diff(&b), None, "absurdity is keyed by no name");
     }
 
     #[test]
-    fn added_binding_sees_one_new_name_and_nothing_else() {
+    fn diff_names_each_keyed_entry_and_nothing_else() {
         let mut before = Env::new();
         before.set_ty(s("ab_a"), Ty::Int);
         let mut after = before.clone();
         after.set_ty(s("ab_f"), Ty::bool_ty());
-        let t = TyId::of(&Ty::bool_ty());
-        assert_eq!(after.added_binding(&before, s("ab_f")), Some(t));
-        assert_eq!(after.added_binding(&before, s("ab_a")), None);
-        // A rebinding is not an addition.
+        assert_eq!(after.diff(&before), Some(vec![s("ab_f")]));
+        // A rebinding differs in the rebound name.
         let mut rebound = before.clone();
         rebound.set_ty(s("ab_a"), Ty::bool_ty());
-        assert_eq!(rebound.added_binding(&before, s("ab_a")), None);
-        // Any other fact spoils it.
+        assert_eq!(rebound.diff(&before), Some(vec![s("ab_a")]));
+        // Negative facts and aliases are keyed by their name.
         let mut noisy = after.clone();
         noisy.add_neg(Path::var(s("ab_a")), TyId::of(&Ty::bool_ty()));
-        assert_eq!(noisy.added_binding(&before, s("ab_f")), None);
+        let mut both = vec![s("ab_a"), s("ab_f")];
+        both.sort_unstable();
+        assert_eq!(noisy.diff(&before), Some(both));
         let mut aliased = after.clone();
         aliased.add_alias(s("ab_g"), Obj::var(s("ab_a")));
-        assert_eq!(aliased.added_binding(&before, s("ab_f")), None);
+        let mut both = vec![s("ab_f"), s("ab_g")];
+        both.sort_unstable();
+        assert_eq!(aliased.diff(&before), Some(both));
+        // `ab_g`'s alias mentions `ab_a`; a name's own entries do not
+        // count as mentions.
         assert!(aliased.facts_mention(s("ab_a")));
+        assert!(!aliased.facts_mention(s("ab_g")));
+        assert!(!noisy.facts_mention(s("ab_a")));
         assert!(!after.facts_mention(s("ab_a")));
+        // A disjunction is keyed by no name.
+        let mut split = after.clone();
+        let p = PropId::of(&Prop::is(Obj::var(s("ab_a")), Ty::Int));
+        split.add_disj(p, p);
+        assert_eq!(split.diff(&after), None);
     }
 
     #[test]
     fn copy_bindings_rebinds_and_unbinds_only_the_named_entries() {
         let mut from = Env::new();
         from.set_ty(s("cb_x"), Ty::Int);
+        from.add_alias(s("cb_a"), Obj::int(5));
+        from.add_neg(Path::var(s("cb_x")), TyId::of(&Ty::False));
         let mut to = Env::new();
         to.set_ty(s("cb_y"), Ty::Int);
         to.set_ty(s("cb_z"), Ty::bool_ty());
-        to.copy_bindings(&from, &[s("cb_x"), s("cb_y")]);
+        to.add_neg(Path::var(s("cb_y")), TyId::of(&Ty::False));
+        let names = [s("cb_x"), s("cb_y"), s("cb_a")];
+        to.copy_bindings(&from, &names);
         assert_eq!(to.raw_ty(s("cb_x")).as_deref(), Some(&Ty::Int));
         assert!(to.raw_ty_id(s("cb_y")).is_none());
         assert_eq!(to.raw_ty(s("cb_z")).as_deref(), Some(&Ty::bool_ty()));
+        assert_eq!(to.resolve(&Obj::var(s("cb_a"))), Obj::int(5));
+        assert_eq!(to.negs_of(&Path::var(s("cb_x"))), &[TyId::of(&Ty::False)]);
+        assert!(to.negs_of(&Path::var(s("cb_y"))).is_empty());
+        let mut d = to.diff(&from).expect("only keyed entries differ");
+        d.retain(|x| names.contains(x));
+        assert!(d.is_empty(), "the copied entries agree with `from`: {d:?}");
     }
 
     #[test]
@@ -642,7 +680,7 @@ mod tests {
 
     #[test]
     fn unbind_rewrites_types_that_mention_x() {
-        use crate::syntax::{LinCmp, Prop};
+        use crate::syntax::LinCmp;
         let mut env = Env::new();
         let x = s("ub2_x");
         let y = s("ub2_y");
@@ -662,7 +700,7 @@ mod tests {
 
     #[test]
     fn unbind_drops_aliases_and_facts_mentioning_x() {
-        use crate::syntax::{LinCmp, Prop};
+        use crate::syntax::LinCmp;
         let mut env = Env::new();
         let x = s("ub3_x");
         let y = s("ub3_y");

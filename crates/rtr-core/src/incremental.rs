@@ -16,67 +16,61 @@
 //! inputs: the item's elaborated core term and the **value** of the
 //! environment it is checked under. The checker judgements consult
 //! nothing else — `generation`/`lin_epoch` stamps key memo tables and
-//! never change a verdict (see [`Env::same_contents`]). A cached record
-//! may therefore replace re-checking item *i* when the item's term is
-//! unchanged (same fingerprint / same source text), its trailing role
-//! is unchanged, and the environment reaching slot *i* looks the same
-//! *to that item* as the one the record was made under. Two rules
-//! establish the last condition.
+//! never change a verdict. A cached record may therefore replace
+//! re-checking item *i* when the item's term is unchanged (same
+//! fingerprint / same source text), its trailing role is unchanged, and
+//! the environment reaching slot *i* looks the same *to that item* as
+//! the one the record was made under.
 //!
-//! **The dependency rule.** The driver aligns this run with the old
-//! one: each slot with the old record it claims (or, for a changed
-//! slot, the next old record if the fingerprints agree), the old
-//! records a claim jumps over counting as deleted. It keeps a *ledger*:
-//! the names whose binding differs between this run's environment and
-//! the old run's at the aligned point, every other fact being equal.
-//! The ledger stays exact as long as every item involved has an
-//! *export* — its only effect on the environment was binding one
-//! previously unbound, non-mutable name ([`Env::added_binding`]):
+//! The environment is the paper's hybrid Γ (§4.1): a type map plus
+//! facts, most of them keyed by a name (its alias, and the negative
+//! facts about paths rooted at it). [`Env::diff`] compares two
+//! environments entry by entry: `Some(D)` names the entries that
+//! differ, `None` means a fact keyed by no name differs (a disjunction,
+//! a theory literal, a pending atom, the mutability marks or
+//! absurdity). The driver aligns each slot with the old record it claims
+//! (or, for a changed slot, the next old record if the fingerprints
+//! agree), and its *ledger* for a slot claiming record *j* is
+//! `D = diff(this run's environment, the environment before j)`. Each
+//! record stores its own effect the same way: `writes`, the diff of the
+//! environments after and before its item.
 //!
-//! * a re-checked or fresh slot, and a deleted old record, re-derive
-//!   the ledger entry of the name they bind (equal bindings leave it);
-//! * a spliced record binds its name identically on both sides and
-//!   leaves the ledger as it was.
+//! **The splice rule.** A reusable record in the same role splices into
+//! an uncancelled check iff `D` is `Some` and:
 //!
-//! The next unconsumed old record may splice under a non-empty ledger
-//! when its item cannot read any ledger binding:
+//! * no judgment can reach a `D` entry without naming it: on either
+//!   side, no `D` name has an empty type (the consistency check scans
+//!   every binding for emptiness), and no fact other than the name's
+//!   own entries mentions it (another name's alias or negative fact, a
+//!   disjunction, a theory literal or a pending atom). The consistency
+//!   check also compares each negative fact with its path's type, but a
+//!   negative fact is assumed together with the update of that type, and
+//!   a conflict there empties the type and marks the environment absurd;
+//! * `D` is empty, or the item can neither read nor write a `D` entry:
+//!   * `writes` is `Some` and disjoint from `D`;
+//!   * its free references ([`crate::fingerprint::free_refs`]: term
+//!     free variables, names in dependent signature positions, and
+//!     names read by the types written in the term) are disjoint from
+//!     `D`;
+//!   * their current types mention no `D` name (a signature refinement
+//!     may name another module-level define, and reading the signature
+//!     reads that name);
+//!   * no `D` entry, on either side, mentions a written name: a
+//!     redefinition unbinds the name it shadows and rewrites every
+//!     entry that mentions it.
 //!
-//! * it has an export, and neither its own name nor any of its free
-//!   references ([`crate::fingerprint::free_refs`]: term free
-//!   variables, names in dependent signature positions, and names read
-//!   by the types written in the term — an `ann` refinement reads the
-//!   names it mentions) is in the ledger;
-//! * the current types of those free references mention no ledger
-//!   name (a signature refinement may name another module-level
-//!   define, and reading the signature reads that name);
-//! * no ledger binding, old or new, is an empty type, and no fact other
-//!   than the bindings (an alias, negative fact, disjunction or theory
-//!   literal) mentions a ledger name. These are checked as names enter
-//!   the ledger: they are the only ways a judgment reaches a binding
-//!   without naming it (the consistency check scans every binding for
-//!   emptiness).
-//!
-//! Every name the item's judgments look up then has the same type on
-//! both sides, so the verdict and the export are the recorded ones. A
-//! binder inside the item that shadows a ledger name unbinds it and
-//! rewrites the types that mention it; by the conditions above the item
-//! reads none of those. The spliced environment is the record's
-//! snapshot with the ledger's bindings re-applied
-//! ([`Env::copy_bindings`]): O(|ledger|), and no environment
-//! comparison. Early cutoff falls out of the ledger: a re-checked item
-//! whose binding came out equal adds no entry, and its dependents
-//! splice.
-//!
-//! **The strict rule.** Anything the ledger cannot describe — an item
-//! without an export (a value `define` that adds facts or aliases, a
-//! trailing expression's fresh `ignored` binder, a redefinition), a
-//! claim that goes backwards (a reorder), or a failed ledger check —
-//! drops the ledger, and splices fall back to comparing the whole
-//! environment with the one the record was made under
-//! ([`Env::same_contents`]), which is always sound. A splice under the
-//! strict rule proves the two environments equal, so the run resumes
-//! with an empty ledger there; a re-checked slot without an export
-//! tries the same comparison.
+//! Every entry the item's judgments look up is then the same on both
+//! sides, so its verdict and its effect are the recorded ones. A binder
+//! inside the item that shadows a `D` name unbinds it and rewrites the
+//! entries that mention it; by the conditions above the item reads none
+//! of those. The environment the item leaves is the record's snapshot
+//! with `D`'s entries copied in ([`Env::copy_bindings`]): O(|D|), and no
+//! comparison. It diffs to `D` against the next record's environment by
+//! construction, so contiguous splices carry `D` unchanged. A re-check,
+//! a claim of any other record (a delete or a reorder) and a ledger that
+//! failed the first condition recompute `D` at the next claim. Early
+//! cutoff falls out: a re-checked item whose entries came out equal
+//! leaves `D` as it was, and its dependents splice.
 //!
 //! # What is never cached
 //!
@@ -117,7 +111,6 @@ use crate::check::{attach_node, big_stack, panic_detail, Checker};
 use crate::diag::Diagnostic;
 use crate::env::Env;
 use crate::fingerprint::{free_refs, item_fingerprint, item_salt};
-use crate::intern::TyId;
 use crate::module::{Binder, ItemSummary, ModuleCheck, ModuleItem, ModuleValue};
 use crate::mutation::mutated_vars;
 use crate::syntax::{Obj, Symbol, Ty, TyResult};
@@ -159,20 +152,19 @@ pub struct ItemRecord {
     mutated: Vec<Symbol>,
     /// Did the item need the big-stack worker?
     deep: bool,
-    /// `Some((name, type))` iff the item's only effect on the
-    /// environment was binding one previously unbound, non-mutable name
-    /// ([`Env::added_binding`]), whether it checked cleanly or was
-    /// poisoned.
-    export: Option<(Symbol, TyId)>,
+    /// The names whose entries the item changed ([`Env::diff`] of the
+    /// environments after and before it), whether it checked cleanly or
+    /// was poisoned; `None` when it changed a fact keyed by no name.
+    writes: Option<Vec<Symbol>>,
     /// Reusable results; `None` for items that produced diagnostics or
     /// tripped their budget fork (never cached).
     reuse: Option<ReuseData>,
 }
 
 /// Everything a previous driver run left behind for one module:
-/// per-slot records in check order with the environment after each,
+/// per-slot records in check order with the environments between them,
 /// plus the run-wide preconditions (eviction epoch, mutated-variable
-/// set, initial environment) that gate their reuse.
+/// set) that gate their reuse.
 #[derive(Clone, Debug)]
 pub struct ItemCache {
     /// [`crate::intern::evict_epoch`] when the cache was built; a moved
@@ -180,15 +172,14 @@ pub struct ItemCache {
     epoch: u64,
     /// The union of `set!`-mutated variables the pre-pass marked.
     mutated: HashSet<Symbol>,
-    /// The environment every run starts from (mutability marks
-    /// applied, nothing bound yet).
-    init_env: Env,
     /// One record per item, in check order (definitions first, then
     /// trailing expressions).
     records: Vec<Arc<ItemRecord>>,
-    /// Value snapshot of the environment after each record's slot,
-    /// whether the item checked cleanly or was poisoned; shared with the
-    /// runs that splice the record.
+    /// Value snapshots of the environment: `envs[j]` reached record `j`
+    /// and `envs[j + 1]` is what its slot left, whether the item checked
+    /// cleanly or was poisoned. `envs[0]` is the environment every run
+    /// starts from (mutability marks applied, nothing bound yet). Shared
+    /// with the runs that splice the records.
     envs: Vec<Arc<Env>>,
 }
 
@@ -201,14 +192,6 @@ impl ItemCache {
     /// Is the cache empty?
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
-    }
-
-    /// The environment that reached record `j` when it was made.
-    fn env_before(&self, j: usize) -> &Env {
-        match j {
-            0 => &self.init_env,
-            _ => &self.envs[j - 1],
-        }
     }
 }
 
@@ -259,6 +242,16 @@ impl<'a> Slot<'a> {
             deep: self.deep,
         }
     }
+}
+
+/// The ledger (see the module docs) for the slot that claims old record
+/// `at`.
+struct Ledger {
+    at: usize,
+    /// `D`: the names whose entries differ.
+    names: Vec<Symbol>,
+    /// The names `D`'s entries mention on either side, sorted.
+    mentioned: Vec<Symbol>,
 }
 
 /// What a driver run returns: the module verdict, the cache for the
@@ -428,22 +421,18 @@ impl Checker {
         for x in &mutated {
             init_env.mark_mutable(*x);
         }
-        st.env = Arc::new(init_env.clone());
+        st.env = Arc::new(init_env);
         let mut records: Vec<Arc<ItemRecord>> = Vec::with_capacity(slots.len());
-        let mut envs: Vec<Arc<Env>> = Vec::with_capacity(slots.len());
+        let mut envs: Vec<Arc<Env>> = Vec::with_capacity(slots.len() + 1);
+        envs.push(Arc::clone(&st.env));
         let trace = self.trace();
         // Names of items re-checked so far this run, for the
         // cutoff-stopped accounting.
         let mut rechecked_names: HashSet<Symbol> = HashSet::new();
         // The next old record not yet aligned with a slot of this run.
         let mut old_next: usize = 0;
-        // The ledger (see the module docs): `Some(names)` while this
-        // run's environment equals the old run's at `old_next` except
-        // in the bindings of `names`; `None` while the strict rule
-        // applies.
-        let mut ledger: Option<Vec<Symbol>> = old
-            .filter(|c| st.env.same_contents(&c.init_env))
-            .map(|_| Vec::new());
+        // `None` until the next claim computes the ledger.
+        let mut ledger: Option<Ledger> = None;
         let n = slots.len();
         let mut saw_trailing = false;
         // The last trailing expression's pre-lift result, once checked.
@@ -469,22 +458,6 @@ impl Checker {
                     .map(|rec| (c, old_next, rec)),
                 _ => None,
             };
-            // Align the old run with this slot: the old records a claim
-            // jumps over were deleted; a claim behind the cursor is a
-            // reorder the ledger cannot follow.
-            let aligned = match (&mut ledger, candidate) {
-                (Some(names), Some((c, j, _))) => {
-                    j >= old_next
-                        && (old_next..j).all(|k| match c.records[k].export {
-                            Some((x, _)) => self.note(names, x, &st.env, &c.envs[k]),
-                            None => false,
-                        })
-                }
-                _ => true,
-            };
-            if !aligned {
-                ledger = None;
-            }
             let reusable = candidate.and_then(|(c, j, rec)| Some((c, j, rec, rec.reuse.as_ref()?)));
             if reusable.is_some() {
                 trace.fp_hits.bump();
@@ -492,34 +465,34 @@ impl Checker {
                 trace.fp_misses.bump();
             }
 
-            // The splice rule: reusable record, same trailing role, and
-            // an incoming environment the item cannot tell apart from
-            // the recorded one.
-            let splice = reusable.filter(|(c, j, rec, ru)| {
+            // The splice rule (see the module docs).
+            let splice = reusable.filter(|&(c, j, rec, ru)| {
                 let role_ok = ru.summary.name.is_some() || ru.value.is_some() == last;
-                role_ok
-                    && !cancelled
-                    && match &ledger {
-                        Some(names) => names.is_empty() || !reads_ledger(&st.env, rec, names),
-                        None => st.env.same_contents(c.env_before(*j)),
-                    }
+                if !role_ok || cancelled {
+                    return false;
+                }
+                if ledger.as_ref().is_none_or(|l| l.at != j) {
+                    ledger = self.ledger(&st.env, &c.envs[j], j);
+                }
+                ledger
+                    .as_ref()
+                    .is_some_and(|l| l.names.is_empty() || !reads_ledger(&st.env, rec, l))
             });
             if let Some((c, j, rec, ru)) = splice {
                 trace.skipped.bump();
                 if rec.free_refs.iter().any(|s| rechecked_names.contains(s)) {
                     trace.cutoff_stopped.bump();
                 }
-                // A strict splice proved the environments equal: the
-                // ledger restarts empty.
-                let names = ledger.get_or_insert_with(Vec::new);
-                st.env = if names.is_empty() {
-                    Arc::clone(&c.envs[j])
+                let l = ledger.as_mut().expect("a splice has a ledger");
+                st.env = if l.names.is_empty() {
+                    Arc::clone(&c.envs[j + 1])
                 } else {
                     trace.dep_spliced.bump();
-                    let mut env = Env::clone(&c.envs[j]);
-                    env.copy_bindings(&st.env, names);
+                    let mut env = Env::clone(&c.envs[j + 1]);
+                    env.copy_bindings(&st.env, &l.names);
                     Arc::new(env)
                 };
+                l.at = j + 1;
                 old_next = j + 1;
                 st.out.results.push(ru.summary.clone());
                 if let Some(b) = &ru.binder {
@@ -565,39 +538,13 @@ impl Checker {
             if tripped == Some(LimitKind::Cancelled) {
                 break;
             }
-            if !keep {
-                continue;
-            }
-            let export = item
-                .name()
-                .and_then(|x| Some((x, st.env.added_binding(&env_before, x)?)));
-
-            // This slot consumed its candidate, if any. Re-derive the
-            // ledger entries of the names both sides bound; an effect
-            // the ledger cannot describe needs the environments equal.
+            // This slot consumed its candidate, if any.
             if let Some((_, j, _)) = candidate {
                 old_next = j + 1;
             }
-            if let Some(names) = &mut ledger {
-                let old_env = old
-                    .expect("a ledger implies an old cache")
-                    .env_before(old_next);
-                // `Some(None)`: no old record consumed; `None`: the
-                // consumed one has no export.
-                let old_export = candidate.map_or(Some(None), |(_, _, rec)| rec.export.map(Some));
-                let kept = match (export, old_export) {
-                    (Some((x, _)), Some(y)) => {
-                        self.note(names, x, &st.env, old_env)
-                            && y.is_none_or(|(y, _)| self.note(names, y, &st.env, old_env))
-                    }
-                    _ => {
-                        names.clear();
-                        st.env.same_contents(old_env)
-                    }
-                };
-                if !kept {
-                    ledger = None;
-                }
+            ledger = None;
+            if !keep {
+                continue;
             }
 
             // Build this slot's record. Results are reusable only for
@@ -615,7 +562,7 @@ impl Checker {
                 free_refs: free_refs(item),
                 mutated: slot.mutated.clone(),
                 deep: slot.deep,
-                export,
+                writes: st.env.diff(&env_before),
                 reuse,
             }));
             envs.push(Arc::clone(&st.env));
@@ -635,29 +582,37 @@ impl Checker {
         let cache = ItemCache {
             epoch,
             mutated,
-            init_env,
             records,
             envs,
         };
         Some((out, cache, trace.counts()))
     }
 
-    /// Re-derives `x`'s ledger entry from its binding in `new` (this
-    /// run) and in `old` (the old run at the aligned point). Returns
-    /// `false` when the ledger cannot describe the difference: a side is
-    /// bound at an empty type, or another fact mentions `x`.
-    fn note(&self, names: &mut Vec<Symbol>, x: Symbol, new: &Env, old: &Env) -> bool {
-        names.retain(|&n| n != x);
-        let (a, b) = (new.raw_ty_id(x), old.raw_ty_id(x));
-        if a == b {
-            return true;
+    /// The ledger for a slot whose environment is `new` and that claims
+    /// the old record `at`, made under `old`: the names whose entries
+    /// differ ([`Env::diff`]). `None` when a fact keyed by no name
+    /// differs or a judgment could reach a differing entry without
+    /// naming it.
+    fn ledger(&self, new: &Env, old: &Env, at: usize) -> Option<Ledger> {
+        let names = new.diff(old)?;
+        let hidden = |env: &Env, x: Symbol| {
+            !env.raw_ty_id(x).is_some_and(|t| self.is_empty_id(t)) && !env.facts_mention(x)
+        };
+        if !names.iter().all(|&x| hidden(new, x) && hidden(old, x)) {
+            return None;
         }
-        let empty = |t: Option<TyId>| t.is_some_and(|t| self.is_empty_id(t));
-        if empty(a) || empty(b) || new.facts_mention(x) {
-            return false;
-        }
-        names.push(x);
-        true
+        let mut mentioned: Vec<Symbol> = names
+            .iter()
+            .flat_map(|&x| [new.entry_vars(x), old.entry_vars(x)])
+            .flatten()
+            .collect();
+        mentioned.sort_unstable();
+        mentioned.dedup();
+        Some(Ledger {
+            at,
+            names,
+            mentioned,
+        })
     }
 
     /// Checks one item on its budget fork `c` (salted by the item's
@@ -828,20 +783,23 @@ impl Checker {
     }
 }
 
-/// Could `rec`'s item observe a binding in the ledger `names`? Yes
-/// unless it exports one binding whose name is not in the ledger, and
-/// neither its free references nor their current types in `env`
-/// mention a ledger name.
-fn reads_ledger(env: &Env, rec: &ItemRecord, names: &[Symbol]) -> bool {
-    let Some((x, _)) = rec.export else {
+/// Could `rec`'s item read or write an entry of the non-empty ledger
+/// `l`, this run's environment being `env`? No iff its writes are keyed
+/// by names outside the ledger, its free references are outside it too
+/// and their current types mention no ledger name, and no ledger entry
+/// on either side mentions a written name.
+fn reads_ledger(env: &Env, rec: &ItemRecord, l: &Ledger) -> bool {
+    let Some(writes) = &rec.writes else {
         return true;
     };
-    names.contains(&x)
+    writes
+        .iter()
+        .any(|w| l.names.contains(w) || l.mentioned.binary_search(w).is_ok())
         || rec.free_refs.iter().any(|r| {
-            names.contains(r)
+            l.names.contains(r)
                 || env
                     .raw_ty_id(*r)
-                    .is_some_and(|t| names.iter().any(|n| t.mentions_var(*n)))
+                    .is_some_and(|t| l.names.iter().any(|n| t.mentions_var(*n)))
         })
 }
 
@@ -932,11 +890,7 @@ mod tests {
         assert_eq!(s2.rechecked, 0);
         assert_eq!(cache2.len(), 3);
 
-        // Edit the middle item to be ill-typed; items 0 and 2 splice
-        // (jc does not mention jb, so the early cutoff covers it via
-        // the value-equal environment… it re-checks only if the env
-        // changed — poisoning binds jb at its declared type, which is
-        // exactly the type the clean run exported, so jc still splices).
+        // Edit the middle item to be ill-typed; items 0 and 2 splice.
         let v3 = vec![good("ja"), bad("jb"), good("jc")];
         let slots = vec![
             IncrSlot::Reused(0),

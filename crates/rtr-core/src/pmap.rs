@@ -226,51 +226,36 @@ impl<V: Copy> PMap<V> {
 }
 
 impl<V: Copy + PartialEq> PMap<V> {
-    /// Structural equality: the same key set mapped to equal values.
+    /// The keys whose entries differ between the two maps: present in
+    /// one only, or mapped to different values. Each key appears once,
+    /// in no particular order.
     ///
     /// Because the key hash is a bijection, a key's trie position is a
     /// function of the key alone, so two maps can be compared subtree
-    /// by subtree: a shared node is an `O(1)` yes at every level, and
-    /// only the paths where the tries differ are walked. A snapshot
-    /// against its source after `k` writes costs `O(k · depth)` — the
-    /// incremental module driver's common case.
-    pub fn same_entries(&self, other: &PMap<V>) -> bool {
-        self.len == other.len && same_nodes(self.root.as_ref(), other.root.as_ref(), None)
-    }
-
-    /// `Some(v)` iff this map is exactly `base` plus one entry
-    /// `key ↦ v` that `base` lacks. Costs what [`PMap::same_entries`]
-    /// costs: a map written from a snapshot of `base` shares all but
-    /// the path to `key`.
-    pub fn extends(&self, base: &PMap<V>, key: Symbol) -> Option<V> {
-        let v = *self.get(key)?;
-        let same_rest = self.len == base.len + 1
-            && !base.contains_key(key)
-            && same_nodes(self.root.as_ref(), base.root.as_ref(), Some(key));
-        same_rest.then_some(v)
+    /// by subtree: a shared node holds no difference, and only the
+    /// paths where the tries differ are walked. A map against the
+    /// snapshot it was cloned from after `k` writes costs
+    /// `O(k · depth)` — the incremental module driver's common case.
+    pub fn diff(&self, other: &PMap<V>) -> Vec<Symbol> {
+        let mut out = Vec::new();
+        diff_nodes(self.root.as_ref(), other.root.as_ref(), &mut out);
+        out
     }
 }
 
-/// Do two subtrees at the same trie level hold the same entries, `skip`
-/// aside? Shared nodes are equal by pointer; two branches compare child
-/// by child, since an entry's child slot depends on its key alone; any
-/// other shape pair (a leaf, or a branch the other trie never split)
-/// compares its entry sequences in hash order.
-fn same_nodes<V: Copy + PartialEq>(
+/// Pushes onto `out` the keys whose entries differ between two subtrees
+/// at the same trie level. Shared nodes are skipped by pointer; two
+/// branches compare child by child, since an entry's child slot depends
+/// on its key alone. Any other shape pair has a leaf or nothing on one
+/// side, which is compared with every entry of the other.
+fn diff_nodes<V: Copy + PartialEq>(
     a: Option<&Arc<Node<V>>>,
     b: Option<&Arc<Node<V>>>,
-    skip: Option<Symbol>,
-) -> bool {
-    fn entries<V: Copy>(
-        n: Option<&Arc<Node<V>>>,
-        skip: Option<Symbol>,
-    ) -> impl Iterator<Item = (Symbol, &V)> {
-        let stack = n.map(|n| vec![&**n]).unwrap_or_default();
-        Iter { stack }.filter(move |(k, _)| Some(*k) != skip)
-    }
+    out: &mut Vec<Symbol>,
+) {
     if let (Some(x), Some(y)) = (a, b) {
         if Arc::ptr_eq(x, y) {
-            return true;
+            return;
         }
         if let (
             Node::Branch {
@@ -284,14 +269,36 @@ fn same_nodes<V: Copy + PartialEq>(
         ) = (&**x, &**y)
         {
             let (mut cx, mut cy) = (cx.iter(), cy.iter());
-            return (0..32).all(|bit| {
-                let x = (bx >> bit & 1 == 1).then(|| cx.next()).flatten();
-                let y = (by >> bit & 1 == 1).then(|| cy.next()).flatten();
-                same_nodes(x, y, skip)
-            });
+            for bit in (0..32)
+                .map(|i| 1u32 << i)
+                .filter(|bit| (bx | by) & bit != 0)
+            {
+                let x = (bx & bit != 0).then(|| cx.next()).flatten();
+                let y = (by & bit != 0).then(|| cy.next()).flatten();
+                diff_nodes(x, y, out);
+            }
+            return;
         }
     }
-    entries(a, skip).eq(entries(b, skip))
+    let (one, all) = match a.map(|n| &**n) {
+        Some(Node::Branch { .. }) => (b, a),
+        _ => (a, b),
+    };
+    let one = match one.map(|n| &**n) {
+        Some(Node::Leaf(k, v)) => Some((*k, v)),
+        _ => None,
+    };
+    let mut matched = false;
+    for (k, v) in (Iter {
+        stack: all.map(|n| vec![&**n]).unwrap_or_default(),
+    }) {
+        let same_key = one.is_some_and(|(k1, _)| k1 == k);
+        matched |= same_key;
+        if !same_key || one.is_some_and(|(_, v1)| v1 != v) {
+            out.push(k);
+        }
+    }
+    out.extend(one.filter(|_| !matched).map(|(k, _)| k));
 }
 
 fn insert_rec<V: Copy>(
@@ -490,8 +497,13 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    fn sorted(mut keys: Vec<Symbol>) -> Vec<Symbol> {
+        keys.sort_unstable();
+        keys
+    }
+
     #[test]
-    fn same_entries_is_history_independent() {
+    fn diff_is_history_independent() {
         let mut a: PMap<u32> = PMap::new();
         for i in 0..64 {
             a.insert(s(i), i);
@@ -511,47 +523,43 @@ mod tests {
         for i in 0..64 {
             b.insert(s(i), i);
         }
-        assert!(a.same_entries(&b));
-        assert!(a.same_entries(&a.clone()), "shared-root fast path");
+        assert!(a.diff(&b).is_empty());
+        assert!(a.diff(&a.clone()).is_empty(), "shared-root fast path");
         b.insert(s(3), 999);
-        assert!(!a.same_entries(&b));
+        assert_eq!(a.diff(&b), vec![s(3)]);
         b.insert(s(3), 3);
         b.remove(s(63));
-        assert!(!a.same_entries(&b), "missing key must be detected");
+        assert_eq!(a.diff(&b), vec![s(63)], "missing key must be detected");
     }
 
     #[test]
-    fn extends_detects_exactly_one_new_entry() {
+    fn diff_against_a_snapshot_names_exactly_the_written_keys() {
         let mut base: PMap<u32> = PMap::new();
         for i in 0..200 {
             base.insert(s(i), i);
         }
         let mut m = base.clone();
         m.insert(s(500), 5);
-        assert_eq!(m.extends(&base, s(500)), Some(5));
-        assert_eq!(m.extends(&base, s(3)), None, "the key must be the new one");
-        assert_eq!(base.extends(&base, s(500)), None, "no entry added");
+        assert_eq!(m.diff(&base), vec![s(500)]);
+        assert_eq!(base.diff(&m), vec![s(500)], "diff is symmetric");
+        assert!(base.diff(&base).is_empty(), "no entry added");
         let mut changed = m.clone();
         changed.insert(s(7), 70);
-        assert_eq!(
-            changed.extends(&base, s(500)),
-            None,
-            "another entry changed"
-        );
+        assert_eq!(sorted(changed.diff(&base)), sorted(vec![s(7), s(500)]));
         let mut two = m.clone();
         two.insert(s(501), 1);
-        assert_eq!(two.extends(&base, s(500)), None, "two entries added");
-        // An equal map built by another history still counts.
+        assert_eq!(sorted(two.diff(&base)), sorted(vec![s(500), s(501)]));
+        // An equal map built by another history diffs the same.
         let mut rebuilt: PMap<u32> = PMap::new();
         for i in (0..200).rev() {
             rebuilt.insert(s(i), i);
         }
         rebuilt.insert(s(500), 5);
-        assert_eq!(rebuilt.extends(&base, s(500)), Some(5));
+        assert_eq!(rebuilt.diff(&base), vec![s(500)]);
         // Nothing but the new entry: an empty base.
         let mut one: PMap<u32> = PMap::new();
         one.insert(s(1), 1);
-        assert_eq!(one.extends(&PMap::new(), s(1)), Some(1));
+        assert_eq!(one.diff(&PMap::new()), vec![s(1)]);
     }
 
     #[test]

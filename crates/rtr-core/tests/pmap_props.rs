@@ -1,8 +1,9 @@
 //! Property tests pinning the persistent HAMT ([`rtr_core::pmap::PMap`])
 //! to `HashMap` semantics: any sequence of inserts/removes must leave the
 //! two maps observationally identical (get, contains, len, iteration as a
-//! set), and writing to a map must never disturb a snapshot taken before
-//! the write.
+//! set), writing to a map must never disturb a snapshot taken before
+//! the write, and `PMap::diff` must name exactly the keys whose entries
+//! differ.
 
 use std::collections::HashMap;
 
@@ -46,8 +47,66 @@ fn assert_same(pmap: &PMap<u32>, reference: &HashMap<Symbol, u32>) {
     assert_eq!(entries, expected, "iteration disagrees with HashMap");
 }
 
+fn apply(pmap: &mut PMap<u32>, ops: &[Op]) {
+    for op in ops {
+        match op {
+            Op::Insert(k, v) => pmap.insert(key(*k), *v),
+            Op::Remove(k) => pmap.remove(key(*k)),
+        };
+    }
+}
+
+fn sorted(mut keys: Vec<Symbol>) -> Vec<Symbol> {
+    keys.sort_unstable();
+    keys
+}
+
+/// The keys whose entries differ, found the slow way over `iter()`.
+fn naive_diff(a: &PMap<u32>, b: &PMap<u32>) -> Vec<Symbol> {
+    let a: HashMap<Symbol, u32> = a.iter().map(|(k, v)| (k, *v)).collect();
+    let b: HashMap<Symbol, u32> = b.iter().map(|(k, v)| (k, *v)).collect();
+    let mut keys: Vec<Symbol> = a
+        .keys()
+        .chain(b.keys())
+        .filter(|k| a.get(k) != b.get(k))
+        .copied()
+        .collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `PMap::diff` names each differing key once, exactly as a naive
+    /// comparison over `iter()` does: for a snapshot and its source
+    /// after writes on both sides (shared subtrees), and for maps built
+    /// independently in different insertion orders (no shared nodes,
+    /// possibly different trie shapes).
+    #[test]
+    fn diff_matches_a_naive_diff(
+        before in arb_ops(),
+        after in arb_ops(),
+        on_snapshot in arb_ops(),
+    ) {
+        let mut pmap: PMap<u32> = PMap::new();
+        apply(&mut pmap, &before);
+        let mut snapshot = pmap.clone();
+        apply(&mut pmap, &after);
+        apply(&mut snapshot, &on_snapshot);
+        prop_assert_eq!(sorted(pmap.diff(&snapshot)), naive_diff(&pmap, &snapshot));
+
+        let mut entries: Vec<(Symbol, u32)> = snapshot.iter().map(|(k, v)| (k, *v)).collect();
+        entries.reverse();
+        let mut rebuilt: PMap<u32> = PMap::new();
+        for (k, v) in entries {
+            rebuilt.insert(k, v);
+        }
+        prop_assert!(rebuilt.diff(&snapshot).is_empty());
+        prop_assert_eq!(sorted(pmap.diff(&rebuilt)), naive_diff(&pmap, &rebuilt));
+        prop_assert_eq!(sorted(rebuilt.diff(&pmap)), naive_diff(&rebuilt, &pmap));
+    }
 
     /// Every op sequence leaves the HAMT and a HashMap observationally
     /// identical, and each op reports the same previous value.

@@ -572,6 +572,81 @@ mod tests {
         assert_eq!(r.stats.errors, ill as usize);
     }
 
+    /// `head`, then forty annotated functions that do not read it.
+    fn behind(head: &str) -> String {
+        (0..40).fold(format!("{head}\n"), |src, k| {
+            src + &format!("(: f{k} : [x : Int] -> Int)\n(define (f{k} x) (+ x {k}))\n")
+        })
+    }
+
+    /// Checks `before` cold, then `after` warm; returns the warm
+    /// `(rechecked, skipped, dep_spliced)`.
+    fn warm_counts(before: &str, after: &str) -> (u64, u64, u64) {
+        let session = Session::new(SessionConfig::default());
+        assert!(session.check(&SourceFile::new("w.rtr", before)).is_clean());
+        let r = session.check(&SourceFile::new("w.rtr", after));
+        assert!(r.is_clean(), "{:#?}", r.diagnostics);
+        let t = r.stats.trace.expect("incremental path");
+        (t.rechecked, t.skipped, t.dep_spliced)
+    }
+
+    #[test]
+    fn editing_an_unread_value_define_rechecks_it_alone() {
+        let counts = warm_counts(&behind("(define k 5)"), &behind("(define k 6)"));
+        assert_eq!(counts, (1, 40, 40));
+    }
+
+    #[test]
+    fn editing_an_unannotated_function_body_rechecks_it_alone() {
+        let counts = warm_counts(
+            &behind("(define (g [x : Int]) (+ x 1))"),
+            &behind("(define (g [x : Int]) (+ x 2))"),
+        );
+        assert_eq!(counts, (1, 40, 40));
+    }
+
+    #[test]
+    fn editing_a_refined_value_define_rechecks_everything_after_it() {
+        // The refinement is stored as a linear fact about `k`, a fact
+        // keyed by no name: the ledger cannot describe the change.
+        let refined = |c: i64| behind(&format!("(define k : (Refine [n : Int] (<= 0 n)) {c})"));
+        assert_eq!(warm_counts(&refined(5), &refined(6)), (41, 0, 0));
+    }
+
+    #[test]
+    fn a_redefinition_rewrites_the_entries_that_mention_the_name_it_shadows() {
+        // The second `k` unbinds the first and rewrites `w`'s signature
+        // where it names `k`: once `k` is redefined, `(w 8)` checks. Edits
+        // that change the first `k`'s entry, or make `w`'s signature start
+        // naming `k`, must reach the redefinition and its readers exactly
+        // as a cold check does.
+        let text = |k: i64, bound: &str, arg: i64| {
+            format!(
+                "(define k {k})\n\
+                 (: w : [y : (Refine [n : Int] (< n {bound}))] -> Int)\n(define (w y) y)\n\
+                 (define k 7)\n(w {arg})\n(ann k (Refine [n : Int] (= n 7)))\n"
+            )
+        };
+        let session = Session::new(SessionConfig::default());
+        let steps = [
+            text(5, "k", 6),
+            text(8, "k", 6),
+            text(8, "9", 8),
+            text(8, "k", 8),
+        ];
+        for src in steps {
+            let file = SourceFile::new("redef.rtr", src.as_str());
+            let warm = session.check(&file);
+            let cold = Session::new(SessionConfig::default()).check(&file);
+            assert!(cold.is_clean(), "{src}\n{:#?}", cold.diagnostics);
+            assert_eq!(
+                warm.render_human(&src),
+                cold.render_human(&src),
+                "warm and cold disagree on:\n{src}"
+            );
+        }
+    }
+
     #[test]
     fn after_a_cancelled_check_an_edit_rechecks_only_itself_and_the_failing_items() {
         let session = Session::new(SessionConfig::default());

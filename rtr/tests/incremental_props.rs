@@ -17,7 +17,9 @@
 //! between `Int` and a refined domain, signature refinements that name
 //! another module-level define, lambda parameters named like a
 //! module-level item inserted later (shadowing), value defines that add
-//! linear facts (the strict fallback), and bindings at an empty type.
+//! linear facts (a change keyed by no name), bindings at an empty type,
+//! unannotated value defines (an alias), unannotated functions (a
+//! negative fact) and redefinitions of live names.
 
 use rtr::prelude::*;
 
@@ -87,6 +89,15 @@ enum Item {
     Value { name: usize, c: i64 },
     /// `(define z<name> : (U) 0)` — poisoned at an empty type.
     Empty { name: usize },
+    /// `(define k<name> c)` — an unannotated value define, whose effect
+    /// is an alias.
+    Alias { name: usize, c: i64 },
+    /// `(define (v<name> [x : Int]) (+ x a))` — an unannotated function,
+    /// which also records `v<name> ∉ False`.
+    Unannotated { name: usize, a: i64 },
+    /// `(define k<target> c)` — a redefinition of a value define's name
+    /// (or, with none live, of any name's `k` spelling).
+    Redefine { target: usize, c: i64 },
     /// A trailing expression `(u<callee> <arg> 2)`.
     Call { callee: usize, arg: i64 },
 }
@@ -130,6 +141,12 @@ fn render(items: &[Item], rng: &mut Rng) -> String {
                 "(define k{name} : (Refine [n : Int] (<= 0 n)) {c})\n"
             )),
             Item::Empty { name } => src.push_str(&format!("(define z{name} : (U) 0)\n")),
+            Item::Alias { name: k, c } | Item::Redefine { target: k, c } => {
+                src.push_str(&format!("(define k{k} {c})\n"))
+            }
+            Item::Unannotated { name, a } => {
+                src.push_str(&format!("(define (v{name} [x : Int]) (+ x {a}))\n"))
+            }
             Item::Call { callee, arg } => src.push_str(&format!("(u{callee} {arg} 2)\n")),
         }
     }
@@ -204,6 +221,13 @@ fn mutate(items: &mut Vec<Item>, rng: &mut Rng, fresh_name: &mut usize) {
         0 => rng.next(names),
         n => defines[rng.next(n)],
     };
+    let values: Vec<usize> = items
+        .iter()
+        .filter_map(|it| match it {
+            Item::Value { name, .. } | Item::Alias { name, .. } => Some(*name),
+            _ => None,
+        })
+        .collect();
     let bodies = [
         Body::Clean,
         Body::Calls(rng.next(names)),
@@ -225,7 +249,7 @@ fn mutate(items: &mut Vec<Item>, rng: &mut Rng, fresh_name: &mut usize) {
         // Tweak a definition's coefficient (the classic one-line edit).
         0 => {
             let at = rng.next(items.len());
-            if let Some(Item::Define { a, .. }) = items.get_mut(at) {
+            if let Some(Item::Define { a, .. } | Item::Unannotated { a, .. }) = items.get_mut(at) {
                 *a += 1;
             }
         }
@@ -239,12 +263,13 @@ fn mutate(items: &mut Vec<Item>, rng: &mut Rng, fresh_name: &mut usize) {
             }
         }
         // Insert a new item at a random position: mostly definitions
-        // and calls, sometimes a fact-adding value define or a binding
-        // at an empty type.
+        // and calls, sometimes a fact-adding value define, a binding at
+        // an empty type, an unannotated value define or function, or a
+        // redefinition.
         2 => {
             let at = rng.next(items.len() + 1);
             let name = *fresh_name;
-            let item = match rng.next(8) {
+            let item = match rng.next(11) {
                 0..=3 => Item::Define {
                     name,
                     a: rng.next(9) as i64,
@@ -256,12 +281,27 @@ fn mutate(items: &mut Vec<Item>, rng: &mut Rng, fresh_name: &mut usize) {
                     c: rng.next(9) as i64 - 2,
                 },
                 5 => Item::Empty { name },
+                6 => Item::Alias {
+                    name,
+                    c: rng.next(9) as i64 - 2,
+                },
+                7 => Item::Unannotated {
+                    name,
+                    a: rng.next(9) as i64,
+                },
+                8 => Item::Redefine {
+                    target: match values.len() {
+                        0 => rng.next(names),
+                        n => values[rng.next(n)],
+                    },
+                    c: rng.next(9) as i64 - 2,
+                },
                 _ => Item::Call {
                     callee: rng.next(names),
                     arg: rng.next(9) as i64,
                 },
             };
-            if !matches!(item, Item::Call { .. }) {
+            if !matches!(item, Item::Call { .. } | Item::Redefine { .. }) {
                 *fresh_name += 1;
             }
             items.insert(at, item);
@@ -288,7 +328,9 @@ fn mutate(items: &mut Vec<Item>, rng: &mut Rng, fresh_name: &mut usize) {
         // Tweak a value define's constant (possibly below zero).
         7 => {
             let at = rng.next(items.len());
-            if let Some(Item::Value { c, .. }) = items.get_mut(at) {
+            if let Some(Item::Value { c, .. } | Item::Alias { c, .. } | Item::Redefine { c, .. }) =
+                items.get_mut(at)
+            {
                 *c -= 1;
             }
         }
@@ -311,7 +353,7 @@ fn random_edit_scripts_match_the_from_scratch_path() {
         let warm = Session::new(SessionConfig::default());
         let scratch = Session::new(SessionConfig::default());
         let mut rng = Rng(seed);
-        let mut fresh_name = 5;
+        let mut fresh_name = 7;
         let mut items: Vec<Item> = (0..4)
             .map(|name| Item::Define {
                 name,
@@ -325,6 +367,8 @@ fn random_edit_scripts_match_the_from_scratch_path() {
             })
             .collect();
         items.insert(1, Item::Value { name: 4, c: 5 });
+        items.insert(3, Item::Alias { name: 5, c: 2 });
+        items.insert(4, Item::Unannotated { name: 6, a: 1 });
         items.push(Item::Call { callee: 3, arg: 1 });
 
         for step in 0..12 {
@@ -356,7 +400,7 @@ fn random_edit_scripts_match_the_from_scratch_path() {
 }
 
 #[test]
-fn a_disjunction_naming_a_deleted_define_forces_the_strict_rule() {
+fn a_disjunction_naming_a_deleted_define_blocks_the_splice() {
     // `k`'s poisoned binding stores `w ∈ Int ∨ k ∈ Bool`. While `w` is a
     // function both disjuncts are absurd, so `d`'s unprovable range
     // checks vacuously; deleting `w`, which `d` never names, makes `d`
@@ -379,6 +423,56 @@ fn a_disjunction_naming_a_deleted_define_forces_the_strict_rule() {
         assert_eq!(incremental.stats.errors, if with_w { 1 } else { 2 });
         assert_eq!(report_key(&incremental, &src), report_key(&full, &src));
     }
+}
+
+/// Checks each step's text on one warm session and asserts that every
+/// report equals a cold check's; returns the warm error counts.
+fn warm_matches_cold(name: &str, steps: &[String]) -> Vec<usize> {
+    let warm = Session::new(SessionConfig::default());
+    steps
+        .iter()
+        .map(|src| {
+            let file = SourceFile::new(name, src.as_str());
+            let incremental = warm.check(&file);
+            let full = Session::new(SessionConfig::default()).check(&file);
+            assert_eq!(
+                report_key(&incremental, src),
+                report_key(&full, src),
+                "warm and cold disagree on:\n{src}"
+            );
+            incremental.stats.errors
+        })
+        .collect()
+}
+
+#[test]
+fn a_binding_leaving_the_empty_type_rechecks_the_items_it_made_vacuous() {
+    // `z` is `set!` somewhere, so binding it learns nothing: at the empty
+    // type it makes every later environment inconsistent without
+    // marking it absurd. The ill-typed `f`, which never names `z`, then
+    // checks vacuously and is cached clean; re-typing `z` must re-check
+    // `f`.
+    let text = |ty: &str| {
+        format!(
+            "(define z : {ty} 0)\n(: m : [x : Int] -> Int)\n(define (m x) (begin (set! z 3) x))\n\
+             (: f : [x : Int] -> Int)\n(define (f x) (+ x #t))\n"
+        )
+    };
+    let errors = warm_matches_cold("empty.rtr", &[text("(U)"), text("Int"), text("(U)")]);
+    assert_eq!(errors, [1, 1, 1]);
+}
+
+#[test]
+fn editing_a_value_define_named_by_a_callees_signature_rechecks_the_caller() {
+    // `c` reads `k` only through `h`'s signature.
+    let text = |k: i64| {
+        format!(
+            "(define k {k})\n(: h : [y : (Refine [n : Int] (< n k))] -> Int)\n(define (h y) y)\n\
+             (: c : [y : Int] -> Int)\n(define (c y) (h 4))\n"
+        )
+    };
+    let errors = warm_matches_cold("sig.rtr", &[text(5), text(3), text(5)]);
+    assert_eq!(errors, [0, 1, 0]);
 }
 
 #[test]
