@@ -23,7 +23,11 @@
 //! `ModuleCache`), so each iteration is a one-item re-check plus cache
 //! splicing rather than a from-scratch pass. Compare them against the
 //! same-module cold workloads (`module/filler_50`, `module/string_8`)
-//! for the incremental speedup.
+//! for the incremental speedup. `warm_edit/many_errors_500` makes the
+//! same edit next to 167 ill-typed definitions, whose cached failing
+//! verdicts splice too. The `lsp_edit/*` workloads wrap the same edits in
+//! the server's per-keystroke round trip (framing, JSON parsing,
+//! publishing).
 
 use std::time::{Duration, Instant};
 
@@ -133,19 +137,78 @@ fn measure(name: &'static str, samples: usize, quick: bool, mut f: impl FnMut())
 /// A warm-edit workload: each iteration re-checks the next of `a` and
 /// `b` (alternating) against the previous iteration's cache and, once
 /// the cache is warm, asserts that exactly the edited definition
-/// re-checked.
-fn warm_edit<'a>(a: &'a str, b: &'a str, checker: &'a Checker) -> Box<dyn FnMut() + 'a> {
+/// re-checked and that the module reports `errors` errors.
+fn warm_edit<'a>(
+    a: &'a str,
+    b: &'a str,
+    errors: usize,
+    checker: &'a Checker,
+) -> Box<dyn FnMut() + 'a> {
     let (mut cache, mut flip): (Option<ModuleCache>, bool) = (None, false);
     Box::new(move || {
         flip = !flip;
         let src = if flip { b } else { a };
         let (report, next, stats) = check_module_source_incremental(src, checker, cache.as_ref());
-        assert!(report.is_clean(), "the warm module checks");
+        assert_eq!(report.error_count(), errors, "the warm module's verdict");
         if cache.is_some() {
             let s = stats.expect("the incremental path must engage");
             assert_eq!(s.rechecked, 1, "exactly the edited definition re-checks");
         }
         cache = next;
+    })
+}
+
+/// The LSP didChange round trip: everything `rtr lsp` does per
+/// keystroke except the pipe itself — frame and parse the full-text
+/// notification, check the overlay incrementally through a session, and
+/// render the publishDiagnostics payload. Each iteration alternates
+/// `a` and `b`, both clean, under the document `uri`.
+fn lsp_edit<'a>(a: &'a str, b: &'a str, uri: &'static str) -> Box<dyn FnMut() + 'a> {
+    let session = rtr::session::Session::new(rtr::session::SessionConfig {
+        jobs: 1,
+        ..rtr::session::SessionConfig::default()
+    });
+    let path = uri.strip_prefix("file://").expect("a file uri");
+    let (mut flip, mut warm) = (false, false);
+    let mut last_epoch = rtr_core::intern::evict_epoch();
+    Box::new(move || {
+        flip = !flip;
+        let src = if flip { b } else { a };
+        let body = format!(
+            "{{\"jsonrpc\":\"2.0\",\"method\":\"textDocument/didChange\",\"params\":{{\"textDocument\":{{\"uri\":\"{uri}\",\"version\":1}},\"contentChanges\":[{{\"text\":\"{}\"}}]}}}}",
+            rtr::json::escape(src)
+        );
+        let mut wire = Vec::new();
+        rtr::lsp::framing::write_message(&mut wire, &body).expect("frame");
+        let framed = rtr::lsp::framing::read_message(&mut &wire[..])
+            .expect("read frame")
+            .expect("one frame");
+        let msg = rtr::lsp::protocol::parse_message(&framed).expect("parse");
+        let text = rtr::lsp::protocol::last_content_change(&msg.params).expect("full sync text");
+        let file = rtr::session::SourceFile::new(path, text);
+        let token = rtr_core::budget::CancelToken::new();
+        // The session retires the fresh interner arena every so many
+        // checks, which invalidates item caches by design (the
+        // retirement runs after the previous iteration stored its
+        // cache). Only iterations whose cache survived that epoch must
+        // splice.
+        let epoch = rtr_core::intern::evict_epoch();
+        let report = session.check_cancellable(&file, &token);
+        if warm && epoch == last_epoch {
+            assert_eq!(
+                report.stats.trace.map(|t| t.rechecked),
+                Some(1),
+                "exactly the edited definition re-checks through the overlay"
+            );
+        }
+        (warm, last_epoch) = (true, epoch);
+        let ix = rtr_core::diag::LineIndex::new(text);
+        let publish =
+            rtr::lsp::protocol::publish_diagnostics_params(uri, 1, &ix, text, &report.diagnostics);
+        assert!(
+            publish.contains("\"diagnostics\":[]"),
+            "warm filler is clean"
+        );
     })
 }
 
@@ -196,18 +259,18 @@ fn main() {
         "(define (digits3 s) (+ (string-length s) 0))",
     );
     assert_ne!(string8_a, string8_b, "the warm string edit must land");
+    // One body edit in the recovery workload: a third of the items are
+    // ill typed, and their cached failing verdicts splice too.
+    let many_errors500_a = many_errors_module_src(500);
+    let many_errors500_b = many_errors500_a.replace(
+        "(define (w250 x y) (+ (* 2 x) (- y 5)))",
+        "(define (w250 x y) (+ (* 3 x) (- y 5)))",
+    );
+    assert_ne!(
+        many_errors500_a, many_errors500_b,
+        "the warm many_errors_500 edit must land"
+    );
     let warm_checker = Checker::default();
-    // The LSP didChange round trip (PR 10): everything `rtr lsp` does
-    // per keystroke except the pipe itself — frame + parse the
-    // notification, incremental overlay check through the session, and
-    // render the publishDiagnostics payload.
-    let lsp_session = rtr::session::Session::new(rtr::session::SessionConfig {
-        jobs: 1,
-        ..rtr::session::SessionConfig::default()
-    });
-    const LSP_URI: &str = "file:///bench/filler_50.rtr";
-    let (mut lsp_flip, mut lsp_warm) = (false, false);
-    let mut lsp_epoch = rtr_core::intern::evict_epoch();
 
     let workloads: Vec<Workload> = vec![
         (
@@ -322,70 +385,37 @@ fn main() {
         // built for. Compare against the cold module workloads above.
         (
             "warm_edit/filler_50",
-            warm_edit(&filler50_a, &filler50_b, &warm_checker),
+            warm_edit(&filler50_a, &filler50_b, 0, &warm_checker),
         ),
         // The same one-body edit in a module ten times larger: a warm
         // keystroke should cost O(edit), so this stays close to
         // `warm_edit/filler_50`.
         (
             "warm_edit/filler_500",
-            warm_edit(&filler500_a, &filler500_b, &warm_checker),
+            warm_edit(&filler500_a, &filler500_b, 0, &warm_checker),
+        ),
+        (
+            "warm_edit/many_errors_500",
+            warm_edit(&many_errors500_a, &many_errors500_b, 167, &warm_checker),
         ),
         (
             "warm_edit/values_500",
-            warm_edit(&values500_a, &values500_b, &warm_checker),
+            warm_edit(&values500_a, &values500_b, 0, &warm_checker),
         ),
         (
             "lsp_edit/filler_50",
-            Box::new(|| {
-                lsp_flip = !lsp_flip;
-                let src = if lsp_flip { &filler50_b } else { &filler50_a };
-                let body = format!(
-                    "{{\"jsonrpc\":\"2.0\",\"method\":\"textDocument/didChange\",\"params\":{{\"textDocument\":{{\"uri\":\"{LSP_URI}\",\"version\":1}},\"contentChanges\":[{{\"text\":\"{}\"}}]}}}}",
-                    rtr::json::escape(src)
-                );
-                let mut wire = Vec::new();
-                rtr::lsp::framing::write_message(&mut wire, &body).expect("frame");
-                let framed = rtr::lsp::framing::read_message(&mut &wire[..])
-                    .expect("read frame")
-                    .expect("one frame");
-                let msg = rtr::lsp::protocol::parse_message(&framed).expect("parse");
-                let text =
-                    rtr::lsp::protocol::last_content_change(&msg.params).expect("full sync text");
-                let file = rtr::session::SourceFile::new("/bench/filler_50.rtr", text);
-                let token = rtr_core::budget::CancelToken::new();
-                // The session retires the fresh interner arena every so
-                // many checks, which invalidates item caches by design
-                // (the retirement runs after the previous iteration
-                // stored its cache). Only iterations whose cache
-                // survived that epoch must splice.
-                let epoch = rtr_core::intern::evict_epoch();
-                let report = lsp_session.check_cancellable(&file, &token);
-                if lsp_warm && epoch == lsp_epoch {
-                    assert_eq!(
-                        report.stats.trace.map(|t| t.rechecked),
-                        Some(1),
-                        "exactly the edited definition re-checks through the overlay"
-                    );
-                }
-                (lsp_warm, lsp_epoch) = (true, epoch);
-                let ix = rtr_core::diag::LineIndex::new(text);
-                let publish = rtr::lsp::protocol::publish_diagnostics_params(
-                    LSP_URI,
-                    1,
-                    &ix,
-                    text,
-                    &report.diagnostics,
-                );
-                assert!(
-                    publish.contains("\"diagnostics\":[]"),
-                    "warm filler is clean"
-                );
-            }),
+            lsp_edit(&filler50_a, &filler50_b, "file:///bench/filler_50.rtr"),
+        ),
+        // The same round trip on a document ten times larger: framing,
+        // parsing and publishing still walk the whole text, the check
+        // should not.
+        (
+            "lsp_edit/filler_500",
+            lsp_edit(&filler500_a, &filler500_b, "file:///bench/filler_500.rtr"),
         ),
         (
             "warm_edit/string_8",
-            warm_edit(&string8_a, &string8_b, &warm_checker),
+            warm_edit(&string8_a, &string8_b, 0, &warm_checker),
         ),
     ];
 

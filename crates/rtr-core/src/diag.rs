@@ -125,12 +125,9 @@ impl LineIndex {
     /// sequence therefore leaves the `\r` at the end of the prior line,
     /// matching the reader's column accounting).
     pub fn new(text: &str) -> LineIndex {
+        // `match_indices` with a one-byte pattern searches with memchr.
         let mut line_starts = vec![0u32];
-        for (i, b) in text.bytes().enumerate() {
-            if b == b'\n' {
-                line_starts.push(i as u32 + 1);
-            }
-        }
+        line_starts.extend(text.match_indices('\n').map(|(i, _)| i as u32 + 1));
         LineIndex {
             line_starts,
             len: text.len() as u32,

@@ -72,16 +72,33 @@
 //! cutoff falls out: a re-checked item whose entries came out equal
 //! leaves `D` as it was, and its dependents splice.
 //!
-//! # What is never cached
+//! # What is cached, and what never is
 //!
-//! An [`ItemRecord`] carries reusable results (`reuse`) only for items
-//! that checked *cleanly on an untripped budget fork*: any diagnostic
-//! (type errors, `E0202` resource exhaustion, `E0203` ICEs) or a
-//! tripped per-item budget leaves `reuse = None`, so degraded or
-//! failing verdicts are always re-derived and can never go stale. A
-//! moved interner eviction epoch or a changed `set!`-mutated variable
-//! set discards the old cache (its environment snapshots are not
-//! comparable) and the run re-checks every slot, building a fresh one.
+//! An [`ItemRecord`] carries reusable results (`reuse`) for items that
+//! checked cleanly *or failed with ordinary diagnostics* on an untripped
+//! budget fork. A failing record keeps its diagnostics and its poisoned
+//! summary; it splices under the rule above plus two conditions:
+//!
+//! * the slot claims it ([`IncrSlot::Reused`]), so its source text is
+//!   unchanged: a recorded diagnostic locates itself in that text, which
+//!   a fingerprint match alone does not pin;
+//! * the run is not already degraded: once an earlier item tripped its
+//!   budget, every later failure is reported as `E0202` instead.
+//!
+//! A spliced failing record pushes its diagnostics onto
+//! [`ModuleCheck::diagnostics`] in order, so the report stays complete.
+//! Their nodes belong to the elaboration of the run that recorded them;
+//! [`ItemCache::slot_diagnostics`] tells a caller which diagnostics were
+//! spliced, so a surface layer that resolved them once can re-stamp its
+//! own copies at the item's current position.
+//!
+//! Degraded verdicts are never cached: a tripped per-item fork, an
+//! `E0202` (resource exhaustion) or `E0203` (ICE) diagnostic, and every
+//! failure in a run an earlier item degraded leave `reuse = None`, so
+//! they are always re-derived. A moved interner eviction epoch or a
+//! changed `set!`-mutated variable set discards the old cache (its
+//! environment snapshots are not comparable) and the run re-checks every
+//! slot, building a fresh one.
 //!
 //! # Cancellation
 //!
@@ -108,7 +125,7 @@ use std::sync::Arc;
 
 use crate::budget::LimitKind;
 use crate::check::{attach_node, big_stack, panic_detail, Checker};
-use crate::diag::Diagnostic;
+use crate::diag::{Code, Diagnostic};
 use crate::env::Env;
 use crate::fingerprint::{free_refs, item_fingerprint, item_salt};
 use crate::module::{Binder, ItemSummary, ModuleCheck, ModuleItem, ModuleValue};
@@ -116,13 +133,18 @@ use crate::mutation::mutated_vars;
 use crate::syntax::{Obj, Symbol, Ty, TyResult};
 use crate::trace::TraceCounts;
 
-/// The reusable outcome of one *cleanly* checked item. Every tree in it
-/// is shared (`Arc`) with the run that recorded it and with every run
-/// that splices it: a splice copies pointers, never types.
+/// The reusable outcome of one item that checked cleanly or failed with
+/// ordinary diagnostics. Every tree in it is shared (`Arc`) with the run
+/// that recorded it and with every run that splices it: a splice copies
+/// pointers, never types.
 #[derive(Clone, Debug)]
 struct ReuseData {
     /// The summary pushed onto [`ModuleCheck::results`].
     summary: ItemSummary,
+    /// The diagnostics the item reported, as it reported them (their
+    /// nodes are from the elaboration of the run that recorded them);
+    /// empty for a clean item.
+    diagnostics: Vec<Diagnostic>,
     /// The binder this item opened (part of the prefix the module value
     /// is lifted over), if any.
     binder: Option<Arc<Binder>>,
@@ -156,8 +178,7 @@ pub struct ItemRecord {
     /// environments after and before it), whether it checked cleanly or
     /// was poisoned; `None` when it changed a fact keyed by no name.
     writes: Option<Vec<Symbol>>,
-    /// Reusable results; `None` for items that produced diagnostics or
-    /// tripped their budget fork (never cached).
+    /// Reusable results; `None` for degraded verdicts (never cached).
     reuse: Option<ReuseData>,
 }
 
@@ -181,6 +202,9 @@ pub struct ItemCache {
     /// starts from (mutability marks applied, nothing bound yet). Shared
     /// with the runs that splice the records.
     envs: Vec<Arc<Env>>,
+    /// Per slot the run reached: how many diagnostics it reported, and
+    /// whether they are a spliced record's.
+    reported: Vec<(usize, bool)>,
 }
 
 impl ItemCache {
@@ -192,6 +216,16 @@ impl ItemCache {
     /// Is the cache empty?
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
+    }
+
+    /// For each slot the run that built this cache reached, in check
+    /// order: how many diagnostics it added to [`ModuleCheck::diagnostics`]
+    /// and whether they were spliced — a cached record's diagnostics,
+    /// whose nodes belong to the elaboration of the run that recorded
+    /// them — rather than derived by this run. A caller that resolved the
+    /// recorded diagnostics' spans itself re-stamps those instead.
+    pub fn slot_diagnostics(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
+        self.reported.iter().copied()
     }
 }
 
@@ -425,6 +459,7 @@ impl Checker {
         let mut records: Vec<Arc<ItemRecord>> = Vec::with_capacity(slots.len());
         let mut envs: Vec<Arc<Env>> = Vec::with_capacity(slots.len() + 1);
         envs.push(Arc::clone(&st.env));
+        let mut reported: Vec<(usize, bool)> = Vec::with_capacity(slots.len());
         let trace = self.trace();
         // Names of items re-checked so far this run, for the
         // cutoff-stopped accounting.
@@ -467,8 +502,14 @@ impl Checker {
 
             // The splice rule (see the module docs).
             let splice = reusable.filter(|&(c, j, rec, ru)| {
-                let role_ok = ru.summary.name.is_some() || ru.value.is_some() == last;
-                if !role_ok || cancelled {
+                // A failing trailing expression opens nothing and has no
+                // value, so it leaves the same run in either role.
+                let failing = !ru.diagnostics.is_empty();
+                let role_ok = ru.summary.name.is_some() || failing || ru.value.is_some() == last;
+                // Recorded diagnostics locate themselves in the claimed
+                // text, and a degraded run reports every failure as E0202.
+                let failing_ok = !failing || (slot.reuse == Some(j) && st.degraded.is_none());
+                if !role_ok || !failing_ok || cancelled {
                     return false;
                 }
                 if ledger.as_ref().is_none_or(|l| l.at != j) {
@@ -495,6 +536,8 @@ impl Checker {
                 l.at = j + 1;
                 old_next = j + 1;
                 st.out.results.push(ru.summary.clone());
+                st.out.diagnostics.extend(ru.diagnostics.iter().cloned());
+                reported.push((ru.diagnostics.len(), true));
                 if let Some(b) = &ru.binder {
                     st.binders.push(Arc::clone(b));
                 }
@@ -535,6 +578,7 @@ impl Checker {
             }
             let tripped = c.budget().tripped();
             st.degraded = st.degraded.or(tripped);
+            reported.push((st.out.diagnostics.len() - diags_before, false));
             if tripped == Some(LimitKind::Cancelled) {
                 break;
             }
@@ -547,12 +591,17 @@ impl Checker {
                 continue;
             }
 
-            // Build this slot's record. Results are reusable only for
-            // items that checked cleanly on an untripped fork: a
-            // diagnostic or a tripped budget means the verdict may be
-            // degraded, and degraded verdicts are never cached.
-            let clean = st.out.diagnostics.len() == diags_before && tripped.is_none();
-            let reuse = clean.then(|| ReuseData {
+            // Build this slot's record. Degraded verdicts are never
+            // cached: a tripped fork, an `E0202`/`E0203`, or any failure
+            // in a run an earlier item already degraded.
+            let diagnostics = &st.out.diagnostics[diags_before..];
+            let ordinary = diagnostics.is_empty()
+                || (st.degraded.is_none()
+                    && diagnostics
+                        .iter()
+                        .all(|d| !matches!(d.code, Code::ResourceExhausted | Code::InternalError)));
+            let reuse = (tripped.is_none() && ordinary).then(|| ReuseData {
+                diagnostics: diagnostics.to_vec(),
                 summary: st.out.results[results_before].clone(),
                 binder: st.binders.get(binders_before).cloned(),
                 value: result,
@@ -584,6 +633,7 @@ impl Checker {
             mutated,
             records,
             envs,
+            reported,
         };
         Some((out, cache, trace.counts()))
     }
@@ -866,9 +916,14 @@ mod tests {
         assert_eq!(cache.len(), 3);
         assert_eq!(stats.rechecked, 3);
         assert_eq!(stats.skipped, 0);
-        // The failing item is never cached.
+        // The failing item is cached with its one diagnostic.
         assert!(cache.records[0].reuse.is_some());
-        assert!(cache.records[1].reuse.is_none());
+        let failing = cache.records[1]
+            .reuse
+            .as_ref()
+            .expect("an ordinary failure");
+        assert_eq!(failing.diagnostics.len(), 1);
+        assert!(failing.summary.poisoned);
     }
 
     #[test]
@@ -908,9 +963,58 @@ mod tests {
             assert_eq!(a.name, b.name);
             assert_eq!(a.poisoned, b.poisoned);
         }
-        assert!(s3.rechecked >= 1, "{s3:?}");
-        assert!(s3.skipped >= 1, "{s3:?}");
-        assert!(cache3.records[1].reuse.is_none());
+        assert_eq!((s3.rechecked, s3.skipped), (1, 2), "{s3:?}");
+        assert!(cache3.records[1].reuse.is_some());
+        assert_eq!(
+            cache3.slot_diagnostics().collect::<Vec<_>>(),
+            [(0, true), (1, false), (0, true)]
+        );
+    }
+
+    #[test]
+    fn a_claimed_failing_record_splices_with_its_diagnostics() {
+        let v1 = vec![good("cf_a"), bad("cf_b"), caller("cf_c", "cf_b")];
+        let checker = Checker::default();
+        let (r1, cache, _) = checker
+            .check_module_incremental(&all_fresh(&v1), None, &mut no_fetch)
+            .expect("cold run");
+        let slots: Vec<IncrSlot> = (0..3).map(IncrSlot::Reused).collect();
+        let (r2, cache2, s2) = checker
+            .check_module_incremental(&slots, Some(&cache), &mut no_fetch)
+            .expect("all-splice run");
+        assert_eq!((s2.rechecked, s2.skipped), (0, 3), "{s2:?}");
+        same_verdicts(&r2, &r1);
+        assert_eq!(r2.diagnostics.len(), 1);
+        assert_eq!(r2.diagnostics[0].message, r1.diagnostics[0].message);
+        assert_eq!(
+            cache2.slot_diagnostics().collect::<Vec<_>>(),
+            [(0, true), (1, true), (0, true)]
+        );
+    }
+
+    #[test]
+    fn a_failing_record_matched_only_by_fingerprint_rechecks() {
+        // A fresh slot aligned with a failing record by fingerprint alone
+        // may have moved inside its text: its diagnostics are re-derived.
+        let v1 = vec![good("ff_a"), bad("ff_b"), good("ff_c")];
+        let checker = Checker::default();
+        let (_, cache, _) = checker
+            .check_module_incremental(&all_fresh(&v1), None, &mut no_fetch)
+            .expect("cold run");
+        let slots = vec![
+            IncrSlot::Reused(0),
+            IncrSlot::Fresh(v1[1].clone()),
+            IncrSlot::Reused(2),
+        ];
+        let (r2, cache2, s2) = checker
+            .check_module_incremental(&slots, Some(&cache), &mut no_fetch)
+            .expect("incremental run");
+        same_verdicts(&r2, &checker.check_module(&v1));
+        assert_eq!((s2.rechecked, s2.skipped), (1, 2), "{s2:?}");
+        assert_eq!(
+            cache2.slot_diagnostics().collect::<Vec<_>>(),
+            [(0, true), (1, false), (0, true)]
+        );
     }
 
     #[test]

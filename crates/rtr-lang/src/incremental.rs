@@ -5,22 +5,59 @@
 //! results, but it must not pay for re-*elaborating* unchanged items
 //! either — elaboration of a 50-item module costs more than the whole
 //! warm re-check budget. This module therefore works on the source
-//! *text*:
+//! *text*, and on a warm check it touches only the part of the text an
+//! edit changed:
 //!
-//! 1. an O(n) `scan_forms` pass slices the file into top-level form
-//!    extents without building any trees (it mirrors the reader's
-//!    lexical rules — comments, strings, `#rx"…"` literals, brackets);
+//! 1. a scanner slices the file into top-level form extents without
+//!    building any trees (it mirrors the reader's lexical rules —
+//!    comments, strings, `#rx"…"` literals, brackets), recording each
+//!    form's byte range, start and end positions, head and text hash;
 //! 2. signature forms are paired with their `define` textually,
 //!    mirroring the elaborator's latest-unconsumed-signature map, giving
 //!    one *slot* per module item in check order (definitions first, then
-//!    trailing expressions), each keyed by a hash of its constituent
-//!    form texts;
-//! 3. slots whose key matches the previous run (FIFO per partition, so
-//!    reorders and duplicates resolve positionally) become
+//!    trailing expressions), each keyed by the hashes of its constituent
+//!    forms;
+//! 3. slots whose key matches a slot of the previous run become
 //!    [`IncrSlot::Reused`] — their items are only elaborated if the
 //!    driver rejects the splice, via the `fetch` callback, with spans
-//!    read at their *new* file positions ([`read_all_from`]);
-//!    changed slots elaborate eagerly and go in as [`IncrSlot::Fresh`].
+//!    read at their *new* file positions ([`read_all_from`]); changed
+//!    slots elaborate eagerly and go in as [`IncrSlot::Fresh`].
+//!
+//! # The edit-range rescan
+//!
+//! [`ModuleCache`] keeps the previous text and its forms. A warm check
+//! finds the one edited byte range by the longest common prefix and
+//! suffix of the two texts, and re-runs the scanner only from the end of
+//! the last form that ends before the first changed byte (the byte that
+//! ended such a form is unchanged too, so the form scans the same). The
+//! rescan *resyncs* — stops — when, back at top level, it starts a form
+//! inside the unchanged suffix at a byte where an old form started,
+//! shifted by the edit's byte delta: from there both scans read the
+//! same bytes from the same state, so the remaining forms are the old
+//! ones with their offsets and positions shifted (a form on the resync
+//! form's line moves by its column delta, one on a later line keeps its
+//! column). An edit that opens a string, a `;` comment or a `#rx"…"`
+//! literal makes the rescan swallow later forms until the literal closes;
+//! one that closes such a literal releases them. A cold check runs the
+//! same scanner with nothing to resync against.
+//!
+//! Slots whose forms lie outside the rescanned range claim the old slot
+//! of the same forms by position, checked against its key; only slots in
+//! the rescanned range look their key up among the old slots the rescan
+//! replaced. Summary spans are stamped from each form's recorded start
+//! and end, so a warm check reads source bytes only in the prefix and
+//! suffix comparison, the rescanned range and the slots it elaborates.
+//!
+//! # Failing verdicts
+//!
+//! The core driver caches an item's ordinary diagnostics and splices
+//! them when the item's slot claims its record. Their nodes belong to
+//! an older elaboration, so this layer keeps its own copy of each slot's
+//! *resolved* diagnostics, every span stored relative to the form it
+//! lies in (the define or expression form, or its paired signature),
+//! and re-stamps them at the slot's current position when the driver
+//! reports them spliced ([`ItemCache::slot_diagnostics`]). A slot whose
+//! diagnostics cannot be anchored that way is never claimed.
 //!
 //! Anything the textual account cannot mirror exactly — scanner
 //! anomalies, unconsumed or overwritten signatures (`W0001` territory),
@@ -29,9 +66,10 @@
 //! [`crate::elaborate_module_items`]' output.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use rtr_core::check::Checker;
-use rtr_core::diag::{NodeId, Span};
+use rtr_core::diag::{Diagnostic, NodeId, Span};
 use rtr_core::incremental::{IncrSlot, ItemCache};
 use rtr_core::module::ModuleItem;
 use rtr_core::syntax::{Symbol, Ty};
@@ -41,27 +79,37 @@ use crate::elab::Elaborator;
 use crate::module::{check_module_source_traced, define_form, signature_form, ModuleReport};
 use crate::sexp::{read_all_from, Pos, Sexp};
 
+/// Where every scan of a whole text starts.
+const START: Pos = Pos { line: 1, col: 1 };
+
+/// The origin positions are stored relative to ([`shift`]).
+const ORIGIN: Pos = Pos { line: 0, col: 0 };
+
 /// What kind of top-level form a slice is, as far as the scanner can
 /// tell without parsing.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Head {
     /// `(: name …)` — a signature for `name`.
-    Sig(String),
+    Sig(Symbol),
     /// `(define (name …) …)` / `(define name …)`.
-    Define(String),
+    Define(Symbol),
     /// Anything else: a trailing expression.
     Other,
 }
 
 /// One top-level form's extent in the source.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct FormSlice {
     /// Byte range in the source.
     start: usize,
     end: usize,
     /// Line/column of the first character (for absolute re-reading).
     pos: Pos,
+    /// Line/column just past the last character.
+    end_pos: Pos,
     head: Head,
+    /// [`text_hash`] of the form's text.
+    hash: u64,
 }
 
 impl FormSlice {
@@ -69,43 +117,101 @@ impl FormSlice {
         &src[self.start..self.end]
     }
 
-    /// The form's surface extent as a half-open [`Span`], walking the
-    /// slice once to find the position just past its last character.
-    fn span(&self, src: &str) -> Span {
-        let mut end = self.pos;
-        for ch in self.text(src).chars() {
-            if ch == '\n' {
-                end.line += 1;
-                end.col = 1;
-            } else {
-                end.col += 1;
-            }
+    /// The form's surface extent as a half-open [`Span`].
+    fn span(&self) -> Span {
+        Span::new(self.pos, self.end_pos)
+    }
+
+    fn contains(&self, s: Span) -> bool {
+        let at = |p: Pos| (p.line, p.col);
+        at(self.pos) <= at(s.start) && at(s.end) <= at(self.end_pos)
+    }
+
+    /// This form after the text before it changed: it starts `delta`
+    /// bytes later, and the form whose old start was `from` now starts
+    /// at `to`.
+    fn moved(self, delta: isize, from: Pos, to: Pos) -> FormSlice {
+        FormSlice {
+            start: self.start.wrapping_add_signed(delta),
+            end: self.end.wrapping_add_signed(delta),
+            pos: shift(self.pos, from, to),
+            end_pos: shift(self.end_pos, from, to),
+            ..self
         }
-        Span::new(self.pos, end)
     }
 }
 
-/// Stable FNV-1a over a slice's text.
-fn text_hash(h: &mut u64, s: &str) {
-    for b in s.as_bytes() {
-        *h ^= u64::from(*b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
+/// Moves `p`, at or after `from` in some text, to where it lies when the
+/// text before `from` changes so that `from` lands at `to`: positions on
+/// `from`'s line move by its column delta, later lines by its line delta
+/// with their columns kept. With `to = ORIGIN` this makes `p` relative
+/// to `from`; with `from = ORIGIN` it makes a relative `p` absolute.
+fn shift(p: Pos, from: Pos, to: Pos) -> Pos {
+    if p.line == from.line {
+        Pos {
+            line: to.line,
+            col: p.col - from.col + to.col,
+        }
+    } else {
+        Pos {
+            line: p.line - from.line + to.line,
+            col: p.col,
+        }
     }
-    // Separator so concatenations can't collide across the boundary.
-    *h ^= 0xFF;
-    *h = h.wrapping_mul(0x0000_0100_0000_01B3);
 }
 
-/// Slices `src` into top-level form extents, mirroring the reader's
-/// lexical rules. Returns `None` on anything the reader would reject
-/// (unbalanced or mismatched delimiters, unterminated strings) — the
-/// caller falls back to the full pipeline, which reports the error
-/// properly.
-fn scan_forms(src: &str) -> Option<Vec<FormSlice>> {
+/// A form's text hash: stable FNV-1a.
+fn text_hash(text: &[u8]) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for b in text {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// A slot's key: its form's hash, mixed with its signature form's if it
+/// has one.
+fn slot_key(form: &FormSlice, sig: Option<&FormSlice>) -> u64 {
+    // The splitmix64 finalizer.
+    let mix = |mut x: u64| {
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    };
+    match sig {
+        Some(s) => mix(s.hash ^ mix(form.hash)),
+        None => form.hash,
+    }
+}
+
+/// Where a rescan may stop: the previous scan's forms, and the byte
+/// delta of the edit, whose unchanged tail starts at byte `tail` of the
+/// new text.
+struct Resync<'a> {
+    old: &'a [FormSlice],
+    delta: isize,
+    tail: usize,
+}
+
+/// Scans `src` from byte `i`, at top level at position `pos`, appending
+/// the top-level form extents to `out` and mirroring the reader's
+/// lexical rules. With a [`Resync`], stops at the first form that starts
+/// in the unchanged tail where an old form started (shifted by the
+/// delta), and returns that old form's index with the position the scan
+/// reached; at the end of the text it returns the number of old forms
+/// (none) and the end position. Returns `None` on anything the reader
+/// would reject (unbalanced or mismatched delimiters, unterminated
+/// strings) — the caller falls back to the full pipeline, which reports
+/// the error properly.
+fn scan(
+    src: &str,
+    mut i: usize,
+    mut pos: Pos,
+    resync: Option<&Resync<'_>>,
+    out: &mut Vec<FormSlice>,
+) -> Option<(usize, Pos)> {
     let bytes = src.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    let mut pos = Pos { line: 1, col: 1 };
 
     // Byte-level cursor; the source is UTF-8 and every delimiter we
     // care about is ASCII, so non-ASCII bytes are plain word/string
@@ -162,6 +268,12 @@ fn scan_forms(src: &str) -> Option<Vec<FormSlice>> {
         }
 
         let start = i;
+        if let Some(r) = resync.filter(|r| start >= r.tail) {
+            let old_start = start.wrapping_add_signed(-r.delta);
+            if let Ok(k) = r.old.binary_search_by_key(&old_start, |f| f.start) {
+                return Some((k, pos));
+            }
+        }
         let form_pos = pos;
         // Bytes that cannot affect the bracket stack, start a string or
         // comment, or advance the line count. Runs of them (the bulk of
@@ -179,6 +291,7 @@ fn scan_forms(src: &str) -> Option<Vec<FormSlice>> {
             t
         };
 
+        let mut head = Head::Other;
         if b == b'(' || b == b'[' {
             // A list form: track a bracket stack through strings and
             // comments until it empties.
@@ -226,23 +339,11 @@ fn scan_forms(src: &str) -> Option<Vec<FormSlice>> {
             if !stack.is_empty() {
                 return None; // unterminated form
             }
-            let head = classify(&src[start..i])?;
-            out.push(FormSlice {
-                start,
-                end: i,
-                pos: form_pos,
-                head,
-            });
+            head = classify(&src[start..i])?;
         } else if b == b'"' {
             // A top-level string atom.
             advance(&mut pos, b);
             i = skip_string(bytes, i + 1, &mut pos)?;
-            out.push(FormSlice {
-                start,
-                end: i,
-                pos: form_pos,
-                head: Head::Other,
-            });
         } else {
             // A bare atom: word characters up to a delimiter. `#rx"…"`
             // continues into a string when the word hits a quote.
@@ -259,15 +360,118 @@ fn scan_forms(src: &str) -> Option<Vec<FormSlice>> {
                 advance(&mut pos, c);
                 i += 1;
             }
-            out.push(FormSlice {
-                start,
-                end: i,
-                pos: form_pos,
-                head: Head::Other,
-            });
         }
+        out.push(FormSlice {
+            start,
+            end: i,
+            pos: form_pos,
+            end_pos: pos,
+            head,
+            hash: text_hash(&bytes[start..i]),
+        });
     }
+    Some((resync.map_or(0, |r| r.old.len()), pos))
+}
+
+/// Slices a whole text into top-level forms (see [`scan`]).
+#[cfg(test)]
+fn scan_forms(src: &str) -> Option<Vec<FormSlice>> {
+    let mut out = Vec::new();
+    scan(src, 0, START, None, &mut out)?;
     Some(out)
+}
+
+/// A text's forms, and how they correspond to the previous scan's:
+/// `forms[..same]` are the old `forms[..same]`, `forms[same..same +
+/// fresh]` were rescanned, and the rest are the old `forms[resync..]`,
+/// moved.
+struct Rescan {
+    forms: Vec<FormSlice>,
+    same: usize,
+    fresh: usize,
+    resync: usize,
+}
+
+/// Scans `src`, rescanning only the edited range against the previous
+/// text and its forms when there are any (see the module docs).
+fn rescan(src: &str, old: Option<(&str, &[FormSlice])>) -> Option<Rescan> {
+    let Some((old_text, old_forms)) = old else {
+        let mut forms = Vec::new();
+        scan(src, 0, START, None, &mut forms)?;
+        return Some(Rescan {
+            fresh: forms.len(),
+            forms,
+            same: 0,
+            resync: 0,
+        });
+    };
+    let (a, b) = (old_text.as_bytes(), src.as_bytes());
+    let prefix = common_prefix(a, b);
+    let suffix = common_suffix(&a[prefix..], &b[prefix..]);
+    // A form that ends before the first changed byte is followed by the
+    // unchanged byte that ended it, so it scans the same.
+    let same = old_forms.partition_point(|f| f.end < prefix);
+    let (from, pos) = match same.checked_sub(1).map(|l| &old_forms[l]) {
+        Some(last) => (last.end, last.end_pos),
+        None => (0, START),
+    };
+    let delta = b.len() as isize - a.len() as isize;
+    let mut forms = Vec::with_capacity(old_forms.len() + 1);
+    forms.extend_from_slice(&old_forms[..same]);
+    let (resync, at) = scan(
+        src,
+        from,
+        pos,
+        Some(&Resync {
+            old: old_forms,
+            delta,
+            tail: b.len() - suffix,
+        }),
+        &mut forms,
+    )?;
+    let fresh = forms.len() - same;
+    if let Some(anchor) = old_forms.get(resync) {
+        let moved = old_forms[resync..]
+            .iter()
+            .map(|f| f.moved(delta, anchor.pos, at));
+        forms.extend(moved);
+    }
+    Some(Rescan {
+        forms,
+        same,
+        fresh,
+        resync,
+    })
+}
+
+/// Bytes compared per step before the byte-wise tail.
+const CHUNK: usize = 64;
+
+/// The length of the longest common prefix of `a` and `b`.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let mut i = 0;
+    while i + CHUNK <= n && a[i..i + CHUNK] == b[i..i + CHUNK] {
+        i += CHUNK;
+    }
+    while i < n && a[i] == b[i] {
+        i += 1;
+    }
+    i
+}
+
+/// The length of the longest common suffix of `a` and `b`.
+fn common_suffix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let (ea, eb) = (a.len(), b.len());
+    let mut i = 0;
+    while i + CHUNK <= n && a[ea - i - CHUNK..ea - i] == b[eb - i - CHUNK..eb - i] {
+        i += CHUNK;
+    }
+    while i < n && a[ea - i - 1] == b[eb - i - 1] {
+        i += 1;
+    }
+    i
 }
 
 /// Classifies a list form's head textually: `(: name …)`,
@@ -279,15 +483,15 @@ fn classify(form: &str) -> Option<Head> {
     let mut toks = Tokens::new(&form[1..form.len() - 1]);
     match toks.next_word()? {
         Tok::Word(":") => match toks.next_word() {
-            Some(Tok::Word(name)) => Some(Head::Sig(name.to_owned())),
+            Some(Tok::Word(name)) => Some(Head::Sig(Symbol::intern(name))),
             _ => None,
         },
         Tok::Word("define") => match toks.next_word() {
             Some(Tok::Open) => match toks.next_word() {
-                Some(Tok::Word(name)) => Some(Head::Define(name.to_owned())),
+                Some(Tok::Word(name)) => Some(Head::Define(Symbol::intern(name))),
                 _ => None,
             },
-            Some(Tok::Word(name)) => Some(Head::Define(name.to_owned())),
+            Some(Tok::Word(name)) => Some(Head::Define(Symbol::intern(name))),
             _ => None,
         },
         _ => Some(Head::Other),
@@ -355,13 +559,13 @@ impl<'a> Tokens<'a> {
 /// signed definitions) the paired signature form.
 #[derive(Clone, Debug)]
 struct SlotDesc {
-    /// The `define`/expression form slice.
+    /// The `define`/expression form.
     form: usize,
-    /// The paired `(: name …)` slice, if any.
+    /// The paired `(: name …)` form, if any.
     sig: Option<usize>,
     /// Is this a definition slot (vs a trailing expression)?
     is_define: bool,
-    /// Hash of the constituent texts.
+    /// [`slot_key`] of the constituent forms.
     key: u64,
 }
 
@@ -371,44 +575,41 @@ struct SlotDesc {
 /// whenever the textual account could diverge from the elaborator's —
 /// an overwritten pending signature (silently dropped by the map) or a
 /// leftover one (`W0001`) — so those modules take the full path.
-fn pair_slots(src: &str, forms: &[FormSlice]) -> Option<Vec<SlotDesc>> {
-    let mut pending: HashMap<&str, usize> = HashMap::new();
-    let mut defines: Vec<SlotDesc> = Vec::new();
+fn pair_slots(forms: &[FormSlice]) -> Option<Vec<SlotDesc>> {
+    // Unconsumed signatures, in order. A signature usually comes right
+    // before its define, so this stays a handful of entries long.
+    let mut pending: Vec<(Symbol, usize)> = Vec::new();
+    let mut defines: Vec<SlotDesc> = Vec::with_capacity(forms.len());
     let mut trailing: Vec<SlotDesc> = Vec::new();
     for (i, f) in forms.iter().enumerate() {
-        match &f.head {
+        match f.head {
             Head::Sig(name) => {
-                if pending.insert(name.as_str(), i).is_some() {
+                if pending.iter().any(|&(n, _)| n == name) {
                     // The elaborator would silently drop the first
                     // signature (including its elaboration effects);
                     // don't try to replay that.
                     return None;
                 }
+                pending.push((name, i));
             }
             Head::Define(name) => {
-                let sig = pending.remove(name.as_str());
-                let mut key = 0xCBF2_9CE4_8422_2325u64;
-                if let Some(s) = sig {
-                    text_hash(&mut key, forms[s].text(src));
-                }
-                text_hash(&mut key, f.text(src));
+                let sig = pending
+                    .iter()
+                    .position(|&(n, _)| n == name)
+                    .map(|k| pending.swap_remove(k).1);
                 defines.push(SlotDesc {
                     form: i,
                     sig,
                     is_define: true,
-                    key,
+                    key: slot_key(f, sig.map(|s| &forms[s])),
                 });
             }
-            Head::Other => {
-                let mut key = 0xCBF2_9CE4_8422_2325u64;
-                text_hash(&mut key, f.text(src));
-                trailing.push(SlotDesc {
-                    form: i,
-                    sig: None,
-                    is_define: false,
-                    key,
-                });
-            }
+            Head::Other => trailing.push(SlotDesc {
+                form: i,
+                sig: None,
+                is_define: false,
+                key: slot_key(f, None),
+            }),
         }
     }
     if !pending.is_empty() {
@@ -416,6 +617,131 @@ fn pair_slots(src: &str, forms: &[FormSlice]) -> Option<Vec<SlotDesc>> {
     }
     defines.extend(trailing);
     Some(defines)
+}
+
+/// The old slot each new slot claims, if any. A slot whose form lies
+/// outside the rescanned range claims the old slot of the same form by
+/// position, if their keys agree; one inside it takes the first
+/// unclaimed old slot with its key among those whose forms the rescan
+/// replaced. Slots whose diagnostics could not be anchored are never
+/// claimed.
+fn claim(descs: &[SlotDesc], scan: &Rescan, old: &ModuleCache) -> Vec<Option<usize>> {
+    let claimable = |j: usize, d: &SlotDesc| {
+        let o = &old.slots[j];
+        o.key == d.key
+            && o.is_define == d.is_define
+            && !matches!(old.diags[j], SlotDiags::Unanchored)
+    };
+    let slot_of = |form: usize| old.form_slots[form].map(|j| j as usize);
+    let mut middle: Vec<(bool, u64, usize)> = (scan.same..scan.resync)
+        .filter_map(slot_of)
+        .map(|j| (old.slots[j].is_define, old.slots[j].key, j))
+        .collect();
+    middle.sort_unstable();
+    let mut taken = vec![false; middle.len()];
+    let rescanned = scan.same..scan.same + scan.fresh;
+    descs
+        .iter()
+        .map(|d| {
+            if !rescanned.contains(&d.form) {
+                let form = if d.form < scan.same {
+                    d.form
+                } else {
+                    d.form - rescanned.end + scan.resync
+                };
+                return slot_of(form).filter(|&j| claimable(j, d));
+            }
+            let first = middle.partition_point(|&(def, key, _)| (def, key) < (d.is_define, d.key));
+            let k = (first..middle.len())
+                .take_while(|&k| (middle[k].0, middle[k].1) == (d.is_define, d.key))
+                .find(|&k| !taken[k] && claimable(middle[k].2, d))?;
+            taken[k] = true;
+            Some(middle[k].2)
+        })
+        .collect()
+}
+
+/// One diagnostic of a slot, each of its spans (primary first, then the
+/// labels') stored relative to the form it lies in: `in_sig` says which.
+#[derive(Clone, Debug)]
+struct RelDiag {
+    diag: Diagnostic,
+    in_sig: Vec<bool>,
+}
+
+impl RelDiag {
+    /// `d`'s spans relative to `form` or `sig`; `None` if one lies in
+    /// neither.
+    fn new(d: &Diagnostic, form: &FormSlice, sig: Option<&FormSlice>) -> Option<RelDiag> {
+        let mut diag = d.clone();
+        let mut in_sig = Vec::with_capacity(1 + diag.labels.len());
+        for span in spans_mut(&mut diag) {
+            let Some(s) = span else {
+                in_sig.push(false);
+                continue;
+            };
+            let (anchor, is_sig) = if form.contains(*s) {
+                (form, false)
+            } else {
+                (sig.filter(|g| g.contains(*s))?, true)
+            };
+            *s = Span::new(
+                shift(s.start, anchor.pos, ORIGIN),
+                shift(s.end, anchor.pos, ORIGIN),
+            );
+            in_sig.push(is_sig);
+        }
+        Some(RelDiag { diag, in_sig })
+    }
+
+    /// The diagnostic at the slot's current forms.
+    fn stamp(&self, form: &FormSlice, sig: Option<&FormSlice>) -> Diagnostic {
+        let mut d = self.diag.clone();
+        for (span, &is_sig) in spans_mut(&mut d).zip(&self.in_sig) {
+            if let Some(s) = span {
+                let anchor = if is_sig {
+                    sig.expect("the claimed key hashed a signature form")
+                } else {
+                    form
+                };
+                *s = Span::new(
+                    shift(s.start, ORIGIN, anchor.pos),
+                    shift(s.end, ORIGIN, anchor.pos),
+                );
+            }
+        }
+        d
+    }
+}
+
+/// A diagnostic's spans: the primary, then each label's.
+fn spans_mut(d: &mut Diagnostic) -> impl Iterator<Item = &mut Option<Span>> {
+    std::iter::once(&mut d.primary).chain(d.labels.iter_mut().map(|l| &mut l.span))
+}
+
+/// What a slot reported, kept so a later run that splices its record
+/// can re-stamp the diagnostics.
+#[derive(Clone, Debug, Default)]
+enum SlotDiags {
+    /// Nothing.
+    #[default]
+    Clean,
+    /// Its diagnostics, spans relative to the slot's forms.
+    Relative(Arc<[RelDiag]>),
+    /// A diagnostic span lies outside the slot's forms.
+    Unanchored,
+}
+
+impl SlotDiags {
+    fn new(ds: &[Diagnostic], form: &FormSlice, sig: Option<&FormSlice>) -> SlotDiags {
+        if ds.is_empty() {
+            return SlotDiags::Clean;
+        }
+        match ds.iter().map(|d| RelDiag::new(d, form, sig)).collect() {
+            Some(rel) => SlotDiags::Relative(rel),
+            None => SlotDiags::Unanchored,
+        }
+    }
 }
 
 /// Elaborates one slot's form(s) into a [`ModuleItem`], with spans at
@@ -464,14 +790,21 @@ fn elaborate_slot(
     }
 }
 
-/// A per-source incremental cache: the previous run's slot keys (for
-/// textual matching) and the core driver's [`ItemCache`].
+/// A per-source incremental cache: the previous run's text, forms and
+/// slots (for the edit-range rescan and textual matching) and the core
+/// driver's [`ItemCache`].
 #[derive(Clone, Debug)]
 pub struct ModuleCache {
-    /// Slot keys in check order.
-    keys: Vec<u64>,
-    /// How many leading slots are definitions.
-    n_defines: usize,
+    /// The text the cache describes.
+    text: String,
+    /// Its top-level forms.
+    forms: Vec<FormSlice>,
+    /// The slots, in check order.
+    slots: Vec<SlotDesc>,
+    /// What each slot reported.
+    diags: Vec<SlotDiags>,
+    /// The slot each form is the define/expression form of.
+    form_slots: Vec<Option<u32>>,
     /// The core per-item cache.
     core: ItemCache,
 }
@@ -479,12 +812,12 @@ pub struct ModuleCache {
 impl ModuleCache {
     /// Number of cached item slots.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.slots.len()
     }
 
     /// Is the cache empty?
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.slots.is_empty()
     }
 }
 
@@ -506,42 +839,31 @@ pub fn check_module_source_incremental(
         (report, None, Some(trace))
     };
 
-    let Some(forms) = scan_forms(src) else {
+    let Some(scan) = rescan(src, old.map(|c| (c.text.as_str(), c.forms.as_slice()))) else {
         return whole(src);
     };
-    let Some(descs) = pair_slots(src, &forms) else {
+    let forms = &scan.forms;
+    let Some(descs) = pair_slots(forms) else {
         return whole(src);
     };
-    let n_defines = descs.iter().filter(|d| d.is_define).count();
-
-    // Match new slots against the old run's keys, FIFO within each
-    // partition so duplicates and reorders resolve positionally.
-    let mut queues: HashMap<(bool, u64), std::collections::VecDeque<usize>> = HashMap::new();
-    if let Some(c) = old {
-        for (j, key) in c.keys.iter().enumerate() {
-            queues
-                .entry((j < c.n_defines, *key))
-                .or_default()
-                .push_back(j);
-        }
-    }
+    let claims = match old {
+        Some(old) => claim(&descs, &scan, old),
+        None => vec![None; descs.len()],
+    };
 
     let mut elab = Elaborator::new();
     let mut slots: Vec<IncrSlot> = Vec::with_capacity(descs.len());
-    for d in &descs {
-        match queues
-            .get_mut(&(d.is_define, d.key))
-            .and_then(|q| q.pop_front())
-        {
-            Some(j) => slots.push(IncrSlot::Reused(j)),
-            None => match elaborate_slot(src, &forms, d, &mut elab) {
+    for (d, claimed) in descs.iter().zip(&claims) {
+        match claimed {
+            Some(j) => slots.push(IncrSlot::Reused(*j)),
+            None => match elaborate_slot(src, forms, d, &mut elab) {
                 Some(item) => slots.push(IncrSlot::Fresh(item)),
                 None => return whole(src),
             },
         }
     }
 
-    let mut fetch = |i: usize| elaborate_slot(src, &forms, &descs[i], &mut elab);
+    let mut fetch = |i: usize| elaborate_slot(src, forms, &descs[i], &mut elab);
     let Some((mc, core, stats)) =
         checker.check_module_incremental(&slots, old.map(|c| &c.core), &mut fetch)
     else {
@@ -549,10 +871,37 @@ pub fn check_module_source_incremental(
         return whole(src);
     };
 
+    // Diagnostics slot by slot: a spliced failing record's come from the
+    // claimed slot's stored copy, re-stamped at the slot's forms; the
+    // rest were derived by this run and resolve through its elaborator.
     let spans = elab.into_spans();
-    let mut diagnostics = mc.diagnostics;
-    for d in &mut diagnostics {
-        d.resolve_spans(&spans);
+    let mut derived = mc.diagnostics.into_iter();
+    let mut diagnostics = Vec::new();
+    let mut slot_diags: Vec<SlotDiags> = Vec::with_capacity(descs.len());
+    for ((n, spliced), (d, claimed)) in core.slot_diagnostics().zip(descs.iter().zip(&claims)) {
+        let (form, sig) = (&forms[d.form], d.sig.map(|s| &forms[s]));
+        let ds: Vec<Diagnostic> = derived.by_ref().take(n).collect();
+        if spliced {
+            // The driver splices a failing record only into the slot
+            // that claims it, so the claimed slot's copy is its mirror.
+            let stored = claimed
+                .zip(old)
+                .map_or(SlotDiags::Clean, |(j, old)| old.diags[j].clone());
+            if let SlotDiags::Relative(rel) = &stored {
+                diagnostics.extend(rel.iter().map(|r| r.stamp(form, sig)));
+            }
+            slot_diags.push(stored);
+        } else {
+            let resolved: Vec<Diagnostic> = ds
+                .into_iter()
+                .map(|mut d| {
+                    d.resolve_spans(&spans);
+                    d
+                })
+                .collect();
+            slot_diags.push(SlotDiags::new(&resolved, form, sig));
+            diagnostics.extend(resolved);
+        }
     }
     // Stamp every summary's extent from the *current* scan: spliced
     // summaries carry the previous run's span, which an edit above them
@@ -561,7 +910,7 @@ pub fn check_module_source_incremental(
     let mut results = mc.results;
     debug_assert!(results.len() <= descs.len());
     for (summary, desc) in results.iter_mut().zip(&descs) {
-        summary.span = Some(forms[desc.form].span(src));
+        summary.span = Some(forms[desc.form].span());
     }
     // A cut-short run's cache covers only the slots it reached: keep the
     // previous one.
@@ -571,10 +920,19 @@ pub fn check_module_source_incremental(
         results,
         value: mc.value,
     };
-    let cache = complete.then(|| ModuleCache {
-        keys: descs.iter().map(|d| d.key).collect(),
-        n_defines,
-        core,
+    let cache = complete.then(|| {
+        let mut form_slots = vec![None; scan.forms.len()];
+        for (j, d) in descs.iter().enumerate() {
+            form_slots[d.form] = Some(j as u32);
+        }
+        ModuleCache {
+            text: src.to_owned(),
+            forms: scan.forms,
+            slots: descs,
+            diags: slot_diags,
+            form_slots,
+            core,
+        }
     });
     (report, cache, Some(stats))
 }
@@ -612,8 +970,8 @@ mod tests {
                 "42",
             ]
         );
-        assert_eq!(forms[0].head, Head::Sig("f".to_owned()));
-        assert_eq!(forms[1].head, Head::Define("f".to_owned()));
+        assert_eq!(forms[0].head, Head::Sig(Symbol::intern("f")));
+        assert_eq!(forms[1].head, Head::Define(Symbol::intern("f")));
         assert_eq!(forms[3].head, Head::Other);
         // Positions are reader-accurate.
         assert_eq!(forms[0].pos, Pos { line: 3, col: 1 });
@@ -627,10 +985,137 @@ mod tests {
         assert!(scan_forms("\"abc").is_none());
     }
 
+    /// A deterministic LCG; high bits are the usable ones.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self, bound: usize) -> usize {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((self.0 >> 33) as usize) % bound.max(1)
+        }
+    }
+
+    /// A well-formed document mixing every lexical shape the scanner
+    /// tracks: signatures, defines, strings, comments, `#rx"…"`
+    /// literals, bare atoms, multibyte text and `\r\n` line ends.
+    fn lexical_document(rng: &mut Lcg, n: usize) -> String {
+        (0..n)
+            .map(|k| match rng.next(8) {
+                0 | 1 => format!("(: f{k} : [x : Int] -> Int)\n(define (f{k} x) (+ x {k}))\n"),
+                2 => format!("; note {k} with \"quote\" and (paren\n(f{k} 2)\n"),
+                3 => format!("\"a string ; {k} not a comment\"\n"),
+                4 => format!("(define r{k} #rx\"a;b(\")\n#rx\"c{k}\"\n"),
+                5 => format!("(define s{k} \"é𝒳 {k}\")\r\n"),
+                6 => format!("{k} [g{k} (h \"x\\\"y\")]  "),
+                _ => format!("(define (e{k} [x : Int]) ; inner (\n  (+ x {k}))\n"),
+            })
+            .collect()
+    }
+
+    /// Replaces a random character range of `text` with a snippet that
+    /// may open or close a string, a comment or a literal.
+    fn random_edit(rng: &mut Lcg, text: &str) -> String {
+        const SNIPPETS: [&str; 17] = [
+            "\"",
+            ";",
+            "#rx\"",
+            "\n",
+            "\r\n",
+            "(",
+            ")",
+            "[",
+            "]",
+            "é",
+            "𝒳",
+            "x",
+            "\\",
+            " ",
+            "",
+            "(define (g y) y)",
+            "; c\n",
+        ];
+        let bounds: Vec<usize> = text
+            .char_indices()
+            .map(|(i, _)| i)
+            .chain([text.len()])
+            .collect();
+        let from = rng.next(bounds.len());
+        let span = if rng.next(4) == 0 {
+            rng.next(200)
+        } else {
+            rng.next(4)
+        };
+        let to = (from + span).min(bounds.len() - 1);
+        let snippet = SNIPPETS[rng.next(SNIPPETS.len())];
+        format!("{}{snippet}{}", &text[..bounds[from]], &text[bounds[to]..])
+    }
+
+    fn warm_scan_matches_a_cold_scan(seed: u64) {
+        let mut rng = Lcg(seed);
+        let mut text = lexical_document(&mut rng, 30);
+        let mut forms = scan_forms(&text).expect("the document is well formed");
+        for step in 0..120 {
+            let next = random_edit(&mut rng, &text);
+            let cold = scan_forms(&next);
+            let warm = rescan(&next, Some((&text, &forms)));
+            assert_eq!(
+                warm.as_ref().map(|w| &w.forms),
+                cold.as_ref(),
+                "seed {seed} step {step}:\n{text:?}\n→\n{next:?}"
+            );
+            // Keep editing from any text that scans.
+            if let Some(cold) = cold {
+                (text, forms) = (next, cold);
+            }
+        }
+    }
+
+    #[test]
+    fn warm_scans_of_random_edits_match_cold_scans() {
+        for seed in 1..=16 {
+            warm_scan_matches_a_cold_scan(seed);
+        }
+        // Explore new edits on every run; the seed is in the message.
+        let clock = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(0, |d| d.as_nanos() as u64);
+        warm_scan_matches_a_cold_scan(clock);
+    }
+
+    #[test]
+    fn a_body_edit_rescans_one_form_and_a_commented_line_drops_one() {
+        let text: String = (0..40)
+            .map(|k| format!("(: f{k} : [x : Int] -> Int)\n(define (f{k} x) (+ x {k}))\n"))
+            .collect();
+        let forms = scan_forms(&text).expect("well formed");
+        let edited = text.replace("(+ x 17)", "(+ x 170)");
+        let warm = rescan(&edited, Some((&text, &forms))).expect("well formed");
+        assert_eq!((warm.same, warm.fresh, warm.resync), (35, 1, 36));
+        assert_eq!(Some(warm.forms), scan_forms(&edited));
+
+        // A `"` opened inside f3's body runs to the next quote: none, so
+        // the rest of the text is an unterminated string, as cold.
+        let opened = text.replacen("(+ x 3)", "(+ x \"3)", 1);
+        assert!(rescan(&opened, Some((&text, &forms))).is_none());
+        // A comment opened at the start of a line swallows that line's
+        // form; the rescan resyncs at the next one.
+        let line = text.replacen("(define (f3", ";(define (f3", 1);
+        let warm = rescan(&line, Some((&text, &forms))).expect("well formed");
+        assert_eq!(
+            (warm.fresh, warm.resync - warm.same),
+            (0, 1),
+            "one form dropped"
+        );
+        assert_eq!(Some(warm.forms), scan_forms(&line));
+    }
+
     #[test]
     fn leftover_or_overwritten_signatures_fall_back() {
         let forms = scan_forms("(: ghost : [x : Int] -> Int) (+ 1 2)").unwrap();
-        assert!(pair_slots("(: ghost : [x : Int] -> Int) (+ 1 2)", &forms).is_none());
+        assert!(pair_slots(&forms).is_none());
     }
 
     #[test]

@@ -420,39 +420,56 @@ fn parse_value(src: &str, bytes: &[u8], at: &mut usize) -> Result<Json, String> 
 fn parse_string(src: &str, bytes: &[u8], at: &mut usize) -> Result<String, String> {
     expect(bytes, at, b'"')?;
     let mut out = String::new();
-    let mut chars = src[*at..].char_indices();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => {
-                *at += i + 1;
-                return Ok(out);
-            }
-            '\\' => match chars.next() {
-                Some((_, '"')) => out.push('"'),
-                Some((_, '\\')) => out.push('\\'),
-                Some((_, '/')) => out.push('/'),
-                Some((_, 'n')) => out.push('\n'),
-                Some((_, 'r')) => out.push('\r'),
-                Some((_, 't')) => out.push('\t'),
-                Some((_, 'b')) => out.push('\u{8}'),
-                Some((_, 'f')) => out.push('\u{c}'),
-                Some((j, 'u')) => {
-                    let hex = src
-                        .get(*at + j + 1..*at + j + 5)
-                        .ok_or("truncated \\u escape")?;
-                    let code =
-                        u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape".to_owned())?;
-                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    for _ in 0..4 {
-                        chars.next();
+    loop {
+        // Copy the run up to the next quote or escape in one go: both are
+        // ASCII, so the run ends on a character boundary.
+        let run = bytes[*at..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or("unterminated string")?;
+        out.push_str(&src[*at..*at + run]);
+        *at += run + 1;
+        if bytes[*at - 1] == b'"' {
+            return Ok(out);
+        }
+        let escape = bytes.get(*at).copied();
+        *at += 1;
+        match escape {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let code = hex4(src, *at)?;
+                *at += 4;
+                // A high surrogate followed by an escaped low one is a
+                // pair; any other surrogate is replaced.
+                let low = src[*at..]
+                    .strip_prefix("\\u")
+                    .and_then(|_| hex4(src, *at + 2).ok())
+                    .filter(|lo| (0xD800..0xDC00).contains(&code) && (0xDC00..0xE000).contains(lo));
+                let c = match low {
+                    Some(lo) => {
+                        *at += 6;
+                        char::from_u32(0x10000 + ((code - 0xD800) << 10) + (lo - 0xDC00))
                     }
-                }
-                _ => return Err("bad string escape".to_owned()),
-            },
-            c => out.push(c),
+                    None => char::from_u32(code),
+                };
+                out.push(c.unwrap_or('\u{fffd}'));
+            }
+            _ => return Err("bad string escape".to_owned()),
         }
     }
-    Err("unterminated string".to_owned())
+}
+
+/// The four hex digits of a `\u` escape starting at byte `at`.
+fn hex4(src: &str, at: usize) -> Result<u32, String> {
+    let hex = src.get(at..at + 4).ok_or("truncated \\u escape")?;
+    u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape".to_owned())
 }
 
 #[cfg(test)]
@@ -466,6 +483,29 @@ mod tests {
         let json = format!("{{\"s\": {}}}", str_lit(nasty));
         let parsed = parse(&json).expect("parses");
         assert_eq!(parsed.get("s").unwrap().as_str(), Some(nasty));
+    }
+
+    #[test]
+    fn strings_copy_runs_and_decode_escapes_at_their_boundaries() {
+        let parsed = |json: &str| parse(json).map(|v| v.as_str().map(str::to_owned));
+        assert_eq!(
+            parsed(r#""\u00e9é\n\u0041𝒳\"\\""#),
+            Ok(Some("éé\nA𝒳\"\\".to_owned()))
+        );
+        // A surrogate pair is one character; a lone surrogate is replaced.
+        assert_eq!(parsed(r#""x\ud835\udcb3y""#), Ok(Some("x𝒳y".to_owned())));
+        assert_eq!(parsed(r#""\ud835z""#), Ok(Some("\u{fffd}z".to_owned())));
+        // Escapes first, last and back to back, around multibyte runs.
+        let nasty = "\n√\t\"ü\u{1}\u{1f}ß\\";
+        let json = format!("[{}, {}]", str_lit(nasty), str_lit(""));
+        let doc = parse(&json).expect("parses");
+        let items = doc.as_array().expect("an array");
+        assert_eq!(items[0].as_str(), Some(nasty));
+        assert_eq!(items[1].as_str(), Some(""));
+        assert!(parse(r#""abc"#).is_err());
+        assert!(parse(r#""a\"#).is_err());
+        assert!(parse(r#""\u12""#).is_err());
+        assert!(parse(r#""\q""#).is_err());
     }
 
     #[test]

@@ -41,15 +41,31 @@ pub struct Incoming {
 ///
 /// A human-readable message on malformed JSON or a missing `method`.
 pub fn parse_message(body: &str) -> Result<Incoming, String> {
-    let doc = parse(body)?;
-    let method = doc
-        .get("method")
-        .and_then(Json::as_str)
-        .ok_or("message has no method")?
-        .to_owned();
-    let id = doc.get("id").filter(|v| !matches!(v, Json::Null)).cloned();
-    let params = doc.get("params").cloned().unwrap_or(Json::Null);
-    Ok(Incoming { id, method, params })
+    // The members move out of the document: a `didChange` carries the
+    // whole buffer, which must not be copied a second time.
+    let members = match parse(body)? {
+        Json::Obj(members) => members,
+        _ => Vec::new(),
+    };
+    let (mut id, mut method, mut params) = (None, None, None);
+    for (key, value) in members {
+        // The first occurrence of a key wins, as in [`Json::get`].
+        let slot = match key.as_str() {
+            "id" => &mut id,
+            "method" => &mut method,
+            "params" => &mut params,
+            _ => continue,
+        };
+        slot.get_or_insert(value);
+    }
+    let Some(Json::Str(method)) = method else {
+        return Err("message has no method".to_owned());
+    };
+    Ok(Incoming {
+        id: id.filter(|v| !matches!(v, Json::Null)),
+        method,
+        params: params.unwrap_or(Json::Null),
+    })
 }
 
 /// Renders a request id back out (numbers stay integral, strings are

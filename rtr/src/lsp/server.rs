@@ -75,9 +75,11 @@ struct Doc {
 
 /// What the last *published* check of a document learned, kept for
 /// hover. The text snapshot pins the coordinate system: positions are
-/// resolved against the text that was checked, not a newer buffer.
+/// resolved against the text that was checked, not a newer buffer,
+/// through the line index built once to publish it.
 struct Checked {
     text: String,
+    ix: LineIndex,
     results: Vec<ItemSummary>,
 }
 
@@ -394,7 +396,7 @@ impl<W: Write> Server<W> {
             self.stats.cancelled += 1;
             return;
         }
-        let text = doc.text.clone();
+        let text = file.text;
         let ix = LineIndex::new(&text);
         let params =
             protocol::publish_diagnostics_params(uri, version, &ix, &text, &report.diagnostics);
@@ -407,6 +409,7 @@ impl<W: Write> Server<W> {
             uri.to_owned(),
             Checked {
                 text,
+                ix,
                 results: report.results,
             },
         );
@@ -419,7 +422,7 @@ impl<W: Write> Server<W> {
             .and_then(|uri| self.checked.get(uri))
             .and_then(|checked| {
                 let pos = protocol::position(params)?;
-                let ix = LineIndex::new(&checked.text);
+                let ix = &checked.ix;
                 let loc = ix.utf16_to_loc(&checked.text, pos);
                 let item = checked.results.iter().find(|item| {
                     item.span.is_some_and(|s| {
@@ -444,7 +447,7 @@ impl<W: Write> Server<W> {
                 Some(format!(
                     "{{\"contents\":{{\"kind\":\"markdown\",\"value\":\"{}\"}},\"range\":{}}}",
                     escape(&value),
-                    protocol::range_json(&ix, &checked.text, item.span.unwrap_or_default()),
+                    protocol::range_json(ix, &checked.text, item.span.unwrap_or_default()),
                 ))
             });
         looked_up.unwrap_or_else(|| "null".to_owned())

@@ -601,3 +601,133 @@ fn deep_module_edit() {
     let fresh = Session::new(SessionConfig::default()).check(&file);
     assert_eq!(report_key(&warm, &src2), report_key(&fresh, &src2));
 }
+
+/// Like [`warm_matches_cold`] on a session built from `config`, but
+/// returns each warm check's `(rechecked, errors)`.
+fn warm_counts_match_cold(
+    config: &SessionConfig,
+    name: &str,
+    steps: &[String],
+) -> Vec<(u64, usize)> {
+    let warm = Session::new(config.clone());
+    steps
+        .iter()
+        .map(|src| {
+            let file = SourceFile::new(name, src.as_str());
+            let incremental = warm.check(&file);
+            let full = Session::new(config.clone()).check(&file);
+            assert_eq!(
+                report_key(&incremental, src),
+                report_key(&full, src),
+                "warm and cold disagree on:\n{src}"
+            );
+            let t = incremental.stats.trace.expect("incremental path");
+            (t.rechecked, incremental.stats.errors)
+        })
+        .collect()
+}
+
+#[test]
+fn error_items_splice_and_move_with_the_edits_around_them() {
+    // `b` fails with a label on its signature, the trailing `(add1 #t)`
+    // fails as the module's last expression. Inserts, trivia and
+    // re-indentation move them; a reorder moves `b` itself; breaking
+    // and fixing items re-checks exactly the edited one.
+    let a = "(: a : [x : Int] -> Int)\n(define (a x) (+ x 1))\n";
+    let h = "(: h : [y : Int] -> Int)\n(define (h y) y)\n";
+    let b_sig = "(: b : [x : Int] -> Int)\n";
+    let b_bad = "(define (b x) (+ x #t))\n";
+    let b_ok = "(define (b x) (+ x 2))\n";
+    let c_ok = "(: c : [x : Int] -> Int)\n(define (c x) (a x))\n";
+    let c_bad = "(: c : [x : Int] -> Int)\n(define (c x) (a #f))\n";
+    let e = "(add1 #t)\n";
+    let steps = [
+        format!("{a}{b_sig}{b_bad}{c_ok}{e}"),
+        // Insert a helper above everything.
+        format!("{h}{a}{b_sig}{b_bad}{c_ok}{e}"),
+        // Trivia between b's signature and its define.
+        format!("{h}{a}{b_sig}; moved\n\n{b_bad}{c_ok}{e}"),
+        // Re-indent b's define: its columns move, its text does not.
+        format!("{h}{a}{b_sig}; moved\n\n   {b_bad}{c_ok}{e}"),
+        // Move b below c.
+        format!("{h}{a}{c_ok}{b_sig}; moved\n\n   {b_bad}{e}"),
+        // Break c, then fix it.
+        format!("{h}{a}{c_bad}{b_sig}; moved\n\n   {b_bad}{e}"),
+        format!("{h}{a}{c_ok}{b_sig}; moved\n\n   {b_bad}{e}"),
+        // The failing last expression stops being last.
+        format!("{h}{a}{c_ok}{b_sig}; moved\n\n   {b_bad}{e}(a 3)\n"),
+        // Fix b, break it again.
+        format!("{h}{a}{c_ok}{b_sig}{b_ok}{e}(a 3)\n"),
+        format!("{h}{a}{c_ok}{b_sig}{b_bad}{e}(a 3)\n"),
+        // Delete the helper, and the trailing call.
+        format!("{a}{c_ok}{b_sig}{b_bad}{e}"),
+    ];
+    let counts = warm_counts_match_cold(&SessionConfig::default(), "moves.rtr", &steps);
+    assert_eq!(
+        counts,
+        [
+            (4, 2),
+            (1, 2),
+            (0, 2),
+            (0, 2),
+            (0, 2),
+            (1, 3),
+            (1, 2),
+            (1, 2),
+            (1, 1),
+            (1, 2),
+            (0, 2)
+        ]
+    );
+}
+
+#[test]
+fn a_cached_failing_item_after_a_starved_one_comes_back_as_e0202() {
+    // Every item forks a budget of `max_steps`; `h`'s heavy body
+    // exhausts it, which degrades the rest of the run. `b`'s ordinary
+    // failure is cached by the first check, but once `h` starves, a cold
+    // check reports `b` as E0202 — so must the warm one.
+    let heavy = format!("(begin {}x)", "(+ x 1) ".repeat(400));
+    let text = |h_body: &str| {
+        format!(
+            "(: h : [x : Int] -> Int)\n(define (h x) {h_body})\n\
+             (: b : [x : Int] -> Int)\n(define (b x) (+ x #t))\n"
+        )
+    };
+    let config = SessionConfig {
+        checker: CheckerConfig {
+            max_steps: Some(300),
+            ..CheckerConfig::default()
+        },
+        ..SessionConfig::default()
+    };
+    let (light, starved) = (text("x"), text(&heavy));
+    let check = |session: &Session, src: &str| {
+        let r = session.check(&SourceFile::new("starved.rtr", src));
+        let t = r.stats.trace.expect("incremental path");
+        (t.rechecked, r)
+    };
+    let warm = Session::new(config.clone());
+    let (n, first) = check(&warm, &light);
+    assert_eq!((n, first.stats.errors), (2, 1));
+    // How far `h` gets before it starves depends on the memo tables a
+    // session has warmed, so only `b`'s verdict is compared whole.
+    let (n, warm_starved) = check(&warm, &starved);
+    let (_, cold_starved) = check(&Session::new(config.clone()), &starved);
+    assert_eq!(n, 2, "b must not splice into a degraded run");
+    for r in [&warm_starved, &cold_starved] {
+        let codes: Vec<&str> = r.diagnostics.iter().map(|d| d.code.as_str()).collect();
+        assert_eq!(codes, ["E0202", "E0202"], "{:#?}", r.diagnostics);
+    }
+    let render = |d: &Diagnostic| rtr::core::diag::render(d, "starved.rtr", &starved);
+    assert_eq!(
+        render(&warm_starved.diagnostics[1]),
+        render(&cold_starved.diagnostics[1])
+    );
+    // The degraded verdict was not cached: back to the light `h`, `b`
+    // re-checks and fails ordinarily again.
+    let (n, again) = check(&warm, &light);
+    let (_, cold) = check(&Session::new(config), &light);
+    assert_eq!(n, 2);
+    assert_eq!(report_key(&again, &light), report_key(&cold, &light));
+}
