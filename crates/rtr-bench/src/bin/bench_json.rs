@@ -25,9 +25,10 @@
 //! same-module cold workloads (`module/filler_50`, `module/string_8`)
 //! for the incremental speedup. `warm_edit/many_errors_500` makes the
 //! same edit next to 167 ill-typed definitions, whose cached failing
-//! verdicts splice too. The `lsp_edit/*` workloads wrap the same edits in
-//! the server's per-keystroke round trip (framing, JSON parsing,
-//! publishing).
+//! verdicts splice too. The `lsp_edit/*` workloads send the same edits
+//! through the real `rtr lsp` server over a socket pair and wait for each
+//! version's published diagnostics (framing, JSON parsing, the check and
+//! the publish).
 
 use std::time::{Duration, Instant};
 
@@ -158,57 +159,66 @@ fn warm_edit<'a>(
     })
 }
 
-/// The LSP didChange round trip: everything `rtr lsp` does per
-/// keystroke except the pipe itself — frame and parse the full-text
-/// notification, check the overlay incrementally through a session, and
-/// render the publishDiagnostics payload. Each iteration alternates
-/// `a` and `b`, both clean, under the document `uri`.
-fn lsp_edit<'a>(a: &'a str, b: &'a str, uri: &'static str) -> Box<dyn FnMut() + 'a> {
+/// The LSP didChange round trip through the real server
+/// ([`rtr::lsp::server::run`] on one end of a Unix socket pair): each
+/// iteration sends the next of `a` and `b` (alternating) as a full-text
+/// `didChange` and waits for that version's `publishDiagnostics`, which
+/// must carry `errors` diagnostics. The server thread exits when the
+/// workload is dropped and its socket closes.
+fn lsp_edit<'a>(a: &'a str, b: &'a str, errors: usize, uri: &'static str) -> Box<dyn FnMut() + 'a> {
+    use rtr::lsp::framing::{read_message, write_message};
+    use std::io::BufReader;
+    use std::os::unix::net::UnixStream;
+
+    let (ours, theirs) = UnixStream::pair().expect("a socket pair");
+    let their_reader = theirs.try_clone().expect("a socket clone");
     let session = rtr::session::Session::new(rtr::session::SessionConfig {
         jobs: 1,
         ..rtr::session::SessionConfig::default()
     });
-    let path = uri.strip_prefix("file://").expect("a file uri");
-    let (mut flip, mut warm) = (false, false);
-    let mut last_epoch = rtr_core::intern::evict_epoch();
+    std::thread::spawn(move || {
+        rtr::lsp::server::run(BufReader::new(their_reader), theirs, session, false)
+    });
+    let mut reader = BufReader::new(ours.try_clone().expect("a socket clone"));
+    let mut writer = ours;
+    // The texts are escaped once: the client's own JSON work is not the
+    // server's round trip.
+    let (a, b) = (rtr::json::escape(a), rtr::json::escape(b));
+    let mut version = 0;
+    let mut step = move |text: &str, method: &str| {
+        version += 1;
+        let document = match method {
+            "textDocument/didOpen" => {
+                format!("{{\"uri\":\"{uri}\",\"version\":{version},\"text\":\"{text}\"}}")
+            }
+            _ => format!(
+                "{{\"uri\":\"{uri}\",\"version\":{version}}},\"contentChanges\":[{{\"text\":\"{text}\"}}]"
+            ),
+        };
+        let body = format!(
+            "{{\"jsonrpc\":\"2.0\",\"method\":\"{method}\",\"params\":{{\"textDocument\":{document}}}}}"
+        );
+        write_message(&mut writer, &body).expect("the server reads its socket");
+        let tag = format!("\"version\":{version},");
+        let publish = loop {
+            let msg = read_message(&mut reader)
+                .expect("a framed message")
+                .expect("the server is running");
+            if msg.contains("textDocument/publishDiagnostics") && msg.contains(&tag) {
+                break msg;
+            }
+        };
+        assert_eq!(
+            publish.matches("\"source\":\"rtr\"").count(),
+            errors,
+            "the published diagnostics"
+        );
+    };
+    step(&a, "textDocument/didOpen");
+    let mut flip = false;
     Box::new(move || {
         flip = !flip;
-        let src = if flip { b } else { a };
-        let body = format!(
-            "{{\"jsonrpc\":\"2.0\",\"method\":\"textDocument/didChange\",\"params\":{{\"textDocument\":{{\"uri\":\"{uri}\",\"version\":1}},\"contentChanges\":[{{\"text\":\"{}\"}}]}}}}",
-            rtr::json::escape(src)
-        );
-        let mut wire = Vec::new();
-        rtr::lsp::framing::write_message(&mut wire, &body).expect("frame");
-        let framed = rtr::lsp::framing::read_message(&mut &wire[..])
-            .expect("read frame")
-            .expect("one frame");
-        let msg = rtr::lsp::protocol::parse_message(&framed).expect("parse");
-        let text = rtr::lsp::protocol::last_content_change(&msg.params).expect("full sync text");
-        let file = rtr::session::SourceFile::new(path, text);
-        let token = rtr_core::budget::CancelToken::new();
-        // The session retires the fresh interner arena every so many
-        // checks, which invalidates item caches by design (the
-        // retirement runs after the previous iteration stored its
-        // cache). Only iterations whose cache survived that epoch must
-        // splice.
-        let epoch = rtr_core::intern::evict_epoch();
-        let report = session.check_cancellable(&file, &token);
-        if warm && epoch == last_epoch {
-            assert_eq!(
-                report.stats.trace.map(|t| t.rechecked),
-                Some(1),
-                "exactly the edited definition re-checks through the overlay"
-            );
-        }
-        (warm, last_epoch) = (true, epoch);
-        let ix = rtr_core::diag::LineIndex::new(text);
-        let publish =
-            rtr::lsp::protocol::publish_diagnostics_params(uri, 1, &ix, text, &report.diagnostics);
-        assert!(
-            publish.contains("\"diagnostics\":[]"),
-            "warm filler is clean"
-        );
+        step(if flip { &b } else { &a }, "textDocument/didChange");
     })
 }
 
@@ -404,14 +414,30 @@ fn main() {
         ),
         (
             "lsp_edit/filler_50",
-            lsp_edit(&filler50_a, &filler50_b, "file:///bench/filler_50.rtr"),
+            lsp_edit(&filler50_a, &filler50_b, 0, "file:///bench/filler_50.rtr"),
         ),
-        // The same round trip on a document ten times larger: framing,
-        // parsing and publishing still walk the whole text, the check
-        // should not.
+        // The same round trip on a document ten times larger: framing
+        // and parsing still walk the whole text, the check and the
+        // publish should not.
         (
             "lsp_edit/filler_500",
-            lsp_edit(&filler500_a, &filler500_b, "file:///bench/filler_500.rtr"),
+            lsp_edit(
+                &filler500_a,
+                &filler500_b,
+                0,
+                "file:///bench/filler_500.rtr",
+            ),
+        ),
+        // One body edit next to 167 ill-typed items: their diagnostics
+        // splice and are republished from the memo.
+        (
+            "lsp_edit/many_errors_500",
+            lsp_edit(
+                &many_errors500_a,
+                &many_errors500_b,
+                167,
+                "file:///bench/many_errors_500.rtr",
+            ),
         ),
         (
             "warm_edit/string_8",
@@ -422,6 +448,17 @@ fn main() {
     let mut records = Vec::new();
     for (name, mut f) in workloads {
         records.push(measure(name, opts.samples.max(1), opts.quick, &mut *f));
+    }
+
+    // A warm keystroke should cost O(edit): the same edit in a module ten
+    // times larger should cost about the same.
+    let mean = |name: &str| records.iter().find(|r| r.name == name).map(|r| r.mean_ns);
+    if let (Some(big), Some(small)) = (mean("warm_edit/filler_500"), mean("warm_edit/filler_50")) {
+        eprintln!(
+            "{:<32} ratio {:>11.2}x",
+            "warm_edit/filler_500 / _50",
+            big / small
+        );
     }
 
     let mut json = String::new();

@@ -32,7 +32,7 @@ use crate::syntax::{Prop, Symbol, Ty};
 // ---------------------------------------------------------------------------
 
 /// A source location (1-based line and column).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub struct Loc {
     /// 1-based line.
     pub line: u32,
@@ -48,7 +48,7 @@ impl fmt::Display for Loc {
 
 /// A half-open source region: `start` is the first character of the form,
 /// `end` the position just past its last character.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub struct Span {
     /// Where the region starts.
     pub start: Loc,
@@ -106,13 +106,15 @@ pub struct Utf16Pos {
 ///
 /// The index stores only line-start byte offsets; conversions re-walk the
 /// one line involved, so building it is a single O(n) pass and the index
-/// stays valid as long as the text it was built from is unchanged.
+/// stays valid as long as the text it was built from is unchanged. After
+/// an edit, [`LineIndex::updated`] derives the new text's index from the
+/// old one, rescanning only the edited range.
 ///
 /// All conversions clamp out-of-range inputs to the nearest valid
 /// position (end of line, end of text), per the LSP specification's
 /// lenient position handling, and byte offsets landing inside a UTF-8
 /// sequence round down to the character boundary.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct LineIndex {
     /// Byte offset of the start of each line; `line_starts[0] == 0`.
     line_starts: Vec<u32>,
@@ -134,9 +136,60 @@ impl LineIndex {
         }
     }
 
+    /// The index of `new`, derived from this index of `old`: the line
+    /// starts before the edited range ([`changed_range`]) are kept, the
+    /// range is rescanned, and the starts after it are offset by the
+    /// change in length. Equal to `LineIndex::new(new)`.
+    pub fn updated(&self, old: &str, new: &str) -> LineIndex {
+        let (prefix, suffix) = changed_range(old.as_bytes(), new.as_bytes());
+        let (old_end, new_end) = (old.len() - suffix, new.len() - suffix);
+        // A line start `s` follows the newline at byte `s - 1`.
+        let keep = self.line_starts.partition_point(|&s| s as usize <= prefix);
+        let tail = self.line_starts.partition_point(|&s| s as usize <= old_end);
+        let delta = new.len().wrapping_sub(old.len()) as u32;
+        let mut line_starts = Vec::with_capacity(self.line_starts.len() + 1);
+        line_starts.extend_from_slice(&self.line_starts[..keep]);
+        let edited = new.as_bytes()[prefix..new_end].iter().enumerate();
+        line_starts.extend(
+            edited
+                .filter(|&(_, &b)| b == b'\n')
+                .map(|(i, _)| (prefix + i) as u32 + 1),
+        );
+        line_starts.extend(
+            self.line_starts[tail..]
+                .iter()
+                .map(|&s| s.wrapping_add(delta)),
+        );
+        LineIndex {
+            line_starts,
+            len: new.len() as u32,
+        }
+    }
+
     /// Number of lines (always ≥ 1; an empty text has one empty line).
     pub fn line_count(&self) -> u32 {
         self.line_starts.len() as u32
+    }
+
+    /// The number of lines [`str::lines`] yields: a trailing newline, or
+    /// an empty text, opens no line.
+    fn str_line_count(&self) -> usize {
+        let last = self.line_starts[self.line_starts.len() - 1];
+        self.line_starts.len() - usize::from(last == self.len)
+    }
+
+    /// The 0-based line `line` of `text` as [`str::lines`] yields it
+    /// (without its `\n`, or its `\r\n`), if there is one.
+    fn str_line<'a>(&self, text: &'a str, line: usize) -> Option<&'a str> {
+        if line >= self.str_line_count() {
+            return None;
+        }
+        let (start, end) = self.line_bytes(line as u32);
+        let s = &text[start as usize..end as usize];
+        Some(match s.strip_suffix('\r') {
+            Some(t) if end < self.len => t,
+            _ => s,
+        })
     }
 
     /// The byte range of 0-based line `line` (exclusive of its `\n`),
@@ -149,6 +202,13 @@ impl LineIndex {
             None => self.len,
         };
         (start, end)
+    }
+
+    /// The text of 0-based line `line` (without its `\n`), the line
+    /// clamped to the last one as every conversion clamps it.
+    pub fn line<'a>(&self, text: &'a str, line: u32) -> &'a str {
+        let (start, end) = self.line_bytes(line);
+        &text[start as usize..end as usize]
     }
 
     /// 0-based line containing byte offset `byte` (clamped to the text).
@@ -260,6 +320,34 @@ impl LineIndex {
             self.loc_to_utf16(text, span.end),
         )
     }
+}
+
+/// The one edited byte range between two texts: the lengths of their
+/// longest common prefix and of their longest common suffix after it
+/// (the two never overlap).
+pub fn changed_range(old: &[u8], new: &[u8]) -> (usize, usize) {
+    /// Bytes compared per step before the byte-wise tail.
+    const CHUNK: usize = 64;
+    let (a, b) = (old, new);
+    let n = a.len().min(b.len());
+    let mut i = 0;
+    while i + CHUNK <= n && a[i..i + CHUNK] == b[i..i + CHUNK] {
+        i += CHUNK;
+    }
+    while i < n && a[i] == b[i] {
+        i += 1;
+    }
+    let prefix = i;
+    let n = n - prefix;
+    let (ea, eb) = (a.len(), b.len());
+    let mut i = 0;
+    while i + CHUNK <= n && a[ea - i - CHUNK..ea - i] == b[eb - i - CHUNK..eb - i] {
+        i += CHUNK;
+    }
+    while i < n && a[ea - i - 1] == b[eb - i - 1] {
+        i += 1;
+    }
+    (prefix, i)
 }
 
 // ---------------------------------------------------------------------------
@@ -885,26 +973,18 @@ impl std::error::Error for Diagnostic {}
 ///
 /// `file` is a display name; `source` the file's full text (used for the
 /// snippets — a span past the end of `source` renders without one).
+/// [`render_indexed`] with a fresh index of `source`.
 pub fn render(d: &Diagnostic, file: &str, source: &str) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{}[{}]: {}\n", d.severity, d.code, d.message));
-    let gutter = gutter_width(d, source);
-    if let Some(span) = d.primary {
-        render_snippet(&mut out, file, source, span, '^', "", gutter);
-    }
-    for label in &d.labels {
-        match label.span {
-            Some(span) => render_snippet(&mut out, file, source, span, '-', &label.message, gutter),
-            None => out.push_str(&format!("{:gutter$} = {}\n", "", label.message)),
-        }
-    }
-    for note in &d.notes {
-        out.push_str(&format!("{:gutter$} = note: {}\n", "", note));
-    }
-    out
+    render_indexed(d, file, source, &LineIndex::new(source))
 }
 
-fn gutter_width(d: &Diagnostic, source: &str) -> usize {
+/// [`render`] through `ix`, the [`LineIndex`] of `source`: a caller
+/// rendering many diagnostics of one text builds the index once, and
+/// each diagnostic then costs only the lines it shows.
+pub fn render_indexed(d: &Diagnostic, file: &str, source: &str, ix: &LineIndex) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    let _ = writeln!(out, "{}[{}]: {}", d.severity, d.code, d.message);
     let max_line = d
         .primary
         .iter()
@@ -912,26 +992,50 @@ fn gutter_width(d: &Diagnostic, source: &str) -> usize {
         .map(|s| s.start.line as usize)
         .max()
         .unwrap_or(1)
-        .min(source.lines().count().max(1));
-    max_line.to_string().len() + 1
+        .min(ix.str_line_count().max(1));
+    let gutter = max_line.to_string().len() + 1;
+    let snippet = |out: &mut String, span: Span, underline: char, label: &str| {
+        let line_text = (span.start.line as usize)
+            .checked_sub(1)
+            .and_then(|line| ix.str_line(source, line));
+        render_snippet(out, file, line_text, span, underline, label, gutter);
+    };
+    if let Some(span) = d.primary {
+        snippet(&mut out, span, '^', "");
+    }
+    for label in &d.labels {
+        match label.span {
+            Some(span) => snippet(&mut out, span, '-', &label.message),
+            None => {
+                let _ = writeln!(out, "{:gutter$} = {}", "", label.message);
+            }
+        }
+    }
+    for note in &d.notes {
+        let _ = writeln!(out, "{:gutter$} = note: {}", "", note);
+    }
+    out
 }
 
+/// One snippet: the `-->` location, then, when the span's first line
+/// exists, that line with the span underlined.
 fn render_snippet(
     out: &mut String,
     file: &str,
-    source: &str,
+    line_text: Option<&str>,
     span: Span,
     underline: char,
     label: &str,
     gutter: usize,
 ) {
-    out.push_str(&format!("{:gutter$}--> {file}:{}\n", "", span.start));
-    let Some(line_text) = source.lines().nth(span.start.line as usize - 1) else {
+    use std::fmt::Write as _;
+    let _ = writeln!(out, "{:gutter$}--> {file}:{}", "", span.start);
+    let Some(line_text) = line_text else {
         return;
     };
     let line_no = span.start.line;
-    out.push_str(&format!("{:gutter$} |\n", ""));
-    out.push_str(&format!("{line_no:>gutter$} | {line_text}\n"));
+    let _ = writeln!(out, "{:gutter$} |", "");
+    let _ = writeln!(out, "{line_no:>gutter$} | {line_text}");
     // Underline from the start column to the end column (same line) or
     // to the end of the line (multi-line spans).
     let start_col = span.start.col.max(1) as usize;
@@ -945,15 +1049,42 @@ fn render_snippet(
     let carets: String = std::iter::repeat_n(underline, width).collect();
     let pad = " ".repeat(start_col - 1);
     if label.is_empty() {
-        out.push_str(&format!("{:gutter$} | {pad}{carets}\n", ""));
+        let _ = writeln!(out, "{:gutter$} | {pad}{carets}", "");
     } else {
-        out.push_str(&format!("{:gutter$} | {pad}{carets} {label}\n", ""));
+        let _ = writeln!(out, "{:gutter$} | {pad}{carets} {label}", "");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn indexed_lines_are_the_str_lines() {
+        // Every text over a small alphabet up to length 5, including lone
+        // and trailing `\r`s and a missing final newline.
+        let alphabet = ['a', '\r', '\n', 'é', '𝒳'];
+        let mut texts = vec![String::new()];
+        for _ in 0..5 {
+            let longer: Vec<String> = texts
+                .iter()
+                .filter(|t| t.chars().count() == texts.last().map_or(0, |l| l.chars().count()))
+                .flat_map(|t| alphabet.iter().map(move |c| format!("{t}{c}")))
+                .collect();
+            texts.extend(longer);
+        }
+        for text in &texts {
+            let ix = LineIndex::new(text);
+            assert_eq!(ix.str_line_count(), text.lines().count(), "{text:?}");
+            for k in 0..ix.line_count() as usize + 1 {
+                assert_eq!(
+                    ix.str_line(text, k),
+                    text.lines().nth(k),
+                    "{text:?} line {k}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn codes_are_unique_and_stable() {

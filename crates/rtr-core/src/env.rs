@@ -61,6 +61,23 @@ fn next_lin_epoch() -> u64 {
     EPOCH.fetch_add(1, Ordering::Relaxed)
 }
 
+/// One name's own entries in an [`Env`]: its type, its alias and the
+/// negative facts about paths rooted at it, as [`Env::entries`] reads
+/// them and [`Env::set_entries`] writes them.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Entries {
+    ty: Option<TyId>,
+    alias: Option<ObjId>,
+    negs: Vec<(Path, Vec<TyId>)>,
+}
+
+impl Entries {
+    /// The recorded type ([`Env::raw_ty_id`]).
+    pub fn ty(&self) -> Option<TyId> {
+        self.ty
+    }
+}
+
 /// A type-checking environment Γ.
 #[derive(Clone, Debug, Default)]
 pub struct Env {
@@ -168,25 +185,41 @@ impl Env {
     /// differ from a cached snapshot, which it has checked no other fact
     /// mentions.
     pub fn copy_bindings(&mut self, from: &Env, names: &[Symbol]) {
+        let entries: Vec<(Symbol, Entries)> = names.iter().map(|&x| (x, from.entries(x))).collect();
+        self.set_entries(&entries);
+    }
+
+    /// `x`'s own entries: its type, its alias and the negative facts
+    /// about paths rooted at it.
+    pub fn entries(&self, x: Symbol) -> Entries {
+        let negs = self.negs.iter().filter(|(p, _)| p.base == x);
+        Entries {
+            ty: self.types.get(x).copied(),
+            alias: self.aliases.get(x).copied(),
+            negs: negs.map(|(p, ts)| (p.clone(), ts.clone())).collect(),
+        }
+    }
+
+    /// Makes each listed name's entries exactly the given ones, touching
+    /// nothing else (see [`Env::copy_bindings`]).
+    pub fn set_entries(&mut self, entries: &[(Symbol, Entries)]) {
         self.touch();
-        for &x in names {
-            match from.types.get(x) {
-                Some(t) => self.types.insert(x, *t),
-                None => self.types.remove(x),
+        for (x, e) in entries {
+            match e.ty {
+                Some(t) => self.types.insert(*x, t),
+                None => self.types.remove(*x),
             };
-            match from.aliases.get(x) {
-                Some(o) => self.aliases.insert(x, *o),
-                None => self.aliases.remove(x),
+            match e.alias {
+                Some(o) => self.aliases.insert(*x, o),
+                None => self.aliases.remove(*x),
             };
         }
-        let own = |p: &Path| names.contains(&p.base);
-        if !Arc::ptr_eq(&self.negs, &from.negs)
-            && (self.negs.keys().any(own) || from.negs.keys().any(own))
-        {
-            let theirs = from.negs.iter().filter(|(p, _)| own(p));
+        let own = |p: &Path| entries.iter().any(|(x, _)| *x == p.base);
+        let theirs = entries.iter().flat_map(|(_, e)| &e.negs);
+        if self.negs.keys().any(own) || theirs.clone().next().is_some() {
             let negs = Arc::make_mut(&mut self.negs);
             negs.retain(|p, _| !own(p));
-            negs.extend(theirs.map(|(p, ts)| (p.clone(), ts.clone())));
+            negs.extend(theirs.cloned());
         }
     }
 

@@ -554,7 +554,7 @@ pub fn item_salt(item: &ModuleItem) -> u64 {
 /// read (term free variables, including names read by the types written
 /// in the term, plus names mentioned by the declared signature's
 /// dependent positions), minus the item's own recursive binding. Sorted
-/// for determinism. These are the edges of the item-level dependency
+/// by symbol, so membership is a binary search. These are the edges of the item-level dependency
 /// graph: the incremental driver splices an item past a changed binding
 /// only when the changed name is not among them, so a name missing here
 /// is a stale verdict.
@@ -576,7 +576,7 @@ pub fn free_refs(item: &ModuleItem) -> Vec<Symbol> {
         ModuleItem::Opaque { ty, .. } => ty.free_obj_vars(&mut set),
     }
     let mut out: Vec<Symbol> = set.into_iter().collect();
-    out.sort_by_key(|s| s.as_str());
+    out.sort_unstable();
     out
 }
 

@@ -64,13 +64,40 @@
 //! inside the item that shadows a `D` name unbinds it and rewrites the
 //! entries that mention it; by the conditions above the item reads none
 //! of those. The environment the item leaves is the record's snapshot
-//! with `D`'s entries copied in ([`Env::copy_bindings`]): O(|D|), and no
+//! with `D`'s entries copied in ([`Env::copy_bindings`]), and no
 //! comparison. It diffs to `D` against the next record's environment by
 //! construction, so contiguous splices carry `D` unchanged. A re-check,
 //! a claim of any other record (a delete or a reorder) and a ledger that
 //! failed the first condition recompute `D` at the next claim. Early
 //! cutoff falls out: a re-checked item whose entries came out equal
 //! leaves `D` as it was, and its dependents splice.
+//!
+//! # What a splice costs
+//!
+//! A spliced slot copies pointers: its summary, binder, value result,
+//! diagnostics and record are shared (`Arc`) with the cache, and so is
+//! the environment it leaves.
+//!
+//! * **Runs.** Under an empty `D` the environments are the old ones, so
+//!   the driver takes a maximal run of slots that claim consecutive old
+//!   records and pass the per-record conditions (role, a failing record's
+//!   claim, an undegraded and uncancelled run) in one step: it extends
+//!   the new cache from the old `records` and `envs` slices and replays
+//!   each record's results. The cutoff accounting binary-searches the
+//!   sorted free references against the sorted names re-checked so far.
+//! * **Overlays.** Under a non-empty `D`, the environment a splice leaves
+//!   is an *overlay*: the record's snapshot plus `D`'s entries, built
+//!   into an [`Env`] only when something reads it whole — the next
+//!   ledger, a re-check, or a later run. The next item's ledger test
+//!   reads the few types it needs through the overlay. A splice over a
+//!   snapshot that is itself an unbuilt overlay merges the two layers
+//!   (the newer entries win), so layers do not stack; past
+//!   `MAX_OVERLAY` names the old snapshot is built instead.
+//! * **The pre-pass.** The mutation pre-pass analyses only elaborated
+//!   slots. A claimed slot is described by its record, and the old cache
+//!   lists the few records that mutate a variable or need the big stack,
+//!   so only those are read: when no fresh slot mutates anything and no
+//!   record the claims skip did, the union is the old one.
 //!
 //! # What is cached, and what never is
 //!
@@ -121,13 +148,14 @@
 use std::borrow::Cow;
 use std::collections::HashSet;
 use std::panic::AssertUnwindSafe;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::budget::LimitKind;
 use crate::check::{attach_node, big_stack, panic_detail, Checker};
 use crate::diag::{Code, Diagnostic};
-use crate::env::Env;
+use crate::env::{Entries, Env};
 use crate::fingerprint::{free_refs, item_fingerprint, item_salt};
+use crate::intern::TyId;
 use crate::module::{Binder, ItemSummary, ModuleCheck, ModuleItem, ModuleValue};
 use crate::mutation::mutated_vars;
 use crate::syntax::{Obj, Symbol, Ty, TyResult};
@@ -142,9 +170,10 @@ struct ReuseData {
     /// The summary pushed onto [`ModuleCheck::results`].
     summary: ItemSummary,
     /// The diagnostics the item reported, as it reported them (their
-    /// nodes are from the elaboration of the run that recorded them);
-    /// empty for a clean item.
-    diagnostics: Vec<Diagnostic>,
+    /// nodes are from the elaboration of the run that recorded them),
+    /// shared with every report that splices them; empty for a clean
+    /// item.
+    diagnostics: Vec<Arc<Diagnostic>>,
     /// The binder this item opened (part of the prefix the module value
     /// is lifted over), if any.
     binder: Option<Arc<Binder>>,
@@ -153,6 +182,22 @@ struct ReuseData {
     /// "last" role cannot splice into a non-last slot (and vice versa) —
     /// the two roles leave different environments behind.
     value: Option<Arc<TyResult>>,
+}
+
+impl ReuseData {
+    /// Do these results fit a slot in the `last` role, which claims the
+    /// record (`claimed`) or matched it by fingerprint, in a run that an
+    /// earlier item has `degraded`? The rest of the splice rule is about
+    /// the environment (see the module docs).
+    fn fits(&self, last: bool, claimed: bool, degraded: bool) -> bool {
+        // A failing trailing expression opens nothing and has no value,
+        // so it leaves the same run in either role.
+        let failing = !self.diagnostics.is_empty();
+        let role_ok = self.summary.name.is_some() || failing || self.value.is_some() == last;
+        // Recorded diagnostics locate themselves in the claimed text, and
+        // a degraded run reports every failure as E0202.
+        role_ok && (!failing || (claimed && !degraded))
+    }
 }
 
 /// What one run of the module driver learned about one item. Records
@@ -196,12 +241,15 @@ pub struct ItemCache {
     /// One record per item, in check order (definitions first, then
     /// trailing expressions).
     records: Vec<Arc<ItemRecord>>,
+    /// The indices of the records that mutate a variable or need the big
+    /// stack, ascending: the only claimed records the pre-pass reads.
+    special: Vec<usize>,
     /// Value snapshots of the environment: `envs[j]` reached record `j`
     /// and `envs[j + 1]` is what its slot left, whether the item checked
     /// cleanly or was poisoned. `envs[0]` is the environment every run
     /// starts from (mutability marks applied, nothing bound yet). Shared
     /// with the runs that splice the records.
-    envs: Vec<Arc<Env>>,
+    envs: Vec<Snap>,
     /// Per slot the run reached: how many diagnostics it reported, and
     /// whether they are a spliced record's.
     reported: Vec<(usize, bool)>,
@@ -226,6 +274,105 @@ impl ItemCache {
     /// recorded diagnostics' spans itself re-stamps those instead.
     pub fn slot_diagnostics(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
         self.reported.iter().copied()
+    }
+}
+
+/// The most names an overlay carries before a splice builds the
+/// snapshot under it instead of merging into it.
+const MAX_OVERLAY: usize = 16;
+
+/// The merges a ledger remembers ([`Snap::with_layer`]).
+const MERGES_KEPT: usize = 8;
+
+/// One environment snapshot of an [`ItemCache`].
+#[derive(Clone, Debug)]
+enum Snap {
+    /// A built environment.
+    Env(Arc<Env>),
+    /// What a dependency splice leaves, built only when read whole.
+    Overlay(Arc<Overlay>),
+}
+
+/// `base` with the entries in `layer` ([`Env::set_entries`]).
+#[derive(Debug)]
+struct Overlay {
+    base: Arc<Env>,
+    layer: Arc<Layer>,
+    /// The built environment, once read whole.
+    built: OnceLock<Arc<Env>>,
+}
+
+/// Names with the entries an overlay gives them, sorted by name.
+type Layer = [(Symbol, Entries)];
+
+impl Snap {
+    /// The environment, built on first use.
+    fn env(&self) -> &Arc<Env> {
+        match self {
+            Snap::Env(env) => env,
+            Snap::Overlay(o) => o.built.get_or_init(|| {
+                let mut env = Env::clone(&o.base);
+                env.set_entries(&o.layer);
+                Arc::new(env)
+            }),
+        }
+    }
+
+    /// `x`'s recorded type ([`Env::raw_ty_id`]), without building.
+    fn ty_id(&self, x: Symbol) -> Option<TyId> {
+        match self {
+            Snap::Env(env) => env.raw_ty_id(x),
+            Snap::Overlay(o) => match o.layer.binary_search_by_key(&x, |(y, _)| *y) {
+                Ok(at) => o.layer[at].1.ty(),
+                Err(_) => o.base.raw_ty_id(x),
+            },
+        }
+    }
+
+    /// This snapshot with the ledger `l`'s entries on top. Over an
+    /// unbuilt overlay that is an overlay of the same base whose layer
+    /// merges the two, `l`'s entries winning; runs of snapshots share
+    /// their layer, so `l` remembers the last few merges. Over a
+    /// built environment, or past [`MAX_OVERLAY`] names, it is an overlay
+    /// of the built snapshot with `l`'s entries alone.
+    fn with_layer(&self, l: &mut Ledger) -> Snap {
+        let overlay = |base: &Arc<Env>, layer: &Arc<Layer>| {
+            Snap::Overlay(Arc::new(Overlay {
+                base: Arc::clone(base),
+                layer: Arc::clone(layer),
+                built: OnceLock::new(),
+            }))
+        };
+        let o = match self {
+            Snap::Overlay(o) if o.built.get().is_none() => o,
+            built => return overlay(built.env(), &l.layer),
+        };
+        let known = l
+            .merged
+            .iter()
+            .find(|(below, _)| Arc::ptr_eq(below, &o.layer));
+        let merged = match known {
+            Some((_, merged)) => Arc::clone(merged),
+            None => {
+                let new = &l.layer;
+                let kept = o
+                    .layer
+                    .iter()
+                    .filter(|(x, _)| new.binary_search_by_key(x, |(y, _)| *y).is_err());
+                let mut merged: Vec<(Symbol, Entries)> = kept.chain(new.iter()).cloned().collect();
+                merged.sort_unstable_by_key(|(x, _)| *x);
+                let merged: Arc<Layer> = merged.into();
+                if l.merged.len() == MERGES_KEPT {
+                    l.merged.remove(0);
+                }
+                l.merged.push((Arc::clone(&o.layer), Arc::clone(&merged)));
+                merged
+            }
+        };
+        if merged.len() > MAX_OVERLAY {
+            return overlay(self.env(), &l.layer);
+        }
+        overlay(&o.base, &merged)
     }
 }
 
@@ -286,6 +433,13 @@ struct Ledger {
     names: Vec<Symbol>,
     /// The names `D`'s entries mention on either side, sorted.
     mentioned: Vec<Symbol>,
+    /// `D`'s entries in the environment that reached the slot claiming
+    /// `at`: the overlay layer of the snapshots the splices under it
+    /// leave.
+    layer: Arc<Layer>,
+    /// The last few [`Snap::with_layer`] merges, newest last: the layer
+    /// merged with `layer`, and the result.
+    merged: Vec<(Arc<Layer>, Arc<Layer>)>,
 }
 
 /// What a driver run returns: the module verdict, the cache for the
@@ -296,10 +450,26 @@ type RunOutput = (ModuleCheck, ItemCache, TraceCounts);
 #[derive(Default)]
 struct RunState {
     /// The environment reaching the next slot (shared with the
-    /// snapshot of the slot that left it; a re-check copies it).
+    /// snapshot of the slot that left it; a re-check copies it), unless
+    /// `ahead` is set.
     env: Arc<Env>,
+    /// After splices, the snapshot that reaches the next slot; `env` is
+    /// built from it when read whole ([`RunState::settle`]).
+    ahead: Option<Snap>,
     /// Diagnostics and summaries so far.
     out: ModuleCheck,
+    /// The last trailing expression's pre-lift result, once checked.
+    value: Option<Arc<TyResult>>,
+    /// Has a trailing expression been reached?
+    saw_trailing: bool,
+    /// The names of the items re-checked so far, sorted, for the
+    /// cutoff-stopped accounting.
+    rechecked: Vec<Symbol>,
+    /// The cache being built: [`ItemCache`]'s fields of the same names.
+    records: Vec<Arc<ItemRecord>>,
+    envs: Vec<Snap>,
+    special: Vec<usize>,
+    reported: Vec<(usize, bool)>,
     /// The binders opened along the way, innermost last. The nested
     /// encoding existentializes every module-local binding out of the
     /// final result at binder exit (T-Let's lifting substitution); the
@@ -316,6 +486,65 @@ struct RunState {
     /// verdict. Item panics do *not* set it: the post-ICE environment
     /// equals the ordinary poison-path environment.
     degraded: Option<LimitKind>,
+}
+
+impl RunState {
+    /// Builds `env` from the snapshot splices left ahead of it.
+    fn settle(&mut self) {
+        if let Some(snap) = self.ahead.take() {
+            self.env = Arc::clone(snap.env());
+        }
+    }
+
+    /// `x`'s recorded type in the environment reaching the next slot.
+    fn ty_id(&self, x: Symbol) -> Option<TyId> {
+        match &self.ahead {
+            Some(snap) => snap.ty_id(x),
+            None => self.env.raw_ty_id(x),
+        }
+    }
+
+    /// Appends the slot's record and the environment it left to the
+    /// cache being built.
+    fn record(&mut self, rec: Arc<ItemRecord>) {
+        if rec.deep || !rec.mutated.is_empty() {
+            self.special.push(self.records.len());
+        }
+        self.records.push(rec);
+        self.envs.push(Snap::Env(Arc::clone(&self.env)));
+    }
+
+    /// Replays a spliced record's results: pointer copies only. The
+    /// environment it left is pushed by the caller. Returns whether the
+    /// item reads a name re-checked earlier in this run (its verdict
+    /// survived a re-check it depends on: early cutoff).
+    fn splice(&mut self, rec: &Arc<ItemRecord>) -> bool {
+        let ru = rec.reuse.as_ref().expect("only reusable records splice");
+        self.out.results.push(ru.summary.clone());
+        self.out.diagnostics.extend(ru.diagnostics.iter().cloned());
+        self.reported.push((ru.diagnostics.len(), true));
+        if let Some(b) = &ru.binder {
+            self.binders.push(Arc::clone(b));
+        }
+        if ru.summary.name.is_none() {
+            self.saw_trailing = true;
+            if let Some(v) = &ru.value {
+                self.value = Some(Arc::clone(v));
+            }
+        }
+        if rec.deep || !rec.mutated.is_empty() {
+            self.special.push(self.records.len());
+        }
+        self.records.push(Arc::clone(rec));
+        intersects(&rec.free_refs, &self.rechecked)
+    }
+}
+
+/// Do the sorted lists `a` and `b` share an element? Walks the shorter
+/// one and binary-searches the longer.
+fn intersects(a: &[Symbol], b: &[Symbol]) -> bool {
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    !long.is_empty() && short.iter().any(|x| long.binary_search(x).is_ok())
 }
 
 impl Checker {
@@ -386,27 +615,32 @@ impl Checker {
         // proceeds all-fresh and rebuilds it.
         let mut old = old.filter(|c| c.epoch == epoch);
 
-        // Mutation pre-pass over the whole module: the union of every
-        // item's `set!`-mutated variables. Claimed slots contribute
-        // their recorded set without being elaborated; a claim with no
-        // record behind it is elaborated now.
+        // Mutation pre-pass: the union of every item's `set!`-mutated
+        // variables, and whether any item needs the big stack. A slot
+        // elaborated for this run is analysed; a claimed one is described
+        // by its record, and only the few records that mutate something
+        // or run deep (`special`) are read at all. A claim with no record
+        // behind it is elaborated now.
+        let special = old.map_or(&[][..], |c| &c.special[..]);
         let mut mutated: HashSet<Symbol> = HashSet::new();
+        let mut deep = false;
         for (i, slot) in slots.iter_mut().enumerate() {
             if slot.item.is_none() {
-                if let Some(rec) = slot.reuse.and_then(|j| old?.records.get(j)) {
-                    slot.mutated.clone_from(&rec.mutated);
-                    slot.deep = rec.deep;
-                    mutated.extend(rec.mutated.iter().copied());
+                let j = slot
+                    .reuse
+                    .filter(|&j| old.is_some_and(|c| j < c.records.len()));
+                if let (Some(j), Some(c)) = (j, old) {
+                    if special.binary_search(&j).is_ok() {
+                        let rec = &c.records[j];
+                        mutated.extend(rec.mutated.iter().copied());
+                        deep |= rec.deep;
+                    }
                     continue;
                 }
                 slot.item = Some(Cow::Owned(fetch(i)?));
             }
-            if let Some(e) = slot.item.as_deref().and_then(ModuleItem::body) {
-                let vars = mutated_vars(e);
-                mutated.extend(vars.iter().copied());
-                slot.mutated = vars.into_iter().collect();
-                slot.deep = !this.fits_inline_stack(e);
-            }
+            this.analyse(slot, &mut mutated);
+            deep |= slot.deep;
         }
         // Cached environments were snapshotted under the old mutability
         // marking; if the set changed they are incomparable. Discard
@@ -416,11 +650,11 @@ impl Checker {
         }
         // Without a cache every claimed item is re-checked, and a deep
         // run moves to a thread `fetch` cannot follow: elaborate now.
-        let deep = slots.iter().any(|s| s.deep);
         if old.is_none() || deep {
             for (i, slot) in slots.iter_mut().enumerate() {
                 if slot.item.is_none() {
                     slot.item = Some(Cow::Owned(fetch(i)?));
+                    this.analyse(slot, &mut mutated);
                 }
             }
         }
@@ -440,6 +674,17 @@ impl Checker {
         }
     }
 
+    /// Fills an elaborated slot's mutated variables and stack need, and
+    /// adds the former to the module's union.
+    fn analyse(&self, slot: &mut Slot<'_>, mutated: &mut HashSet<Symbol>) {
+        if let Some(e) = slot.item.as_deref().and_then(ModuleItem::body) {
+            let vars = mutated_vars(e);
+            mutated.extend(vars.iter().copied());
+            slot.mutated = vars.into_iter().collect();
+            slot.deep = !self.fits_inline_stack(e);
+        }
+    }
+
     /// The item loop: splices or re-checks each slot in order.
     fn run_items(
         &self,
@@ -450,30 +695,26 @@ impl Checker {
         keep: bool,
         fetch: &mut dyn FnMut(usize) -> Option<ModuleItem>,
     ) -> Option<RunOutput> {
-        let mut st = RunState::default();
         let mut init_env = Env::new();
         for x in &mutated {
             init_env.mark_mutable(*x);
         }
-        st.env = Arc::new(init_env);
-        let mut records: Vec<Arc<ItemRecord>> = Vec::with_capacity(slots.len());
-        let mut envs: Vec<Arc<Env>> = Vec::with_capacity(slots.len() + 1);
-        envs.push(Arc::clone(&st.env));
-        let mut reported: Vec<(usize, bool)> = Vec::with_capacity(slots.len());
+        let env = Arc::new(init_env);
+        let mut st = RunState {
+            envs: vec![Snap::Env(Arc::clone(&env))],
+            env,
+            ..RunState::default()
+        };
         let trace = self.trace();
-        // Names of items re-checked so far this run, for the
-        // cutoff-stopped accounting.
-        let mut rechecked_names: HashSet<Symbol> = HashSet::new();
         // The next old record not yet aligned with a slot of this run.
         let mut old_next: usize = 0;
         // `None` until the next claim computes the ledger.
         let mut ledger: Option<Ledger> = None;
         let n = slots.len();
-        let mut saw_trailing = false;
-        // The last trailing expression's pre-lift result, once checked.
-        let mut value: Option<Arc<TyResult>> = None;
 
-        for (i, slot) in slots.iter().enumerate() {
+        let mut i = 0;
+        while i < n {
+            let slot = &slots[i];
             let last = i + 1 == n;
             // A revoked check re-checks this one slot, whose budget
             // fork trips at entry, and stops after it.
@@ -502,58 +743,63 @@ impl Checker {
 
             // The splice rule (see the module docs).
             let splice = reusable.filter(|&(c, j, rec, ru)| {
-                // A failing trailing expression opens nothing and has no
-                // value, so it leaves the same run in either role.
-                let failing = !ru.diagnostics.is_empty();
-                let role_ok = ru.summary.name.is_some() || failing || ru.value.is_some() == last;
-                // Recorded diagnostics locate themselves in the claimed
-                // text, and a degraded run reports every failure as E0202.
-                let failing_ok = !failing || (slot.reuse == Some(j) && st.degraded.is_none());
-                if !role_ok || !failing_ok || cancelled {
+                if cancelled || !ru.fits(last, slot.reuse == Some(j), st.degraded.is_some()) {
                     return false;
                 }
                 if ledger.as_ref().is_none_or(|l| l.at != j) {
-                    ledger = self.ledger(&st.env, &c.envs[j], j);
+                    st.settle();
+                    ledger = self.ledger(&st.env, c.envs[j].env(), j);
                 }
-                ledger
-                    .as_ref()
-                    .is_some_and(|l| l.names.is_empty() || !reads_ledger(&st.env, rec, l))
+                let l = ledger.as_ref();
+                l.is_some_and(|l| l.names.is_empty() || !reads_ledger(|x| st.ty_id(x), rec, l))
             });
-            if let Some((c, j, rec, ru)) = splice {
-                trace.skipped.bump();
-                if rec.free_refs.iter().any(|s| rechecked_names.contains(s)) {
-                    trace.cutoff_stopped.bump();
-                }
+            if let Some((c, j, _, _)) = splice {
                 let l = ledger.as_mut().expect("a splice has a ledger");
-                st.env = if l.names.is_empty() {
-                    Arc::clone(&c.envs[j + 1])
+                let k = if l.names.is_empty() {
+                    // An empty ledger stays empty across a splice, so the
+                    // run extends over every following slot that claims
+                    // the next old record and passes the per-record
+                    // conditions: its environments are the old ones.
+                    let k = 1
+                        + (i + 1..n)
+                            .zip(j + 1..c.records.len())
+                            .take_while(|&(s, r)| {
+                                slots[s].reuse == Some(r)
+                                    && !self.budget().cancelled()
+                                    && c.records[r].reuse.as_ref().is_some_and(|ru| {
+                                        ru.fits(s + 1 == n, true, st.degraded.is_some())
+                                    })
+                            })
+                            .count();
+                    trace.fp_hits.add(k as u64 - 1);
+                    st.ahead = Some(c.envs[j + k].clone());
+                    st.envs.extend_from_slice(&c.envs[j + 1..=j + k]);
+                    k
                 } else {
+                    // The environment the item leaves is the record's
+                    // snapshot with `D`'s entries copied in, as an
+                    // overlay built only if read whole.
                     trace.dep_spliced.bump();
-                    let mut env = Env::clone(&c.envs[j + 1]);
-                    env.copy_bindings(&st.env, &l.names);
-                    Arc::new(env)
+                    let snap = c.envs[j + 1].with_layer(l);
+                    st.ahead = Some(snap.clone());
+                    st.envs.push(snap);
+                    1
                 };
-                l.at = j + 1;
-                old_next = j + 1;
-                st.out.results.push(ru.summary.clone());
-                st.out.diagnostics.extend(ru.diagnostics.iter().cloned());
-                reported.push((ru.diagnostics.len(), true));
-                if let Some(b) = &ru.binder {
-                    st.binders.push(Arc::clone(b));
-                }
-                if ru.summary.name.is_none() {
-                    saw_trailing = true;
-                    if let Some(v) = &ru.value {
-                        value = Some(Arc::clone(v));
+                trace.skipped.add(k as u64);
+                for rec in &c.records[j..j + k] {
+                    if st.splice(rec) {
+                        trace.cutoff_stopped.bump();
                     }
                 }
-                records.push(Arc::clone(rec));
-                envs.push(Arc::clone(&st.env));
+                l.at = j + k;
+                old_next = j + k;
+                i += k;
                 continue;
             }
 
             // Re-check. Claimed slots are elaborated on demand now; their
             // records proved them inline-sized.
+            st.settle();
             let item: Cow<'_, ModuleItem> = match slot.item.as_deref() {
                 Some(item) => Cow::Borrowed(item),
                 None => Cow::Owned(fetch(i)?),
@@ -561,10 +807,12 @@ impl Checker {
             let item = &*item;
             trace.rechecked.bump();
             if let Some(name) = item.name() {
-                rechecked_names.insert(name);
+                if let Err(at) = st.rechecked.binary_search(&name) {
+                    st.rechecked.insert(at, name);
+                }
             }
             if matches!(item, ModuleItem::Expr { .. }) {
-                saw_trailing = true;
+                st.saw_trailing = true;
             }
 
             let env_before = st.env.clone();
@@ -574,11 +822,12 @@ impl Checker {
             let c = self.fork_item(item_salt(item));
             let result = self.check_item(&c, item, last, &mut st);
             if let Some(v) = &result {
-                value = Some(Arc::clone(v));
+                st.value = Some(Arc::clone(v));
             }
             let tripped = c.budget().tripped();
             st.degraded = st.degraded.or(tripped);
-            reported.push((st.out.diagnostics.len() - diags_before, false));
+            st.reported
+                .push((st.out.diagnostics.len() - diags_before, false));
             if tripped == Some(LimitKind::Cancelled) {
                 break;
             }
@@ -587,6 +836,7 @@ impl Checker {
                 old_next = j + 1;
             }
             ledger = None;
+            i += 1;
             if !keep {
                 continue;
             }
@@ -606,24 +856,31 @@ impl Checker {
                 binder: st.binders.get(binders_before).cloned(),
                 value: result,
             });
-            records.push(Arc::new(ItemRecord {
+            // A slot elaborated for this run was analysed by the
+            // pre-pass; a claimed one elaborated on demand is described
+            // by its record.
+            let (mutated, deep) = match (&slot.item, claimed) {
+                (None, Some((_, _, rec))) => (rec.mutated.clone(), rec.deep),
+                _ => (slot.mutated.clone(), slot.deep),
+            };
+            let rec = Arc::new(ItemRecord {
                 fp: item_fingerprint(item),
                 free_refs: free_refs(item),
-                mutated: slot.mutated.clone(),
-                deep: slot.deep,
+                mutated,
+                deep,
                 writes: st.env.diff(&env_before),
                 reuse,
-            }));
-            envs.push(Arc::clone(&st.env));
+            });
+            st.record(rec);
         }
 
-        if !saw_trailing {
+        if !st.saw_trailing {
             // The module without trailing expressions has value `#t`, as
             // in the nested encoding.
-            value = Some(Arc::new(TyResult::truthy(Ty::True, Obj::Null)));
+            st.value = Some(Arc::new(TyResult::truthy(Ty::True, Obj::Null)));
         }
         let mut out = st.out;
-        out.value = value.map(|result| ModuleValue {
+        out.value = st.value.map(|result| ModuleValue {
             result,
             binders: st.binders.into(),
         });
@@ -631,9 +888,10 @@ impl Checker {
         let cache = ItemCache {
             epoch,
             mutated,
-            records,
-            envs,
-            reported,
+            records: st.records,
+            special: st.special,
+            envs: st.envs,
+            reported: st.reported,
         };
         Some((out, cache, trace.counts()))
     }
@@ -660,8 +918,10 @@ impl Checker {
         mentioned.dedup();
         Some(Ledger {
             at,
+            layer: names.iter().map(|&x| (x, new.entries(x))).collect(),
             names,
             mentioned,
+            merged: Vec::new(),
         })
     }
 
@@ -685,6 +945,7 @@ impl Checker {
             out,
             binders,
             degraded,
+            ..
         } = st;
         let env = Arc::make_mut(env);
         match item {
@@ -820,7 +1081,7 @@ impl Checker {
                         Diagnostic::ice("this expression".to_owned(), panic_detail(&*p)).at(*node)
                     }
                 };
-                out.diagnostics.push(d);
+                out.diagnostics.push(Arc::new(d));
                 out.results.push(ItemSummary {
                     span: None,
                     name: None,
@@ -834,11 +1095,11 @@ impl Checker {
 }
 
 /// Could `rec`'s item read or write an entry of the non-empty ledger
-/// `l`, this run's environment being `env`? No iff its writes are keyed
+/// `l`, `ty_of` giving each name's type in this run's environment? No iff its writes are keyed
 /// by names outside the ledger, its free references are outside it too
 /// and their current types mention no ledger name, and no ledger entry
 /// on either side mentions a written name.
-fn reads_ledger(env: &Env, rec: &ItemRecord, l: &Ledger) -> bool {
+fn reads_ledger(ty_of: impl Fn(Symbol) -> Option<TyId>, rec: &ItemRecord, l: &Ledger) -> bool {
     let Some(writes) = &rec.writes else {
         return true;
     };
@@ -847,9 +1108,7 @@ fn reads_ledger(env: &Env, rec: &ItemRecord, l: &Ledger) -> bool {
         .any(|w| l.names.contains(w) || l.mentioned.binary_search(w).is_ok())
         || rec.free_refs.iter().any(|r| {
             l.names.contains(r)
-                || env
-                    .raw_ty_id(*r)
-                    .is_some_and(|t| l.names.iter().any(|n| t.mentions_var(*n)))
+                || ty_of(*r).is_some_and(|t| l.names.iter().any(|n| t.mentions_var(*n)))
         })
 }
 
@@ -1137,6 +1396,54 @@ mod tests {
             s2.dep_spliced, 2,
             "spliced past the changed binding: {s2:?}"
         );
+    }
+
+    #[test]
+    fn successive_signature_edits_merge_overlays_and_stay_equivalent() {
+        // Helpers h0..h5 up front, each with one caller, then filler. Each
+        // step flips one more helper's domain: its caller re-checks, and
+        // everything else splices past a ledger naming the helper, over
+        // snapshots the earlier steps left as overlays.
+        let n = 6;
+        let module = |refined: usize| -> Vec<ModuleItem> {
+            let helpers = (0..n).map(|k| helper(&format!("so_h{k}"), k < refined));
+            let callers = (0..n).map(|k| caller(&format!("so_c{k}"), &format!("so_h{k}")));
+            let filler = (0..8).map(|k| good(&format!("so_f{k}")));
+            helpers.chain(callers).chain(filler).collect()
+        };
+        let checker = Checker::default();
+        let v0 = module(0);
+        let (_, mut cache, _) = checker
+            .check_module_incremental(&all_fresh(&v0), None, &mut no_fetch)
+            .expect("cold run");
+        let mut widest = 0;
+        for step in 1..=n {
+            let v = module(step);
+            let mut slots: Vec<IncrSlot> = (0..v.len()).map(IncrSlot::Reused).collect();
+            slots[step - 1] = IncrSlot::Fresh(v[step - 1].clone());
+            let mut fetch = |i: usize| Some(v[i].clone());
+            let (r, next, s) = checker
+                .check_module_incremental(&slots, Some(&cache), &mut fetch)
+                .expect("incremental run");
+            same_verdicts(&r, &checker.check_module(&v));
+            assert!(r.is_clean(), "{:?}", r.diagnostics);
+            assert_eq!(s.rechecked, 2, "the helper and its caller: {s:?}");
+            assert_eq!(s.skipped as usize, v.len() - 2, "{s:?}");
+            for snap in &next.envs {
+                if let Snap::Overlay(o) = snap {
+                    widest = widest.max(o.layer.len());
+                }
+            }
+            cache = next;
+        }
+        assert!(widest >= 2, "later edits merge their layers: {widest}");
+        // Every snapshot, built, equals the one a cold run leaves.
+        let (_, cold, _) = checker
+            .check_module_incremental(&all_fresh(&module(n)), None, &mut no_fetch)
+            .expect("cold run");
+        for (warm, cold) in cache.envs.iter().zip(&cold.envs) {
+            assert_eq!(warm.env().diff(cold.env()), Some(Vec::new()));
+        }
     }
 
     #[test]

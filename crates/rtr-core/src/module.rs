@@ -130,8 +130,9 @@ pub struct ItemSummary {
 /// Everything `check_module` learned about a module.
 #[derive(Clone, Debug, Default)]
 pub struct ModuleCheck {
-    /// All diagnostics, in source order (one per failing item).
-    pub diagnostics: Vec<Diagnostic>,
+    /// All diagnostics, in source order (one per failing item). A
+    /// spliced item's are shared with the cache that recorded them.
+    pub diagnostics: Vec<Arc<Diagnostic>>,
     /// Per-item outcomes, definitions first then trailing expressions
     /// (the order they are checked in).
     pub results: Vec<ItemSummary>,
@@ -169,7 +170,7 @@ impl ModuleValue {
 impl ModuleCheck {
     /// No error-severity diagnostics (warnings allowed).
     pub fn is_clean(&self) -> bool {
-        !self.diagnostics.iter().any(Diagnostic::is_error)
+        !self.diagnostics.iter().any(|d| d.is_error())
     }
 
     /// Number of error-severity diagnostics.
@@ -226,7 +227,7 @@ impl Checker {
         if sig_node.is_some() {
             d = d.with_label(sig_node, format!("{name} is declared here"));
         }
-        out.diagnostics.push(d);
+        out.diagnostics.push(Arc::new(d));
         out.results.push(ItemSummary {
             span: None,
             name: Some(name),

@@ -133,3 +133,33 @@ fn ix_loc(text: &str, byte: u32) -> Loc {
     }
     Loc { line, col }
 }
+
+/// Texts for edits: [`arb_text`]'s alphabet plus `\r`.
+fn arb_edit_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(
+        prop_oneof![Just('a'), Just('é'), Just('𝒳'), Just('\r'), Just('\n'),],
+        0..12,
+    )
+    .prop_map(|chars| chars.into_iter().collect())
+}
+
+proptest! {
+    /// An index updated across one replaced range equals the index built
+    /// from scratch on the edited text.
+    #[test]
+    fn an_updated_index_equals_a_fresh_one(
+        text in arb_text(),
+        insert in arb_edit_text(),
+        a in 0usize..200,
+        b in 0usize..200,
+    ) {
+        let bounds = boundary_offsets(&text);
+        let (x, y) = (bounds[a % bounds.len()], bounds[b % bounds.len()]);
+        let (from, to) = (x.min(y) as usize, x.max(y) as usize);
+        let edited = format!("{}{insert}{}", &text[..from], &text[to..]);
+        let updated = LineIndex::new(&text).updated(&text, &edited);
+        prop_assert_eq!(&updated, &LineIndex::new(&edited));
+        // And back again.
+        prop_assert_eq!(updated.updated(&edited, &text), LineIndex::new(&text));
+    }
+}

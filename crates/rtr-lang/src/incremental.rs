@@ -53,11 +53,16 @@
 //! The core driver caches an item's ordinary diagnostics and splices
 //! them when the item's slot claims its record. Their nodes belong to
 //! an older elaboration, so this layer keeps its own copy of each slot's
-//! *resolved* diagnostics, every span stored relative to the form it
-//! lies in (the define or expression form, or its paired signature),
-//! and re-stamps them at the slot's current position when the driver
-//! reports them spliced ([`ItemCache::slot_diagnostics`]). A slot whose
-//! diagnostics cannot be anchored that way is never claimed.
+//! *resolved* diagnostics, as the run that derived them reported them,
+//! with where the slot's forms started then and which form (the define
+//! or expression form, or its paired signature) each span lies in. When
+//! the driver reports them spliced ([`ItemCache::slot_diagnostics`]),
+//! they are reported again: copied once, as stored when neither form
+//! moved, else with every span moved along with its form. The stored
+//! copy is shared, never rewritten, by every later run that splices the
+//! slot, so a warm check copies only the diagnostics it publishes. A
+//! slot whose diagnostics cannot be anchored in its forms is never
+//! claimed.
 //!
 //! Anything the textual account cannot mirror exactly — scanner
 //! anomalies, unconsumed or overwritten signatures (`W0001` territory),
@@ -69,7 +74,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use rtr_core::check::Checker;
-use rtr_core::diag::{Diagnostic, NodeId, Span};
+use rtr_core::diag::{changed_range, Diagnostic, NodeId, Span};
 use rtr_core::incremental::{IncrSlot, ItemCache};
 use rtr_core::module::ModuleItem;
 use rtr_core::syntax::{Symbol, Ty};
@@ -81,9 +86,6 @@ use crate::sexp::{read_all_from, Pos, Sexp};
 
 /// Where every scan of a whole text starts.
 const START: Pos = Pos { line: 1, col: 1 };
-
-/// The origin positions are stored relative to ([`shift`]).
-const ORIGIN: Pos = Pos { line: 0, col: 0 };
 
 /// What kind of top-level form a slice is, as far as the scanner can
 /// tell without parsing.
@@ -144,8 +146,7 @@ impl FormSlice {
 /// Moves `p`, at or after `from` in some text, to where it lies when the
 /// text before `from` changes so that `from` lands at `to`: positions on
 /// `from`'s line move by its column delta, later lines by its line delta
-/// with their columns kept. With `to = ORIGIN` this makes `p` relative
-/// to `from`; with `from = ORIGIN` it makes a relative `p` absolute.
+/// with their columns kept.
 fn shift(p: Pos, from: Pos, to: Pos) -> Pos {
     if p.line == from.line {
         Pos {
@@ -406,8 +407,7 @@ fn rescan(src: &str, old: Option<(&str, &[FormSlice])>) -> Option<Rescan> {
         });
     };
     let (a, b) = (old_text.as_bytes(), src.as_bytes());
-    let prefix = common_prefix(a, b);
-    let suffix = common_suffix(&a[prefix..], &b[prefix..]);
+    let (prefix, suffix) = changed_range(a, b);
     // A form that ends before the first changed byte is followed by the
     // unchanged byte that ended it, so it scans the same.
     let same = old_forms.partition_point(|f| f.end < prefix);
@@ -442,36 +442,6 @@ fn rescan(src: &str, old: Option<(&str, &[FormSlice])>) -> Option<Rescan> {
         fresh,
         resync,
     })
-}
-
-/// Bytes compared per step before the byte-wise tail.
-const CHUNK: usize = 64;
-
-/// The length of the longest common prefix of `a` and `b`.
-fn common_prefix(a: &[u8], b: &[u8]) -> usize {
-    let n = a.len().min(b.len());
-    let mut i = 0;
-    while i + CHUNK <= n && a[i..i + CHUNK] == b[i..i + CHUNK] {
-        i += CHUNK;
-    }
-    while i < n && a[i] == b[i] {
-        i += 1;
-    }
-    i
-}
-
-/// The length of the longest common suffix of `a` and `b`.
-fn common_suffix(a: &[u8], b: &[u8]) -> usize {
-    let n = a.len().min(b.len());
-    let (ea, eb) = (a.len(), b.len());
-    let mut i = 0;
-    while i + CHUNK <= n && a[ea - i - CHUNK..ea - i] == b[eb - i - CHUNK..eb - i] {
-        i += CHUNK;
-    }
-    while i < n && a[ea - i - 1] == b[eb - i - 1] {
-        i += 1;
-    }
-    i
 }
 
 /// Classifies a list form's head textually: `(: name …)`,
@@ -661,73 +631,92 @@ fn claim(descs: &[SlotDesc], scan: &Rescan, old: &ModuleCache) -> Vec<Option<usi
         .collect()
 }
 
-/// One diagnostic of a slot, each of its spans (primary first, then the
-/// labels') stored relative to the form it lies in: `in_sig` says which.
-#[derive(Clone, Debug)]
-struct RelDiag {
-    diag: Diagnostic,
+/// A slot's diagnostics as a run reported them, spans resolved, with
+/// where the slot's forms started in that run: a later run that splices
+/// the slot's record reports them again, moved along with the forms.
+#[derive(Debug)]
+struct Stamped {
+    diags: Vec<Diagnostic>,
+    /// For each span of each diagnostic (primary first, then the
+    /// labels'), whether it lies in the signature form rather than the
+    /// define or expression form.
     in_sig: Vec<bool>,
+    /// Where the define or expression form started.
+    form: Pos,
+    /// Where the paired signature form started, if there is one.
+    sig: Option<Pos>,
 }
 
-impl RelDiag {
-    /// `d`'s spans relative to `form` or `sig`; `None` if one lies in
-    /// neither.
-    fn new(d: &Diagnostic, form: &FormSlice, sig: Option<&FormSlice>) -> Option<RelDiag> {
-        let mut diag = d.clone();
-        let mut in_sig = Vec::with_capacity(1 + diag.labels.len());
-        for span in spans_mut(&mut diag) {
-            let Some(s) = span else {
-                in_sig.push(false);
-                continue;
+impl Stamped {
+    /// `ds` as stamped at `form` and `sig`; `None` if a span lies in
+    /// neither form.
+    fn new(ds: &[Diagnostic], form: &FormSlice, sig: Option<&FormSlice>) -> Option<Stamped> {
+        let mut in_sig = Vec::new();
+        for s in ds.iter().flat_map(spans) {
+            let is_sig = match s {
+                Some(s) if !form.contains(s) => {
+                    sig.filter(|g| g.contains(s))?;
+                    true
+                }
+                _ => false,
             };
-            let (anchor, is_sig) = if form.contains(*s) {
-                (form, false)
-            } else {
-                (sig.filter(|g| g.contains(*s))?, true)
-            };
-            *s = Span::new(
-                shift(s.start, anchor.pos, ORIGIN),
-                shift(s.end, anchor.pos, ORIGIN),
-            );
             in_sig.push(is_sig);
         }
-        Some(RelDiag { diag, in_sig })
+        Some(Stamped {
+            diags: ds.to_vec(),
+            in_sig,
+            form: form.pos,
+            sig: sig.map(|g| g.pos),
+        })
     }
 
-    /// The diagnostic at the slot's current forms.
-    fn stamp(&self, form: &FormSlice, sig: Option<&FormSlice>) -> Diagnostic {
-        let mut d = self.diag.clone();
-        for (span, &is_sig) in spans_mut(&mut d).zip(&self.in_sig) {
-            if let Some(s) = span {
-                let anchor = if is_sig {
-                    sig.expect("the claimed key hashed a signature form")
-                } else {
-                    form
-                };
-                *s = Span::new(
-                    shift(s.start, ORIGIN, anchor.pos),
-                    shift(s.end, ORIGIN, anchor.pos),
-                );
-            }
+    /// Appends the diagnostics at the slot's current forms to `out`: one
+    /// copy each, moved only if a form moved.
+    fn stamp(&self, form: &FormSlice, sig: Option<&FormSlice>, out: &mut Vec<Diagnostic>) {
+        let sig = sig.map(|g| g.pos);
+        if (self.form, self.sig) == (form.pos, sig) {
+            out.extend(self.diags.iter().cloned());
+            return;
         }
-        d
+        let mut in_sig = self.in_sig.iter();
+        for d in &self.diags {
+            let mut d = d.clone();
+            for span in spans_mut(&mut d) {
+                let is_sig = *in_sig.next().expect("one flag per span");
+                if let Some(s) = span {
+                    let (from, to) = if is_sig {
+                        let moved = self.sig.zip(sig);
+                        moved.expect("the claimed key hashed a signature form")
+                    } else {
+                        (self.form, form.pos)
+                    };
+                    *s = Span::new(shift(s.start, from, to), shift(s.end, from, to));
+                }
+            }
+            out.push(d);
+        }
     }
 }
 
 /// A diagnostic's spans: the primary, then each label's.
+fn spans(d: &Diagnostic) -> impl Iterator<Item = Option<Span>> + '_ {
+    std::iter::once(d.primary).chain(d.labels.iter().map(|l| l.span))
+}
+
+/// [`spans`], mutably.
 fn spans_mut(d: &mut Diagnostic) -> impl Iterator<Item = &mut Option<Span>> {
     std::iter::once(&mut d.primary).chain(d.labels.iter_mut().map(|l| &mut l.span))
 }
 
 /// What a slot reported, kept so a later run that splices its record
-/// can re-stamp the diagnostics.
+/// can report the diagnostics again.
 #[derive(Clone, Debug, Default)]
 enum SlotDiags {
     /// Nothing.
     #[default]
     Clean,
-    /// Its diagnostics, spans relative to the slot's forms.
-    Relative(Arc<[RelDiag]>),
+    /// Its diagnostics, shared by every run that splices them.
+    Stamped(Arc<Stamped>),
     /// A diagnostic span lies outside the slot's forms.
     Unanchored,
 }
@@ -737,8 +726,8 @@ impl SlotDiags {
         if ds.is_empty() {
             return SlotDiags::Clean;
         }
-        match ds.iter().map(|d| RelDiag::new(d, form, sig)).collect() {
-            Some(rel) => SlotDiags::Relative(rel),
+        match Stamped::new(ds, form, sig) {
+            Some(st) => SlotDiags::Stamped(Arc::new(st)),
             None => SlotDiags::Unanchored,
         }
     }
@@ -872,35 +861,33 @@ pub fn check_module_source_incremental(
     };
 
     // Diagnostics slot by slot: a spliced failing record's come from the
-    // claimed slot's stored copy, re-stamped at the slot's forms; the
-    // rest were derived by this run and resolve through its elaborator.
+    // claimed slot's stored copy, moved to the slot's forms; the rest
+    // were derived by this run and resolve through its elaborator.
     let spans = elab.into_spans();
     let mut derived = mc.diagnostics.into_iter();
     let mut diagnostics = Vec::new();
     let mut slot_diags: Vec<SlotDiags> = Vec::with_capacity(descs.len());
     for ((n, spliced), (d, claimed)) in core.slot_diagnostics().zip(descs.iter().zip(&claims)) {
         let (form, sig) = (&forms[d.form], d.sig.map(|s| &forms[s]));
-        let ds: Vec<Diagnostic> = derived.by_ref().take(n).collect();
         if spliced {
             // The driver splices a failing record only into the slot
             // that claims it, so the claimed slot's copy is its mirror.
+            derived.by_ref().take(n).for_each(drop);
             let stored = claimed
                 .zip(old)
                 .map_or(SlotDiags::Clean, |(j, old)| old.diags[j].clone());
-            if let SlotDiags::Relative(rel) = &stored {
-                diagnostics.extend(rel.iter().map(|r| r.stamp(form, sig)));
+            if let SlotDiags::Stamped(st) = &stored {
+                st.stamp(form, sig, &mut diagnostics);
             }
             slot_diags.push(stored);
         } else {
-            let resolved: Vec<Diagnostic> = ds
-                .into_iter()
-                .map(|mut d| {
-                    d.resolve_spans(&spans);
-                    d
-                })
-                .collect();
-            slot_diags.push(SlotDiags::new(&resolved, form, sig));
-            diagnostics.extend(resolved);
+            let first = diagnostics.len();
+            diagnostics.extend(derived.by_ref().take(n).map(|d| {
+                let mut d = Arc::unwrap_or_clone(d);
+                d.resolve_spans(&spans);
+                d
+            }));
+            slot_diags.push(SlotDiags::new(&diagnostics[first..], form, sig));
         }
     }
     // Stamp every summary's extent from the *current* scan: spliced

@@ -515,7 +515,7 @@ pub(crate) fn check_module_source_traced(
         .collect();
     diagnostics.extend(m.warnings.iter().cloned());
     let (mc, trace) = checker.check_module_traced(&m.items);
-    diagnostics.extend(mc.diagnostics);
+    diagnostics.extend(mc.diagnostics.into_iter().map(Arc::unwrap_or_clone));
     for d in &mut diagnostics {
         d.resolve_spans(&m.spans);
     }

@@ -70,20 +70,31 @@ use crate::session::CheckReport;
 // Emission
 // ---------------------------------------------------------------------------
 
-/// Escapes `s` as the body of a JSON string literal.
+/// Escapes `s` as the body of a JSON string literal. Runs of characters
+/// that need no escape are copied with one `push_str` each; every
+/// escaped character is ASCII, so the runs end on character boundaries.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..0x20 => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escaped.is_empty() {
+            out.push_str(&format!("\\u{b:04x}"));
+        } else {
+            out.push_str(escaped);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out
 }
 
@@ -506,6 +517,47 @@ mod tests {
         assert!(parse(r#""a\"#).is_err());
         assert!(parse(r#""\u12""#).is_err());
         assert!(parse(r#""\q""#).is_err());
+    }
+
+    #[test]
+    fn escape_copies_runs_and_escapes_at_their_boundaries() {
+        // The per-character reference the run copier must match.
+        let reference = |s: &str| {
+            let mut out = String::new();
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out
+        };
+        let cases = [
+            "",
+            "plain",
+            "\"",
+            "\\",
+            "a\"b\\c",
+            "\"\"\\\\",
+            "é\"𝒳\\ü",
+            "\u{1}é\u{1f}𝒳\u{7f}\u{0}",
+            "\n√\t\"ü\u{1}\u{1f}ß\\",
+            "𝒳\r\n",
+            "tail é",
+        ];
+        for s in cases {
+            assert_eq!(escape(s), reference(s), "{s:?}");
+            // And it round-trips through the parser.
+            let parsed = parse(&format!("\"{}\"", escape(s))).expect("parses");
+            assert_eq!(parsed.as_str(), Some(s));
+        }
+        assert_eq!(escape("a\u{1}b"), "a\\u0001b");
+        assert_eq!(escape("\u{1f}"), "\\u001f");
     }
 
     #[test]

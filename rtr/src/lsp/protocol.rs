@@ -9,6 +9,8 @@
 //! conversion goes through [`rtr_core::diag::LineIndex`] against the
 //! exact document text the diagnostics were produced from.
 
+use std::collections::HashMap;
+
 use rtr_core::diag::{Diagnostic, LineIndex, Loc, Severity, Span, Utf16Pos};
 
 use crate::json::{escape, parse, Json};
@@ -185,15 +187,157 @@ pub fn publish_diagnostics_params(
     text: &str,
     diagnostics: &[Diagnostic],
 ) -> String {
-    let list: Vec<String> = diagnostics
+    let rendered: Vec<String> = diagnostics
         .iter()
         .map(|d| diagnostic_json(uri, ix, text, d))
         .collect();
-    format!(
-        "{{\"uri\":\"{}\",\"version\":{version},\"diagnostics\":[{}]}}",
-        escape(uri),
-        list.join(",")
-    )
+    publish_params(uri, version, rendered.iter().map(String::as_str))
+}
+
+/// The `publishDiagnostics` params around already rendered
+/// [`diagnostic_json`] objects: the one composition every publish uses.
+fn publish_params<'a>(uri: &str, version: i64, rendered: impl Iterator<Item = &'a str>) -> String {
+    let mut out = format!(
+        "{{\"uri\":\"{}\",\"version\":{version},\"diagnostics\":[",
+        escape(uri)
+    );
+    for (k, json) in rendered.enumerate() {
+        if k > 0 {
+            out.push(',');
+        }
+        out.push_str(json);
+    }
+    out.push_str("]}");
+    out
+}
+
+/// [`publish_diagnostics_params`] for one document, memoized.
+///
+/// [`diagnostic_json`] reads the uri, the diagnostic's severity, code,
+/// message, notes, primary span and labels, and, through the line index,
+/// the number and text of each line a span starts or ends on (after the
+/// conversion's clamping). The memo keys each rendered object on exactly
+/// those, so a publish renders only the diagnostics that are new or
+/// moved and joins the cached objects for the rest; the result is
+/// byte-identical to the unmemoized params. It keeps only the entries of
+/// the last publish.
+#[derive(Debug, Default)]
+pub struct DiagnosticMemo {
+    uri: String,
+    entries: Vec<MemoEntry>,
+}
+
+/// One rendered diagnostic and what its rendering read.
+#[derive(Debug)]
+struct MemoEntry {
+    diagnostic: Diagnostic,
+    /// Each span endpoint's clamped 0-based line and that line's text,
+    /// in [`endpoint_lines`] order.
+    lines: Vec<(u32, Box<str>)>,
+    json: String,
+}
+
+/// The span endpoints [`diagnostic_json`] converts, in order: the
+/// primary range (the top of the file when there is none), then each
+/// located label's.
+fn endpoints(d: &Diagnostic) -> impl Iterator<Item = Loc> + '_ {
+    let primary = d
+        .primary
+        .unwrap_or_else(|| Span::point(Loc { line: 1, col: 1 }));
+    std::iter::once(primary)
+        .chain(d.labels.iter().filter_map(|l| l.span))
+        .flat_map(|s| [s.start, s.end])
+}
+
+/// The clamped 0-based line each endpoint of `d` lies on, as
+/// [`LineIndex::loc_to_utf16`] clamps it.
+fn endpoint_lines<'a>(ix: &'a LineIndex, d: &'a Diagnostic) -> impl Iterator<Item = u32> + 'a {
+    endpoints(d).map(|loc| loc.line.saturating_sub(1).min(ix.line_count() - 1))
+}
+
+/// Do `a` and `b` agree on every field [`diagnostic_json`] reads?
+fn renders_alike(a: &Diagnostic, b: &Diagnostic) -> bool {
+    a.primary == b.primary
+        && a.code == b.code
+        && a.severity == b.severity
+        && a.message == b.message
+        && a.notes == b.notes
+        && a.labels.len() == b.labels.len()
+        && a.labels
+            .iter()
+            .zip(&b.labels)
+            .all(|(x, y)| x.span == y.span && x.message == y.message)
+}
+
+impl DiagnosticMemo {
+    /// The params [`publish_diagnostics_params`] renders for these
+    /// arguments, reusing every object the last publish rendered from
+    /// the same inputs.
+    pub fn publish(
+        &mut self,
+        uri: &str,
+        version: i64,
+        ix: &LineIndex,
+        text: &str,
+        diagnostics: &[Diagnostic],
+    ) -> String {
+        let mut old: Vec<Option<MemoEntry>> = if self.uri == uri {
+            std::mem::take(&mut self.entries)
+                .into_iter()
+                .map(Some)
+                .collect()
+        } else {
+            self.uri = uri.to_owned();
+            Vec::new()
+        };
+        let hit = |e: &MemoEntry, d: &Diagnostic| {
+            renders_alike(&e.diagnostic, d)
+                && e.lines.len() == endpoints(d).count()
+                && e.lines
+                    .iter()
+                    .zip(endpoint_lines(ix, d))
+                    .all(|((n, t), line)| *n == line && **t == *ix.line(text, line))
+        };
+        // The old entries by primary span, built at the first miss.
+        let mut by_primary: Option<HashMap<Option<Span>, Vec<usize>>> = None;
+        let mut entries = Vec::with_capacity(diagnostics.len());
+        for (k, d) in diagnostics.iter().enumerate() {
+            // Usually the entry at the same index; else an unused one
+            // with the same primary span that matches.
+            let same = old
+                .get(k)
+                .and_then(Option::as_ref)
+                .is_some_and(|e| hit(e, d));
+            let j = if same {
+                Some(k)
+            } else {
+                let index = by_primary.get_or_insert_with(|| {
+                    let mut index: HashMap<Option<Span>, Vec<usize>> = HashMap::new();
+                    for (j, e) in old.iter().enumerate() {
+                        let primary = e.as_ref().and_then(|e| e.diagnostic.primary);
+                        index.entry(primary).or_default().push(j);
+                    }
+                    index
+                });
+                index.get(&d.primary).and_then(|js| {
+                    let matches = |j: &usize| old[*j].as_ref().is_some_and(|e| hit(e, d));
+                    js.iter().copied().find(matches)
+                })
+            };
+            let found = j.and_then(|j| old[j].take());
+            entries.push(found.unwrap_or_else(|| {
+                MemoEntry {
+                    diagnostic: d.clone(),
+                    lines: endpoint_lines(ix, d)
+                        .map(|line| (line, ix.line(text, line).into()))
+                        .collect(),
+                    json: diagnostic_json(uri, ix, text, d),
+                }
+            }));
+        }
+        self.entries = entries;
+        publish_params(uri, version, self.entries.iter().map(|e| e.json.as_str()))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -235,6 +379,27 @@ pub fn last_content_change(params: &Json) -> Option<&str> {
         .last()?
         .get("text")?
         .as_str()
+}
+
+/// The member `key` of an object, mutably.
+fn member_mut<'a>(json: &'a mut Json, key: &str) -> Option<&'a mut Json> {
+    match json {
+        Json::Obj(members) => members.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
+    }
+}
+
+/// [`last_content_change`], moved out of the params (an empty string
+/// stays behind): a `didChange` carries the whole buffer, which need not
+/// be copied.
+pub fn take_last_content_change(params: &mut Json) -> Option<String> {
+    let Json::Arr(changes) = member_mut(params, "contentChanges")? else {
+        return None;
+    };
+    match member_mut(changes.last_mut()?, "text")? {
+        Json::Str(text) => Some(std::mem::take(text)),
+        _ => None,
+    }
 }
 
 #[cfg(test)]

@@ -22,6 +22,18 @@
 //! to be skipped outright — in both cases the superseded version's
 //! diagnostics are **never** published, and the newer version's check
 //! follows immediately from its own queued notification.
+//!
+//! # A warm publish costs what changed
+//!
+//! A `didChange`'s text moves out of the parsed notification into the
+//! document and on into the check; it is not copied. Each published
+//! version's [`LineIndex`] is derived from the previous published one
+//! ([`LineIndex::updated`]: the line starts before the edited range are
+//! kept, the range is rescanned, the rest are offset), and its
+//! diagnostics are rendered through the previous publish's
+//! [`protocol::DiagnosticMemo`], so only new or moved diagnostics are
+//! rendered again. The published params are byte-identical to
+//! [`protocol::publish_diagnostics_params`] over a fresh index.
 
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
@@ -70,17 +82,24 @@ pub struct LspStats {
 /// sent, which shadow whatever is on disk.
 struct Doc {
     version: i64,
-    text: String,
+    /// The buffer (a `didChange`'s moved out of the notification);
+    /// `None` once it moved on into the document's [`Checked`], whose
+    /// text it then is.
+    text: Option<String>,
 }
 
 /// What the last *published* check of a document learned, kept for
-/// hover. The text snapshot pins the coordinate system: positions are
-/// resolved against the text that was checked, not a newer buffer,
-/// through the line index built once to publish it.
+/// hover and for the next publish. The text snapshot pins the coordinate
+/// system: positions are resolved against the text that was checked,
+/// not a newer buffer, through the line index built to publish it. The
+/// next version's index is derived from this one
+/// ([`LineIndex::updated`]), and its publish reuses the rendered
+/// diagnostics of this one ([`protocol::DiagnosticMemo`]).
 struct Checked {
     text: String,
     ix: LineIndex,
     results: Vec<ItemSummary>,
+    memo: protocol::DiagnosticMemo,
 }
 
 /// State the reader thread shares with the dispatcher.
@@ -143,7 +162,7 @@ pub fn run(
     };
     while let Ok(msg) = rx.recv() {
         match msg {
-            Ok(m) => server.dispatch(&m),
+            Ok(m) => server.dispatch(m),
             Err(e) => server.send(&protocol::error_response(None, protocol::PARSE_ERROR, &e)),
         }
         if server.exited {
@@ -238,7 +257,7 @@ impl<W: Write> Server<W> {
         let _ = framing::write_message(&mut self.out, body);
     }
 
-    fn dispatch(&mut self, m: &Incoming) {
+    fn dispatch(&mut self, mut m: Incoming) {
         match (&m.id, m.method.as_str()) {
             (Some(id), "initialize") => {
                 self.stats.requests += 1;
@@ -273,45 +292,23 @@ impl<W: Write> Server<W> {
             (None, "exit") => {
                 self.exited = true;
             }
-            (None, "textDocument/didOpen") => {
+            (None, "textDocument/didOpen" | "textDocument/didChange") => {
                 self.stats.notifications += 1;
+                let text = if m.method == "textDocument/didOpen" {
+                    protocol::text_document_text(&m.params).map(str::to_owned)
+                } else {
+                    protocol::take_last_content_change(&mut m.params)
+                };
                 let (Some(uri), Some(version), Some(text)) = (
                     protocol::text_document_uri(&m.params),
                     protocol::text_document_version(&m.params),
-                    protocol::text_document_text(&m.params),
+                    text,
                 ) else {
                     return;
                 };
                 let uri = uri.to_owned();
-                self.docs.insert(
-                    uri.clone(),
-                    Doc {
-                        version,
-                        text: text.to_owned(),
-                    },
-                );
-                self.check_and_publish(&uri);
-            }
-            (None, "textDocument/didChange") => {
-                self.stats.notifications += 1;
-                let (Some(uri), Some(version), Some(text)) = (
-                    protocol::text_document_uri(&m.params),
-                    protocol::text_document_version(&m.params),
-                    protocol::last_content_change(&m.params),
-                ) else {
-                    return;
-                };
-                let uri = uri.to_owned();
-                let text = text.to_owned();
-                match self.docs.get_mut(&uri) {
-                    Some(doc) => {
-                        doc.version = version;
-                        doc.text = text;
-                    }
-                    None => {
-                        self.docs.insert(uri.clone(), Doc { version, text });
-                    }
-                }
+                let text = Some(text);
+                self.docs.insert(uri.clone(), Doc { version, text });
                 self.check_and_publish(&uri);
             }
             (None, "textDocument/didSave") => {
@@ -350,7 +347,7 @@ impl<W: Write> Server<W> {
     /// version is (or becomes) superseded, in which case nothing is
     /// published and the newer version's own notification re-checks.
     fn check_and_publish(&mut self, uri: &str) {
-        let Some(doc) = self.docs.get(uri) else {
+        let Some(doc) = self.docs.get_mut(uri) else {
             return;
         };
         let version = doc.version;
@@ -359,9 +356,18 @@ impl<W: Write> Server<W> {
             self.stats.cancelled += 1;
             return;
         }
+        // The buffer moves into the check; a re-check of a published
+        // version (`didSave`) copies it back out of `checked`.
+        let Some(text) = doc
+            .text
+            .take()
+            .or_else(|| Some(self.checked.get(uri)?.text.clone()))
+        else {
+            return;
+        };
         let token = CancelToken::new();
         *self.shared.lock_current() = Some((uri.to_owned(), version, token.clone()));
-        let file = SourceFile::new(uri_to_path(uri), doc.text.clone());
+        let file = SourceFile::new(uri_to_path(uri), text);
         let report = self.session.check_cancellable(&file, &token);
         *self.shared.lock_current() = None;
         self.stats.checks += 1;
@@ -389,17 +395,22 @@ impl<W: Write> Server<W> {
                 report.stats.elapsed.as_micros(),
             );
         }
+        let text = file.text;
         if stale {
             // Never publish a superseded version's diagnostics: the
             // newer version's notification is already queued (or being
             // processed next) and will publish its own.
             self.stats.cancelled += 1;
+            if let Some(doc) = self.docs.get_mut(uri) {
+                doc.text = Some(text);
+            }
             return;
         }
-        let text = file.text;
-        let ix = LineIndex::new(&text);
-        let params =
-            protocol::publish_diagnostics_params(uri, version, &ix, &text, &report.diagnostics);
+        let (ix, mut memo) = match self.checked.remove(uri) {
+            Some(prev) => (prev.ix.updated(&prev.text, &text), prev.memo),
+            None => (LineIndex::new(&text), protocol::DiagnosticMemo::default()),
+        };
+        let params = memo.publish(uri, version, &ix, &text, &report.diagnostics);
         self.send(&protocol::notification(
             "textDocument/publishDiagnostics",
             &params,
@@ -411,6 +422,7 @@ impl<W: Write> Server<W> {
                 text,
                 ix,
                 results: report.results,
+                memo,
             },
         );
     }

@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use rtr_core::budget::CancelToken;
 use rtr_core::check::Checker;
 use rtr_core::config::CheckerConfig;
-use rtr_core::diag::{Diagnostic, Severity};
+use rtr_core::diag::{render_indexed, Diagnostic, LineIndex, Severity};
 use rtr_core::module::{ItemSummary, ModuleValue};
 use rtr_core::trace::TraceCounts;
 use rtr_lang::{check_module_source_incremental, ModuleCache};
@@ -149,9 +149,10 @@ impl CheckReport {
     /// Renders every diagnostic in the human format (snippets with
     /// caret underlines), given the file's source text.
     pub fn render_human(&self, source: &str) -> String {
+        let ix = LineIndex::new(source);
         let mut out = String::new();
         for d in &self.diagnostics {
-            out.push_str(&rtr_core::diag::render(d, &self.file, source));
+            out.push_str(&render_indexed(d, &self.file, source, &ix));
         }
         out
     }

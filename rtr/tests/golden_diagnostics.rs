@@ -71,6 +71,14 @@ fn macro_expansion_provenance_points_at_the_surface_form() {
     check_golden("expansion", false);
 }
 
+/// `\r\n` line ends, multibyte and astral text before the carets, a
+/// two-digit gutter and a trailing newline: the snippet lines, columns
+/// and gutter width come from one line index per report.
+#[test]
+fn crlf_and_multibyte_lines_render_many_errors() {
+    check_golden("crlf_multibyte", false);
+}
+
 /// A starved depth budget degrades to a located `E0202` on the deep
 /// item while the shallow item in the same module still checks.
 #[test]
