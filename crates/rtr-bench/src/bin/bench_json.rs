@@ -26,9 +26,10 @@
 //! for the incremental speedup. `warm_edit/many_errors_500` makes the
 //! same edit next to 167 ill-typed definitions, whose cached failing
 //! verdicts splice too. The `lsp_edit/*` workloads send the same edits
-//! through the real `rtr lsp` server over a socket pair and wait for each
-//! version's published diagnostics (framing, JSON parsing, the check and
-//! the publish).
+//! through the real `rtr lsp --stats` server in a child process (this
+//! binary run with `--lsp-server`) and wait for each version's published
+//! diagnostics (framing, JSON parsing, the check and the publish), and
+//! its stats line must show the one-item re-check.
 
 use std::time::{Duration, Instant};
 
@@ -159,32 +160,107 @@ fn warm_edit<'a>(
     })
 }
 
-/// The LSP didChange round trip through the real server
-/// ([`rtr::lsp::server::run`] on one end of a Unix socket pair): each
-/// iteration sends the next of `a` and `b` (alternating) as a full-text
-/// `didChange` and waits for that version's `publishDiagnostics`, which
-/// must carry `errors` diagnostics. The server thread exits when the
-/// workload is dropped and its socket closes.
-fn lsp_edit<'a>(a: &'a str, b: &'a str, errors: usize, uri: &'static str) -> Box<dyn FnMut() + 'a> {
-    use rtr::lsp::framing::{read_message, write_message};
-    use std::io::BufReader;
-    use std::os::unix::net::UnixStream;
+/// The argument that makes `bench_json` the `lsp_edit/*` rows' server:
+/// `rtr lsp --stats` on its stdin and stdout ([`rtr::lsp::server::run`]).
+const LSP_SERVER: &str = "--lsp-server";
 
-    let (ours, theirs) = UnixStream::pair().expect("a socket pair");
-    let their_reader = theirs.try_clone().expect("a socket clone");
+/// Serves the language server protocol on stdio with per-check stats on
+/// stderr, as `rtr lsp --stats` does.
+fn lsp_server() -> ! {
     let session = rtr::session::Session::new(rtr::session::SessionConfig {
         jobs: 1,
         ..rtr::session::SessionConfig::default()
     });
-    std::thread::spawn(move || {
-        rtr::lsp::server::run(BufReader::new(their_reader), theirs, session, false)
-    });
-    let mut reader = BufReader::new(ours.try_clone().expect("a socket clone"));
-    let mut writer = ours;
+    let stdin = std::io::BufReader::new(std::io::stdin());
+    let code = rtr::lsp::server::run(stdin, std::io::stdout().lock(), session, true);
+    std::process::exit(code)
+}
+
+/// A `bench_json --lsp-server` child process: its stdio, and a thread
+/// forwarding its stderr lines. Dropping it closes the server's input,
+/// and the server exits.
+struct LspChild {
+    child: std::process::Child,
+    input: Option<std::process::ChildStdin>,
+    output: std::io::BufReader<std::process::ChildStdout>,
+    log: std::sync::mpsc::Receiver<String>,
+}
+
+impl LspChild {
+    fn spawn() -> LspChild {
+        use std::io::BufRead;
+        use std::process::{Command, Stdio};
+        let exe = std::env::current_exe().expect("the bench's own executable");
+        let mut child = Command::new(exe)
+            .arg(LSP_SERVER)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("starting the server");
+        let stderr = child.stderr.take().expect("a piped stderr");
+        let (tx, log) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for line in std::io::BufReader::new(stderr).lines() {
+                let Ok(line) = line else { return };
+                if tx.send(line).is_err() {
+                    return;
+                }
+            }
+        });
+        LspChild {
+            input: child.stdin.take(),
+            output: std::io::BufReader::new(child.stdout.take().expect("a piped stdout")),
+            child,
+            log,
+        }
+    }
+
+    /// The `lsp check:` line's `rechecked` and `unchanged` counts for
+    /// `version`, which the server logs before it publishes.
+    fn check_stats(&self, version: i64) -> (usize, usize) {
+        let tag = format!(" version={version} ");
+        loop {
+            let line = self.log.recv().expect("the server logs each check");
+            if !(line.starts_with("lsp check:") && line.contains(&tag)) {
+                continue;
+            }
+            assert!(line.contains(" stale=false "), "{line}");
+            let count = |key: &str| {
+                line.split(' ')
+                    .find_map(|field| field.strip_prefix(key))
+                    .and_then(|n| n.parse().ok())
+                    .unwrap_or_else(|| panic!("no {key} in {line}"))
+            };
+            return (count("rechecked="), count("unchanged="));
+        }
+    }
+}
+
+impl Drop for LspChild {
+    fn drop(&mut self) {
+        drop(self.input.take());
+        let _ = self.child.wait();
+    }
+}
+
+/// The LSP didChange round trip through the real server, in a child
+/// process on pipes as an editor runs it: each iteration sends the next
+/// of `a` and `b` (alternating) as a full-text `didChange` and waits for
+/// that version's `publishDiagnostics`, which must carry `errors`
+/// diagnostics. The server's stats line must show that exactly the
+/// edited definition re-checked, or (when the session retired its
+/// interner arena, which discards item caches by design) that every
+/// item did; the latter may be at most one warm check in sixteen.
+fn lsp_edit<'a>(a: &'a str, b: &'a str, errors: usize, uri: &'static str) -> Box<dyn FnMut() + 'a> {
+    use rtr::lsp::framing::{read_message, write_message};
+
+    let mut server = LspChild::spawn();
     // The texts are escaped once: the client's own JSON work is not the
     // server's round trip.
     let (a, b) = (rtr::json::escape(a), rtr::json::escape(b));
     let mut version = 0;
+    let (mut warm, mut full) = (0, 0);
     let mut step = move |text: &str, method: &str| {
         version += 1;
         let document = match method {
@@ -198,10 +274,11 @@ fn lsp_edit<'a>(a: &'a str, b: &'a str, errors: usize, uri: &'static str) -> Box
         let body = format!(
             "{{\"jsonrpc\":\"2.0\",\"method\":\"{method}\",\"params\":{{\"textDocument\":{document}}}}}"
         );
-        write_message(&mut writer, &body).expect("the server reads its socket");
+        let input = server.input.as_mut().expect("the server's input is open");
+        write_message(input, &body).expect("the server reads its input");
         let tag = format!("\"version\":{version},");
         let publish = loop {
-            let msg = read_message(&mut reader)
+            let msg = read_message(&mut server.output)
                 .expect("a framed message")
                 .expect("the server is running");
             if msg.contains("textDocument/publishDiagnostics") && msg.contains(&tag) {
@@ -213,6 +290,18 @@ fn lsp_edit<'a>(a: &'a str, b: &'a str, errors: usize, uri: &'static str) -> Box
             errors,
             "the published diagnostics"
         );
+        let (rechecked, unchanged) = server.check_stats(version);
+        if method == "textDocument/didChange" {
+            warm += 1;
+            if rechecked != 1 {
+                assert_eq!(unchanged, 0, "exactly the edited definition re-checks");
+                full += 1;
+                assert!(
+                    full * 16 <= warm + 15,
+                    "{full} of {warm} warm checks re-checked every item"
+                );
+            }
+        }
     };
     step(&a, "textDocument/didOpen");
     let mut flip = false;
@@ -223,6 +312,9 @@ fn lsp_edit<'a>(a: &'a str, b: &'a str, errors: usize, uri: &'static str) -> Box
 }
 
 fn main() {
+    if std::env::args().nth(1).as_deref() == Some(LSP_SERVER) {
+        lsp_server();
+    }
     let opts = parse_args();
     let alias16 = alias_chain_src(16);
     let alias64 = alias_chain_src(64);

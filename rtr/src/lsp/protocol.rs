@@ -216,14 +216,14 @@ fn publish_params<'a>(uri: &str, version: i64, rendered: impl Iterator<Item = &'
 /// [`diagnostic_json`] reads the uri, the diagnostic's severity, code,
 /// message, notes, primary span and labels, and, through the line index,
 /// the number and text of each line a span starts or ends on (after the
-/// conversion's clamping). The memo keys each rendered object on exactly
-/// those, so a publish renders only the diagnostics that are new or
-/// moved and joins the cached objects for the rest; the result is
-/// byte-identical to the unmemoized params. It keeps only the entries of
-/// the last publish.
+/// conversion's clamping). A memo serves one document (the server keeps
+/// one per uri beside its published text), so the uri is the same on
+/// every call, and the memo keys each rendered object on the rest, so a
+/// publish renders only the diagnostics that are new or moved and joins
+/// the cached objects for the rest; the result is byte-identical to the
+/// unmemoized params. It keeps only the entries of the last publish.
 #[derive(Debug, Default)]
-pub struct DiagnosticMemo {
-    uri: String,
+pub(crate) struct DiagnosticMemo {
     entries: Vec<MemoEntry>,
 }
 
@@ -271,9 +271,9 @@ fn renders_alike(a: &Diagnostic, b: &Diagnostic) -> bool {
 
 impl DiagnosticMemo {
     /// The params [`publish_diagnostics_params`] renders for these
-    /// arguments, reusing every object the last publish rendered from
-    /// the same inputs.
-    pub fn publish(
+    /// arguments, reusing every object the last publish of the same
+    /// document rendered from the same inputs.
+    pub(crate) fn publish(
         &mut self,
         uri: &str,
         version: i64,
@@ -281,15 +281,10 @@ impl DiagnosticMemo {
         text: &str,
         diagnostics: &[Diagnostic],
     ) -> String {
-        let mut old: Vec<Option<MemoEntry>> = if self.uri == uri {
-            std::mem::take(&mut self.entries)
-                .into_iter()
-                .map(Some)
-                .collect()
-        } else {
-            self.uri = uri.to_owned();
-            Vec::new()
-        };
+        let mut old: Vec<Option<MemoEntry>> = std::mem::take(&mut self.entries)
+            .into_iter()
+            .map(Some)
+            .collect();
         let hit = |e: &MemoEntry, d: &Diagnostic| {
             renders_alike(&e.diagnostic, d)
                 && e.lines.len() == endpoints(d).count()
@@ -379,27 +374,6 @@ pub fn last_content_change(params: &Json) -> Option<&str> {
         .last()?
         .get("text")?
         .as_str()
-}
-
-/// The member `key` of an object, mutably.
-fn member_mut<'a>(json: &'a mut Json, key: &str) -> Option<&'a mut Json> {
-    match json {
-        Json::Obj(members) => members.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-/// [`last_content_change`], moved out of the params (an empty string
-/// stays behind): a `didChange` carries the whole buffer, which need not
-/// be copied.
-pub fn take_last_content_change(params: &mut Json) -> Option<String> {
-    let Json::Arr(changes) = member_mut(params, "contentChanges")? else {
-        return None;
-    };
-    match member_mut(changes.last_mut()?, "text")? {
-        Json::Str(text) => Some(std::mem::take(text)),
-        _ => None,
-    }
 }
 
 #[cfg(test)]

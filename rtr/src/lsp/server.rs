@@ -25,14 +25,12 @@
 //!
 //! # A warm publish costs what changed
 //!
-//! A `didChange`'s text moves out of the parsed notification into the
-//! document and on into the check; it is not copied. Each published
-//! version's [`LineIndex`] is derived from the previous published one
-//! ([`LineIndex::updated`]: the line starts before the edited range are
-//! kept, the range is rescanned, the rest are offset), and its
-//! diagnostics are rendered through the previous publish's
-//! [`protocol::DiagnosticMemo`], so only new or moved diagnostics are
-//! rendered again. The published params are byte-identical to
+//! Each published version's [`LineIndex`] is derived from the previous
+//! published one ([`LineIndex::updated`]: the line starts before the
+//! edited range are kept, the range is rescanned, the rest are offset),
+//! and its diagnostics are rendered through the previous publish's
+//! memo (`protocol::DiagnosticMemo`), so only new or moved diagnostics
+//! are rendered again. The published params are byte-identical to
 //! [`protocol::publish_diagnostics_params`] over a fresh index.
 
 use std::collections::HashMap;
@@ -82,10 +80,7 @@ pub struct LspStats {
 /// sent, which shadow whatever is on disk.
 struct Doc {
     version: i64,
-    /// The buffer (a `didChange`'s moved out of the notification);
-    /// `None` once it moved on into the document's [`Checked`], whose
-    /// text it then is.
-    text: Option<String>,
+    text: String,
 }
 
 /// What the last *published* check of a document learned, kept for
@@ -162,7 +157,7 @@ pub fn run(
     };
     while let Ok(msg) = rx.recv() {
         match msg {
-            Ok(m) => server.dispatch(m),
+            Ok(m) => server.dispatch(&m),
             Err(e) => server.send(&protocol::error_response(None, protocol::PARSE_ERROR, &e)),
         }
         if server.exited {
@@ -257,7 +252,7 @@ impl<W: Write> Server<W> {
         let _ = framing::write_message(&mut self.out, body);
     }
 
-    fn dispatch(&mut self, mut m: Incoming) {
+    fn dispatch(&mut self, m: &Incoming) {
         match (&m.id, m.method.as_str()) {
             (Some(id), "initialize") => {
                 self.stats.requests += 1;
@@ -292,23 +287,45 @@ impl<W: Write> Server<W> {
             (None, "exit") => {
                 self.exited = true;
             }
-            (None, "textDocument/didOpen" | "textDocument/didChange") => {
+            (None, "textDocument/didOpen") => {
                 self.stats.notifications += 1;
-                let text = if m.method == "textDocument/didOpen" {
-                    protocol::text_document_text(&m.params).map(str::to_owned)
-                } else {
-                    protocol::take_last_content_change(&mut m.params)
-                };
                 let (Some(uri), Some(version), Some(text)) = (
                     protocol::text_document_uri(&m.params),
                     protocol::text_document_version(&m.params),
-                    text,
+                    protocol::text_document_text(&m.params),
                 ) else {
                     return;
                 };
                 let uri = uri.to_owned();
-                let text = Some(text);
-                self.docs.insert(uri.clone(), Doc { version, text });
+                self.docs.insert(
+                    uri.clone(),
+                    Doc {
+                        version,
+                        text: text.to_owned(),
+                    },
+                );
+                self.check_and_publish(&uri);
+            }
+            (None, "textDocument/didChange") => {
+                self.stats.notifications += 1;
+                let (Some(uri), Some(version), Some(text)) = (
+                    protocol::text_document_uri(&m.params),
+                    protocol::text_document_version(&m.params),
+                    protocol::last_content_change(&m.params),
+                ) else {
+                    return;
+                };
+                let uri = uri.to_owned();
+                let text = text.to_owned();
+                match self.docs.get_mut(&uri) {
+                    Some(doc) => {
+                        doc.version = version;
+                        doc.text = text;
+                    }
+                    None => {
+                        self.docs.insert(uri.clone(), Doc { version, text });
+                    }
+                }
                 self.check_and_publish(&uri);
             }
             (None, "textDocument/didSave") => {
@@ -347,7 +364,7 @@ impl<W: Write> Server<W> {
     /// version is (or becomes) superseded, in which case nothing is
     /// published and the newer version's own notification re-checks.
     fn check_and_publish(&mut self, uri: &str) {
-        let Some(doc) = self.docs.get_mut(uri) else {
+        let Some(doc) = self.docs.get(uri) else {
             return;
         };
         let version = doc.version;
@@ -356,18 +373,9 @@ impl<W: Write> Server<W> {
             self.stats.cancelled += 1;
             return;
         }
-        // The buffer moves into the check; a re-check of a published
-        // version (`didSave`) copies it back out of `checked`.
-        let Some(text) = doc
-            .text
-            .take()
-            .or_else(|| Some(self.checked.get(uri)?.text.clone()))
-        else {
-            return;
-        };
         let token = CancelToken::new();
         *self.shared.lock_current() = Some((uri.to_owned(), version, token.clone()));
-        let file = SourceFile::new(uri_to_path(uri), text);
+        let file = SourceFile::new(uri_to_path(uri), doc.text.clone());
         let report = self.session.check_cancellable(&file, &token);
         *self.shared.lock_current() = None;
         self.stats.checks += 1;
@@ -395,17 +403,14 @@ impl<W: Write> Server<W> {
                 report.stats.elapsed.as_micros(),
             );
         }
-        let text = file.text;
         if stale {
             // Never publish a superseded version's diagnostics: the
             // newer version's notification is already queued (or being
             // processed next) and will publish its own.
             self.stats.cancelled += 1;
-            if let Some(doc) = self.docs.get_mut(uri) {
-                doc.text = Some(text);
-            }
             return;
         }
+        let text = file.text;
         let (ix, mut memo) = match self.checked.remove(uri) {
             Some(prev) => (prev.ix.updated(&prev.text, &text), prev.memo),
             None => (LineIndex::new(&text), protocol::DiagnosticMemo::default()),
