@@ -30,6 +30,9 @@
 //! binary run with `--lsp-server`) and wait for each version's published
 //! diagnostics (framing, JSON parsing, the check and the publish), and
 //! its stats line must show the one-item re-check.
+//!
+//! The `fig9/pass_jobs{1,2}` workloads classify the whole §5 corpus once
+//! per iteration with a fresh checker, on one worker and on two.
 
 use std::time::{Duration, Instant};
 
@@ -39,6 +42,9 @@ use rtr_bench::{
     MAX_SRC, XTIME_SRC,
 };
 use rtr_core::check::Checker;
+use rtr_corpus::classify::classify_library_jobs;
+use rtr_corpus::gen::{generate, Library};
+use rtr_corpus::profiles::libraries;
 use rtr_lang::{check_module_source, check_module_source_incremental, check_source, ModuleCache};
 
 struct Opts {
@@ -373,6 +379,18 @@ fn main() {
         "the warm many_errors_500 edit must land"
     );
     let warm_checker = Checker::default();
+    // The §5 corpus at `fig9`'s default seed: 1,085 vector ops over the
+    // math/plot/pict3d libraries.
+    let corpus: Vec<Library> = libraries().iter().map(|p| generate(p, 2016)).collect();
+    let corpus_pass = |jobs: usize| {
+        let corpus = &corpus;
+        move || {
+            let checker = Checker::default();
+            for lib in corpus {
+                classify_library_jobs(lib, &checker, jobs);
+            }
+        }
+    };
 
     let workloads: Vec<Workload> = vec![
         (
@@ -535,6 +553,10 @@ fn main() {
             "warm_edit/string_8",
             warm_edit(&string8_a, &string8_b, 0, &warm_checker),
         ),
+        // One whole corpus pass with a fresh checker, as `fig9` runs it:
+        // serial, then sharded over two workers sharing the caches.
+        ("fig9/pass_jobs1", Box::new(corpus_pass(1))),
+        ("fig9/pass_jobs2", Box::new(corpus_pass(2))),
     ];
 
     let mut records = Vec::new();

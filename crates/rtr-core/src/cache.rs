@@ -235,8 +235,6 @@ pub(crate) struct Caches {
     /// types are finite trees, so re-entrant identical queries are
     /// fuel-bounded recursion, not cycles (see `Checker::subtype`).
     pub(crate) subtype: Table<(u64, TyId, TyId)>,
-    /// `Γ ⊢ ψ`, keyed `(generation, goal, case-split budget)`.
-    pub(crate) proves: Table<(u64, PropId, u32)>,
     /// Environment inconsistency, keyed by generation.
     pub(crate) inconsistent: Table<u64>,
     /// Structural type emptiness, keyed by interned type.
@@ -284,7 +282,6 @@ impl Caches {
     /// Total entries across all tables (diagnostics / tests).
     pub(crate) fn entry_count(&self) -> usize {
         self.subtype.len()
-            + self.proves.len()
             + self.inconsistent.len()
             + self.empty.len()
             + self.update.len()
@@ -316,7 +313,6 @@ impl Caches {
     #[cfg_attr(not(feature = "chaos"), allow(dead_code))]
     pub(crate) fn flush_judgment_tables(&self) {
         self.subtype.clear();
-        self.proves.clear();
         self.inconsistent.clear();
         self.empty.clear();
         self.update.clear();

@@ -30,9 +30,9 @@ pub struct CheckerConfig {
     /// at every query — same verdicts, paid per lookup instead of once
     /// per assumption; the ablation benchmark measures the gap.
     pub hybrid_env: bool,
-    /// Memoize the `subtype` / `proves` / `is_empty_ty` /
-    /// `env_inconsistent` judgments on interned ids keyed by the
-    /// environment generation (see [`crate::intern`]). Disable to get the
+    /// Memoize the `subtype` / `is_empty_ty` / `env_inconsistent`
+    /// judgments on interned ids keyed by the environment generation
+    /// (see [`crate::intern`]). Disable to get the
     /// reference structural implementation — the ablation the property
     /// tests compare against. Note: deferred disjunctions are *stored*
     /// interned (canonicalized) in both modes — that is the environment's

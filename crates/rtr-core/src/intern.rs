@@ -1,6 +1,6 @@
 //! Hash-consing interner for types, propositions and symbolic objects.
 //!
-//! The checker's hot judgments (`subtype`, `proves`, `update±`,
+//! The checker's hot judgments (`subtype`, `update±`,
 //! `env_inconsistent`) are re-derived many times over structurally
 //! identical inputs; deep tree comparison and deep `HashMap` keys make
 //! that expensive. This module canonicalizes [`Ty`]/[`Prop`]/[`Obj`]

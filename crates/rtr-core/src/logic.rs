@@ -400,14 +400,14 @@ impl Checker {
         }
     }
 
-    /// `Γ ⊢ ψ` — the proof judgment, memoized on
-    /// `(generation, goal, split budget)` with fuel-aware entries.
+    /// `Γ ⊢ ψ` — the proof judgment. It has no memo table of its own: a
+    /// `(generation, goal)` key almost never repeats (every environment
+    /// mutation mints a new generation), so such a table would only pay
+    /// for interning each goal. The work below it is memoized where keys
+    /// do repeat: `env_inconsistent` by generation, theory atoms by
+    /// canonical fingerprint (the `solver_cache` module).
     pub fn proves(&self, env: &Env, goal: &Prop, fuel: u32) -> bool {
-        self.proves_with_splits(env, goal, fuel, self.config.case_split_budget)
-    }
-
-    fn proves_with_splits(&self, env: &Env, goal: &Prop, fuel: u32, splits: u32) -> bool {
-        self.proves_with_splits_from(env, goal, fuel, splits, 0)
+        self.proves_with_splits_from(env, goal, fuel, self.config.case_split_budget, 0)
     }
 
     /// `proves` with a split *frontier*: stored disjunctions below `from`
@@ -436,53 +436,11 @@ impl Checker {
         {
             return false;
         }
-        // The memo key does not carry the frontier, so only frontier-free
-        // queries (every external entry point) consult or fill the table.
-        if !self.config.memoize || from != 0 {
-            return self.proves_structural(env, goal, fuel, splits, from);
-        }
-        if fuel == 0 {
-            return false;
-        }
-        if env.is_absurd() || matches!(goal, Prop::TT) {
-            return true;
-        }
-        // Theory-atom goals skip this interning-keyed table when the
-        // solver caches are on: the adapters memoize them on canonical
-        // fingerprints, which (unlike an interned-id key) transfer across
-        // fresh-name renamings — and interning a freshly-gensymed goal
-        // tree is pure miss cost. The structural search around the solver
-        // call (`env_inconsistent`, case splits) stays memoized through
-        // its own tables.
-        if self.config.solver_cache && matches!(goal, Prop::Lin(_) | Prop::Bv(_) | Prop::Str(_)) {
-            return self.proves_structural(env, goal, fuel, splits, from);
-        }
-        let key = (env.generation(), PropId::of(goal), splits);
-        if let Some(verdict) = self.caches().proves.lookup(key, fuel, &self.trace().proves) {
-            return verdict;
-        }
-        let verdict = self.proves_structural(env, goal, fuel, splits, from);
-        // A verdict computed under a tripped budget may be artificially
-        // false; keep it out of the (budget-agnostic) memo tables.
-        if self.may_store() {
-            self.caches().proves.store(key, fuel, verdict);
-        }
-        verdict
-    }
-
-    fn proves_structural(
-        &self,
-        env: &Env,
-        goal: &Prop,
-        fuel: u32,
-        splits: u32,
-        from: usize,
-    ) -> bool {
         let Some(fuel) = fuel.checked_sub(1) else {
             return false;
         };
-        if env.is_absurd() {
-            return true; // L-Bot
+        if env.is_absurd() || matches!(goal, Prop::TT) {
+            return true; // L-Bot, L-True
         }
         if self.prove_direct(env, goal, fuel, splits, from) {
             return true;

@@ -15,7 +15,9 @@
 //!    are invariant under renaming, so a cached verdict transfers to
 //!    every environment posing the same system — these tables are
 //!    environment-independent, the solver-level analogue of the
-//!    generation-0 subtype entries.
+//!    generation-0 subtype entries. Consistency and entailment share the
+//!    linear table: both store the [`LinResult`] of the system their key
+//!    fingerprints.
 //! 2. **Incremental Fourier–Motzkin.** Each environment's linear store
 //!    carries an epoch stamp ([`crate::env::Env::lin_epoch`]) with a
 //!    parent pointer recording append-only extension. A [`LinStore`]
@@ -28,6 +30,15 @@
 //!    CDCL solver's learnt clauses; facts and goals are activation-guarded
 //!    assumptions, so repeated goals over the same terms skip re-encoding
 //!    and re-derivation.
+//!
+//! A linear consistency check looks in three places, in order: the
+//! store for the environment's epoch, the fingerprint table, and only
+//! then a newly built store. The epoch lookup comes first because it is
+//! one integer hash, and it is what a warm edit's spliced environments
+//! find. Epochs are minted fresh and never recur across items, though,
+//! so on cold traffic the fingerprint table is what hits. An entailment
+//! checks the fingerprint table first (its key includes the goal, so no
+//! epoch store can answer it) and then extends the epoch's store.
 //!
 //! All tables live in [`crate::cache::Caches`], capped and flushed like
 //! the judgment memo tables (a long-lived server process must not grow
@@ -441,15 +452,10 @@ impl Checker {
     /// append-only extension, else from scratch.
     fn lin_store_for(&self, env: &Env) -> Arc<LinStore> {
         let epoch = env.lin_epoch();
-        {
-            let stores = self.caches().lin_stores.lock_recover();
-            if let Some(s) = stores.get(&epoch) {
-                return s.clone();
-            }
+        if let Some(s) = self.lin_store_at(epoch) {
+            return s;
         }
-        let parent = env
-            .lin_parent()
-            .and_then(|p| self.caches().lin_stores.lock_recover().get(&p).cloned());
+        let parent = env.lin_parent().and_then(|p| self.lin_store_at(p));
         let facts = env.lin_facts();
         let store = match parent {
             Some(p) if p.num_atoms <= facts.len() => self.lin_store_extended(&p, facts),
@@ -467,6 +473,10 @@ impl Checker {
             stores.insert(epoch, store.clone());
         }
         store
+    }
+
+    fn lin_store_at(&self, epoch: u64) -> Option<Arc<LinStore>> {
+        self.caches().lin_stores.lock_recover().get(&epoch).cloned()
     }
 
     /// A Fourier–Motzkin instance carrying the budget's wall-clock
@@ -537,9 +547,24 @@ impl Checker {
         self.lin_store_full(facts)
     }
 
-    /// Satisfiability of `env`'s linear facts via the incremental store.
+    /// Satisfiability of `env`'s linear facts: the epoch's store, else
+    /// the fingerprint memo, else a newly built store (see the module
+    /// docs for why in that order).
     pub(crate) fn lin_check_cached(&self, env: &Env) -> LinResult {
-        self.lin_store_for(env).result
+        if let Some(s) = self.lin_store_at(env.lin_epoch()) {
+            return s.result;
+        }
+        let fp = lin_fingerprint(env.lin_facts(), None);
+        if let Some(r) = self.caches().lin.lookup(&fp, &self.trace().lin) {
+            return r;
+        }
+        // `lin_store_for` has polled the deadline, so `may_store` sees a
+        // trip that happened while solving.
+        let result = self.lin_store_for(env).result;
+        if self.may_store() {
+            self.caches().lin.store(fp, result);
+        }
+        result
     }
 
     /// Entailment `facts ⊨ goal` via the fingerprint memo and a
@@ -876,6 +901,77 @@ mod tests {
         let plain = vec![lin_atom(LinCmp::Lt, Obj::var(x), Obj::var(y))];
         let len = vec![lin_atom(LinCmp::Lt, Obj::var(x), Obj::var(y).len())];
         assert_ne!(lin_fingerprint(&plain, None), lin_fingerprint(&len, None));
+    }
+
+    /// A fact set over a variable `x` and a vector `v`.
+    type Facts = fn(Symbol, Symbol) -> Vec<LinAtom>;
+
+    /// An environment holding `facts(x, v)` for fresh `x` and `v`.
+    fn lin_env(facts: Facts) -> Env {
+        let mut env = Env::new();
+        for a in facts(Symbol::fresh("cx"), Symbol::fresh("cv")) {
+            env.add_lin_fact(a);
+        }
+        env
+    }
+
+    /// 0 ≤ x ∧ x < len v (satisfiable).
+    fn in_bounds(x: Symbol, v: Symbol) -> Vec<LinAtom> {
+        vec![
+            lin_atom(LinCmp::Le, Obj::int(0), Obj::var(x)),
+            lin_atom(LinCmp::Lt, Obj::var(x), Obj::var(v).len()),
+        ]
+    }
+
+    /// x < 0 ∧ len v ≤ x (unsatisfiable: lengths are non-negative).
+    fn below_zero(x: Symbol, v: Symbol) -> Vec<LinAtom> {
+        vec![
+            lin_atom(LinCmp::Lt, Obj::var(x), Obj::int(0)),
+            lin_atom(LinCmp::Le, Obj::var(v).len(), Obj::var(x)),
+        ]
+    }
+
+    #[test]
+    fn renamed_fact_sets_share_one_consistency_verdict() {
+        for (facts, expected) in [
+            (in_bounds as Facts, LinResult::Sat),
+            (below_zero, LinResult::Unsat),
+        ] {
+            let c = Checker::default();
+            let (first, second) = (lin_env(facts), lin_env(facts));
+            assert_ne!(first.lin_epoch(), second.lin_epoch());
+            assert_eq!(c.lin_check_cached(&first), expected);
+            assert_eq!(c.lin_check_cached(&second), expected);
+            let lin = c.trace_counts().lin;
+            assert_eq!((lin.hits, lin.misses), (1, 1), "{expected:?}: {lin:?}");
+        }
+    }
+
+    #[test]
+    fn a_tripped_consistency_check_stores_nothing() {
+        let c = Checker::default();
+        let tripped = c.fork_check();
+        tripped.budget().trip(crate::budget::LimitKind::Steps);
+        let env = lin_env(in_bounds);
+        assert_eq!(tripped.lin_check_cached(&env), LinResult::Sat);
+        assert_eq!(c.caches().lin.len(), 0);
+        assert!(c.caches().lin_stores.lock_recover().is_empty());
+    }
+
+    #[test]
+    fn a_stored_epoch_answers_before_the_fingerprint_table() {
+        // The warm-edit path re-asks spliced environments whose epoch
+        // store exists; it must not pay a fingerprint for them.
+        let c = Checker::default();
+        let env = lin_env(below_zero);
+        assert_eq!(c.lin_check_cached(&env), LinResult::Unsat);
+        assert_eq!(c.trace_counts().lin.total(), 1);
+        assert_eq!(c.lin_check_cached(&env), LinResult::Unsat);
+        assert_eq!(
+            c.trace_counts().lin.total(),
+            1,
+            "the epoch store was bypassed"
+        );
     }
 
     #[test]

@@ -198,8 +198,6 @@ trace_fields! {
     lookups {
         /// The `Γ ⊢ τ₁ <: τ₂` memo table.
         subtype,
-        /// The `Γ ⊢ ψ` memo table.
-        proves,
         /// The environment-inconsistency memo table.
         inconsistent,
         /// The type-emptiness memo table.

@@ -22,7 +22,7 @@ pub enum Cmp {
 ///
 /// Constructors take the intuitive two-sided form and normalize, e.g.
 /// [`Constraint::le(a, b)`](Constraint::le) represents `a - b ≤ 0`.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Constraint {
     /// Left-hand side; the relation is `expr ⋈ 0`.
     pub expr: LinExpr,

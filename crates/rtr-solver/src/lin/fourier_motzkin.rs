@@ -458,7 +458,7 @@ impl FourierMotzkin {
                 });
             }
 
-            let mut seen: HashSet<String> = rest.iter().map(row_key).collect();
+            let mut seen: HashSet<Constraint> = rest.iter().cloned().collect();
             for lo in &lower {
                 for up in &upper {
                     let a = up.expr.coeff(x); // > 0
@@ -479,7 +479,7 @@ impl FourierMotzkin {
                         Tightened::True => {}
                         Tightened::False => return LinResult::Unsat,
                         Tightened::Row(c) => {
-                            if seen.insert(row_key(&c)) {
+                            if seen.insert(c.clone()) {
                                 rest.push(c);
                             }
                         }
@@ -642,10 +642,6 @@ fn gcd_test_infeasible(expr: &LinExpr) -> bool {
         return false;
     }
     g != 0 && c.numer() % g != 0
-}
-
-fn row_key(c: &Constraint) -> String {
-    format!("{c}")
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ use crate::rational::Rat;
 /// assert_eq!(e.coeff(SolverVar(0)), Rat::from_int(2));
 /// assert_eq!(e.constant_part(), Rat::from_int(3));
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct LinExpr {
     /// Sorted by variable; no zero coefficients.
     terms: Vec<(SolverVar, Rat)>,

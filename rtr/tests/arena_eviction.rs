@@ -17,17 +17,21 @@ fn fresh_total() -> usize {
     s.fresh_tys + s.fresh_props + s.fresh_objs
 }
 
-/// A module whose applications mint ghost existentials (arguments with
-/// no symbolic object), so every check grows the fresh region.
+/// A module of `dot-prod`-shaped items: checking their `for/sum` loops
+/// builds trees over fresh names, so every cold check grows the fresh
+/// region.
 fn fresh_hungry_module() -> SourceFile {
-    let mut src = String::from(
-        "(: max : [x : Int] [y : Int] -> [z : Int #:where (and (>= z x) (>= z y))])
-         (define (max x y) (if (> x y) x y))\n",
-    );
-    for k in 0..60 {
-        // The inner call's result has no symbolic object, so the outer
-        // application opens a ghost existential — fresh-region growth.
-        src.push_str(&format!("(max (max {k} {}) {})\n", k + 1, k + 2));
+    let mut src = String::new();
+    for k in 0..40 {
+        src.push_str(&format!(
+            "(: dp{k} : [A : (Vecof Int)] [B : (Vecof Int)] -> Int)
+             (define (dp{k} A B)
+               (begin
+                 (unless (= (len A) (len B))
+                   (error \"invalid vector lengths!\"))
+                 (for/sum ([i (in-range (len A))])
+                   (* (safe-vec-ref A i) (safe-vec-ref B i)))))\n"
+        ));
     }
     SourceFile::new("fresh_hungry.rtr", src)
 }
