@@ -1069,7 +1069,7 @@ impl Checker {
             let o = {
                 let o = env2.resolve(&r_arg.obj);
                 if o.is_null() {
-                    let g = Symbol::fresh(x.as_str());
+                    let g = Symbol::fresh_from(x);
                     self.bind(&mut env2, g, &r_arg.ty, fuel);
                     ghosts.push((g, r_arg.ty.clone()));
                     Obj::var(g)

@@ -99,10 +99,20 @@ impl Fp {
                 self.tag(0xB0);
                 self.word((self.objs.len() - 1 - i) as u64);
             }
-            None => {
-                self.tag(0xB1);
-                self.word(str_hash(x.as_str()));
-            }
+            None => self.free_name(x, 0xB1, 0xB4),
+        }
+    }
+
+    /// A free user name hashes by spelling, stable across processes; a
+    /// fresh one by its id under its own tag, so it never meets a user
+    /// identifier spelled like it (`x%7`).
+    fn free_name(&mut self, x: Symbol, tag: u8, fresh_tag: u8) {
+        if x.is_fresh() {
+            self.tag(fresh_tag);
+            self.word(x.index());
+        } else {
+            self.tag(tag);
+            self.word(str_hash(x.as_str()));
         }
     }
 
@@ -112,10 +122,7 @@ impl Fp {
                 self.tag(0xB2);
                 self.word((self.tvars.len() - 1 - i) as u64);
             }
-            None => {
-                self.tag(0xB3);
-                self.word(str_hash(a.as_str()));
-            }
+            None => self.free_name(a, 0xB3, 0xB5),
         }
     }
 

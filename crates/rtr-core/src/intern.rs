@@ -47,15 +47,12 @@
 //! existentials, selfification binders, generated parameter names — can
 //! never recur across checked modules, so they are routed to a separate
 //! *fresh region* with its own (capped, flushed-on-overflow) raw-tree
-//! memo; the permanent arena entry vectors and the permanent raw-tree
-//! memo stop growing per checked module. Honesty note: the canonical
-//! *lookup* maps (`*_canon` and the id-level structure maps) still gain
-//! one entry per fresh-region insert — that is the dedup index the
-//! region's ids rely on, and reclaiming it together with the region's
-//! entries is what the generational-eviction ROADMAP follow-on is for;
-//! the region split plus [`arena_stats`] (which reports both regions) is
-//! the groundwork that makes eviction possible without disturbing
-//! permanent ids.
+//! memo. [`maybe_evict_fresh`] drops the region between checks together
+//! with its entries in the canonical lookup maps. A fresh symbol is a
+//! self-describing id that takes no slot in the symbol table, and telling
+//! it apart is a bit test, so an eviction leaves no per-name residue in
+//! either table; [`arena_stats`] reports both regions and the symbol
+//! table's size.
 
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -455,6 +452,9 @@ pub struct ArenaStats {
     pub fresh_props: usize,
     /// Fresh-region object entries.
     pub fresh_objs: usize,
+    /// Names in the global symbol table ([`Symbol::interned_count`]);
+    /// fresh symbols take no slot there.
+    pub symbols: usize,
 }
 
 /// Snapshot of the interner's per-region sizes.
@@ -467,6 +467,7 @@ pub fn arena_stats() -> ArenaStats {
         fresh_tys: s.fresh_tys.len(),
         fresh_props: s.fresh_props.len(),
         fresh_objs: s.fresh_objs.len(),
+        symbols: Symbol::interned_count(),
     }
 }
 
@@ -755,10 +756,9 @@ impl Scan {
         }
     }
 
-    /// Does anything in the scan mention a `Symbol::fresh` name? One
-    /// symbol-interner lock for the whole batch.
+    /// Does anything in the scan mention a `Symbol::fresh` name?
     fn any_fresh(&self) -> bool {
-        Symbol::any_fresh(self.vars.iter().chain(self.tvars.iter()).copied())
+        self.vars.iter().chain(&self.tvars).any(|x| x.is_fresh())
     }
 
     fn sorted_vars(&self) -> Arc<[Symbol]> {
@@ -1157,7 +1157,7 @@ impl Store {
         }
         let mut fv = HashSet::new();
         p.free_vars(&mut fv);
-        let fresh = (embedded_fresh || Symbol::any_fresh(fv.iter().copied()))
+        let fresh = (embedded_fresh || fv.iter().any(|x| x.is_fresh()))
             && !matches!(p, Prop::TT | Prop::FF);
         let mut sorted: Vec<Symbol> = fv.into_iter().collect();
         sorted.sort_unstable();
@@ -1318,7 +1318,7 @@ impl Store {
         }
         let mut fv = HashSet::new();
         o.free_vars(&mut fv);
-        let fresh = Symbol::any_fresh(fv.iter().copied());
+        let fresh = fv.iter().any(|x| x.is_fresh());
         let mut sorted: Vec<Symbol> = fv.into_iter().collect();
         sorted.sort_unstable();
         let meta = ObjMeta {

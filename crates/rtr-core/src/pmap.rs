@@ -47,7 +47,7 @@ const LEVEL_MASK: u64 = (1 << BITS) - 1;
 /// bijection on `u64`, so distinct symbols always differ somewhere in the
 /// 64 bits and the trie never needs collision buckets.
 fn hash(key: Symbol) -> u64 {
-    (key.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    key.index().wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 #[derive(Debug)]

@@ -165,7 +165,7 @@ impl Checker {
                 return true;
             }
             // Γ, x∈τ, ψ ⊢ x ∈ σ
-            let w = Symbol::fresh(r.var.as_str());
+            let w = Symbol::fresh_from(r.var);
             let mut env2 = env.clone();
             self.bind(&mut env2, w, &r.base, fuel);
             self.assume(&mut env2, &r.prop.subst(r.var, &Obj::var(w)), fuel);
@@ -180,7 +180,7 @@ impl Checker {
             if !self.subtype(env, t1, &r.base, fuel) {
                 return false;
             }
-            let w = Symbol::fresh(r.var.as_str());
+            let w = Symbol::fresh_from(r.var);
             let mut env2 = env.clone();
             self.bind(&mut env2, w, t1, fuel);
             return self.proves(&env2, &r.prop.subst(r.var, &Obj::var(w)), fuel);

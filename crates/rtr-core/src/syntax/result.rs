@@ -86,7 +86,7 @@ impl TyResult {
             // collide with it. (The quantifier is kept even when x is
             // unused: the binder's *type* may carry facts about other
             // variables that downstream environments unfold.)
-            let fresh = Symbol::fresh(x.as_str());
+            let fresh = Symbol::fresh_from(x);
             let renamed = if self.mentions_var(x) {
                 self.subst_obj(x, &Obj::var(fresh))
             } else {
@@ -142,7 +142,7 @@ impl TyResult {
         let mut minted: Vec<(Symbol, Ty)> = Vec::with_capacity(binders.len());
         for (x, ty, o) in binders.iter().rev().map(Borrow::borrow) {
             if o.is_null() {
-                let fresh = Symbol::fresh(x.as_str());
+                let fresh = Symbol::fresh_from(*x);
                 if free.contains(x) {
                     let rep = Obj::var(fresh);
                     body = body.subst_obj(*x, &rep);

@@ -1,10 +1,18 @@
 //! Interned identifiers.
 //!
-//! Symbols are cheap to copy, hash and compare; the checker allocates many
-//! fresh names (existential binders, §4.1's propagated existentials), so
-//! interning keeps types and propositions compact.
+//! Symbols are cheap to copy, hash and compare. A [`Symbol`] is a `u64`:
+//! an **interned** symbol indexes the global name table, which
+//! [`Symbol::intern`] caps at 2^24 names; a **fresh** one (bit 63 set)
+//! packs its base's index (bits 39–62) and a process-wide counter (bits
+//! 0–38, capped at 2^39 mints), so minting it takes no lock and leaves
+//! nothing in the table. The checker mints many (existential binders,
+//! §4.1's propagated existentials) and a long-lived process must not keep
+//! them. A fresh symbol displays as `base%n` but never equals an interned
+//! one, even a user name spelled alike (`%` is legal in source), and has
+//! no interned spelling: [`Symbol::as_str`] panics on it.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use crate::cache::LockRecover;
@@ -20,28 +28,26 @@ use crate::cache::LockRecover;
 /// assert_eq!(x, Symbol::intern("x"));
 /// assert_eq!(x.as_str(), "x");
 /// assert_ne!(x, Symbol::intern("y"));
+/// let g = Symbol::fresh_from(x);
+/// assert!(g.is_fresh() && g.to_string().starts_with("x%"));
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Symbol(u32);
+pub struct Symbol(u64);
 
+const FRESH_BIT: u64 = 1 << 63;
+const COUNTER_BITS: u32 = 39;
+const COUNTER_MASK: u64 = (1 << COUNTER_BITS) - 1;
+const MAX_INTERNED: usize = 1 << 24;
+
+#[derive(Default)]
 struct Interner {
     names: Vec<&'static str>,
-    /// Parallel to `names`: was this symbol minted by [`Symbol::fresh`]?
-    /// The type/prop interner routes fresh-named trees to its evictable
-    /// region instead of the permanent arena (see `crate::intern`).
-    fresh: Vec<bool>,
     lookup: std::collections::HashMap<&'static str, u32>,
 }
 
 fn interner() -> &'static Mutex<Interner> {
     static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| {
-        Mutex::new(Interner {
-            names: Vec::new(),
-            fresh: Vec::new(),
-            lookup: std::collections::HashMap::new(),
-        })
-    })
+    INTERNER.get_or_init(Default::default)
 }
 
 impl Symbol {
@@ -49,85 +55,78 @@ impl Symbol {
     pub fn intern(name: &str) -> Symbol {
         let mut i = interner().lock_recover();
         if let Some(&id) = i.lookup.get(name) {
-            return Symbol(id);
+            return Symbol(id.into());
         }
-        let id = i.names.len() as u32;
+        let id = i.names.len();
+        assert!(id < MAX_INTERNED, "symbol table full: 2^24 names");
         // Interned strings live for the program's duration by design.
         let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
         i.names.push(leaked);
-        i.fresh.push(false);
-        i.lookup.insert(leaked, id);
-        Symbol(id)
+        i.lookup.insert(leaked, id as u32);
+        Symbol(id as u64)
     }
 
-    /// The interned string.
+    /// The interned string. Panics on a fresh symbol, which has none.
     pub fn as_str(self) -> &'static str {
+        assert!(!self.is_fresh(), "fresh symbol {self} is not interned");
         interner().lock_recover().names[self.0 as usize]
     }
 
-    /// The raw interner index. Stable for the process lifetime; used as a
-    /// hash seed by `crate::pmap` and for id-level bookkeeping.
-    pub fn index(self) -> u32 {
+    /// The raw id, unique for the process lifetime: the table index or the
+    /// packed fresh bits. `crate::pmap` hashes it.
+    pub fn index(self) -> u64 {
         self.0
     }
 
-    /// Creates a fresh symbol guaranteed distinct from every symbol
-    /// interned so far, derived from `base` for readability.
-    ///
-    /// A generated name that happens to already exist (source programs
-    /// may legally contain `%`) is skipped rather than reused: marking an
-    /// existing, recurring user symbol as fresh would misroute its trees
-    /// to the interner's evictable fresh region. The loop terminates
-    /// because the counter strictly increases and only finitely many
-    /// names are ever interned.
+    /// How many names the global table holds (fresh symbols are not there).
+    pub fn interned_count() -> usize {
+        interner().lock_recover().names.len()
+    }
+
+    /// A symbol distinct from every other, displayed as `base%n`.
     pub fn fresh(base: &str) -> Symbol {
-        use std::sync::atomic::{AtomicU64, Ordering};
+        Symbol::fresh_from(Symbol::intern(base))
+    }
+
+    /// A fresh symbol derived from `x`. Freshening a fresh name reuses its
+    /// root base: `root%n`, not `root%m%n`.
+    pub fn fresh_from(x: Symbol) -> Symbol {
         static COUNTER: AtomicU64 = AtomicU64::new(0);
-        loop {
-            let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-            // Wrapping back to 0 would silently reuse "fresh" names; u64
-            // makes that unreachable in practice, but make it loud in
-            // debug builds.
-            debug_assert!(n < u64::MAX, "Symbol::fresh counter overflowed");
-            let name = format!("{base}%{n}");
-            let mut i = interner().lock_recover();
-            if i.lookup.contains_key(name.as_str()) {
-                continue;
-            }
-            let id = i.names.len() as u32;
-            let leaked: &'static str = Box::leak(name.into_boxed_str());
-            i.names.push(leaked);
-            i.fresh.push(true);
-            i.lookup.insert(leaked, id);
-            return Symbol(id);
+        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+        assert!(n <= COUNTER_MASK, "Symbol::fresh counter overflowed");
+        Symbol(FRESH_BIT | (x.base().0 << COUNTER_BITS) | n)
+    }
+
+    /// The interned symbol a fresh one derives from; an interned one's is itself.
+    pub fn base(self) -> Symbol {
+        if self.is_fresh() {
+            Symbol((self.0 & !FRESH_BIT) >> COUNTER_BITS)
+        } else {
+            self
         }
     }
 
-    /// Was this symbol minted by [`Symbol::fresh`]? Fresh names never
-    /// recur across checked modules, so trees that mention one are routed
-    /// to the interner's evictable region rather than its permanent
-    /// arena.
+    /// Was this symbol minted fresh? Such names never recur across checked
+    /// modules, so `crate::intern` routes trees that mention one to its
+    /// evictable region.
     pub fn is_fresh(self) -> bool {
-        interner().lock_recover().fresh[self.0 as usize]
-    }
-
-    /// Is any of the given symbols fresh? One interner lock for the whole
-    /// batch — the type interner calls this per arena insert.
-    pub fn any_fresh(syms: impl IntoIterator<Item = Symbol>) -> bool {
-        let i = interner().lock_recover();
-        syms.into_iter().any(|s| i.fresh[s.0 as usize])
+        self.0 & FRESH_BIT != 0
     }
 }
 
 impl fmt::Debug for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.as_str())
+        fmt::Display::fmt(self, f)
     }
 }
 
 impl fmt::Display for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.as_str())
+        if self.is_fresh() {
+            write!(f, "{}%{}", self.base().as_str(), self.0 & COUNTER_MASK)
+        } else {
+            f.write_str(self.as_str())
+        }
     }
 }
 
@@ -155,30 +154,46 @@ mod tests {
     }
 
     #[test]
-    fn fresh_skips_user_interned_collisions() {
-        // Pre-intern names shaped like upcoming fresh names ('%' is legal
-        // in source identifiers): fresh() must skip them, never reuse
-        // them, and never retroactively mark them fresh.
-        let probe = Symbol::fresh("cl");
-        let n: u64 = probe
-            .as_str()
-            .rsplit('%')
-            .next()
-            .expect("fresh names contain %")
-            .parse()
-            .expect("fresh suffix is a counter");
-        let users: Vec<Symbol> = (n + 1..n + 40)
-            .map(|k| Symbol::intern(&format!("cl%{k}")))
-            .collect();
-        for _ in 0..80 {
-            let g = Symbol::fresh("cl");
-            assert!(g.is_fresh());
-            assert!(!users.contains(&g), "fresh reused a user symbol");
-        }
-        assert!(
-            users.iter().all(|u| !u.is_fresh()),
-            "a user symbol was retroactively marked fresh"
-        );
+    fn fresh_packing_round_trips() {
+        let base = Symbol::intern("pack");
+        let g = Symbol::fresh_from(base);
+        let n = g.index() & COUNTER_MASK;
+        assert!(g.is_fresh() && !base.is_fresh());
+        assert_eq!(g.base(), base);
+        assert_eq!(base.base(), base);
+        assert_eq!(g.to_string(), format!("pack%{n}"));
+        assert_eq!(format!("{g:?}"), format!("pack%{n}"));
+        // Freshening a fresh name reuses the root base.
+        let h = Symbol::fresh_from(g);
+        let m = h.index() & COUNTER_MASK;
+        assert!(m > n);
+        assert_eq!(h.base(), base);
+        assert_eq!(h.to_string(), format!("pack%{m}"));
+    }
+
+    #[test]
+    fn fresh_names_never_equal_user_names() {
+        use crate::fingerprint::item_fingerprint;
+        use crate::module::ModuleItem;
+        use crate::syntax::Expr;
+        // '%' is legal in source identifiers, so a user name can be
+        // spelled exactly like a fresh one.
+        let g = Symbol::fresh("cl");
+        let user = Symbol::intern(&g.to_string());
+        assert_ne!(g, user, "a fresh symbol equals an interned one");
+        assert!(!user.is_fresh(), "user `{user}` reads as fresh");
+        assert_eq!(user.as_str(), g.to_string());
+        let item = |x| ModuleItem::Expr {
+            expr: Expr::Var(x),
+            node: None,
+        };
+        assert_ne!(item_fingerprint(&item(g)), item_fingerprint(&item(user)));
+    }
+
+    #[test]
+    #[should_panic(expected = "is not interned")]
+    fn as_str_of_a_fresh_symbol_panics() {
+        Symbol::fresh("nostr").as_str();
     }
 
     #[test]
@@ -188,7 +203,7 @@ mod tests {
         let f2 = Symbol::fresh("tmp");
         assert_ne!(f1, x);
         assert_ne!(f1, f2);
-        assert!(f1.as_str().starts_with("tmp%"));
+        assert!(f1.to_string().starts_with("tmp%"));
     }
 
     #[test]

@@ -669,7 +669,7 @@ impl Elaborator {
             // bind the visible names — Racket's parallel `let`.
             let temps: Vec<Symbol> = parsed
                 .iter()
-                .map(|(x, _, _)| Symbol::fresh(x.as_str()))
+                .map(|(x, _, _)| Symbol::fresh_from(*x))
                 .collect();
             for ((x, ann, _), tmp) in parsed.iter().zip(&temps).rev() {
                 let rhs = match ann {

@@ -616,6 +616,7 @@ fn print_stats(reports: &[CheckReport], checker: &Checker) {
         "  types {} / {}   props {} / {}   objects {} / {}",
         a.tys, a.fresh_tys, a.props, a.fresh_props, a.objs, a.fresh_objs
     );
+    eprintln!("  symbols {}", a.symbols);
     let re = checker.re_session_stats();
     eprintln!("regex session (checker lifetime; hits / misses):");
     eprintln!(

@@ -123,7 +123,7 @@ fn payload_json(p: &Payload) -> String {
     let kind = format!("\"kind\": {}", str_lit(p.kind()));
     match p {
         Payload::None => format!("{{{kind}}}"),
-        Payload::Unbound { var } => format!("{{{kind}, \"var\": {}}}", str_lit(var.as_str())),
+        Payload::Unbound { var } => format!("{{{kind}, \"var\": {}}}", str_lit(&var.to_string())),
         Payload::Mismatch {
             expected,
             got,
@@ -156,7 +156,7 @@ fn payload_json(p: &Payload) -> String {
         }
         Payload::BadAssignment { var, expected, got } => format!(
             "{{{kind}, \"var\": {}, \"expected\": {}, \"got\": {}}}",
-            str_lit(var.as_str()),
+            str_lit(&var.to_string()),
             str_lit(&expected.to_string()),
             str_lit(&got.to_string()),
         ),
@@ -206,7 +206,7 @@ fn report_json(r: &CheckReport) -> String {
         .map(|i| {
             format!(
                 "{{\"name\": {}, \"type\": {}, \"poisoned\": {}}}",
-                opt_str(i.name.map(|n| n.as_str().to_owned())),
+                opt_str(i.name.map(|n| n.to_string())),
                 opt_str(i.ty.as_ref().map(|t| t.to_string())),
                 i.poisoned
             )

@@ -1,5 +1,5 @@
 //! Symbol-interner growth under warm edits: interned names are never
-//! freed, so a warm keystroke must mint names for the items it
+//! freed, so a warm keystroke may intern names for the items it
 //! re-checks, not for the whole module. (This file holds exactly one
 //! test on purpose: the high-water mark is process-wide, so a
 //! concurrent test in the same binary would inflate the measured
@@ -24,9 +24,9 @@ fn filler(edit: usize) -> SourceFile {
     SourceFile::new("filler.rtr", src)
 }
 
-/// The interner's high-water mark: the index the next name gets.
-fn high_water() -> u32 {
-    Symbol::fresh("probe").index()
+/// The interner's high-water mark: how many names it holds.
+fn high_water() -> usize {
+    Symbol::interned_count()
 }
 
 #[test]
@@ -36,8 +36,7 @@ fn a_warm_body_edit_grows_the_interner_by_the_edited_items_only() {
     for edit in 1..=20 {
         let before = high_water();
         let report = session.check(&filler(edit));
-        // One probe name per measurement is part of the growth.
-        let grown = high_water() - before - 1;
+        let grown = high_water() - before;
         assert!(report.is_clean(), "edit {edit}: {:?}", report.diagnostics);
         let rechecked = report.stats.trace.map(|t| t.rechecked);
         assert_eq!(rechecked, Some(1), "edit {edit} re-checks the edited body");
