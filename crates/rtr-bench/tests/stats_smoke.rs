@@ -31,17 +31,13 @@ fn alias_chain_hits_the_memo_tables() {
         "subtype memo table never hit: {cold:?}"
     );
     assert!(
-        cold.inconsistent.total() > 0,
-        "inconsistency memo table never consulted: {cold:?}"
-    );
-    assert!(
         cold.update.hits > 0,
         "id-native update± memo table never hit: {cold:?}"
     );
     assert!(checker.cache_entry_count() > 0, "memo tables are empty");
 
     // A second check of the same module on the warm checker hits more
-    // (environment generations differ, but env-free pairs carry over).
+    // (its environments are new, but env-free pairs carry over).
     let warm = counts(&src, &checker);
     assert!(
         warm.subtype.hits > cold.subtype.hits,
@@ -96,10 +92,6 @@ fn lazy_split_scheduler_defers_irrelevant_clauses() {
         t.splits_deferred > 0,
         "goal-irrelevant clause was never deferred: {t:?}"
     );
-    assert!(
-        t.clause_meta.total() > 0,
-        "clause-relevance metadata never consulted: {t:?}"
-    );
 }
 
 #[test]
@@ -126,6 +118,11 @@ fn theory_heavy_programs_hit_the_solver_caches() {
     // verdict table must both be consulted and actually hit.
     let t = counts(&rtr_bench::dot_prod_module_src(4), &Checker::default());
     assert!(t.lin.hits > 0, "linear solver cache never hit: {t:?}");
+    // Its functions re-apply the same primitives at the same types.
+    assert!(
+        t.instantiations.hits > 0,
+        "primitive instantiation memo table never hit: {t:?}"
+    );
 
     // Same for the bitvector table on an xtime module.
     let t = counts(&rtr_bench::xtime_module_src(2), &Checker::default());

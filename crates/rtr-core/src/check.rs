@@ -8,7 +8,6 @@
 //! are applied eagerly (representative objects).
 
 use crate::budget::{BudgetState, CancelToken, Judgment, LimitKind};
-use crate::cache::LockRecover;
 use crate::config::CheckerConfig;
 use crate::diag::{Code, Diagnostic, NodeId};
 use crate::env::Env;
@@ -136,7 +135,8 @@ pub struct Checker {
     /// checker via [`Checker::with_config`] instead.
     pub(crate) config: CheckerConfig,
     /// Memo tables for the mutually recursive judgments; shared by clones
-    /// (sound: keys embed globally unique environment generations).
+    /// (sound: every key is content — interned ids or canonical
+    /// fingerprints — never an environment's identity).
     caches: std::sync::Arc<crate::cache::Caches>,
     /// Resource-governance state (see [`crate::budget`]). The resident
     /// state is shared by clones; `check_program`/`check_module` fork a
@@ -1010,9 +1010,7 @@ impl Checker {
                     let hit = self
                         .caches()
                         .instantiations
-                        .lock_recover()
-                        .get(&key)
-                        .cloned();
+                        .lookup(&key, &self.trace().instantiations);
                     match hit {
                         Some(fun) => fun,
                         None => {
@@ -1022,11 +1020,7 @@ impl Checker {
                             // A starved instantiation may be coarser than the
                             // fault-free one; don't let it poison warm caches.
                             if self.may_store() {
-                                let mut memo = self.caches().instantiations.lock_recover();
-                                if memo.len() >= crate::cache::SOLVER_TABLE_CAP {
-                                    memo.clear();
-                                }
-                                memo.insert(key, fun.clone());
+                                self.caches().instantiations.store(key, fun.clone());
                             }
                             fun
                         }

@@ -30,15 +30,15 @@ pub struct CheckerConfig {
     /// at every query — same verdicts, paid per lookup instead of once
     /// per assumption; the ablation benchmark measures the gap.
     pub hybrid_env: bool,
-    /// Memoize the `subtype` / `is_empty_ty` / `env_inconsistent`
-    /// judgments on interned ids keyed by the environment generation
-    /// (see [`crate::intern`]). Disable to get the
-    /// reference structural implementation — the ablation the property
-    /// tests compare against. Note: deferred disjunctions are *stored*
-    /// interned (canonicalized) in both modes — that is the environment's
-    /// representation, not a memoization — so the ablation isolates the
-    /// memo tables and id shortcuts, not ∨-canonicalization (whose
-    /// semantics the `intern` unit tests cover directly).
+    /// Memoize the environment-free `subtype`, `is_empty_ty`, overlap
+    /// and `update±` judgments on interned ids (see [`crate::intern`]).
+    /// Disable to get the reference structural implementation — the
+    /// ablation the property tests compare against. Note: deferred
+    /// disjunctions are *stored* interned (canonicalized) in both modes —
+    /// that is the environment's representation, not a memoization — so
+    /// the ablation isolates the memo tables and id shortcuts, not
+    /// ∨-canonicalization (whose semantics the `intern` unit tests cover
+    /// directly).
     pub memoize: bool,
     /// Cache and solve theory queries incrementally: memoize
     /// linear/bitvector/string entailment and consistency verdicts on

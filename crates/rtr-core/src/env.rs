@@ -9,7 +9,7 @@
 //! (`x ≡ o`) are applied eagerly, so every stored fact speaks about a
 //! canonical representative.
 //!
-//! Three implementation techniques make environments cheap enough for the
+//! Two implementation techniques make environments cheap enough for the
 //! judgments' pervasive snapshot-and-extend style:
 //!
 //! * the `types` and `aliases` maps are **persistent HAMTs**
@@ -23,14 +23,11 @@
 //!   the tree⇄id boundary sits at the AST-facing edges (synthesis
 //!   entry and error rendering). Id storage also makes the no-op-write
 //!   check and [`Env::unbind`]'s "does anything mention `x`?" scan a few
-//!   integer comparisons against intern-time metadata;
-//! * a monotonic, globally unique **generation** stamp: every mutation
-//!   assigns a fresh generation, so two environments with equal
-//!   generations have identical contents. The checker's memo tables key
-//!   judgments on `(generation, ids…)`. Generations stay sound across
-//!   HAMT snapshots for the same reason they were sound across map
-//!   clones: a snapshot shares its parent's generation exactly until its
-//!   first mutation, which stamps a fresh one.
+//!   integer comparisons against intern-time metadata.
+//!
+//! No stamp names an environment's whole contents: memo tables key on
+//! content (interned ids), never on Γ, which changes at every binder.
+//! The one stamp, [`Env::lin_epoch`], names the linear store alone.
 //!
 //! Deferred disjunctions are stored as interned [`PropId`]s, so cloning
 //! and case-splitting never deep-copies proposition trees.
@@ -46,15 +43,8 @@ use crate::intern::{ObjId, PropId, TyId};
 use crate::pmap::PMap;
 use crate::syntax::{BvAtomProp, LinAtom, Obj, Path, StrAtomProp, Symbol, Ty};
 
-/// Hands out globally unique environment generations. Generation 0 is
-/// reserved for empty environments (all of which are identical).
-fn next_generation() -> u64 {
-    static GEN: AtomicU64 = AtomicU64::new(1);
-    GEN.fetch_add(1, Ordering::Relaxed)
-}
-
 /// Hands out globally unique linear-theory-store epochs. Epoch 0 is
-/// reserved for the empty store. Separate from the generation counter so
+/// reserved for the empty store. Only theory-fact appends advance it, so
 /// solver-state caches keyed by epoch survive non-theory env mutations.
 fn next_lin_epoch() -> u64 {
     static EPOCH: AtomicU64 = AtomicU64::new(1);
@@ -109,12 +99,9 @@ pub struct Env {
     mutables: Arc<HashSet<Symbol>>,
     /// Set when `ff` (or a contradiction) has been assumed.
     absurd: bool,
-    /// Content stamp: 0 for the empty environment, else globally unique.
-    generation: u64,
     /// Content stamp of `lin_facts` alone: 0 when empty, else globally
-    /// unique. Unlike `generation` it survives non-theory mutations, so
-    /// solver-state caches keyed on it stay warm while the environment
-    /// learns type facts.
+    /// unique. It survives non-theory mutations, so solver-state caches
+    /// keyed on it stay warm while the environment learns type facts.
     lin_epoch: u64,
     /// The `lin_epoch` this store was extended from by appending facts
     /// (`lin_facts[..n]` is exactly the parent's store). `None` after
@@ -128,23 +115,12 @@ impl Env {
         Env::default()
     }
 
-    /// The environment's content stamp. Two environments with the same
-    /// generation hold identical facts; every mutation produces a fresh,
-    /// globally unique generation. Memo tables use this as a cache key.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    fn touch(&mut self) {
-        self.generation = next_generation();
-    }
-
     /// The names whose entries differ between two environments: a type
     /// binding, an alias from the name, or a negative fact about a path
     /// rooted at it. `None` when a fact keyed by no name differs: a
     /// disjunction, a theory literal, a pending atom, the mutability
-    /// marks or absurdity. The `generation`/`lin_epoch` stamps only key
-    /// memo tables and are ignored.
+    /// marks or absurdity. The `lin_epoch` stamp only keys solver states
+    /// and is ignored.
     ///
     /// Shared `Arc` fields and shared map subtrees are skipped by
     /// pointer, so diffing an environment against the snapshot it was
@@ -203,7 +179,6 @@ impl Env {
     /// Makes each listed name's entries exactly the given ones, touching
     /// nothing else (see [`Env::copy_bindings`]).
     pub fn set_entries(&mut self, entries: &[(Symbol, Entries)]) {
-        self.touch();
         for (x, e) in entries {
             match e.ty {
                 Some(t) => self.types.insert(*x, t),
@@ -268,7 +243,6 @@ impl Env {
 
     /// Marks `x` as mutable (no symbolic object, §4.2).
     pub fn mark_mutable(&mut self, x: Symbol) {
-        self.touch();
         Arc::make_mut(&mut self.mutables).insert(x);
     }
 
@@ -282,7 +256,6 @@ impl Env {
         if self.absurd {
             return;
         }
-        self.touch();
         self.absurd = true;
     }
 
@@ -297,7 +270,6 @@ impl Env {
     pub fn add_alias(&mut self, x: Symbol, o: Obj) {
         let id = ObjId::of(&o);
         debug_assert!(!id.mentions_var(x));
-        self.touch();
         self.aliases.insert(x, id);
     }
 
@@ -314,7 +286,6 @@ impl Env {
     /// mentions `x` — unbinding is a pure map remove.
     pub fn unbind(&mut self, x: Symbol) {
         use crate::intern::{objs_mentioning, props_mentioning, tys_mentioning};
-        self.touch();
         self.types.remove(x);
         // Rewrite only bindings whose type actually mentions `x` (the
         // cached mention set over-approximates, so a miss is a proof of
@@ -423,13 +394,12 @@ impl Env {
     /// Writing back an unchanged type is a no-op — `update±` frequently
     /// returns its input (e.g. `len`-field updates never refine the type
     /// structure), and with interned storage that check is one integer
-    /// compare. Skipping the write keeps the generation (and with it
-    /// every memoized verdict about this environment) alive.
+    /// compare. Skipping the write also spares the persistent map its
+    /// path copy.
     pub fn set_ty_id(&mut self, x: Symbol, t: TyId) {
         if self.types.get(x) == Some(&t) {
             return;
         }
-        self.touch();
         self.types.insert(x, t);
     }
 
@@ -449,7 +419,6 @@ impl Env {
         if self.negs.get(&path).is_some_and(|ts| ts.contains(&t)) {
             return;
         }
-        self.touch();
         Arc::make_mut(&mut self.negs)
             .entry(path)
             .or_default()
@@ -478,7 +447,6 @@ impl Env {
         if self.disjs.contains(&(lhs, rhs)) {
             return;
         }
-        self.touch();
         Arc::make_mut(&mut self.disjs).push((lhs, rhs));
     }
 
@@ -489,7 +457,6 @@ impl Env {
 
     /// Removes and returns the `i`-th stored disjunction.
     pub fn take_disj(&mut self, i: usize) -> (PropId, PropId) {
-        self.touch();
         Arc::make_mut(&mut self.disjs).swap_remove(i)
     }
 
@@ -499,7 +466,6 @@ impl Env {
         if self.lin_facts.contains(&a) {
             return;
         }
-        self.touch();
         self.lin_parent = Some(self.lin_epoch);
         self.lin_epoch = next_lin_epoch();
         Arc::make_mut(&mut self.lin_facts).push(a);
@@ -523,7 +489,6 @@ impl Env {
 
     /// Appends a bitvector fact.
     pub fn add_bv_fact(&mut self, a: BvAtomProp) {
-        self.touch();
         Arc::make_mut(&mut self.bv_facts).push(a);
     }
 
@@ -534,7 +499,6 @@ impl Env {
 
     /// Appends a regex-membership fact.
     pub fn add_str_fact(&mut self, a: StrAtomProp) {
-        self.touch();
         Arc::make_mut(&mut self.str_facts).push(a);
     }
 
@@ -545,7 +509,6 @@ impl Env {
 
     /// Defers a type atom for query-time replay (pure-proposition mode).
     pub fn add_pending(&mut self, p: Path, t: TyId, positive: bool) {
-        self.touch();
         Arc::make_mut(&mut self.pending).push((p, t, positive));
     }
 
@@ -603,23 +566,11 @@ mod tests {
         let mut env = Env::new();
         env.set_ty(s("snap"), Ty::Int);
         let snapshot = env.clone();
-        assert_eq!(snapshot.generation(), env.generation());
-        // Mutating the clone neither disturbs the original nor keeps the
-        // old generation.
+        // Mutating the clone does not disturb the original.
         let mut fork = snapshot.clone();
         fork.set_ty(s("snap"), Ty::bool_ty());
         assert_eq!(env.raw_ty(s("snap")).as_deref(), Some(&Ty::Int));
         assert_eq!(fork.raw_ty(s("snap")).as_deref(), Some(&Ty::bool_ty()));
-        assert_ne!(fork.generation(), env.generation());
-    }
-
-    #[test]
-    fn empty_environments_share_generation_zero() {
-        assert_eq!(Env::new().generation(), 0);
-        assert_eq!(Env::default().generation(), 0);
-        let mut env = Env::new();
-        env.mark_mutable(s("gen_bump"));
-        assert_ne!(env.generation(), 0);
     }
 
     #[test]
@@ -630,9 +581,7 @@ mod tests {
         let mut b = Env::new();
         b.mark_mutable(s("sc_m"));
         b.set_ty(s("sc_x"), Ty::Int);
-        // Different generations (each mutation stamps a fresh one), same
-        // facts.
-        assert_ne!(a.generation(), b.generation());
+        // Built in different orders, same facts.
         assert_eq!(a.diff(&b), Some(vec![]));
         assert_eq!(a.diff(&a.clone()), Some(vec![]), "snapshot fast path");
         b.set_ty(s("sc_x"), Ty::bool_ty());

@@ -401,11 +401,11 @@ impl Checker {
     }
 
     /// `Γ ⊢ ψ` — the proof judgment. It has no memo table of its own: a
-    /// `(generation, goal)` key almost never repeats (every environment
-    /// mutation mints a new generation), so such a table would only pay
-    /// for interning each goal. The work below it is memoized where keys
-    /// do repeat: `env_inconsistent` by generation, theory atoms by
-    /// canonical fingerprint (the `solver_cache` module).
+    /// key naming Γ almost never repeats (Γ changes at every binder), so
+    /// such a table would only pay for interning each goal. The work
+    /// below it is memoized where keys do repeat: theory atoms by
+    /// canonical fingerprint (the `solver_cache` module), environment-free
+    /// subtyping by interned ids.
     pub fn proves(&self, env: &Env, goal: &Prop, fuel: u32) -> bool {
         self.proves_with_splits_from(env, goal, fuel, self.config.case_split_budget, 0)
     }
@@ -462,11 +462,16 @@ impl Checker {
             // verdict is exactly the eager in-order loop's; only the
             // order in which successful splits are found changes.
             let (goal_vars, goal_mask) = crate::intern::prop_relevance(goal);
-            let relevant: Vec<bool> = env.disjs()[from..]
-                .iter()
-                .map(|&(p, q)| {
-                    let (vars, mask) = self.clause_meta(p, q);
-                    mask & goal_mask != 0 || goal_vars.iter().any(|x| vars.binary_search(x).is_ok())
+            // A clause is relevant if either literal is: one interner
+            // lock reads every literal's free variables and theory bits.
+            let lits = env.disjs()[from..].iter().flat_map(|&(p, q)| [p, q]);
+            let relevant: Vec<bool> = crate::intern::props_relevance(lits)
+                .chunks(2)
+                .map(|clause| {
+                    clause.iter().any(|(vars, mask)| {
+                        mask & goal_mask != 0
+                            || goal_vars.iter().any(|x| vars.binary_search(x).is_ok())
+                    })
                 })
                 .collect();
             self.trace()
@@ -510,34 +515,6 @@ impl Checker {
         }
         self.assume(&mut right, &q, fuel);
         self.proves_with_splits_from(&right, goal, fuel, splits - 1, i)
-    }
-
-    /// Relevance metadata for a stored clause — the union of both
-    /// literals' free variables and theory bits — memoized per literal
-    /// pair.
-    fn clause_meta(&self, p: PropId, q: PropId) -> crate::cache::ClauseMeta {
-        if let Some(meta) = self
-            .caches()
-            .clause_meta
-            .lookup(&(p, q), &self.trace().clause_meta)
-        {
-            return meta;
-        }
-        let lits = crate::intern::props_relevance([p, q]);
-        let (pv, pm) = &lits[0];
-        let (qv, qm) = &lits[1];
-        let meta: crate::cache::ClauseMeta = if qv.is_empty() {
-            (pv.clone(), pm | qm)
-        } else if pv.is_empty() {
-            (qv.clone(), pm | qm)
-        } else {
-            let mut vars: Vec<Symbol> = pv.iter().chain(qv.iter()).copied().collect();
-            vars.sort_unstable();
-            vars.dedup();
-            (vars.into(), pm | qm)
-        };
-        self.caches().clause_meta.store((p, q), meta.clone());
-        meta
     }
 
     fn prove_direct(&self, env: &Env, goal: &Prop, fuel: u32, splits: u32, from: usize) -> bool {
@@ -696,8 +673,9 @@ impl Checker {
         t
     }
 
-    /// Is the environment contradictory (a model-free Γ)? Memoized by
-    /// generation with fuel-aware entries.
+    /// Is the environment contradictory (a model-free Γ)? Not memoized:
+    /// Γ changes at every binder, so a verdict keyed by it would rarely
+    /// be read again; the queries below it are memoized by content.
     pub(crate) fn env_inconsistent(&self, env: &Env, fuel: u32) -> bool {
         if env.is_absurd() {
             return true;
@@ -708,34 +686,9 @@ impl Checker {
         if self.budget().tripped().is_some() {
             return false;
         }
-        if !self.config.memoize {
-            return self.env_inconsistent_structural(env, fuel);
-        }
-        if fuel == 0 {
-            return false;
-        }
-        let key = env.generation();
-        if let Some(verdict) =
-            self.caches()
-                .inconsistent
-                .lookup(key, fuel, &self.trace().inconsistent)
-        {
-            return verdict;
-        }
-        let verdict = self.env_inconsistent_structural(env, fuel);
-        if self.may_store() {
-            self.caches().inconsistent.store(key, fuel, verdict);
-        }
-        verdict
-    }
-
-    fn env_inconsistent_structural(&self, env: &Env, fuel: u32) -> bool {
         let Some(fuel) = fuel.checked_sub(1) else {
             return false;
         };
-        if env.is_absurd() {
-            return true;
-        }
         if env.types().any(|(_, t)| self.is_empty_id(t)) {
             return true;
         }

@@ -15,7 +15,7 @@
 //!    are invariant under renaming, so a cached verdict transfers to
 //!    every environment posing the same system — these tables are
 //!    environment-independent, the solver-level analogue of the
-//!    generation-0 subtype entries. Consistency and entailment share the
+//!    environment-free subtype entries. Consistency and entailment share the
 //!    linear table: both store the [`LinResult`] of the system their key
 //!    fingerprints.
 //! 2. **Incremental Fourier–Motzkin.** Each environment's linear store
@@ -53,7 +53,7 @@ use rtr_solver::lin::{Constraint, FmTrace, FourierMotzkin, LinExpr, LinResult, S
 use rtr_solver::rational::Rat;
 use rtr_solver::re::{ReConstraint, ReResult, ReSession, Regex};
 
-use crate::cache::{LockRecover, SOLVER_TABLE_CAP};
+use crate::cache::LockRecover;
 use crate::check::Checker;
 use crate::env::Env;
 use crate::syntax::{BvAtomProp, BvCmp, BvObj, Field, LinAtom, LinCmp, LinObj, Path, StrAtomProp};
@@ -466,17 +466,13 @@ impl Checker {
         // later, unhurried checks reading a starved `Unknown` forever.
         self.budget().poll_deadline();
         if self.may_store() {
-            let mut stores = self.caches().lin_stores.lock_recover();
-            if stores.len() >= SOLVER_TABLE_CAP {
-                stores.clear();
-            }
-            stores.insert(epoch, store.clone());
+            self.caches().lin_stores.store(epoch, store.clone());
         }
         store
     }
 
     fn lin_store_at(&self, epoch: u64) -> Option<Arc<LinStore>> {
-        self.caches().lin_stores.lock_recover().get(&epoch).cloned()
+        self.caches().lin_stores.get(&epoch)
     }
 
     /// A Fourier–Motzkin instance carrying the budget's wall-clock
@@ -955,7 +951,7 @@ mod tests {
         let env = lin_env(in_bounds);
         assert_eq!(tripped.lin_check_cached(&env), LinResult::Sat);
         assert_eq!(c.caches().lin.len(), 0);
-        assert!(c.caches().lin_stores.lock_recover().is_empty());
+        assert_eq!(c.caches().lin_stores.len(), 0);
     }
 
     #[test]

@@ -14,10 +14,9 @@ use crate::syntax::{Obj, Prop, Symbol, Ty, TyResult};
 impl Checker {
     /// `Γ ⊢ τ₁ <: τ₂` (Fig. 5), memoized.
     ///
-    /// The judgment is keyed `(generation, τ₁, τ₂)` on interned ids (two
-    /// environments with equal generations are identical, see
-    /// [`Env::generation`]); entries are fuel-aware per the internal
-    /// cache module's rules. Queries whose canonical forms coincide
+    /// Pairs of environment-free types are memoized, keyed `(τ₁, τ₂)` on
+    /// interned ids; entries are fuel-aware per the internal cache
+    /// module's rules. Queries whose canonical forms coincide
     /// (e.g. permuted unions) short-circuit to `true` before any fresh
     /// names are generated — fresh-symbol allocation happens only on the
     /// cache-miss path, inside the structural rules.
@@ -92,22 +91,20 @@ impl Checker {
             // Canonically equal (S-Refl modulo normalization).
             return true;
         }
-        // Pairs of env-free types (no refinements/functions anywhere) are
-        // compared purely structurally: cache them under generation 0 so
-        // one verdict serves every environment. The flag is packed into
-        // the id, so this costs two bit tests.
-        let generation = if a.env_free() && b.env_free() {
-            0
-        } else {
-            env.generation()
-        };
-        let key = (generation, a, b);
-        if let Some(verdict) = self
-            .caches()
-            .subtype
-            .lookup(key, fuel, &self.trace().subtype)
-        {
-            return verdict;
+        // Only pairs of env-free types (no refinements/functions anywhere)
+        // are memoized: they are compared purely structurally, so one
+        // verdict serves every environment. Other pairs consult Γ, which
+        // changes at every binder, so a key naming it would rarely repeat.
+        // The flag is packed into the id, so this costs two bit tests.
+        let memo = a.env_free() && b.env_free();
+        if memo {
+            let hit = self
+                .caches()
+                .subtype
+                .lookup_at(&(a, b), fuel, &self.trace().subtype);
+            if let Some(verdict) = hit {
+                return verdict;
+            }
         }
         // No cycle guard: λ_RTR types are finite trees, so subtyping has
         // no true cycles — any re-entrant identical query (e.g. a
@@ -122,8 +119,8 @@ impl Checker {
         };
         // Post-trip verdicts are conservative degradations; keep them
         // out of the budget-agnostic memo (see `crate::budget`).
-        if self.may_store() {
-            self.caches().subtype.store(key, fuel, verdict);
+        if memo && self.may_store() {
+            self.caches().subtype.store_at((a, b), fuel, verdict);
         }
         verdict
     }
@@ -425,6 +422,34 @@ mod tests {
         let t2 = Ty::refine(y, Ty::Int, Prop::lin(Obj::var(y), LinCmp::Le, Obj::int(5)));
         assert!(c.subtype(&env, &t1, &t2, fuel()));
         assert!(!c.subtype(&env, &t2, &t1, fuel()));
+    }
+
+    #[test]
+    fn a_warm_checker_answers_each_environment_for_itself() {
+        // {z:Int | z ≤ x} <: {w:Int | w ≤ y} holds exactly when Γ knows
+        // x ≤ y. Asked on one warm checker under Γ and Γ + (x ≤ y), in
+        // both orders, each environment gets its own verdict.
+        let c = checker();
+        let x = Symbol::intern("wx");
+        let y = Symbol::intern("wy");
+        let z = Symbol::intern("wz");
+        let w = Symbol::intern("ww");
+        let below_x = Ty::refine(z, Ty::Int, Prop::lin(Obj::var(z), LinCmp::Le, Obj::var(x)));
+        let below_y = Ty::refine(w, Ty::Int, Prop::lin(Obj::var(w), LinCmp::Le, Obj::var(y)));
+        let mut plain = Env::new();
+        c.bind(&mut plain, x, &Ty::Int, fuel());
+        c.bind(&mut plain, y, &Ty::Int, fuel());
+        let mut ordered = plain.clone();
+        c.assume(
+            &mut ordered,
+            &Prop::lin(Obj::var(x), LinCmp::Le, Obj::var(y)),
+            fuel(),
+        );
+        for _ in 0..2 {
+            assert!(!c.subtype(&plain, &below_x, &below_y, fuel()));
+            assert!(c.subtype(&ordered, &below_x, &below_y, fuel()));
+        }
+        assert!(!c.subtype(&plain, &below_x, &below_y, fuel()));
     }
 
     #[test]

@@ -71,6 +71,15 @@ impl Lookups {
     pub fn total(&self) -> u64 {
         self.hits + self.misses
     }
+
+    /// Hits as a percentage of all lookups (0 when there were none).
+    pub fn hit_percent(&self) -> f64 {
+        if self.total() == 0 {
+            0.0
+        } else {
+            self.hits as f64 / self.total() as f64 * 100.0
+        }
+    }
 }
 
 /// The live [`Lookups`] of one memo table.
@@ -154,6 +163,24 @@ macro_rules! trace_fields {
             pub fn tables(&self) -> Vec<(&'static str, Lookups)> {
                 vec![$((stringify!($table), self.$table),)*]
             }
+
+            /// Adds another check's counters to these, as if both
+            /// checks had been one: counts and lookups add up, the
+            /// depth high-water mark and the deadline margin keep the
+            /// extreme.
+            pub fn merge(&mut self, other: &TraceCounts) {
+                let depth = self.depth_high_water.max(other.depth_high_water);
+                $(self.$count += other.$count;)*
+                $(
+                    self.$table.hits += other.$table.hits;
+                    self.$table.misses += other.$table.misses;
+                )*
+                self.depth_high_water = depth;
+                self.deadline_margin_us = match (self.deadline_margin_us, other.deadline_margin_us) {
+                    (Some(a), Some(b)) => Some(a.min(b)),
+                    (a, b) => a.or(b),
+                };
+            }
         }
     };
 }
@@ -198,22 +225,20 @@ trace_fields! {
     lookups {
         /// The `Γ ⊢ τ₁ <: τ₂` memo table.
         subtype,
-        /// The environment-inconsistency memo table.
-        inconsistent,
         /// The type-emptiness memo table.
         empty,
         /// The id-native `update±` memo table.
         update,
         /// The type-overlap memo table.
         overlap,
+        /// The polymorphic-primitive instantiation memo table.
+        instantiations,
         /// The linear-theory verdict table.
         lin,
         /// The bitvector-theory verdict table.
         bv,
         /// The regex-theory verdict table.
         re,
-        /// The clause-relevance table of the lazy split scheduler.
-        clause_meta,
     }
 }
 
@@ -238,5 +263,24 @@ mod tests {
         assert_eq!(c.deadline_margin_us, Some(40));
         assert_eq!(c.subtype, Lookups { hits: 1, misses: 1 });
         assert_eq!(c.tables()[0], ("subtype", c.subtype));
+    }
+
+    #[test]
+    fn merging_adds_counts_and_keeps_extremes() {
+        let one = Trace::default();
+        one.steps_synth.add(3);
+        one.depth_high_water.raise_to(7);
+        one.subtype.record(Some(true));
+        let two = Trace::default();
+        two.steps_synth.add(4);
+        two.depth_high_water.raise_to(5);
+        two.min_margin_us.lower_to(40);
+        two.subtype.record(None::<bool>);
+        let mut c = one.counts();
+        c.merge(&two.counts());
+        assert_eq!(c.steps_synth, 7);
+        assert_eq!(c.depth_high_water, 7);
+        assert_eq!(c.deadline_margin_us, Some(40));
+        assert_eq!(c.subtype, Lookups { hits: 1, misses: 1 });
     }
 }

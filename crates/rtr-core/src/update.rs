@@ -16,9 +16,8 @@
 //!   property tests;
 //! * id-native versions ([`Checker::update_ty_id`] and friends) that walk
 //!   interned [`TyId`]s via the interner's id-level constructors and
-//!   destructors, memoized on `(generation, τ, path, σ, polarity, fuel)`
-//!   — generation 0 when both types are environment-free, so one entry
-//!   serves every environment. Repeated `update±` along alias/narrowing
+//!   destructors, memoized on `(τ, path, σ, polarity, fuel)` when both
+//!   types are environment-free, so one entry serves every environment. Repeated `update±` along alias/narrowing
 //!   chains previously rebuilt identical trees at every binder; a memo
 //!   hit now returns an id without touching a tree at all.
 
@@ -58,11 +57,11 @@ impl Checker {
         }
         // Memoize environment-free pairs only: their updates consult
         // nothing but the two types (subtype/overlap on env-free types
-        // are generation-0 judgments), so entries transfer across every
-        // environment — exactly the repeated narrowing along alias and
-        // narrowing chains. Environment-dependent pairs skip the table:
-        // a generation-stamped key would be dead weight, since every
-        // binder advances the generation.
+        // are environment-independent judgments), so entries transfer
+        // across every environment — exactly the repeated narrowing along
+        // alias and narrowing chains. Environment-dependent pairs skip
+        // the table: a key naming Γ would be dead weight, since Γ changes
+        // at every binder.
         let key = (t.env_free() && s.env_free())
             .then(|| path_fingerprint(fields).map(|fp| (t, fp, s, positive, fuel)))
             .flatten();
@@ -175,7 +174,7 @@ impl Checker {
             return self.overlap(&t.get(), &s.get());
         }
         let key = (t, s);
-        if let Some(verdict) = self.caches().overlap.lookup(key, &self.trace().overlap) {
+        if let Some(verdict) = self.caches().overlap.lookup(&key, &self.trace().overlap) {
             return verdict;
         }
         let verdict = self.overlap(&t.get(), &s.get());
@@ -199,7 +198,7 @@ impl Checker {
         match &*tree {
             Ty::Union(ts) if ts.is_empty() => true,
             Ty::Union(_) | Ty::Pair(_, _) | Ty::Refine(_) => {
-                if let Some(verdict) = self.caches().empty.lookup(t, &self.trace().empty) {
+                if let Some(verdict) = self.caches().empty.lookup(&t, &self.trace().empty) {
                     return verdict;
                 }
                 let verdict = self.is_empty_structural(&tree);

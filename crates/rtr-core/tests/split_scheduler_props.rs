@@ -118,8 +118,8 @@ proptest! {
         }
     }
 
-    /// Re-asking through the warm lazy checker (split verdicts now served
-    /// by the generation-keyed memo) cannot change any verdict.
+    /// Re-asking through the warm lazy checker (its content-keyed memo
+    /// tables now warm) cannot change any verdict.
     #[test]
     fn warm_split_memo_is_stable(
         disjs in proptest::collection::vec(arb_disj(), 1..4),

@@ -4,13 +4,16 @@
 //! fig9                        # Figure 9 (the main case-study table)
 //! fig9 --table stats          # corpus statistics (§5 library table)
 //! fig9 --table math-breakdown # §5.1 math-library categories
+//! fig9 --table memo           # memo-table hits/misses of one pass
 //! fig9 --baseline             # adds the λTR baseline row
 //! fig9 --seed N               # corpus seed (default 2016)
 //! fig9 --jobs N               # classification worker threads
 //!                             # (default: available parallelism)
 //! ```
 
-use rtr_corpus::report::{fig9_table, math_breakdown, run_case_study_jobs, stats_table};
+use rtr_corpus::report::{
+    corpus_work, fig9_table, math_breakdown, memo_table, run_case_study_jobs, stats_table,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -42,7 +45,7 @@ fn main() {
             "--baseline" => baseline = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: fig9 [--table fig9|stats|math-breakdown] [--seed N] [--baseline] [--jobs N]"
+                    "usage: fig9 [--table fig9|stats|math-breakdown|memo] [--seed N] [--baseline] [--jobs N]"
                 );
                 return;
             }
@@ -55,6 +58,10 @@ fn main() {
     }
 
     eprintln!("generating corpora and classifying 1085 vector operations ({jobs} worker(s))…");
+    if table == "memo" {
+        print!("{}", memo_table(&corpus_work(seed, jobs)));
+        return;
+    }
     let study = run_case_study_jobs(seed, baseline, jobs);
     match table.as_str() {
         "stats" => print!("{}", stats_table(&study)),

@@ -7,7 +7,8 @@
 
 use rtr_core::check::Checker;
 use rtr_core::diag::Code;
-use rtr_lang::check_module_source;
+use rtr_core::trace::TraceCounts;
+use rtr_lang::{check_module_source, check_module_source_traced};
 
 use crate::gen::Library;
 use crate::patterns::{Class, Site};
@@ -32,8 +33,10 @@ pub enum Outcome {
 /// fail-fast encoding, so this agrees with the historical
 /// `check_source(..).is_ok()` — the `diagnostics_equivalence` tests pin
 /// it.)
-fn verifies(src: &str, checker: &Checker) -> bool {
-    check_module_source(src, checker).is_clean()
+fn verifies(src: &str, checker: &Checker, work: &mut TraceCounts) -> bool {
+    let (report, counts) = check_module_source_traced(src, checker);
+    work.merge(&counts);
+    report.is_clean()
 }
 
 /// The stable diagnostic codes a site's *plain* (as-written) module
@@ -50,20 +53,24 @@ pub fn site_error_codes(site: &Site, checker: &Checker) -> Vec<Code> {
 
 /// Classifies one site with the staged methodology.
 pub fn classify_site(site: &Site, checker: &Checker) -> Outcome {
-    if verifies(&site.plain, checker) {
-        return Outcome::Auto;
-    }
-    if let Some(ann) = &site.annotated {
-        if verifies(ann, checker) {
-            return Outcome::WithAnnotations;
+    classify_site_traced(site, checker).0
+}
+
+/// [`classify_site`], also returning the summed work counters of the
+/// module checks it ran.
+fn classify_site_traced(site: &Site, checker: &Checker) -> (Outcome, TraceCounts) {
+    let mut work = TraceCounts::default();
+    let stages = [
+        (Some(&site.plain), Outcome::Auto),
+        (site.annotated.as_ref(), Outcome::WithAnnotations),
+        (site.modified.as_ref(), Outcome::WithModifications),
+    ];
+    for (src, outcome) in stages {
+        if src.is_some_and(|src| verifies(src, checker, &mut work)) {
+            return (outcome, work);
         }
     }
-    if let Some(m) = &site.modified {
-        if verifies(m, checker) {
-            return Outcome::WithModifications;
-        }
-    }
-    Outcome::Unverified
+    (Outcome::Unverified, work)
 }
 
 /// Aggregated, op-weighted results for one library.
@@ -113,8 +120,8 @@ pub fn classify_library(lib: &Library, checker: &Checker) -> Tally {
 /// scoped worker threads.
 ///
 /// The checker is shared by reference: its memo tables are `Sync`
-/// (mutex-guarded, keyed on globally unique generations and interned
-/// ids), so workers transparently share solver-cache verdicts. Outcomes
+/// (mutex-guarded, keyed on interned ids and canonical fingerprints), so
+/// workers transparently share solver-cache verdicts. Outcomes
 /// are collected per shard and folded **in site order**, so the tally —
 /// and any report rendered from it — is identical to the single-threaded
 /// run. Caveat: that guarantee is as strong as the solvers' verdicts are
@@ -124,35 +131,50 @@ pub fn classify_library(lib: &Library, checker: &Checker) -> Tally {
 /// shared session; corpus queries run orders of magnitude below those
 /// budgets (the equivalence tests pin the end-to-end property).
 pub fn classify_library_jobs(lib: &Library, checker: &Checker, jobs: usize) -> Tally {
+    classify_library_traced(lib, checker, jobs).0
+}
+
+/// [`classify_library_jobs`], also returning the summed work counters of
+/// every module check it ran.
+pub(crate) fn classify_library_traced(
+    lib: &Library,
+    checker: &Checker,
+    jobs: usize,
+) -> (Tally, TraceCounts) {
     let jobs = jobs.max(1).min(lib.sites.len().max(1));
-    let outcomes: Vec<Outcome> = if jobs == 1 {
-        lib.sites
+    let classify = |sites: &[Site]| {
+        let mut work = TraceCounts::default();
+        let outcomes: Vec<Outcome> = sites
             .iter()
-            .map(|s| classify_site(s, checker))
-            .collect()
+            .map(|s| {
+                let (outcome, counts) = classify_site_traced(s, checker);
+                work.merge(&counts);
+                outcome
+            })
+            .collect();
+        (outcomes, work)
+    };
+    let (outcomes, work) = if jobs == 1 {
+        classify(&lib.sites)
     } else {
         let chunk = lib.sites.len().div_ceil(jobs);
-        let mut out: Vec<Vec<Outcome>> = Vec::with_capacity(jobs);
+        let mut outcomes = Vec::with_capacity(lib.sites.len());
+        let mut work = TraceCounts::default();
         std::thread::scope(|scope| {
             let handles: Vec<_> = lib
                 .sites
                 .chunks(chunk)
-                .map(|shard| {
-                    scope.spawn(move || {
-                        shard
-                            .iter()
-                            .map(|s| classify_site(s, checker))
-                            .collect::<Vec<Outcome>>()
-                    })
-                })
+                .map(|shard| scope.spawn(move || classify(shard)))
                 .collect();
             for h in handles {
-                out.push(h.join().expect("classification worker must not panic"));
+                let (shard, counts) = h.join().expect("classification worker must not panic");
+                outcomes.extend(shard);
+                work.merge(&counts);
             }
         });
-        out.into_iter().flatten().collect()
+        (outcomes, work)
     };
-    tally_outcomes(lib, &outcomes)
+    (tally_outcomes(lib, &outcomes), work)
 }
 
 /// Deterministic fold of per-site outcomes (site order) into a tally.

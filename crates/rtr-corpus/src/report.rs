@@ -4,8 +4,9 @@ use std::fmt::Write as _;
 
 use rtr_core::check::Checker;
 use rtr_core::config::CheckerConfig;
+use rtr_core::trace::TraceCounts;
 
-use crate::classify::{classify_library_jobs, Tally};
+use crate::classify::{classify_library_jobs, classify_library_traced, Tally};
 use crate::gen::{generate, Library};
 use crate::profiles::libraries;
 
@@ -133,6 +134,37 @@ pub fn fig9_table(study: &CaseStudy) -> String {
     out
 }
 
+/// One corpus pass on a fresh default checker: the work counters of
+/// every module check it ran, summed.
+pub fn corpus_work(seed: u64, jobs: usize) -> TraceCounts {
+    let checker = Checker::default();
+    let mut work = TraceCounts::default();
+    for p in libraries() {
+        work.merge(&classify_library_traced(&generate(&p, seed), &checker, jobs).1);
+    }
+    work
+}
+
+/// Each memo table's hits and misses (see [`corpus_work`]).
+pub fn memo_table(work: &TraceCounts) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "memo-table lookups over one corpus pass");
+    let _ = writeln!(
+        out,
+        "{:<16} {:>12} {:>12} {:>8}",
+        "table", "hits", "misses", "hit%"
+    );
+    for (name, l) in work.tables() {
+        let rate = l.hit_percent();
+        let _ = writeln!(
+            out,
+            "{name:<16} {:>12} {:>12} {rate:>8.1}",
+            l.hits, l.misses
+        );
+    }
+    out
+}
+
 /// §5.1's math-library breakdown.
 pub fn math_breakdown(study: &CaseStudy) -> String {
     let mut out = String::new();
@@ -184,5 +216,15 @@ mod tests {
         assert!(fig9.contains("overall"));
         let math = math_breakdown(&study);
         assert!(math.contains("unsafe code"));
+    }
+
+    #[test]
+    fn memo_table_lists_every_table() {
+        let mut work = TraceCounts::default();
+        work.subtype.hits = 3;
+        work.subtype.misses = 1;
+        let table = memo_table(&work);
+        assert!(table.contains("subtype") && table.contains("75.0"));
+        assert_eq!(table.lines().count(), 2 + work.tables().len());
     }
 }

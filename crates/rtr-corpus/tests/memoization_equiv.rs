@@ -1,6 +1,6 @@
 //! The memoized/normalizing checker must classify corpus sites exactly
 //! like the structural reference (`memoize: false`): interning-level union
-//! flatten/dedup/sort and the generation-keyed memo tables are perf
+//! flatten/dedup/sort and the content-keyed memo tables are perf
 //! machinery, not a semantics change. One flipped verdict here would skew
 //! the regenerated Figure 9.
 

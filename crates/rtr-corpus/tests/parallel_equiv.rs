@@ -1,7 +1,8 @@
 //! Sharding the corpus classification across worker threads must not
 //! change a single byte of the report: outcomes are folded in site
 //! order and every solver/judgment cache the workers share is keyed on
-//! thread-independent ids (generations, epochs, canonical fingerprints).
+//! thread-independent content (interned ids, epochs, canonical
+//! fingerprints).
 
 use rtr_core::check::Checker;
 use rtr_corpus::classify::{classify_library, classify_library_jobs};

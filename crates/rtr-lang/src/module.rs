@@ -493,10 +493,7 @@ pub fn check_module_source(src: &str, checker: &Checker) -> ModuleReport {
 
 /// [`check_module_source`], also returning the check's work counters
 /// (all zero when the module cannot be read).
-pub(crate) fn check_module_source_traced(
-    src: &str,
-    checker: &Checker,
-) -> (ModuleReport, TraceCounts) {
+pub fn check_module_source_traced(src: &str, checker: &Checker) -> (ModuleReport, TraceCounts) {
     let m = match elaborate_module_items(src) {
         Err(e) => {
             let report = ModuleReport {

@@ -591,11 +591,7 @@ fn print_stats(reports: &[CheckReport], checker: &Checker) {
         );
         eprintln!("  memo lookups     (hits / misses)");
         for (name, l) in t.tables() {
-            let rate = if l.total() == 0 {
-                0.0
-            } else {
-                l.hits as f64 / l.total() as f64 * 100.0
-            };
+            let rate = l.hit_percent();
             eprintln!(
                 "    {name:<14} {:>10} / {:<10} ({rate:.1}% hit)",
                 l.hits, l.misses

@@ -162,8 +162,8 @@ impl CheckReport {
 /// number of files.
 ///
 /// Cloning a `Session` is cheap and shares the caches (the underlying
-/// memo tables are keyed on globally unique environment generations and
-/// interned ids, so sharing is sound — see `rtr_core::cache`).
+/// memo tables are keyed on content — interned ids and canonical
+/// fingerprints — so sharing is sound; see `rtr_core::cache`).
 #[derive(Clone, Debug)]
 pub struct Session {
     checker: Checker,
