@@ -19,10 +19,14 @@
 //! * `FalseAt(f)` entries answer queries with `fuel <= f` and are
 //!   recomputed (and widened) otherwise.
 //!
-//! The tables live behind `Mutex`es so the checker stays `Sync` (it runs
-//! on a dedicated big-stack thread); checking itself is single-threaded,
-//! so the locks are uncontended. Each table is capped — on overflow it is
-//! simply cleared, which is always sound for a memo table.
+//! The tables live behind `Mutex`es so the checker stays `Sync`: sharded
+//! checks (`fig9 --jobs`, `rtr check --jobs`) run on several threads that
+//! share one checker, and so these tables, by reference. The locks are
+//! then contended, though rarely: a few hundred acquisitions wait in a
+//! two-job corpus pass, against thousands on the interner's store before
+//! its per-thread tables (see [`crate::intern`]). Each table is capped —
+//! on overflow it is simply cleared, which is always sound for a memo
+//! table.
 //!
 //! The tables are shared by every check on a checker, so they count
 //! nothing themselves: each lookup records its hit or miss in the

@@ -53,7 +53,20 @@
 //! it apart is a bit test, so an eviction leaves no per-name residue in
 //! either table; [`arena_stats`] reports both regions and the symbol
 //! table's size.
+//!
+//! **Per-thread tables.** The store is one mutex, and sharded checks
+//! (`fig9 --jobs`, `rtr check --jobs`) would otherwise take it for
+//! nearly every [`TyId::get`] and [`TyId::of`]. Most of those calls
+//! resolve to the permanent region, so each thread keeps a table of the
+//! permanent entries it has read: its own deep copy of each permanent
+//! type `get` returned (cloning that `Arc` touches no refcount another
+//! thread shares), and the raw trees `of` resolved to permanent ids
+//! (capped at 4,096 trees, cleared when full). The tables hold
+//! immortal entries only: a permanent id is never evicted or reused, so
+//! an entry never needs invalidating. Fresh-region ids always take the
+//! locked path, which is where a stale id is caught.
 
+use std::cell::RefCell;
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -94,7 +107,19 @@ pub struct ObjId(u32);
 impl TyId {
     /// Interns (and canonicalizes) a type.
     pub fn of(t: &Ty) -> TyId {
-        TyId(store().lock_recover().ty(t))
+        if let Some(id) = LOCAL.with_borrow(|l| l.ty_ids.get(t).copied()) {
+            return id;
+        }
+        let id = TyId(store().lock_recover().ty(t));
+        if !id.in_fresh_region() {
+            LOCAL.with_borrow_mut(|l| {
+                if l.ty_ids.len() >= LOCAL_MEMO_CAP {
+                    l.ty_ids.clear();
+                }
+                l.ty_ids.insert(t.clone(), id);
+            });
+        }
+        id
     }
 
     /// Interns `t` and reports whether its subtype verdicts are
@@ -106,7 +131,22 @@ impl TyId {
 
     /// The canonical type this id stands for.
     pub fn get(self) -> Arc<Ty> {
-        store().lock_recover().ty_arc(self.0).clone()
+        if self.in_fresh_region() {
+            return store().lock_recover().ty_arc(self.0).clone();
+        }
+        let idx = (self.0 & TY_IDX) as usize;
+        if let Some(t) = LOCAL.with_borrow(|l| l.tys.get(idx).cloned().flatten()) {
+            return t;
+        }
+        let shared = store().lock_recover().ty_arc(self.0).clone();
+        let own = Arc::new((*shared).clone());
+        LOCAL.with_borrow_mut(|l| {
+            if l.tys.len() <= idx {
+                l.tys.resize(idx + 1, None);
+            }
+            l.tys[idx] = Some(own.clone());
+        });
+        own
     }
 
     /// The raw arena index (flag bits included).
@@ -556,6 +596,24 @@ struct Store {
 fn store() -> &'static Mutex<Store> {
     static STORE: OnceLock<Mutex<Store>> = OnceLock::new();
     STORE.get_or_init(|| Mutex::new(Store::default()))
+}
+
+/// Cap on a thread's raw-tree table ([`Local::ty_ids`]).
+const LOCAL_MEMO_CAP: usize = 1 << 12;
+
+/// One thread's lock-free view of permanent-region types (see the
+/// module doc). Only permanent ids ever enter it.
+#[derive(Default)]
+struct Local {
+    /// This thread's own copy of each permanent type it has read, by
+    /// arena index.
+    tys: Vec<Option<Arc<Ty>>>,
+    /// Raw trees this thread interned to a permanent id.
+    ty_ids: FxHashMap<Ty, TyId>,
+}
+
+thread_local! {
+    static LOCAL: RefCell<Local> = RefCell::default();
 }
 
 /// Resolves a fresh-region index against its generational base,

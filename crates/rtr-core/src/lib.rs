@@ -29,6 +29,7 @@
 //!   checker's memo tables and the environment's id-native storage.
 //! * [`pmap`] — the persistent HAMT the environment stores those ids in.
 //! * [`trace`] — the per-check work counters every check returns.
+//! * [`parallel`] — ordered work pulling for sharded checks.
 //!
 //! # Examples
 //!
@@ -69,6 +70,7 @@ pub mod logic;
 pub mod model;
 pub mod module;
 pub mod mutation;
+pub mod parallel;
 pub mod pmap;
 pub mod prims;
 mod solver_cache;

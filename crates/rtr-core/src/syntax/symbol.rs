@@ -10,7 +10,15 @@
 //! them. A fresh symbol displays as `base%n` but never equals an interned
 //! one, even a user name spelled alike (`%` is legal in source), and has
 //! no interned spelling: [`Symbol::as_str`] panics on it.
+//!
+//! Each thread mirrors the names it has used: the name → symbol pairs
+//! it interned and a prefix of the index → name table. Sharded checks
+//! intern and print names constantly, and the mirror serves those calls
+//! without the global lock. It may hold interned names only, which are
+//! never removed or renumbered, so a mirrored entry never goes stale.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -42,7 +50,7 @@ const MAX_INTERNED: usize = 1 << 24;
 #[derive(Default)]
 struct Interner {
     names: Vec<&'static str>,
-    lookup: std::collections::HashMap<&'static str, u32>,
+    lookup: HashMap<&'static str, u32>,
 }
 
 fn interner() -> &'static Mutex<Interner> {
@@ -50,26 +58,57 @@ fn interner() -> &'static Mutex<Interner> {
     INTERNER.get_or_init(Default::default)
 }
 
+/// One thread's mirror of the global table (see the module doc).
+#[derive(Default)]
+struct Local {
+    /// A prefix of the global `names`, extended on a miss.
+    names: Vec<&'static str>,
+    /// The names this thread has interned (default hasher: names come
+    /// from source text).
+    lookup: HashMap<&'static str, u32>,
+}
+
+thread_local! {
+    static LOCAL: RefCell<Local> = RefCell::default();
+}
+
 impl Symbol {
     /// Interns `name`, returning its unique symbol.
     pub fn intern(name: &str) -> Symbol {
-        let mut i = interner().lock_recover();
-        if let Some(&id) = i.lookup.get(name) {
+        if let Some(id) = LOCAL.with_borrow(|l| l.lookup.get(name).copied()) {
             return Symbol(id.into());
         }
-        let id = i.names.len();
-        assert!(id < MAX_INTERNED, "symbol table full: 2^24 names");
-        // Interned strings live for the program's duration by design.
-        let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        i.names.push(leaked);
-        i.lookup.insert(leaked, id as u32);
-        Symbol(id as u64)
+        let (leaked, id) = {
+            let mut i = interner().lock_recover();
+            match i.lookup.get_key_value(name) {
+                Some((&leaked, &id)) => (leaked, id),
+                None => {
+                    let id = i.names.len();
+                    assert!(id < MAX_INTERNED, "symbol table full: 2^24 names");
+                    // Interned strings live for the program's duration by design.
+                    let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
+                    i.names.push(leaked);
+                    i.lookup.insert(leaked, id as u32);
+                    (leaked, id as u32)
+                }
+            }
+        };
+        LOCAL.with_borrow_mut(|l| l.lookup.insert(leaked, id));
+        Symbol(id.into())
     }
 
     /// The interned string. Panics on a fresh symbol, which has none.
     pub fn as_str(self) -> &'static str {
         assert!(!self.is_fresh(), "fresh symbol {self} is not interned");
-        interner().lock_recover().names[self.0 as usize]
+        let idx = self.0 as usize;
+        LOCAL.with_borrow_mut(|l| {
+            if idx >= l.names.len() {
+                let known = l.names.len();
+                l.names
+                    .extend_from_slice(&interner().lock_recover().names[known..]);
+            }
+            l.names[idx]
+        })
     }
 
     /// The raw id, unique for the process lifetime: the table index or the

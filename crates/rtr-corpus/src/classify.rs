@@ -7,6 +7,7 @@
 
 use rtr_core::check::Checker;
 use rtr_core::diag::Code;
+use rtr_core::parallel::map_pulled;
 use rtr_core::trace::TraceCounts;
 use rtr_lang::{check_module_source, check_module_source_traced};
 
@@ -116,15 +117,18 @@ pub fn classify_library(lib: &Library, checker: &Checker) -> Tally {
     classify_library_jobs(lib, checker, 1)
 }
 
-/// Classifies every site in a library, sharding the sites across `jobs`
-/// scoped worker threads.
+/// Classifies every site in a library on `jobs` workers.
 ///
-/// The checker is shared by reference: its memo tables are `Sync`
-/// (mutex-guarded, keyed on interned ids and canonical fingerprints), so
-/// workers transparently share solver-cache verdicts. Outcomes
-/// are collected per shard and folded **in site order**, so the tally —
-/// and any report rendered from it — is identical to the single-threaded
-/// run. Caveat: that guarantee is as strong as the solvers' verdicts are
+/// Workers pull the next site from a shared cursor
+/// ([`rtr_core::parallel::map_pulled`]; the calling thread is one of
+/// them), so a worker that drew cheap sites takes more and neither
+/// idles behind a fixed half. The checker is shared by reference: its
+/// memo tables are `Sync` (mutex-guarded, keyed on interned ids and
+/// canonical fingerprints), so workers transparently share solver-cache
+/// verdicts. Outcomes come back and are folded **in site order**, so the
+/// tally — and any report rendered from it — is identical to the
+/// single-threaded run whichever worker checked which site. Caveat: that
+/// guarantee is as strong as the solvers' verdicts are
 /// schedule-independent — definite (`Sat`/`Unsat`) verdicts always are,
 /// while a query sitting exactly at a conflict/blast budget could in
 /// principle flip to `Unknown` under a different interleaving of the
@@ -141,39 +145,15 @@ pub(crate) fn classify_library_traced(
     checker: &Checker,
     jobs: usize,
 ) -> (Tally, TraceCounts) {
-    let jobs = jobs.max(1).min(lib.sites.len().max(1));
-    let classify = |sites: &[Site]| {
-        let mut work = TraceCounts::default();
-        let outcomes: Vec<Outcome> = sites
-            .iter()
-            .map(|s| {
-                let (outcome, counts) = classify_site_traced(s, checker);
-                work.merge(&counts);
-                outcome
-            })
-            .collect();
-        (outcomes, work)
-    };
-    let (outcomes, work) = if jobs == 1 {
-        classify(&lib.sites)
-    } else {
-        let chunk = lib.sites.len().div_ceil(jobs);
-        let mut outcomes = Vec::with_capacity(lib.sites.len());
-        let mut work = TraceCounts::default();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = lib
-                .sites
-                .chunks(chunk)
-                .map(|shard| scope.spawn(move || classify(shard)))
-                .collect();
-            for h in handles {
-                let (shard, counts) = h.join().expect("classification worker must not panic");
-                outcomes.extend(shard);
-                work.merge(&counts);
-            }
-        });
-        (outcomes, work)
-    };
+    let (outcomes, shards) = map_pulled(&lib.sites, jobs, |work: &mut TraceCounts, site| {
+        let (outcome, counts) = classify_site_traced(site, checker);
+        work.merge(&counts);
+        outcome
+    });
+    let mut work = TraceCounts::default();
+    for shard in &shards {
+        work.merge(shard);
+    }
     (tally_outcomes(lib, &outcomes), work)
 }
 

@@ -33,6 +33,7 @@ use rtr_core::check::Checker;
 use rtr_core::config::CheckerConfig;
 use rtr_core::diag::{render_indexed, Diagnostic, LineIndex, Severity};
 use rtr_core::module::{ItemSummary, ModuleValue};
+use rtr_core::parallel::map_pulled;
 use rtr_core::trace::TraceCounts;
 use rtr_lang::{check_module_source_incremental, ModuleCache};
 
@@ -348,31 +349,17 @@ impl Session {
         }
     }
 
-    /// Checks many files, sharding them across scoped worker threads
-    /// (PR 3's thread-scope pattern: the checker is shared by reference,
-    /// so workers transparently share memo and solver-cache verdicts).
-    /// Reports come back in input order.
+    /// Checks many files on [`SessionConfig::jobs`] workers that pull
+    /// the next file from a shared cursor (the calling thread is one of
+    /// them), so a worker that drew small files takes more. The checker
+    /// is shared by reference, so workers transparently share memo and
+    /// solver-cache verdicts. Reports come back in input order.
     pub fn check_all(&self, files: &[SourceFile]) -> Vec<CheckReport> {
         let jobs = match self.jobs {
             0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
             n => n,
-        }
-        .min(files.len().max(1));
-        if jobs <= 1 {
-            return files.iter().map(|f| self.check(f)).collect();
-        }
-        let chunk = files.len().div_ceil(jobs);
-        let mut out: Vec<Vec<CheckReport>> = Vec::with_capacity(jobs);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = files
-                .chunks(chunk)
-                .map(|shard| scope.spawn(move || shard.iter().map(|f| self.check(f)).collect()))
-                .collect();
-            for h in handles {
-                out.push(h.join().expect("check worker must not panic"));
-            }
-        });
-        out.into_iter().flatten().collect()
+        };
+        map_pulled(files, jobs, |(), f| self.check(f)).0
     }
 }
 
