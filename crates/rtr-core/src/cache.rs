@@ -4,9 +4,7 @@
 //! [`crate::intern`] (a lookup is a couple of integer hashes) or a
 //! canonical constraint-system fingerprint. No key names an
 //! environment: Γ changes at every binder, so an entry keyed by it
-//! would rarely be read again. The one exception is the linear-store
-//! epoch (see [`crate::env::Env::lin_epoch`]), which only theory-fact
-//! appends advance.
+//! would rarely be read again.
 //!
 //! The `subtype` table is **fuel-aware** ([`FuelVerdict`]): the
 //! judgment takes a recursion budget, and a negative verdict obtained
@@ -36,7 +34,7 @@ use std::hash::Hash;
 
 use rtr_solver::fxhash::FxHashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 use crate::intern::TyId;
 use crate::solver_cache::TheoryFp;
@@ -212,9 +210,6 @@ pub(crate) struct Caches {
     /// Regex-theory verdicts (`true` = the queried conjunction is
     /// unsatisfiable / the entailment holds; see `solver_cache`).
     pub(crate) re: Memo<TheoryFp, bool, SOLVER_TABLE_CAP>,
-    /// Incremental Fourier–Motzkin states keyed by the environment's
-    /// linear-store epoch (see [`crate::env::Env::lin_epoch`]).
-    pub(crate) lin_stores: Memo<u64, Arc<crate::solver_cache::LinStore>, SOLVER_TABLE_CAP>,
     /// The checker's persistent bitvector session (shared bit-blast
     /// encodings and learnt clauses), created lazily.
     pub(crate) bv_oracle: Mutex<Option<crate::solver_cache::BvOracle>>,
@@ -237,7 +232,6 @@ impl Caches {
             + self.lin.len()
             + self.bv.len()
             + self.re.len()
-            + self.lin_stores.len()
     }
 
     /// Brings this cache set up to date with the interner's fresh-region

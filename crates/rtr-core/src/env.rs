@@ -25,9 +25,9 @@
 //!   check and [`Env::unbind`]'s "does anything mention `x`?" scan a few
 //!   integer comparisons against intern-time metadata.
 //!
-//! No stamp names an environment's whole contents: memo tables key on
-//! content (interned ids), never on Γ, which changes at every binder.
-//! The one stamp, [`Env::lin_epoch`], names the linear store alone.
+//! No stamp names an environment or any part of it: memo tables key on
+//! content (interned ids and canonical theory fingerprints), never on Γ,
+//! which changes at every binder.
 //!
 //! Deferred disjunctions are stored as interned [`PropId`]s, so cloning
 //! and case-splitting never deep-copies proposition trees.
@@ -36,20 +36,11 @@
 //! proving, subtyping, update) live on [`crate::check::Checker`].
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::intern::{ObjId, PropId, TyId};
 use crate::pmap::PMap;
 use crate::syntax::{BvAtomProp, LinAtom, Obj, Path, StrAtomProp, Symbol, Ty};
-
-/// Hands out globally unique linear-theory-store epochs. Epoch 0 is
-/// reserved for the empty store. Only theory-fact appends advance it, so
-/// solver-state caches keyed by epoch survive non-theory env mutations.
-fn next_lin_epoch() -> u64 {
-    static EPOCH: AtomicU64 = AtomicU64::new(1);
-    EPOCH.fetch_add(1, Ordering::Relaxed)
-}
 
 /// One name's own entries in an [`Env`]: its type, its alias and the
 /// negative facts about paths rooted at it, as [`Env::entries`] reads
@@ -99,14 +90,6 @@ pub struct Env {
     mutables: Arc<HashSet<Symbol>>,
     /// Set when `ff` (or a contradiction) has been assumed.
     absurd: bool,
-    /// Content stamp of `lin_facts` alone: 0 when empty, else globally
-    /// unique. It survives non-theory mutations, so solver-state caches
-    /// keyed on it stay warm while the environment learns type facts.
-    lin_epoch: u64,
-    /// The `lin_epoch` this store was extended from by appending facts
-    /// (`lin_facts[..n]` is exactly the parent's store). `None` after
-    /// non-append edits (`unbind`), which force a from-scratch solve.
-    lin_parent: Option<u64>,
 }
 
 impl Env {
@@ -119,8 +102,7 @@ impl Env {
     /// binding, an alias from the name, or a negative fact about a path
     /// rooted at it. `None` when a fact keyed by no name differs: a
     /// disjunction, a theory literal, a pending atom, the mutability
-    /// marks or absurdity. The `lin_epoch` stamp only keys solver states
-    /// and is ignored.
+    /// marks or absurdity.
     ///
     /// Shared `Arc` fields and shared map subtrees are skipped by
     /// pointer, so diffing an environment against the snapshot it was
@@ -336,13 +318,6 @@ impl Env {
         }
         if self.lin_facts.iter().any(|a| a.mentions_var(x)) {
             Arc::make_mut(&mut self.lin_facts).retain(|a| !a.mentions_var(x));
-            // Not an append: incremental solver states can't extend this.
-            self.lin_epoch = if self.lin_facts.is_empty() {
-                0
-            } else {
-                next_lin_epoch()
-            };
-            self.lin_parent = None;
         }
         if self.bv_facts.iter().any(|a| a.mentions_var(x)) {
             Arc::make_mut(&mut self.bv_facts).retain(|a| !a.mentions_var(x));
@@ -466,25 +441,12 @@ impl Env {
         if self.lin_facts.contains(&a) {
             return;
         }
-        self.lin_parent = Some(self.lin_epoch);
-        self.lin_epoch = next_lin_epoch();
         Arc::make_mut(&mut self.lin_facts).push(a);
     }
 
     /// The accumulated linear facts.
     pub fn lin_facts(&self) -> &[LinAtom] {
         &self.lin_facts
-    }
-
-    /// The linear store's content stamp (0 = empty store); see the field
-    /// docs. Solver caches key incremental elimination states on this.
-    pub fn lin_epoch(&self) -> u64 {
-        self.lin_epoch
-    }
-
-    /// The epoch this store extends by appended facts, if any.
-    pub fn lin_parent(&self) -> Option<u64> {
-        self.lin_parent
     }
 
     /// Appends a bitvector fact.

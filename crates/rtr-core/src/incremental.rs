@@ -15,9 +15,9 @@
 //! contribution to the module value) is a deterministic function of two
 //! inputs: the item's elaborated core term and the **value** of the
 //! environment it is checked under. The checker judgements consult
-//! nothing else — the `lin_epoch` stamp keys solver states and never
-//! changes a verdict. A cached record may therefore replace
-//! re-checking item *i* when the item's term is unchanged (same
+//! nothing else: every memo table is keyed by content, so a hit returns
+//! the verdict a fresh computation would. A cached record may therefore
+//! replace re-checking item *i* when the item's term is unchanged (same
 //! fingerprint / same source text), its trailing role is unchanged, and
 //! the environment reaching slot *i* looks the same *to that item* as
 //! the one the record was made under.

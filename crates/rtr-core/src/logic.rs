@@ -7,15 +7,14 @@
 //! inconsistency detection, bounded case-splitting over stored
 //! disjunctions, and L-Theory via the solvers in `rtr-solver`).
 
-use rtr_solver::lin::{Constraint, LinExpr, LinResult, SolverVar};
-use rtr_solver::rational::Rat;
+use rtr_solver::lin::{LinResult, SolverVar};
 
 use crate::check::Checker;
 use crate::env::Env;
 use crate::intern::{PropId, TyId};
+use crate::solver_cache::lin_rows;
 use crate::syntax::{
-    BvAtomProp, BvCmp, BvObj, Field, LinAtom, LinCmp, LinObj, Obj, Path, Prop, StrAtomProp, StrObj,
-    Symbol, Ty,
+    BvAtomProp, BvCmp, BvObj, LinAtom, LinCmp, Obj, Path, Prop, StrAtomProp, StrObj, Symbol, Ty,
 };
 
 impl Checker {
@@ -726,11 +725,11 @@ impl Checker {
 
     // --- theory adapters ----------------------------------------------------
     //
-    // Each adapter has two paths: the incremental/memoizing one in
-    // `crate::solver_cache` (fingerprint verdict transfer, trace-extended
-    // Fourier–Motzkin, the persistent bitvector session) and the one-shot
-    // reference below it, selected by `config.solver_cache`. The
-    // equivalence tests compare the two end to end.
+    // Each adapter has two paths: the memoizing one in
+    // `crate::solver_cache` (fingerprint verdict transfer, the persistent
+    // bitvector and regex sessions) and the one-shot reference below it,
+    // selected by `config.solver_cache`. The equivalence tests compare the
+    // two end to end.
 
     /// Does the linear theory entail `goal` under the environment's facts?
     fn lin_entails(&self, env: &Env, goal: &LinAtom) -> bool {
@@ -740,17 +739,8 @@ impl Checker {
         if self.config.solver_cache {
             return self.lin_entails_cached(env, goal);
         }
-        let mut tx = LinTranslator::default();
-        let mut constraints: Vec<Constraint> = Vec::new();
-        for a in env.lin_facts() {
-            tx.atom(a, &mut constraints);
-        }
-        let mut goal_cs = Vec::new();
-        tx.atom(goal, &mut goal_cs);
-        // One atom always lowers to exactly one constraint.
-        let goal_c = goal_cs.pop().expect("atom lowers to a constraint");
-        tx.add_len_nonneg(&mut constraints);
-        self.fm_solver().entails(&constraints, &goal_c)
+        let rows = lin_rows(env.lin_facts(), Some(&goal.negate()));
+        self.fm_solver().check(&rows).is_unsat()
     }
 
     fn lin_check(&self, env: &Env) -> LinResult {
@@ -760,13 +750,7 @@ impl Checker {
         if self.config.solver_cache {
             return self.lin_check_cached(env);
         }
-        let mut tx = LinTranslator::default();
-        let mut constraints = Vec::new();
-        for a in env.lin_facts() {
-            tx.atom(a, &mut constraints);
-        }
-        tx.add_len_nonneg(&mut constraints);
-        self.fm_solver().check(&constraints)
+        self.fm_solver().check(&lin_rows(env.lin_facts(), None))
     }
 
     /// Does the bitvector theory entail `goal`?
@@ -912,49 +896,6 @@ impl StrTranslator {
             var: self.var(p),
             regex: a.re.clone(),
             positive: a.positive,
-        }
-    }
-}
-
-/// Maps paths to solver variables for the linear theory.
-#[derive(Default)]
-struct LinTranslator {
-    vars: std::collections::HashMap<Path, SolverVar>,
-}
-
-impl LinTranslator {
-    fn var(&mut self, p: &Path) -> SolverVar {
-        let next = SolverVar(self.vars.len() as u32);
-        *self.vars.entry(p.clone()).or_insert(next)
-    }
-
-    fn expr(&mut self, l: &LinObj) -> LinExpr {
-        let terms: Vec<(Rat, SolverVar)> = l
-            .terms
-            .iter()
-            .map(|(c, p)| (Rat::from(*c), self.var(p)))
-            .collect();
-        LinExpr::from_terms(terms, Rat::from(l.constant))
-    }
-
-    fn atom(&mut self, a: &LinAtom, out: &mut Vec<Constraint>) {
-        let lhs = self.expr(&a.lhs);
-        let rhs = self.expr(&a.rhs);
-        out.push(match a.cmp {
-            LinCmp::Lt => Constraint::lt(lhs, rhs),
-            LinCmp::Le => Constraint::le(lhs, rhs),
-            LinCmp::Eq => Constraint::eq(lhs, rhs),
-            LinCmp::Ne => Constraint::ne(lhs, rhs),
-        });
-    }
-
-    /// Vector lengths are non-negative: add `0 ≤ v` for every solver var
-    /// standing for a `len` path.
-    fn add_len_nonneg(&mut self, out: &mut Vec<Constraint>) {
-        for (p, v) in self.vars.clone() {
-            if p.fields.last() == Some(&Field::Len) {
-                out.push(Constraint::ge(LinExpr::var(v), LinExpr::constant(0)));
-            }
         }
     }
 }

@@ -1,5 +1,5 @@
-//! The incremental theory-solving layer: solver-query memoization,
-//! incremental Fourier–Motzkin, and the persistent bitvector session.
+//! The theory-solving reuse layer: solver-query memoization and the
+//! persistent bitvector and regex sessions.
 //!
 //! Three reuse mechanisms sit between the `L-Theory` adapters in
 //! [`crate::logic`] and the one-shot solvers in `rtr-solver`, all gated
@@ -18,27 +18,19 @@
 //!    environment-free subtype entries. Consistency and entailment share the
 //!    linear table: both store the [`LinResult`] of the system their key
 //!    fingerprints.
-//! 2. **Incremental Fourier–Motzkin.** Each environment's linear store
-//!    carries an epoch stamp ([`crate::env::Env::lin_epoch`]) with a
-//!    parent pointer recording append-only extension. A [`LinStore`]
-//!    (translated rows + elimination trace) is cached per epoch; adding
-//!    facts after a snapshot replays only the delta through the parent's
-//!    recorded eliminations (`FmTrace`), and entailment goals are a
-//!    one-row delta against the warm trace.
-//! 3. **Bitvector session.** One [`rtr_solver::bv::BvSession`] per
+//! 2. **Bitvector session.** One [`rtr_solver::bv::BvSession`] per
 //!    checker keeps a growing CNF with hash-consed term encodings and the
 //!    CDCL solver's learnt clauses; facts and goals are activation-guarded
 //!    assumptions, so repeated goals over the same terms skip re-encoding
 //!    and re-derivation.
+//! 3. **Regex session.** One [`ReSession`] per checker keeps compiled
+//!    DFAs, intersection products and emptiness verdicts across queries.
 //!
-//! A linear consistency check looks in three places, in order: the
-//! store for the environment's epoch, the fingerprint table, and only
-//! then a newly built store. The epoch lookup comes first because it is
-//! one integer hash, and it is what a warm edit's spliced environments
-//! find. Epochs are minted fresh and never recur across items, though,
-//! so on cold traffic the fingerprint table is what hits. An entailment
-//! checks the fingerprint table first (its key includes the goal, so no
-//! epoch store can answer it) and then extends the epoch's store.
+//! The linear theory keeps no solver state between queries. A query
+//! whose fingerprint misses is translated by [`lin_rows`] (the same
+//! translation the one-shot reference path uses) and decided by one
+//! Fourier–Motzkin run; on a corpus pass the fingerprint table answers
+//! about 98% of linear queries.
 //!
 //! All tables live in [`crate::cache::Caches`], capped and flushed like
 //! the judgment memo tables (a long-lived server process must not grow
@@ -49,7 +41,7 @@ use std::sync::Arc;
 use rtr_solver::fxhash::FxHashMap;
 
 use rtr_solver::bv::{BvLit, BvResult, BvSession, BvTerm};
-use rtr_solver::lin::{Constraint, FmTrace, FourierMotzkin, LinExpr, LinResult, SolverVar};
+use rtr_solver::lin::{Constraint, FourierMotzkin, LinExpr, LinResult, SolverVar};
 use rtr_solver::rational::Rat;
 use rtr_solver::re::{ReConstraint, ReResult, ReSession, Regex};
 
@@ -57,10 +49,6 @@ use crate::cache::LockRecover;
 use crate::check::Checker;
 use crate::env::Env;
 use crate::syntax::{BvAtomProp, BvCmp, BvObj, Field, LinAtom, LinCmp, LinObj, Path, StrAtomProp};
-
-/// Rebuild the elimination trace once this many rows accumulate past the
-/// traced prefix — bounding the per-extension replay cost.
-const TRACE_MAX_PENDING: usize = 8;
 
 /// Retire the bitvector session once its CNF grows past this many
 /// variables (a fresh session re-encodes lazily; verdict memos survive).
@@ -370,51 +358,30 @@ pub(crate) fn str_fingerprint(facts: &[StrAtomProp], goal: Option<&StrAtomProp>)
     TheoryFp(toks)
 }
 
-// --- incremental linear stores ------------------------------------------
+// --- linear queries -----------------------------------------------------
 
-/// The cached linear-solver state of one environment's fact store: the
-/// path→variable mapping (stable across extensions, so delta rows
-/// compose), the satisfiability verdict, and — when available — the
-/// recorded elimination trace plus the few `pending` rows added since it
-/// was recorded. A child store or an entailment goal replays only
-/// `pending` (plus its own delta) through the trace instead of
-/// re-eliminating the whole system; once `pending` outgrows
-/// [`TRACE_MAX_PENDING`], the system is re-solved and re-traced.
-#[derive(Debug)]
-pub(crate) struct LinStore {
-    vars: Arc<FxHashMap<Path, SolverVar>>,
-    /// Translated rows not covered by `trace` (small by construction).
-    pending: Vec<Constraint>,
-    num_atoms: usize,
-    pub(crate) result: LinResult,
-    trace: Option<Arc<FmTrace>>,
+/// Translates `facts`, then the negated goal when one is given, into
+/// solver rows. Paths become solver variables in first-occurrence order,
+/// and the first occurrence of a `len` path adds its `0 ≤ v` row just
+/// before the row that mentions it, so equal inputs give equal rows.
+/// Both the memoized path and the one-shot reference path use it.
+pub(crate) fn lin_rows(facts: &[LinAtom], neg_goal: Option<&LinAtom>) -> Vec<Constraint> {
+    let mut vars: Vec<&Path> = Vec::new();
+    let mut rows = Vec::with_capacity(facts.len() + 3);
+    for a in facts.iter().chain(neg_goal) {
+        let lhs = lin_expr(&a.lhs, &mut vars, &mut rows);
+        let rhs = lin_expr(&a.rhs, &mut vars, &mut rows);
+        rows.push(match a.cmp {
+            LinCmp::Lt => Constraint::lt(lhs, rhs),
+            LinCmp::Le => Constraint::le(lhs, rhs),
+            LinCmp::Eq => Constraint::eq(lhs, rhs),
+            LinCmp::Ne => Constraint::ne(lhs, rhs),
+        });
+    }
+    rows
 }
 
-/// Allocates (or finds) the solver variable for `p`, appending the
-/// `0 ≤ v` side constraint the first time a `len` path is seen — the
-/// persistent-translation equivalent of the one-shot translator's
-/// `add_len_nonneg` pass.
-fn lin_var(
-    p: &Path,
-    vars: &mut FxHashMap<Path, SolverVar>,
-    rows: &mut Vec<Constraint>,
-) -> SolverVar {
-    if let Some(&v) = vars.get(p) {
-        return v;
-    }
-    let v = SolverVar(vars.len() as u32);
-    vars.insert(p.clone(), v);
-    if p.fields.last() == Some(&Field::Len) {
-        rows.push(Constraint::ge(LinExpr::var(v), LinExpr::constant(0)));
-    }
-    v
-}
-
-fn lin_expr(
-    l: &LinObj,
-    vars: &mut FxHashMap<Path, SolverVar>,
-    rows: &mut Vec<Constraint>,
-) -> LinExpr {
+fn lin_expr<'a>(l: &'a LinObj, vars: &mut Vec<&'a Path>, rows: &mut Vec<Constraint>) -> LinExpr {
     let terms: Vec<(Rat, SolverVar)> = l
         .terms
         .iter()
@@ -423,58 +390,23 @@ fn lin_expr(
     LinExpr::from_terms(terms, Rat::from(l.constant))
 }
 
-/// Translates `a` and appends its row (plus any new `len` side rows).
-fn push_lin_atom(a: &LinAtom, vars: &mut FxHashMap<Path, SolverVar>, rows: &mut Vec<Constraint>) {
-    let lhs = lin_expr(&a.lhs, vars, rows);
-    let rhs = lin_expr(&a.rhs, vars, rows);
-    rows.push(match a.cmp {
-        LinCmp::Lt => Constraint::lt(lhs, rhs),
-        LinCmp::Le => Constraint::le(lhs, rhs),
-        LinCmp::Eq => Constraint::eq(lhs, rhs),
-        LinCmp::Ne => Constraint::ne(lhs, rhs),
-    });
-}
-
-/// Translates every atom from scratch (the slow path, used when no trace
-/// can be extended) and returns the full row set with its var map.
-fn translate_all(facts: &[LinAtom]) -> (FxHashMap<Path, SolverVar>, Vec<Constraint>) {
-    let mut vars = FxHashMap::default();
-    let mut rows = Vec::with_capacity(facts.len() + 2);
-    for a in facts {
-        push_lin_atom(a, &mut vars, &mut rows);
+/// The solver variable for `p`, its index in `vars` (a query touches a
+/// handful of paths, so a linear scan beats hashing and cloning them).
+/// A path seen for the first time is appended, and a new `len` path
+/// adds its `0 ≤ v` row.
+fn lin_var<'a>(p: &'a Path, vars: &mut Vec<&'a Path>, rows: &mut Vec<Constraint>) -> SolverVar {
+    if let Some(i) = vars.iter().position(|q| *q == p) {
+        return SolverVar(i as u32);
     }
-    (vars, rows)
+    let v = SolverVar(vars.len() as u32);
+    vars.push(p);
+    if p.fields.last() == Some(&Field::Len) {
+        rows.push(Constraint::ge(LinExpr::var(v), LinExpr::constant(0)));
+    }
+    v
 }
 
 impl Checker {
-    /// The cached [`LinStore`] for `env`'s linear facts, built by
-    /// extending the parent epoch's store when the facts are an
-    /// append-only extension, else from scratch.
-    fn lin_store_for(&self, env: &Env) -> Arc<LinStore> {
-        let epoch = env.lin_epoch();
-        if let Some(s) = self.lin_store_at(epoch) {
-            return s;
-        }
-        let parent = env.lin_parent().and_then(|p| self.lin_store_at(p));
-        let facts = env.lin_facts();
-        let store = match parent {
-            Some(p) if p.num_atoms <= facts.len() => self.lin_store_extended(&p, facts),
-            _ => self.lin_store_full(facts),
-        };
-        let store = Arc::new(store);
-        // A deadline-degraded verdict is transient: caching it would leave
-        // later, unhurried checks reading a starved `Unknown` forever.
-        self.budget().poll_deadline();
-        if self.may_store() {
-            self.caches().lin_stores.store(epoch, store.clone());
-        }
-        store
-    }
-
-    fn lin_store_at(&self, epoch: u64) -> Option<Arc<LinStore>> {
-        self.caches().lin_stores.get(&epoch)
-    }
-
     /// A Fourier–Motzkin instance carrying the budget's wall-clock
     /// deadline, so long eliminations degrade to `Unknown` in time.
     pub(crate) fn fm_solver(&self) -> FourierMotzkin {
@@ -483,88 +415,31 @@ impl Checker {
         fm
     }
 
-    fn lin_store_full(&self, facts: &[LinAtom]) -> LinStore {
-        let (vars, rows) = translate_all(facts);
-        let fm = self.fm_solver();
-        let (result, trace) = fm.check_traced(&rows);
-        match trace {
-            Some(t) => LinStore {
-                vars: Arc::new(vars),
-                pending: Vec::new(),
-                num_atoms: facts.len(),
-                result,
-                trace: Some(Arc::new(t)),
-            },
-            None => LinStore {
-                vars: Arc::new(vars),
-                pending: rows,
-                num_atoms: facts.len(),
-                result,
-                trace: None,
-            },
-        }
-    }
-
-    /// Extends `parent` with `facts[parent.num_atoms..]`: the delta rows
-    /// join the parent's pending set and are replayed through its trace;
-    /// once the pending set outgrows the budget (or the trace can't
-    /// replay the delta) the whole system is re-solved and re-traced.
-    fn lin_store_extended(&self, parent: &LinStore, facts: &[LinAtom]) -> LinStore {
-        if parent.result == LinResult::Unsat {
-            // Supersets of an unsat system are unsat; nothing to solve.
-            return LinStore {
-                vars: parent.vars.clone(),
-                pending: Vec::new(),
-                num_atoms: facts.len(),
-                result: LinResult::Unsat,
-                trace: None,
-            };
-        }
-        let mut vars = parent.vars.clone();
-        let mut pending = parent.pending.clone();
-        for a in &facts[parent.num_atoms..] {
-            push_lin_atom(a, Arc::make_mut(&mut vars), &mut pending);
-        }
-        if let Some(t) = &parent.trace {
-            if pending.len() <= TRACE_MAX_PENDING {
-                let fm = self.fm_solver();
-                // The trace covers everything but `pending`; replay it all.
-                if let Some(result) = fm.check_with_trace(t, &pending) {
-                    return LinStore {
-                        vars,
-                        pending,
-                        num_atoms: facts.len(),
-                        result,
-                        trace: Some(t.clone()),
-                    };
-                }
-            }
-        }
-        self.lin_store_full(facts)
-    }
-
-    /// Satisfiability of `env`'s linear facts: the epoch's store, else
-    /// the fingerprint memo, else a newly built store (see the module
-    /// docs for why in that order).
-    pub(crate) fn lin_check_cached(&self, env: &Env) -> LinResult {
-        if let Some(s) = self.lin_store_at(env.lin_epoch()) {
-            return s.result;
-        }
-        let fp = lin_fingerprint(env.lin_facts(), None);
+    /// Satisfiability of `facts ∧ neg_goal` via the fingerprint memo,
+    /// else one Fourier–Motzkin run over [`lin_rows`].
+    fn lin_solve_cached(&self, facts: &[LinAtom], neg_goal: Option<&LinAtom>) -> LinResult {
+        let fp = lin_fingerprint(facts, neg_goal);
         if let Some(r) = self.caches().lin.lookup(&fp, &self.trace().lin) {
             return r;
         }
-        // `lin_store_for` has polled the deadline, so `may_store` sees a
-        // trip that happened while solving.
-        let result = self.lin_store_for(env).result;
+        let result = self.fm_solver().check(&lin_rows(facts, neg_goal));
+        // A deadline-degraded verdict is transient: caching it would leave
+        // later, unhurried checks reading a starved `Unknown` forever.
+        // Polling first lets `may_store` see a trip that happened while
+        // solving.
+        self.budget().poll_deadline();
         if self.may_store() {
             self.caches().lin.store(fp, result);
         }
         result
     }
 
-    /// Entailment `facts ⊨ goal` via the fingerprint memo and a
-    /// pending+¬goal delta replay of the store's elimination trace.
+    /// Satisfiability of `env`'s linear facts.
+    pub(crate) fn lin_check_cached(&self, env: &Env) -> LinResult {
+        self.lin_solve_cached(env.lin_facts(), None)
+    }
+
+    /// Entailment `facts ⊨ goal`, i.e. `facts ∧ ¬goal` is unsatisfiable.
     pub(crate) fn lin_entails_cached(&self, env: &Env, goal: &LinAtom) -> bool {
         // Ground goals (both sides constant — literal loop bounds and
         // indices produce these constantly) are decided by evaluation:
@@ -579,35 +454,8 @@ impl Checker {
             };
             return truth || self.lin_check_cached(env).is_unsat();
         }
-        let neg = goal.negate();
-        let fp = lin_fingerprint(env.lin_facts(), Some(&neg));
-        if let Some(r) = self.caches().lin.lookup(&fp, &self.trace().lin) {
-            return r.is_unsat();
-        }
-        let store = self.lin_store_for(env);
-        let result = if store.result == LinResult::Unsat {
-            LinResult::Unsat
-        } else {
-            let mut delta = store.pending.clone();
-            let mut vars = store.vars.clone();
-            push_lin_atom(&neg, Arc::make_mut(&mut vars), &mut delta);
-            let fm = self.fm_solver();
-            let traced = store
-                .trace
-                .as_ref()
-                .and_then(|t| fm.check_with_trace(t, &delta));
-            traced.unwrap_or_else(|| {
-                // Full fallback: re-translate everything plus the goal.
-                let (mut all_vars, mut all) = translate_all(env.lin_facts());
-                push_lin_atom(&neg, &mut all_vars, &mut all);
-                fm.check(&all)
-            })
-        };
-        self.budget().poll_deadline();
-        if self.may_store() {
-            self.caches().lin.store(fp, result);
-        }
-        result.is_unsat()
+        self.lin_solve_cached(env.lin_facts(), Some(&goal.negate()))
+            .is_unsat()
     }
 }
 
@@ -935,7 +783,6 @@ mod tests {
         ] {
             let c = Checker::default();
             let (first, second) = (lin_env(facts), lin_env(facts));
-            assert_ne!(first.lin_epoch(), second.lin_epoch());
             assert_eq!(c.lin_check_cached(&first), expected);
             assert_eq!(c.lin_check_cached(&second), expected);
             let lin = c.trace_counts().lin;
@@ -951,22 +798,51 @@ mod tests {
         let env = lin_env(in_bounds);
         assert_eq!(tripped.lin_check_cached(&env), LinResult::Sat);
         assert_eq!(c.caches().lin.len(), 0);
-        assert_eq!(c.caches().lin_stores.len(), 0);
     }
 
     #[test]
-    fn a_stored_epoch_answers_before_the_fingerprint_table() {
-        // The warm-edit path re-asks spliced environments whose epoch
-        // store exists; it must not pay a fingerprint for them.
+    fn a_tripped_entailment_check_stores_nothing() {
         let c = Checker::default();
-        let env = lin_env(below_zero);
-        assert_eq!(c.lin_check_cached(&env), LinResult::Unsat);
-        assert_eq!(c.trace_counts().lin.total(), 1);
-        assert_eq!(c.lin_check_cached(&env), LinResult::Unsat);
+        let tripped = c.fork_check();
+        tripped.budget().trip(crate::budget::LimitKind::Steps);
+        let (x, v) = (Symbol::fresh("ex"), Symbol::fresh("ev"));
+        let mut env = Env::new();
+        for a in in_bounds(x, v) {
+            env.add_lin_fact(a);
+        }
+        // -1 < x follows from 0 ≤ x; the goal is not ground, so the
+        // query reaches the solver.
+        let goal = lin_atom(LinCmp::Lt, Obj::int(-1), Obj::var(x));
+        assert!(tripped.lin_entails_cached(&env, &goal));
+        assert_eq!(c.caches().lin.len(), 0);
+    }
+
+    #[test]
+    fn translation_is_deterministic_with_len_rows_in_first_occurrence_order() {
+        let (x, y) = (Symbol::fresh("rx"), Symbol::fresh("ry"));
+        let (v, w) = (Symbol::fresh("rv"), Symbol::fresh("rw"));
+        let facts = vec![
+            lin_atom(LinCmp::Lt, Obj::var(x), Obj::var(w).len()),
+            lin_atom(LinCmp::Le, Obj::var(y), Obj::var(v).len()),
+            lin_atom(LinCmp::Eq, Obj::var(v).len(), Obj::var(w).len()),
+        ];
+        let goal = lin_atom(LinCmp::Le, Obj::var(y), Obj::var(x));
+        let rows = lin_rows(&facts, Some(&goal));
+        assert_eq!(rows, lin_rows(&facts, Some(&goal)));
+        // x ↦ v0, len w ↦ v1, y ↦ v2, len v ↦ v3: each len row comes
+        // right before the first row that mentions its path.
+        let var = |i| LinExpr::var(SolverVar(i));
+        let nonneg = |i| Constraint::ge(var(i), LinExpr::constant(0));
         assert_eq!(
-            c.trace_counts().lin.total(),
-            1,
-            "the epoch store was bypassed"
+            rows,
+            vec![
+                nonneg(1),
+                Constraint::lt(var(0), var(1)),
+                nonneg(3),
+                Constraint::le(var(2), var(3)),
+                Constraint::eq(var(3), var(1)),
+                Constraint::le(var(2), var(0)),
+            ]
         );
     }
 

@@ -1,6 +1,6 @@
-//! The incremental theory-solving layer (fingerprint memoization,
-//! trace-extended Fourier–Motzkin, the persistent bitvector session)
-//! must classify corpus sites exactly like the one-shot reference
+//! The theory-solving reuse layer (fingerprint memoization, the
+//! persistent bitvector and regex sessions) must classify corpus sites
+//! exactly like the one-shot reference
 //! (`solver_cache: false`): canonicalization preserves the solved
 //! constraint system up to variable renaming, so cached verdicts are the
 //! verdicts the one-shot solvers would have produced. One flipped

@@ -77,43 +77,6 @@ pub struct FourierMotzkin {
     deadline: Option<std::time::Instant>,
 }
 
-/// A replayable record of one satisfiable elimination run, enabling
-/// *incremental* Fourier–Motzkin: the trace remembers the Gaussian
-/// substitutions and, for every eliminated variable, the lower/upper
-/// bound rows consumed at that step. Checking the same system plus a few
-/// new constraints then only resolves the *new* rows against the stored
-/// bounds — the old×old resolvents are already folded into later steps —
-/// instead of re-eliminating the whole system
-/// ([`FourierMotzkin::check_with_trace`]).
-#[derive(Clone, Debug, Default)]
-pub struct FmTrace {
-    /// Gaussian substitutions `x := e`, in application order.
-    substs: Vec<(SolverVar, LinExpr)>,
-    /// One entry per eliminated variable, in elimination order.
-    steps: Vec<FmStep>,
-}
-
-impl FmTrace {
-    /// Rough size gauge (rows held), for cache accounting.
-    pub fn num_rows(&self) -> usize {
-        self.steps
-            .iter()
-            .map(|s| s.lower.len() + s.upper.len())
-            .sum::<usize>()
-            + self.substs.len()
-    }
-}
-
-/// The bound rows consumed when one variable was eliminated.
-#[derive(Clone, Debug)]
-struct FmStep {
-    var: SolverVar,
-    /// Rows with a negative coefficient on `var` (lower bounds).
-    lower: Vec<Constraint>,
-    /// Rows with a positive coefficient on `var` (upper bounds).
-    upper: Vec<Constraint>,
-}
-
 impl FourierMotzkin {
     /// Creates a solver with the given configuration.
     pub fn new(config: FmConfig) -> FourierMotzkin {
@@ -148,181 +111,6 @@ impl FourierMotzkin {
         self.check(&cs).is_unsat()
     }
 
-    /// Like [`FourierMotzkin::check`], additionally recording a
-    /// replayable elimination trace when the system is satisfiable and
-    /// disequality-free. The trace is `None` for `Unsat`/`Unknown`
-    /// verdicts (an unsat base never needs extending: any superset is
-    /// unsat too) and for systems needing case splits.
-    pub fn check_traced(&self, constraints: &[Constraint]) -> (LinResult, Option<FmTrace>) {
-        if constraints.iter().any(|c| c.cmp == Cmp::Ne) {
-            return (self.check(constraints), None);
-        }
-        let mut trace = FmTrace::default();
-        let result = self.eliminate(constraints.to_vec(), Some(&mut trace));
-        match result {
-            LinResult::Sat => (result, Some(trace)),
-            _ => (result, None),
-        }
-    }
-
-    /// Decides satisfiability of `base ∪ delta`, where `trace` records a
-    /// satisfiable run over `base`, without re-eliminating `base`. Returns
-    /// `None` when the delta needs work the trace cannot replay
-    /// (arithmetic overflow, row budget); callers fall back to a full
-    /// [`FourierMotzkin::check`] then.
-    ///
-    /// Delta equalities are handled by the standard `e = 0 ⇔ e ≤ 0 ∧
-    /// -e ≤ 0` split (after the gcd divisibility test in `tighten`);
-    /// delta disequalities case-split exactly like the one-shot solver.
-    pub fn check_with_trace(&self, trace: &FmTrace, delta: &[Constraint]) -> Option<LinResult> {
-        self.extend_split(trace, delta.to_vec(), self.config.max_splits)
-    }
-
-    fn extend_split(
-        &self,
-        trace: &FmTrace,
-        delta: Vec<Constraint>,
-        splits_left: usize,
-    ) -> Option<LinResult> {
-        if let Some(pos) = delta.iter().position(|c| c.cmp == Cmp::Ne) {
-            if splits_left == 0 {
-                return Some(LinResult::Unknown);
-            }
-            let mut rest = delta;
-            let ne = rest.swap_remove(pos);
-            let lo = Constraint {
-                expr: ne.expr.checked_add(&LinExpr::constant(1))?,
-                cmp: Cmp::Le,
-            };
-            let hi = Constraint {
-                expr: ne
-                    .expr
-                    .checked_scale(Rat::from_int(-1))?
-                    .checked_add(&LinExpr::constant(1))?,
-                cmp: Cmp::Le,
-            };
-            let mut lhs = rest.clone();
-            lhs.push(lo);
-            match self.extend_split(trace, lhs, splits_left - 1)? {
-                LinResult::Sat => return Some(LinResult::Sat),
-                LinResult::Unsat => {}
-                LinResult::Unknown => return Some(LinResult::Unknown),
-            }
-            let mut rhs = rest;
-            rhs.push(hi);
-            return self.extend_split(trace, rhs, splits_left - 1);
-        }
-        self.extend(trace, delta)
-    }
-
-    fn extend(&self, trace: &FmTrace, delta: Vec<Constraint>) -> Option<LinResult> {
-        // Replay the base's Gaussian substitutions on the new rows, then
-        // normalize them exactly as the base run normalized its own.
-        let mut rows: Vec<Constraint> = Vec::with_capacity(delta.len());
-        for c in delta {
-            let mut expr = c.expr;
-            for (x, sol) in &trace.substs {
-                expr = expr.substitute(*x, sol)?;
-            }
-            match self.tighten(Constraint { expr, cmp: c.cmp }) {
-                Tightened::True => {}
-                Tightened::False => return Some(LinResult::Unsat),
-                Tightened::Overflow => return None,
-                Tightened::Row(c) if c.cmp == Cmp::Eq => {
-                    // e = 0 ⇔ e ≤ 0 ∧ -e ≤ 0 (gcd infeasibility was already
-                    // caught by `tighten`). Substituting instead would
-                    // rewrite the stored steps, defeating the reuse.
-                    let neg = c.expr.checked_scale(Rat::from_int(-1))?;
-                    rows.push(Constraint {
-                        expr: c.expr,
-                        cmp: Cmp::Le,
-                    });
-                    rows.push(Constraint {
-                        expr: neg,
-                        cmp: Cmp::Le,
-                    });
-                }
-                Tightened::Row(c) => rows.push(c),
-            }
-        }
-        // Push the new rows through the recorded elimination pipeline:
-        // at each step, only resolvents involving a new row are computed —
-        // old×old ones are already folded into later steps of the trace.
-        for step in &trace.steps {
-            if self.past_deadline() {
-                return Some(LinResult::Unknown);
-            }
-            let mut lower = Vec::new();
-            let mut upper = Vec::new();
-            let mut rest = Vec::new();
-            for c in rows.drain(..) {
-                let a = c.expr.coeff(step.var);
-                if a.is_zero() {
-                    rest.push(c);
-                } else if a.is_positive() {
-                    upper.push(c);
-                } else {
-                    lower.push(c);
-                }
-            }
-            if lower.is_empty() && upper.is_empty() {
-                rows = rest;
-                continue;
-            }
-            for lo in &lower {
-                for up in step.upper.iter().chain(upper.iter()) {
-                    match self.resolve_tightened(lo, up, step.var)? {
-                        Tightened::True => {}
-                        Tightened::False => return Some(LinResult::Unsat),
-                        Tightened::Overflow => return None,
-                        Tightened::Row(c) => rest.push(c),
-                    }
-                    if rest.len() > self.config.max_rows {
-                        return None;
-                    }
-                }
-            }
-            for up in &upper {
-                for lo in &step.lower {
-                    match self.resolve_tightened(lo, up, step.var)? {
-                        Tightened::True => {}
-                        Tightened::False => return Some(LinResult::Unsat),
-                        Tightened::Overflow => return None,
-                        Tightened::Row(c) => rest.push(c),
-                    }
-                    if rest.len() > self.config.max_rows {
-                        return None;
-                    }
-                }
-            }
-            rows = rest;
-        }
-        // Whatever survives mentions only variables the base never saw
-        // (base rows were fully eliminated); finish them off normally.
-        Some(self.eliminate(rows, None))
-    }
-
-    /// The tightened resolvent of a lower and an upper bound on `x`.
-    /// `None` on coefficient overflow.
-    fn resolve_tightened(
-        &self,
-        lo: &Constraint,
-        up: &Constraint,
-        x: SolverVar,
-    ) -> Option<Tightened> {
-        let a = up.expr.coeff(x); // > 0
-        let b = lo.expr.coeff(x).abs(); // > 0 after abs
-        let expr = up
-            .expr
-            .checked_scale(b)
-            .and_then(|l| lo.expr.checked_scale(a).and_then(|r| l.checked_add(&r)))?;
-        let cmp = match (up.cmp, lo.cmp) {
-            (Cmp::Le, Cmp::Le) => Cmp::Le,
-            _ => Cmp::Lt,
-        };
-        Some(self.tighten(Constraint { expr, cmp }))
-    }
-
     fn check_split(&self, constraints: Vec<Constraint>, splits_left: usize) -> LinResult {
         // Pull out the first disequality and case-split on it.
         if let Some(pos) = constraints.iter().position(|c| c.cmp == Cmp::Ne) {
@@ -351,17 +139,11 @@ impl FourierMotzkin {
             rhs.push(hi);
             return self.check_split(rhs, splits_left - 1);
         }
-        self.eliminate(constraints, None)
+        self.eliminate(constraints)
     }
 
-    /// Core loop over a disequality-free system. When `trace` is given,
-    /// records the substitutions and per-variable bound rows for
-    /// [`FourierMotzkin::check_with_trace`].
-    fn eliminate(
-        &self,
-        constraints: Vec<Constraint>,
-        mut trace: Option<&mut FmTrace>,
-    ) -> LinResult {
+    /// Core loop over a disequality-free system.
+    fn eliminate(&self, constraints: Vec<Constraint>) -> LinResult {
         let mut rows: Vec<Constraint> = Vec::with_capacity(constraints.len());
         for c in constraints {
             match self.tighten(c) {
@@ -403,9 +185,6 @@ impl FourierMotzkin {
                 else {
                     return LinResult::Unknown;
                 };
-                if let Some(t) = trace.as_deref_mut() {
-                    t.substs.push((x, solution.clone()));
-                }
                 let mut next = Vec::with_capacity(rows.len());
                 for c in rows.drain(..) {
                     let Some(expr) = c.expr.substitute(x, &solution) else {
@@ -448,14 +227,6 @@ impl FourierMotzkin {
                 } else {
                     lower.push(c);
                 }
-            }
-
-            if let Some(t) = trace.as_deref_mut() {
-                t.steps.push(FmStep {
-                    var: x,
-                    lower: lower.clone(),
-                    upper: upper.clone(),
-                });
             }
 
             let mut seen: HashSet<Constraint> = rest.iter().cloned().collect();
@@ -795,81 +566,5 @@ mod tests {
     fn unconstrained_variables_are_sat() {
         let cs = [Constraint::le(v(0), v(1)), Constraint::le(v(2), v(3))];
         assert!(fm().check(&cs).is_sat());
-    }
-
-    #[test]
-    fn trace_extension_matches_one_shot() {
-        // base: 0 ≤ i, i < len — sat, traced.
-        let base = [Constraint::ge(v(0), k(0)), Constraint::lt(v(0), v(1))];
-        let (r, trace) = fm().check_traced(&base);
-        assert!(r.is_sat());
-        let trace = trace.expect("sat base records a trace");
-        // + len ≤ i : unsat.
-        let got = fm().check_with_trace(&trace, &[Constraint::le(v(1), v(0))]);
-        assert_eq!(got, Some(LinResult::Unsat));
-        // + i ≤ 3 : still sat.
-        let got = fm().check_with_trace(&trace, &[Constraint::le(v(0), k(3))]);
-        assert_eq!(got, Some(LinResult::Sat));
-        // + a delta over a fresh variable pair, independently unsat.
-        let delta = [Constraint::ge(v(7), k(1)), Constraint::lt(v(7), k(1))];
-        let got = fm().check_with_trace(&trace, &delta);
-        assert_eq!(got, Some(LinResult::Unsat));
-    }
-
-    #[test]
-    fn trace_extension_handles_equality_and_disequality_deltas() {
-        // base: 0 ≤ i, i < len_a (sat, traced).
-        let base = [Constraint::ge(v(0), k(0)), Constraint::lt(v(0), v(1))];
-        let (r, trace) = fm().check_traced(&base);
-        assert!(r.is_sat());
-        let trace = trace.expect("trace");
-        // equality delta: len_a = len_b, then the entailment-style goal
-        // negation ¬(i < len_b) = len_b ≤ i: unsat.
-        let delta = [
-            Constraint::eq(v(1), v(2)),
-            Constraint::le(v(2), v(0)), // len_b ≤ i
-        ];
-        assert_eq!(
-            fm().check_with_trace(&trace, &delta),
-            Some(LinResult::Unsat)
-        );
-        // disequality delta: i ≠ 0 ∧ i ≤ 0 contradicts 0 ≤ i.
-        let delta = [Constraint::ne(v(0), k(0)), Constraint::le(v(0), k(0))];
-        assert_eq!(
-            fm().check_with_trace(&trace, &delta),
-            Some(LinResult::Unsat)
-        );
-        // i ≠ 0 alone stays sat.
-        let delta = [Constraint::ne(v(0), k(0))];
-        assert_eq!(fm().check_with_trace(&trace, &delta), Some(LinResult::Sat));
-    }
-
-    #[test]
-    fn traced_base_with_equalities_replays_substitutions() {
-        // base: x = y ∧ y = 3 (sat via Gaussian substitution).
-        let base = [Constraint::eq(v(0), v(1)), Constraint::eq(v(1), k(3))];
-        let (r, trace) = fm().check_traced(&base);
-        assert!(r.is_sat());
-        let trace = trace.expect("trace");
-        assert_eq!(
-            fm().check_with_trace(&trace, &[Constraint::le(v(0), k(2))]),
-            Some(LinResult::Unsat)
-        );
-        assert_eq!(
-            fm().check_with_trace(&trace, &[Constraint::le(v(0), k(3))]),
-            Some(LinResult::Sat)
-        );
-    }
-
-    #[test]
-    fn unsat_and_split_bases_record_no_trace() {
-        let unsat = [Constraint::lt(v(0), k(0)), Constraint::ge(v(0), k(0))];
-        let (r, trace) = fm().check_traced(&unsat);
-        assert!(r.is_unsat());
-        assert!(trace.is_none());
-        let ne = [Constraint::ne(v(0), k(0))];
-        let (r, trace) = fm().check_traced(&ne);
-        assert!(r.is_sat());
-        assert!(trace.is_none());
     }
 }

@@ -41,7 +41,7 @@ mod linexpr;
 
 pub use brute::BruteForce;
 pub use constraint::{Cmp, Constraint};
-pub use fourier_motzkin::{FmConfig, FmTrace, FourierMotzkin};
+pub use fourier_motzkin::{FmConfig, FourierMotzkin};
 pub use linexpr::LinExpr;
 
 /// An opaque solver variable.

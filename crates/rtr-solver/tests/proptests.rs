@@ -218,67 +218,6 @@ proptest! {
     }
 }
 
-// --- incremental Fourier–Motzkin (trace extension) --------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Incremental check via a recorded trace agrees with the one-shot
-    /// solver on arbitrary base/delta splits: whenever both produce a
-    /// definite verdict, the verdicts match. (Budget-`Unknown`s may
-    /// differ — both are conservative — but never a Sat/Unsat flip.)
-    #[test]
-    fn trace_extension_agrees_with_one_shot(
-        cs in proptest::collection::vec(arb_constraint(3), 1..7),
-        split in 0usize..7,
-    ) {
-        let fm = FourierMotzkin::default();
-        let split = split.min(cs.len());
-        let (base, delta) = cs.split_at(split);
-        let (base_result, trace) = fm.check_traced(base);
-        // The traced verdict itself must agree with the plain check.
-        prop_assert_eq!(base_result, fm.check(base));
-        if let Some(trace) = trace {
-            if let Some(incremental) = fm.check_with_trace(&trace, delta) {
-                let one_shot = fm.check(&cs);
-                if incremental != LinResult::Unknown && one_shot != LinResult::Unknown {
-                    prop_assert_eq!(
-                        incremental, one_shot,
-                        "base {:?} + delta {:?}", base, delta
-                    );
-                }
-            }
-        }
-    }
-
-    /// Entailment via trace extension (the checker's hot path: base facts
-    /// plus one negated-goal row) agrees with `FourierMotzkin::entails`.
-    #[test]
-    fn trace_entailment_agrees_with_one_shot(
-        facts in proptest::collection::vec(arb_constraint(3), 0..5),
-        goal in arb_constraint(3),
-    ) {
-        let fm = FourierMotzkin::default();
-        let (result, trace) = fm.check_traced(&facts);
-        if result == LinResult::Sat {
-            if let Some(trace) = trace {
-                if let Some(incremental) = fm.check_with_trace(&trace, &[goal.negate()]) {
-                    let mut all = facts.clone();
-                    all.push(goal.negate());
-                    let one_shot = fm.check(&all);
-                    if incremental != LinResult::Unknown && one_shot != LinResult::Unknown {
-                        prop_assert_eq!(incremental, one_shot);
-                    }
-                    // And the judgment the checker consumes:
-                    if incremental == LinResult::Unsat {
-                        prop_assert!(fm.entails(&facts, &goal));
-                    }
-                }
-            }
-        }
-    }
-}
-
 // --- incremental bitvector sessions -----------------------------------------
 
 fn arb_bvterm(width: u32) -> impl Strategy<Value = BvTerm> {
