@@ -1,8 +1,14 @@
-//! Shared fixtures for the benchmark suite: the paper programs and
-//! synthetic workload builders every bench target uses.
+//! Shared fixtures for the benchmark suite: the paper programs, the
+//! synthetic workload builders and the solver queries that `bench_json`
+//! times.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+
+use rtr_solver::bv::{BvAtom, BvLit, BvTerm};
+use rtr_solver::lin::{Constraint, LinExpr, SolverVar};
+use rtr_solver::rational::Rat;
+use rtr_solver::sat::{Cnf, Lit, Var};
 
 /// Fig. 1's `max` with its refined range.
 pub const MAX_SRC: &str = r#"
@@ -29,6 +35,30 @@ pub const XTIME_SRC: &str = r#"
         (cond
           [(bv= #x00 (AND num #x80)) n]
           [else (XOR n #x1b)])))
+"#;
+
+/// The guarded router of `examples/input_validation.rs`: the regex
+/// theory is on its hot path.
+pub const ROUTER_GUARDED_SRC: &str = r#"
+    (: serve-port : [s : Str #:where (=~ s #rx"[0-9]+")] -> Int)
+    (define (serve-port s) (string-length s))
+    (: route : Str -> Int)
+    (define (route req)
+      (if (regexp-match? #rx"[0-9]+" req)
+          (serve-port req)
+          -1))
+"#;
+
+/// [`ROUTER_GUARDED_SRC`] with a plain `Str` parameter, so `serve-port`'s
+/// call needs no regex entailment: the pair prices the regex theory.
+pub const ROUTER_PLAIN_SRC: &str = r#"
+    (: serve-port : Str -> Int)
+    (define (serve-port s) (string-length s))
+    (: route : Str -> Int)
+    (define (route req)
+      (if (regexp-match? #rx"[0-9]+" req)
+          (serve-port req)
+          -1))
 "#;
 
 /// A guarded access behind a chain of `n` let-aliases — the workload the
@@ -220,6 +250,65 @@ pub fn many_errors_module_src(n: usize) -> String {
     out
 }
 
+/// The satisfiable "bounds chain" `0 ≤ x₀`, `x_{k-1} + (k mod 3) ≤ x_k`,
+/// `x_{n-1} ≤ 100`: the shape of the index facts the checker accumulates.
+pub fn bounds_chain(n: u32) -> Vec<Constraint> {
+    let x = |k: u32| LinExpr::var(SolverVar(k));
+    let mut cs = vec![Constraint::ge(x(0), LinExpr::constant(0))];
+    for k in 1..n {
+        let off = LinExpr::constant(i64::from(k % 3));
+        cs.push(Constraint::le(x(k - 1).add(&off), x(k)));
+    }
+    cs.push(Constraint::le(x(n - 1), LinExpr::constant(100)));
+    cs
+}
+
+/// `2x = 1` within `-50 ≤ x ≤ 50`: unsatisfiable over the integers but
+/// not over the rationals, the gap integer tightening closes early.
+pub fn parity_gap() -> Vec<Constraint> {
+    let x = || LinExpr::var(SolverVar(0));
+    let two_x = x().scale(Rat::from_int(2));
+    vec![
+        Constraint::ge(two_x.clone(), LinExpr::constant(1)),
+        Constraint::le(two_x, LinExpr::constant(1)),
+        Constraint::ge(x(), LinExpr::constant(-50)),
+        Constraint::le(x(), LinExpr::constant(50)),
+    ]
+}
+
+/// §2.2's xtime obligation at `width` bits, as `(facts, goal)`:
+/// `num ≤ mask ⊢ ((2·num) & mask) ⊕ 0x1b ≤ mask`. It holds.
+pub fn xtime_query(width: u32) -> (Vec<BvLit>, BvLit) {
+    let mask = (1u64 << (width.clamp(9, 16) - 1)) - 1;
+    let num = BvTerm::var(SolverVar(0), width);
+    let k = |v: u64| BvTerm::constant(v, width);
+    let fact = BvLit::positive(BvAtom::ule(num.clone(), k(mask)));
+    let value = num.mul(k(2)).and(k(mask)).xor(k(0x1b));
+    (vec![fact], BvLit::positive(BvAtom::ule(value, k(mask))))
+}
+
+/// The pigeonhole formula for `n + 1` pigeons in `n` holes: unsatisfiable,
+/// and the CDCL core's stress test.
+pub fn pigeonhole(n: u32) -> Cnf {
+    let mut cnf = Cnf::new();
+    let pigeons = n + 1;
+    let var = |p: u32, h: u32| Var(p * n + h);
+    for _ in 0..pigeons * n {
+        cnf.fresh_var();
+    }
+    for p in 0..pigeons {
+        cnf.add_clause((0..n).map(|h| Lit::pos(var(p, h))));
+    }
+    for h in 0..n {
+        for p1 in 0..pigeons {
+            for p2 in (p1 + 1)..pigeons {
+                cnf.add_clause([Lit::neg(var(p1, h)), Lit::neg(var(p2, h))]);
+            }
+        }
+    }
+    cnf
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,13 +321,23 @@ mod tests {
         assert!(check_source(MAX_SRC, &c).is_ok());
         assert!(check_source(DOT_PROD_SRC, &c).is_ok());
         assert!(check_source(XTIME_SRC, &c).is_ok());
+        assert!(check_source(ROUTER_GUARDED_SRC, &c).is_ok());
+        assert!(check_source(ROUTER_PLAIN_SRC, &c).is_ok());
         assert!(check_source(&alias_chain_src(8), &c).is_ok());
         assert!(check_source(&narrowing_chain_src(6), &c).is_ok());
+        // Each ablation's largest fixture verifies with its optimization
+        // off, as its `bench_json` rows assert.
+        let no_repr = Checker::with_config(rtr_core::config::CheckerConfig {
+            representative_objects: false,
+            ..Default::default()
+        });
+        assert!(check_source(&alias_chain_src(16), &no_repr).is_ok());
         let pure = Checker::with_config(rtr_core::config::CheckerConfig {
             hybrid_env: false,
             ..Default::default()
         });
         assert!(check_source(&narrowing_chain_src(6), &pure).is_ok());
+        assert!(check_source(&narrowing_chain_src(12), &pure).is_ok());
         assert!(check_source(&filler_module_src(5), &c).is_ok());
         assert!(check_source(&values_module_src(10), &c).is_ok());
         assert!(check_source(&dot_prod_module_src(2), &c).is_ok());

@@ -40,14 +40,15 @@ pub struct CheckerConfig {
     /// ∨-canonicalization (whose semantics the `intern` unit tests cover
     /// directly).
     pub memoize: bool,
-    /// Cache and solve theory queries incrementally: memoize
-    /// linear/bitvector/string entailment and consistency verdicts on
-    /// canonicalized (sorted, deduplicated, de-Bruijn-renamed) constraint
-    /// fingerprints, reuse Fourier–Motzkin elimination traces across
-    /// snapshot-extended environments, and keep one bitvector solving
-    /// session (shared bit-blast encodings + learnt clauses) per checker.
-    /// Disable to run every solver query one-shot from scratch — the
-    /// reference behaviour the equivalence tests compare against.
+    /// Cache theory queries: memoize linear/bitvector/string entailment
+    /// and consistency verdicts in the `lin`/`bv`/`re` tables, keyed by
+    /// content alone (canonicalized — sorted, deduplicated,
+    /// de-Bruijn-renamed — constraint fingerprints), and keep one
+    /// persistent bitvector session (shared bit-blast encodings + learnt
+    /// clauses) and one regex session (compiled DFAs, products and
+    /// emptiness verdicts) per checker. Disable to run every solver query
+    /// one-shot from scratch — the reference behaviour the equivalence
+    /// tests compare against.
     /// Canonicalization preserves the solved constraint system up to
     /// variable renaming, so cached verdicts transfer soundly.
     pub solver_cache: bool,

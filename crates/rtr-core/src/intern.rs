@@ -462,17 +462,6 @@ pub fn canon_obj(o: &Obj) -> Arc<Obj> {
     ObjId::of(o).get()
 }
 
-/// Current *total* arena sizes `(types, propositions, objects)` across
-/// both regions — a coarse gauge of interner growth for diagnostics.
-pub fn arena_sizes() -> (usize, usize, usize) {
-    let s = arena_stats();
-    (
-        s.tys + s.fresh_tys,
-        s.props + s.fresh_props,
-        s.objs + s.fresh_objs,
-    )
-}
-
 /// Per-region arena sizes. The permanent region holds canonical trees of
 /// ordinary interned names; the fresh region holds trees mentioning
 /// [`Symbol::fresh`] names, which never recur across checked modules.
