@@ -38,8 +38,7 @@
 //! - `ablation/{hybrid_env,repr_objects,theories}/{on,off}/*`: the §4.1
 //!   hybrid environment and representative objects, and the §5 theories
 //!   against the λ_TR baseline, each switched off in a fresh checker per
-//!   iteration. `ablation/fm_tightening/{on,off}` is Fourier–Motzkin's
-//!   integer tightening on a parity gap.
+//!   iteration.
 //! - `solver/{fm,bv,sat,re}/*`: the theory solvers on their own, each
 //!   built once outside the timed closure.
 //!
@@ -49,9 +48,9 @@ use std::time::{Duration, Instant};
 
 use rtr_bench::{
     alias_chain_src, bounds_chain, bv_chain_src, dot_prod_module_src, filler_module_src,
-    many_errors_module_src, narrowing_chain_src, parity_gap, pigeonhole, string_module_src,
-    values_module_src, xtime_module_src, xtime_query, DOT_PROD_SRC, MAX_SRC, ROUTER_GUARDED_SRC,
-    ROUTER_PLAIN_SRC, XTIME_SRC,
+    many_errors_module_src, narrowing_chain_src, pigeonhole, string_module_src, values_module_src,
+    xtime_module_src, xtime_query, DOT_PROD_SRC, MAX_SRC, ROUTER_GUARDED_SRC, ROUTER_PLAIN_SRC,
+    XTIME_SRC,
 };
 use rtr_core::check::Checker;
 use rtr_core::config::CheckerConfig;
@@ -60,9 +59,7 @@ use rtr_corpus::gen::{generate, Library};
 use rtr_corpus::profiles::libraries;
 use rtr_lang::{check_module_source, check_module_source_incremental, check_source, ModuleCache};
 use rtr_solver::bv::BvSolver;
-use rtr_solver::lin::{
-    BruteForce, Constraint, FmConfig, FourierMotzkin, LinExpr, LinResult, SolverVar,
-};
+use rtr_solver::lin::{BruteForce, Constraint, FourierMotzkin, LinExpr, LinResult, SolverVar};
 use rtr_solver::re::{Dfa, ReConstraint, ReSolver, Regex};
 use rtr_solver::sat::{SatResult, Solver};
 
@@ -543,22 +540,6 @@ fn main() {
             }));
         }
     }
-    // Without tightening the rational model x = 1/2 survives.
-    let parity = parity_gap();
-    for (arm, integer_tightening, verdict) in [
-        ("on", true, LinResult::Unsat),
-        ("off", false, LinResult::Sat),
-    ] {
-        let fm = FourierMotzkin::new(FmConfig {
-            integer_tightening,
-            ..FmConfig::default()
-        });
-        let parity = parity.clone();
-        rows.push(row(format!("ablation/fm_tightening/{arm}"), move || {
-            assert_eq!(fm.check(&parity), verdict, "the parity gap's verdict");
-        }));
-    }
-
     // The theory solvers alone, on the query shapes the checker issues.
     let goal = Constraint::le(LinExpr::var(SolverVar(0)), LinExpr::constant(100));
     for n in [2, 4, 8, 12, 16] {

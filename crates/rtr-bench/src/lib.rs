@@ -7,7 +7,6 @@
 
 use rtr_solver::bv::{BvAtom, BvLit, BvTerm};
 use rtr_solver::lin::{Constraint, LinExpr, SolverVar};
-use rtr_solver::rational::Rat;
 use rtr_solver::sat::{Cnf, Lit, Var};
 
 /// Fig. 1's `max` with its refined range.
@@ -263,19 +262,6 @@ pub fn bounds_chain(n: u32) -> Vec<Constraint> {
     cs
 }
 
-/// `2x = 1` within `-50 ≤ x ≤ 50`: unsatisfiable over the integers but
-/// not over the rationals, the gap integer tightening closes early.
-pub fn parity_gap() -> Vec<Constraint> {
-    let x = || LinExpr::var(SolverVar(0));
-    let two_x = x().scale(Rat::from_int(2));
-    vec![
-        Constraint::ge(two_x.clone(), LinExpr::constant(1)),
-        Constraint::le(two_x, LinExpr::constant(1)),
-        Constraint::ge(x(), LinExpr::constant(-50)),
-        Constraint::le(x(), LinExpr::constant(50)),
-    ]
-}
-
 /// §2.2's xtime obligation at `width` bits, as `(facts, goal)`:
 /// `num ≤ mask ⊢ ((2·num) & mask) ⊕ 0x1b ≤ mask`. It holds.
 pub fn xtime_query(width: u32) -> (Vec<BvLit>, BvLit) {
@@ -313,42 +299,69 @@ pub fn pigeonhole(n: u32) -> Cnf {
 mod tests {
     use super::*;
     use rtr_core::check::Checker;
-    use rtr_lang::check_source;
+    use rtr_core::syntax::TyResult;
+
+    /// `src` verifies through the module driver, and its nested
+    /// `letrec`/`let` encoding, checked as one expression, verifies with
+    /// the same lifted value up to fresh-name suffixes.
+    fn verifies(src: &str, c: &Checker) {
+        let driver = rtr_lang::check_source(src, c).expect("the module driver verifies");
+        let nested = rtr_lang::elaborate_module_items(src)
+            .expect("reads")
+            .program();
+        let oracle = c
+            .check_program(&nested)
+            .expect("the nested encoding verifies");
+        assert_eq!(modulo_fresh(&driver), modulo_fresh(&oracle), "{src}");
+    }
+
+    /// `r`'s rendering without fresh-name suffixes (`b%24`): fresh names
+    /// are numbered process-wide, so two checks mint different ones.
+    fn modulo_fresh(r: &TyResult) -> String {
+        let mut in_suffix = false;
+        format!("{r:?}")
+            .chars()
+            .filter(|&c| {
+                in_suffix = c == '%' || (in_suffix && c.is_ascii_digit());
+                !in_suffix
+            })
+            .collect()
+    }
 
     #[test]
     fn fixtures_type_check() {
         let c = Checker::default();
-        assert!(check_source(MAX_SRC, &c).is_ok());
-        assert!(check_source(DOT_PROD_SRC, &c).is_ok());
-        assert!(check_source(XTIME_SRC, &c).is_ok());
-        assert!(check_source(ROUTER_GUARDED_SRC, &c).is_ok());
-        assert!(check_source(ROUTER_PLAIN_SRC, &c).is_ok());
-        assert!(check_source(&alias_chain_src(8), &c).is_ok());
-        assert!(check_source(&narrowing_chain_src(6), &c).is_ok());
+        verifies(MAX_SRC, &c);
+        verifies(DOT_PROD_SRC, &c);
+        verifies(XTIME_SRC, &c);
+        verifies(ROUTER_GUARDED_SRC, &c);
+        verifies(ROUTER_PLAIN_SRC, &c);
+        verifies(&alias_chain_src(8), &c);
+        verifies(&narrowing_chain_src(6), &c);
         // Each ablation's largest fixture verifies with its optimization
         // off, as its `bench_json` rows assert.
         let no_repr = Checker::with_config(rtr_core::config::CheckerConfig {
             representative_objects: false,
             ..Default::default()
         });
-        assert!(check_source(&alias_chain_src(16), &no_repr).is_ok());
+        verifies(&alias_chain_src(16), &no_repr);
         let pure = Checker::with_config(rtr_core::config::CheckerConfig {
             hybrid_env: false,
             ..Default::default()
         });
-        assert!(check_source(&narrowing_chain_src(6), &pure).is_ok());
-        assert!(check_source(&narrowing_chain_src(12), &pure).is_ok());
-        assert!(check_source(&filler_module_src(5), &c).is_ok());
-        assert!(check_source(&values_module_src(10), &c).is_ok());
-        assert!(check_source(&dot_prod_module_src(2), &c).is_ok());
-        assert!(check_source(&xtime_module_src(2), &c).is_ok());
-        assert!(check_source(&bv_chain_src(4), &c).is_ok());
-        assert!(check_source(&string_module_src(5), &c).is_ok());
+        verifies(&narrowing_chain_src(6), &pure);
+        verifies(&narrowing_chain_src(12), &pure);
+        verifies(&filler_module_src(5), &c);
+        verifies(&values_module_src(10), &c);
+        verifies(&dot_prod_module_src(2), &c);
+        verifies(&xtime_module_src(2), &c);
+        verifies(&bv_chain_src(4), &c);
+        verifies(&string_module_src(5), &c);
         let one_shot = Checker::with_config(rtr_core::config::CheckerConfig {
             solver_cache: false,
             ..Default::default()
         });
-        assert!(check_source(&string_module_src(5), &one_shot).is_ok());
+        verifies(&string_module_src(5), &one_shot);
     }
 
     #[test]

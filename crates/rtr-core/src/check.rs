@@ -11,12 +11,14 @@ use crate::budget::{BudgetState, CancelToken, Judgment, LimitKind};
 use crate::config::CheckerConfig;
 use crate::diag::{Code, Diagnostic, NodeId};
 use crate::env::Env;
-use crate::mutation::mutated_vars;
+use crate::module::ModuleItem;
 use crate::prims::delta;
 use crate::syntax::{Expr, FunTy, Lambda, LinCmp, Obj, Prim, Prop, Symbol, Ty, TyResult};
 
 /// A process-wide, lazily spawned worker thread with a 256 MiB stack for
-/// checking deep programs.
+/// checking deep modules: the module driver moves a run whose items nest
+/// past [`Checker::fits_inline_stack`] onto it (every check, including
+/// [`Checker::check_program`], goes through that driver).
 ///
 /// Spawning a fresh big-stack thread per deep check is cheap to create
 /// but expensive to *use*: the recursion touches megabytes of brand-new
@@ -47,17 +49,11 @@ pub(crate) mod big_stack {
         WORKER.get_or_init(|| Mutex::new(spawn_worker()))
     }
 
-    /// Runs `f` on the persistent big-stack worker, or returns `None`
-    /// when the worker is busy (a concurrent deep check holds it) so the
-    /// caller can fall back to a one-shot scoped thread. A worker killed
-    /// by an earlier panic is respawned transparently.
-    pub(crate) fn run<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> Option<R> {
-        try_run(f).ok()
-    }
-
-    /// Like [`run`], but hands the closure back when the worker is busy so
-    /// the caller can fall back to a one-shot thread without cloning the
-    /// captured state.
+    /// Runs `f` on the persistent big-stack worker, or hands the closure
+    /// back when the worker is busy (a concurrent deep check holds it) so
+    /// the caller can fall back to a one-shot scoped thread without
+    /// cloning the captured state. A worker killed by an earlier panic is
+    /// respawned transparently.
     pub(crate) fn try_run<R, F>(f: F) -> Result<R, F>
     where
         R: Send + 'static,
@@ -98,8 +94,6 @@ pub(crate) fn attach_node(mut d: Box<Diagnostic>, node: Option<NodeId>) -> Box<D
 /// Extracts the human-readable payload of a caught panic for an `E0203`
 /// internal-error diagnostic. `panic!("...")` payloads are `&str` or
 /// `String`; anything else gets a fixed placeholder.
-/// Extracts the human-readable message from a caught panic payload, for
-/// rendering an isolated internal error (`E0203`) diagnostic.
 pub fn panic_detail(p: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_owned()
@@ -139,9 +133,9 @@ pub struct Checker {
     /// fingerprints — never an environment's identity).
     caches: std::sync::Arc<crate::cache::Caches>,
     /// Resource-governance state (see [`crate::budget`]). The resident
-    /// state is shared by clones; `check_program`/`check_module` fork a
-    /// fresh one per check (and per module item) so one pathological
-    /// item cannot starve its neighbours.
+    /// state is shared by clones; the module driver forks a fresh one per
+    /// check (and per module item) so one pathological item cannot
+    /// starve its neighbours.
     budget: std::sync::Arc<BudgetState>,
 }
 
@@ -258,22 +252,12 @@ impl Checker {
         false
     }
 
-    /// Replaces a conservative rejection obtained under a tripped
-    /// budget with the structured `E0202` diagnostic (keeping the
+    /// Replaces a conservative rejection obtained under the tripped
+    /// `limit` with the structured `E0202` diagnostic (keeping the
     /// original location and recording the masked failure in a note).
     /// Diagnostics that already carry a resource/ICE code pass through.
-    pub(crate) fn degrade_to_exhausted(
-        &self,
-        d: Diagnostic,
-        context: impl FnOnce() -> String,
-    ) -> Diagnostic {
-        let tripped = self.budget.tripped();
-        self.degrade_with(d, tripped, context)
-    }
-
-    /// [`Checker::degrade_to_exhausted`] with an explicit limit: the
-    /// module driver passes "this item's trip, or any earlier item's"
-    /// so downstream failures caused by a starved (and thus
+    /// The module driver passes "this item's trip, or any earlier
+    /// item's", so downstream failures caused by a starved (and thus
     /// coarsely-poisoned) earlier definition also surface as `E0202`.
     pub(crate) fn degrade_with(
         &self,
@@ -321,89 +305,25 @@ impl Checker {
         self.caches.entry_count()
     }
 
-    /// Type checks a whole program: runs the mutation pre-pass (§4.2) and
-    /// synthesizes a type-result in the empty environment.
-    ///
-    /// Deep programs are checked on a dedicated thread with a large stack:
-    /// the judgments are deeply recursive and real modules nest
-    /// `let`/`begin` chains hundreds of levels deep once macros expand.
-    /// Shallow programs (the overwhelmingly common case) are checked
-    /// inline — a thread spawn with a 256 MiB stack costs tens of
-    /// microseconds, which dominates small checks.
+    /// Type checks a whole program: the module driver
+    /// ([`Checker::check_module`]) run over one trailing-expression item,
+    /// so the program gets the driver's mutation pre-pass (§4.2), stack
+    /// choice, budget fork, panic isolation and `E0202` degradation.
+    /// Returns the program's type-result in the empty environment, or
+    /// its first error.
     // One call per whole-program check: the unboxed Diagnostic is the
     // ergonomic public shape, and the hot recursive judgments box it.
     #[allow(clippy::result_large_err)]
     pub fn check_program(&self, e: &Expr) -> Result<TyResult, Diagnostic> {
-        let this = self.fork_check();
-        let _live = crate::intern::check_guard();
-        this.caches.reconcile_evictions();
-        // ~160 expression levels plus the (default-sized) logic fuel
-        // bound stays well within a default 2 MiB test-thread stack. The
-        // judgments also recurse up to `logic_fuel` frames, so a raised
-        // fuel budget forces the big-stack thread even for shallow
-        // programs.
-        let r = if this.fits_inline_stack(e) {
-            this.check_program_caught(e)
-        } else {
-            // Deep programs: prefer the persistent worker — a freshly
-            // spawned thread faults in every stack page the deep
-            // recursion touches (hundreds of microseconds for a
-            // 256-binder chain), while the long-lived worker keeps those
-            // pages warm across checks. The worker needs owned inputs; a
-            // `Checker` clone is two `Arc`s and the program copy is
-            // linear in its size, both far below one cold-stack penalty.
-            // When the worker is busy (parallel deep checks), fall back
-            // to a scoped one-shot thread.
-            let that = this.clone();
-            let owned = e.clone();
-            match big_stack::run(move || that.check_program_caught(&owned)) {
-                Some(r) => r,
-                None => this.on_big_stack(|| this.check_program_caught(e)),
-            }
+        let item = ModuleItem::Expr {
+            expr: e.clone(),
+            node: None,
         };
-        this.budget.note_margin();
-        r.map_err(|d| this.degrade_to_exhausted(d, || "this program".to_owned()))
-    }
-
-    /// [`Checker::check_program`] by move: deep programs ship the owned
-    /// AST to the big-stack worker instead of cloning it (a 256-binder
-    /// chain costs a triple-digit-microsecond copy otherwise). Prefer
-    /// this whenever the caller is done with the expression.
-    #[allow(clippy::result_large_err)]
-    pub fn check_program_owned(&self, e: Expr) -> Result<TyResult, Diagnostic> {
-        let this = self.fork_check();
-        let _live = crate::intern::check_guard();
-        this.caches.reconcile_evictions();
-        let r = if this.fits_inline_stack(&e) {
-            this.check_program_caught(&e)
-        } else {
-            let that = this.clone();
-            match big_stack::try_run(move || that.check_program_caught(&e)) {
-                Ok(r) => r,
-                Err(job) => this.on_big_stack(job),
-            }
-        };
-        this.budget.note_margin();
-        r.map_err(|d| this.degrade_to_exhausted(d, || "this program".to_owned()))
-    }
-
-    /// [`Checker::check_program_inner`] with panic isolation: an
-    /// internal checker bug yields an `E0203` diagnostic instead of
-    /// tearing down the caller (and, through the big-stack worker's
-    /// result channel, the whole process).
-    #[allow(clippy::result_large_err)]
-    fn check_program_caught(&self, e: &Expr) -> Result<TyResult, Diagnostic> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.check_program_inner(e)))
-            .unwrap_or_else(|p| Err(Diagnostic::ice("this program".to_owned(), panic_detail(&p))))
-    }
-
-    #[allow(clippy::result_large_err)]
-    fn check_program_inner(&self, e: &Expr) -> Result<TyResult, Diagnostic> {
-        let mut env = Env::new();
-        for x in mutated_vars(e) {
-            env.mark_mutable(x);
+        let mc = self.check_module(std::slice::from_ref(&item));
+        match mc.diagnostics.into_iter().find(|d| d.is_error()) {
+            Some(d) => Err(std::sync::Arc::unwrap_or_clone(d)),
+            None => Ok(mc.value.expect("a clean check has a value").lift()),
         }
-        self.synth(&env, e).map_err(|d| *d)
     }
 
     /// Whether `e` (at this checker's fuel and depth budgets) can be
@@ -424,9 +344,9 @@ impl Checker {
     /// judgments are deeply recursive and real modules nest `let`/`begin`
     /// chains hundreds of levels deep once macros expand.
     ///
-    /// This is the borrowing one-shot path; callers with owned (`'static`)
-    /// work should prefer [`big_stack::run`], which reuses a persistent
-    /// worker whose stack pages stay warm.
+    /// This is the borrowing one-shot path, the fallback when
+    /// [`big_stack::try_run`]'s persistent worker (whose stack pages stay
+    /// warm) is busy.
     pub(crate) fn on_big_stack<R: Send>(&self, f: impl FnOnce() -> R + Send) -> R {
         std::thread::scope(|scope| {
             std::thread::Builder::new()

@@ -1266,4 +1266,21 @@ mod tests {
         assert_eq!(eix.line_count(), 1);
         assert_eq!(eix.byte_to_loc(empty, 0), Loc { line: 1, col: 1 });
     }
+
+    #[test]
+    fn messages_are_informative() {
+        let e = Diagnostic::mismatch("(safe-vec-ref B i)".into(), &Ty::Int, &Ty::bool_ty());
+        let msg = e.to_string();
+        assert!(msg.contains("safe-vec-ref"));
+        assert!(msg.contains("expected Int"));
+        assert!(msg.contains("given Bool"));
+        assert_eq!(e.code, Code::TypeMismatch);
+        assert!(matches!(e.payload, Payload::Mismatch { .. }));
+    }
+
+    #[test]
+    fn error_trait_object() {
+        let e: Box<dyn std::error::Error> = Box::new(Diagnostic::unbound(Symbol::intern("q")));
+        assert!(e.to_string().contains("unbound"));
+    }
 }

@@ -666,8 +666,8 @@ impl Checker {
             return this.run_items(&slots, old, mutated, epoch, keep, fetch);
         }
         // Deep modules ride the persistent big-stack worker (warm stack
-        // pages) when it is free, else a one-shot big-stack thread; see
-        // `check_program`. The worker needs owned inputs.
+        // pages) when it is free, else a one-shot big-stack thread. The
+        // worker needs owned inputs.
         let slots: Vec<Slot<'static>> = slots.into_iter().map(Slot::into_owned).collect();
         let old = old.cloned();
         let that = this.clone();

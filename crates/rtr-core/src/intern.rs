@@ -122,13 +122,6 @@ impl TyId {
         id
     }
 
-    /// Interns `t` and reports whether its subtype verdicts are
-    /// *environment-independent* (see [`TyId::env_free`]).
-    pub fn of_with_env_free(t: &Ty) -> (TyId, bool) {
-        let id = TyId::of(t);
-        (id, id.env_free())
-    }
-
     /// The canonical type this id stands for.
     pub fn get(self) -> Arc<Ty> {
         if self.in_fresh_region() {
@@ -455,11 +448,6 @@ pub fn canon_ty(t: &Ty) -> Arc<Ty> {
 /// Canonicalizes a proposition.
 pub fn canon_prop(p: &Prop) -> Arc<Prop> {
     PropId::of(p).get()
-}
-
-/// Canonicalizes a symbolic object.
-pub fn canon_obj(o: &Obj) -> Arc<Obj> {
-    ObjId::of(o).get()
 }
 
 /// Per-region arena sizes. The permanent region holds canonical trees of

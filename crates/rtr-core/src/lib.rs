@@ -23,8 +23,7 @@
 //!   scaling machinery.
 //! * [`diag`] — structured, located diagnostics (spans, `E0xxx` codes,
 //!   payloads) and the human renderer; [`module`] — module-level checking
-//!   with multi-error recovery ([`errors`] keeps the old `TypeError` name
-//!   as an alias).
+//!   with multi-error recovery.
 //! * [`intern`] — hash-consed `TyId`/`PropId`/`ObjId` handles backing the
 //!   checker's memo tables and the environment's id-native storage.
 //! * [`pmap`] — the persistent HAMT the environment stores those ids in.
@@ -60,7 +59,6 @@ pub mod check;
 pub mod config;
 pub mod diag;
 pub mod env;
-pub mod errors;
 pub mod fingerprint;
 pub mod incremental;
 pub mod infer;

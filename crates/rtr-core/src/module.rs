@@ -1,13 +1,13 @@
 //! Module-level checking with multi-error recovery.
 //!
-//! [`crate::check::Checker::check_program`] is fail-fast: one nested
-//! core expression, first error wins. The §5 workflow — classifying
-//! *every* check site in a library — needs the opposite: check a whole
-//! module and report **all** of its diagnostics. This module provides
-//! the item-structured representation ([`ModuleItem`]) the surface
-//! language elaborates into and the recovering entry point
-//! ([`Checker::check_module`]): the module driver of
-//! [`crate::incremental`] run with no cache.
+//! The §5 workflow — classifying *every* check site in a library —
+//! needs a check of a whole module that reports **all** of its
+//! diagnostics. This module provides the item-structured representation
+//! ([`ModuleItem`]) the surface language elaborates into and the
+//! recovering entry point ([`Checker::check_module`]): the module driver
+//! of [`crate::incremental`] run with no cache. Every check goes through
+//! that driver; [`crate::check::Checker::check_program`] is the driver
+//! over one trailing-expression item.
 //!
 //! Recovery works by *poisoning*: when a definition fails to check, its
 //! binding is entered into the environment at its **declared** type (the
@@ -17,11 +17,12 @@
 //! definitions therefore produces N located diagnostics in one call.
 //!
 //! For well-typed modules the environments built here are *identical*
-//! to the ones the nested encoding produces — both go through the
-//! checker's shared `open_let_binding` and `letrec` binding logic —
-//! so a module is clean under `check_module` exactly when
-//! `check_program` accepts its nested encoding (the corpus equivalence
-//! tests pin this).
+//! to the ones the paper's nested `letrec`/`let` encoding produces — both
+//! go through the checker's shared `open_let_binding` and `letrec`
+//! binding logic — so a module is clean under `check_module` exactly
+//! when `check_program` accepts its nested encoding, and the lifted
+//! values agree up to fresh names. The nested encoding survives as the
+//! evaluator's input and as this test oracle.
 
 use std::sync::Arc;
 

@@ -1,7 +1,7 @@
 //! Per-check work counters.
 //!
-//! A `Trace` belongs to one check call: the budget forks a fresh one
-//! for every `check_program`, `check_module` and
+//! A `Trace` belongs to one check call: the module driver forks a fresh
+//! one for every `check_program`, `check_module` and
 //! `check_module_incremental` call, and that call's per-item budget
 //! forks share it. Judgment steps, memo-table lookups, case splits and
 //! the module driver's splice decisions all count into it, in every

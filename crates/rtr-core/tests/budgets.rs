@@ -44,7 +44,6 @@ fn starved_fm_budget_rejects_conservatively() {
         fm: FmConfig {
             max_rows: 1,
             max_splits: 0,
-            integer_tightening: true,
         },
         ..CheckerConfig::default()
     };
@@ -392,7 +391,6 @@ fn conservative_rejection_is_never_unsound() {
         fm: FmConfig {
             max_rows: 16,
             max_splits: 1,
-            integer_tightening: true,
         },
         ..CheckerConfig::default()
     });

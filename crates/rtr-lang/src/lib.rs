@@ -35,7 +35,7 @@ pub mod sexp;
 
 pub use incremental::{check_module_source_incremental, ModuleCache};
 pub use module::{
-    check_module_source, check_module_source_traced, check_source, elaborate_module,
-    elaborate_module_items, run_source, run_source_unchecked, ElaboratedModule, LangError,
-    ModuleReport,
+    check_and_run_source, check_module_source, check_module_source_traced, check_source,
+    elaborate_module, elaborate_module_items, run_source, run_source_unchecked, ElaboratedModule,
+    LangError, ModuleReport,
 };

@@ -20,15 +20,21 @@
 //! skipped — its `define`d name, when recoverable, is poisoned instead
 //! of cascading into unbound-variable errors).
 //!
-//! Two checking entry points sit on top:
+//! Every entry point checks the items with the core module driver
+//! ([`Checker::check_module`]):
 //!
 //! * [`check_module_source`] — the diagnostics-first path: never fails,
 //!   returns a [`ModuleReport`] with *every* diagnostic located in the
 //!   source. This is what [`rtr` sessions][paper] and the corpus
 //!   classifier use.
-//! * [`check_source`] — the historical fail-fast shim (first error
-//!   only), kept for compatibility. Deprecated: prefer
-//!   [`check_module_source`] or the facade's `Session`.
+//! * [`check_source`], [`run_source`] and [`check_and_run_source`] — the
+//!   first-error conveniences: the first syntax or type error as a
+//!   [`LangError`], else the module's lifted value (and, for the run
+//!   entry points, its evaluation).
+//!
+//! The nested `letrec`/`let` encoding of a module
+//! ([`ElaboratedModule::program`]) is what the evaluator runs, and the
+//! tests check it against the driver as an oracle.
 //!
 //! [paper]: https://doi.org/10.1145/2908080.2908091
 
@@ -129,7 +135,8 @@ pub struct ElaboratedModule {
 impl ElaboratedModule {
     /// The classic nested core encoding: every definition wraps the
     /// trailing expressions as `letrec`/`let`, exactly as the paper's
-    /// driver built it. Used by the evaluator and the fail-fast shim.
+    /// driver built it. The evaluator runs it, and tests check it against
+    /// the module driver as an oracle.
     /// Clones the items; callers done with the module use
     /// [`ElaboratedModule::into_program`] instead.
     pub fn program(&self) -> Expr {
@@ -139,11 +146,6 @@ impl ElaboratedModule {
     /// [`ElaboratedModule::program`] by move — no AST clone.
     pub fn into_program(self) -> Expr {
         nest_program(self.items)
-    }
-
-    /// Were all forms well-formed?
-    pub fn is_well_formed(&self) -> bool {
-        self.syntax_errors.is_empty()
     }
 }
 
@@ -436,23 +438,33 @@ pub fn elaborate_module(src: &str) -> Result<Expr, LangError> {
     Ok(m.into_program())
 }
 
-/// Parses, elaborates and type checks a module; returns its type-result.
+/// Parses, elaborates and type checks a module; returns its type-result
+/// (the module's value lifted over its definitions).
 ///
-/// **Deprecated shim**: fail-fast — only the *first* error surfaces, as
-/// a [`LangError`]. New code should use [`check_module_source`] (or the
-/// facade's `Session`), which reports every diagnostic with spans.
+/// Only the *first* error surfaces, as a [`LangError`]: the first
+/// syntax error, else the module driver's first error-severity
+/// diagnostic. [`check_module_source`] (or the facade's `Session`)
+/// reports every diagnostic.
 #[allow(clippy::result_large_err)] // cold entry points; Diagnostic stays unboxed in the public shape
 pub fn check_source(src: &str, checker: &Checker) -> Result<TyResult, LangError> {
+    check_items(src, checker).map(|(_, value)| value)
+}
+
+/// [`check_source`]'s check, also returning the elaborated items.
+#[allow(clippy::result_large_err)]
+fn check_items(src: &str, checker: &Checker) -> Result<(Vec<ModuleItem>, TyResult), LangError> {
     let m = elaborate_module_items(src)?;
     if let Some(e) = m.syntax_errors.first() {
         return Err(LangError::Syntax(e.clone()));
     }
-    let spans = m.spans;
-    let program = nest_program(m.items);
-    checker.check_program_owned(program).map_err(|mut d| {
-        d.resolve_spans(&spans);
-        LangError::Type(d)
-    })
+    let mc = checker.check_module(&m.items);
+    if let Some(d) = mc.diagnostics.into_iter().find(|d| d.is_error()) {
+        let mut d = Arc::unwrap_or_clone(d);
+        d.resolve_spans(&m.spans);
+        return Err(LangError::Type(d));
+    }
+    let value = mc.value.expect("a clean module check has a value").lift();
+    Ok((m.items, value))
 }
 
 /// Everything learned from checking one module's source: located
@@ -553,17 +565,19 @@ fn stamp_item_spans(results: &mut [ItemSummary], items: &[ModuleItem], spans: &S
 /// Parses, elaborates, type checks and runs a module.
 #[allow(clippy::result_large_err)] // cold entry points; Diagnostic stays unboxed in the public shape
 pub fn run_source(src: &str, checker: &Checker, fuel: u64) -> Result<Value, LangError> {
-    let m = elaborate_module_items(src)?;
-    if let Some(e) = m.syntax_errors.first() {
-        return Err(LangError::Syntax(e.clone()));
-    }
-    let spans = m.spans;
-    let program = nest_program(m.items);
-    checker.check_program(&program).map_err(|mut d| {
-        d.resolve_spans(&spans);
-        LangError::Type(d)
-    })?;
-    Ok(eval_program(&program, fuel)?)
+    check_and_run_source(src, checker, fuel).map(|(_, value)| value)
+}
+
+/// [`check_source`], then, after a clean check, evaluates the module's
+/// nested encoding: its type-result and its value from one check.
+#[allow(clippy::result_large_err)]
+pub fn check_and_run_source(
+    src: &str,
+    checker: &Checker,
+    fuel: u64,
+) -> Result<(TyResult, Value), LangError> {
+    let (items, ty) = check_items(src, checker)?;
+    Ok((ty, eval_program(&nest_program(items), fuel)?))
 }
 
 /// Runs a module without type checking (used to demonstrate dynamic
@@ -666,6 +680,27 @@ mod tests {
             .all(|d| d.code == Code::TypeMismatch));
     }
 
+    /// The paper's nested encoding of `src`, checked as one expression:
+    /// the oracle the module driver is compared against.
+    #[allow(clippy::result_large_err)] // check_program's shape
+    fn nested_oracle(src: &str) -> Result<TyResult, Diagnostic> {
+        let m = elaborate_module_items(src).expect("reads");
+        checker().check_program(&m.program())
+    }
+
+    /// `r`'s rendering without fresh-name suffixes (`b%24`): fresh names
+    /// are numbered process-wide, so two checks mint different ones.
+    fn modulo_fresh(r: &TyResult) -> String {
+        let mut in_suffix = false;
+        format!("{r:?}")
+            .chars()
+            .filter(|&c| {
+                in_suffix = c == '%' || (in_suffix && c.is_ascii_digit());
+                !in_suffix
+            })
+            .collect()
+    }
+
     #[test]
     fn recovery_agrees_with_the_fail_fast_shim() {
         for src in [
@@ -675,9 +710,10 @@ mod tests {
             "(: f : [x : Int] -> Int) (define (f x) #t)",
             "(+ 1 2) (+ 3 #t) (+ 4 5)",
         ] {
-            let strict = check_source(src, &checker()).is_ok();
+            let strict = nested_oracle(src).is_ok();
             let report = check_module_source(src, &checker());
             assert_eq!(strict, report.is_clean(), "disagreement on {src}");
+            assert_eq!(strict, check_source(src, &checker()).is_ok(), "{src}");
         }
     }
 
@@ -723,28 +759,13 @@ mod tests {
         let report = check_module_source(src, &checker());
         assert!(report.is_clean());
         let value = report.value.expect("value").lift();
-        let strict = check_source(src, &checker()).expect("checks");
-        // The existentialized binder is freshened per elaboration run
-        // (`b%24` vs `b%25`), so compare modulo the fresh suffix.
-        fn normalize(r: &TyResult) -> String {
-            let mut out = String::new();
-            let rendered = format!("{r:?}");
-            let mut chars = rendered.chars().peekable();
-            while let Some(c) = chars.next() {
-                if c == '%' {
-                    while chars.peek().is_some_and(|d| d.is_ascii_digit()) {
-                        chars.next();
-                    }
-                } else {
-                    out.push(c);
-                }
-            }
-            out
-        }
+        let strict = nested_oracle(src).expect("checks");
+        // The existentialized binder is freshened per check (`b%24` vs
+        // `b%25`), so compare modulo the fresh suffix.
         assert_eq!(
-            normalize(&value),
-            normalize(&strict),
-            "session value must match the shim's up to fresh renaming"
+            modulo_fresh(&value),
+            modulo_fresh(&strict),
+            "the driver's value must match the nested encoding's up to fresh renaming"
         );
 
         // And a free-variable scan agrees: nothing module-local leaks.

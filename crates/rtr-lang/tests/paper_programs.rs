@@ -1,10 +1,55 @@
 //! The paper's programs, written in the surface syntax and pushed through
 //! the full pipeline: read → expand → elaborate → check → run.
+//!
+//! Every program is also checked against the paper's own meaning of a
+//! module: its nested `letrec`/`let` encoding, checked as one expression.
 
 use rtr_core::check::Checker;
 use rtr_core::config::CheckerConfig;
 use rtr_core::interp::Value;
-use rtr_lang::{check_source, run_source, run_source_unchecked, LangError};
+use rtr_core::syntax::TyResult;
+use rtr_lang::{elaborate_module_items, run_source_unchecked, LangError};
+
+/// [`rtr_lang::check_source`], compared with the oracle: the nested
+/// encoding is clean exactly when the module driver is, and its value is
+/// the driver's lifted value up to fresh-name suffixes.
+#[allow(clippy::result_large_err)] // rtr_lang's shape
+fn check_source(src: &str, checker: &Checker) -> Result<TyResult, LangError> {
+    let driver = rtr_lang::check_source(src, checker);
+    let m = elaborate_module_items(src).expect("reads");
+    if m.syntax_errors.is_empty() {
+        match (&driver, checker.check_program(&m.program())) {
+            (Ok(d), Ok(o)) => assert_eq!(modulo_fresh(d), modulo_fresh(&o), "{src}"),
+            (d, o) => assert_eq!(
+                d.is_ok(),
+                o.is_ok(),
+                "the nested encoding disagrees:\n{src}"
+            ),
+        }
+    }
+    driver
+}
+
+/// [`rtr_lang::run_source`] after the oracle comparison of
+/// [`check_source`].
+#[allow(clippy::result_large_err)] // rtr_lang's shape
+fn run_source(src: &str, checker: &Checker, fuel: u64) -> Result<Value, LangError> {
+    let _ = check_source(src, checker);
+    rtr_lang::run_source(src, checker, fuel)
+}
+
+/// `r`'s rendering without fresh-name suffixes (`b%24`): fresh names are
+/// numbered process-wide, so two checks mint different ones.
+fn modulo_fresh(r: &TyResult) -> String {
+    let mut in_suffix = false;
+    format!("{r:?}")
+        .chars()
+        .filter(|&c| {
+            in_suffix = c == '%' || (in_suffix && c.is_ascii_digit());
+            !in_suffix
+        })
+        .collect()
+}
 
 fn rtr() -> Checker {
     Checker::default()

@@ -36,13 +36,6 @@ pub struct BlastState {
     true_lit: Option<Lit>,
 }
 
-impl BlastState {
-    /// Number of distinct terms whose encodings are cached.
-    pub fn num_cached_terms(&self) -> usize {
-        self.cache.len()
-    }
-}
-
 /// Incremental bit-blaster over a shared CNF.
 pub struct BitBlaster<'a> {
     cnf: &'a mut Cnf,

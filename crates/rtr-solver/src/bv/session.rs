@@ -99,11 +99,6 @@ impl BvSession {
     pub fn num_vars(&self) -> u32 {
         self.cnf.num_vars()
     }
-
-    /// Number of distinct reified literals (activation entries).
-    pub fn num_activations(&self) -> usize {
-        self.activations.len()
-    }
 }
 
 #[cfg(test)]

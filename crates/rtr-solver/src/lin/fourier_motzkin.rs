@@ -26,7 +26,9 @@ use super::linexpr::LinExpr;
 use super::{LinResult, SolverVar};
 use crate::rational::Rat;
 
-/// Resource budget and behaviour switches for [`FourierMotzkin`].
+/// Resource budget for [`FourierMotzkin`]. Integer tightening is always
+/// on: without it the procedure is the rational one, which answers `Sat`
+/// on integer-infeasible rows such as `2x = 1`.
 #[derive(Clone, Copy, Debug)]
 pub struct FmConfig {
     /// Maximum number of rows the eliminator may materialize before giving
@@ -35,10 +37,6 @@ pub struct FmConfig {
     /// Maximum number of disequality case-splits (the search explores at
     /// most `2^max_splits` branches).
     pub max_splits: usize,
-    /// Apply integer tightening (gcd normalization + constant rounding).
-    /// Disabling this yields the pure rational procedure; the ablation
-    /// benchmark measures what it buys.
-    pub integer_tightening: bool,
 }
 
 impl Default for FmConfig {
@@ -46,7 +44,6 @@ impl Default for FmConfig {
         FmConfig {
             max_rows: 50_000,
             max_splits: 8,
-            integer_tightening: true,
         }
     }
 }
@@ -166,7 +163,7 @@ impl FourierMotzkin {
                 let eq = rows.swap_remove(pos);
                 // Integer gcd test: Σ aᵢxᵢ + c = 0 with integer aᵢ is
                 // infeasible when gcd(aᵢ) ∤ c.
-                if self.config.integer_tightening && gcd_test_infeasible(&eq.expr) {
+                if gcd_test_infeasible(&eq.expr) {
                     return LinResult::Unsat;
                 }
                 // Solve for the variable with the smallest absolute
@@ -293,9 +290,6 @@ impl FourierMotzkin {
             } else {
                 Tightened::False
             };
-        }
-        if !self.config.integer_tightening {
-            return Tightened::Row(c);
         }
         if c.cmp == Cmp::Ne {
             return Tightened::Row(c); // split later, keep exact
@@ -457,17 +451,6 @@ mod tests {
             Constraint::le(two_x, k(1)),
         ];
         assert!(fm().check(&cs).is_unsat());
-        // Without tightening the rational relaxation is reported Sat.
-        let loose = FourierMotzkin::new(FmConfig {
-            integer_tightening: false,
-            ..FmConfig::default()
-        });
-        let two_x = v(0).scale(Rat::from_int(2));
-        let cs = [
-            Constraint::ge(two_x.clone(), k(1)),
-            Constraint::le(two_x, k(1)),
-        ];
-        assert!(loose.check(&cs).is_sat());
     }
 
     #[test]

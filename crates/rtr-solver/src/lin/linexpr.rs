@@ -41,14 +41,6 @@ impl LinExpr {
         }
     }
 
-    /// The constant expression given by a rational.
-    pub fn constant_rat(c: Rat) -> LinExpr {
-        LinExpr {
-            terms: Vec::new(),
-            constant: c,
-        }
-    }
-
     /// The expression `1·x`.
     pub fn var(x: SolverVar) -> LinExpr {
         LinExpr {
@@ -114,11 +106,6 @@ impl LinExpr {
     /// Returns `true` if the expression has no variable terms.
     pub fn is_constant(&self) -> bool {
         self.terms.is_empty()
-    }
-
-    /// Number of variable terms.
-    pub fn num_terms(&self) -> usize {
-        self.terms.len()
     }
 
     /// The set of variables mentioned.

@@ -696,12 +696,10 @@ fn repl(opts: &Options) -> ExitCode {
             prompt(&pending);
             continue;
         }
-        match check_source(&src, &checker) {
+        match rtr::lang::check_and_run_source(&src, &checker, opts.fuel) {
+            Ok((r, v)) => println!("{v} : {}", r.ty),
+            Err(e @ LangError::Eval(_)) => eprintln!("runtime error: {e}"),
             Err(e) => eprintln!("error: {e}"),
-            Ok(r) => match run_source(&src, &checker, opts.fuel) {
-                Ok(v) => println!("{v} : {}", r.ty),
-                Err(e) => eprintln!("runtime error: {e}"),
-            },
         }
         prompt(&pending);
     }

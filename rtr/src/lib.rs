@@ -69,7 +69,6 @@ pub mod prelude {
     pub use rtr_core::check::Checker;
     pub use rtr_core::config::CheckerConfig;
     pub use rtr_core::diag::{Code, Diagnostic, Severity, Span};
-    pub use rtr_core::errors::TypeError;
     pub use rtr_core::interp::{eval_program, EvalError, Value};
     pub use rtr_core::syntax::{Expr, Obj, Prim, Prop, Symbol, Ty, TyResult};
     pub use rtr_lang::{

@@ -227,14 +227,6 @@ impl Session {
         }
     }
 
-    /// A session wrapping an existing checker (sharing its caches).
-    pub fn from_checker(checker: Checker) -> Session {
-        Session {
-            checker,
-            ..Session::default()
-        }
-    }
-
     /// The session's checker.
     pub fn checker(&self) -> &Checker {
         &self.checker

@@ -55,7 +55,7 @@ fn error_types_are_std_errors() {
     let checker = Checker::default();
     let err = check_source("(add1 #t)", &checker).unwrap_err();
     takes_error(&err);
-    let type_err: TypeError = match err {
+    let type_err: Diagnostic = match err {
         LangError::Type(t) => t,
         other => panic!("expected a type error, got {other}"),
     };
