@@ -130,7 +130,7 @@ fn measure(name: String, samples: usize, quick: bool, mut f: impl FnMut()) -> Re
         Duration::from_millis(20)
     };
     // Untimed warm-up: absorbs one-time effects (lazy allocations, cache
-    // population, a pending interner eviction left by earlier workloads)
+    // population)
     // so both calibration and the timed samples observe steady state.
     for _ in 0..3 {
         f();
@@ -249,9 +249,9 @@ impl LspChild {
         }
     }
 
-    /// The `lsp check:` line's `rechecked` and `unchanged` counts for
-    /// `version`, which the server logs before it publishes.
-    fn check_stats(&self, version: i64) -> (usize, usize) {
+    /// The `lsp check:` line's `rechecked` count for `version`, which the
+    /// server logs before it publishes.
+    fn rechecked(&self, version: i64) -> usize {
         let tag = format!(" version={version} ");
         loop {
             let line = self.log.recv().expect("the server logs each check");
@@ -259,13 +259,11 @@ impl LspChild {
                 continue;
             }
             assert!(line.contains(" stale=false "), "{line}");
-            let count = |key: &str| {
-                line.split(' ')
-                    .find_map(|field| field.strip_prefix(key))
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| panic!("no {key} in {line}"))
-            };
-            return (count("rechecked="), count("unchanged="));
+            return line
+                .split(' ')
+                .find_map(|field| field.strip_prefix("rechecked="))
+                .and_then(|n| n.parse().ok())
+                .unwrap_or_else(|| panic!("no rechecked= in {line}"));
         }
     }
 }
@@ -282,9 +280,7 @@ impl Drop for LspChild {
 /// of `a` and `b` (alternating) as a full-text `didChange` and waits for
 /// that version's `publishDiagnostics`, which must carry `errors`
 /// diagnostics. The server's stats line must show that exactly the
-/// edited definition re-checked, or (when the session retired its
-/// interner arena, which discards item caches by design) that every
-/// item did; the latter may be at most one warm check in sixteen.
+/// edited definition re-checked.
 fn lsp_edit<'a>(a: &'a str, b: &'a str, errors: usize, uri: &'static str) -> impl FnMut() + 'a {
     use rtr::lsp::framing::{read_message, write_message};
 
@@ -293,7 +289,6 @@ fn lsp_edit<'a>(a: &'a str, b: &'a str, errors: usize, uri: &'static str) -> imp
     // server's round trip.
     let (a, b) = (rtr::json::escape(a), rtr::json::escape(b));
     let mut version = 0;
-    let (mut warm, mut full) = (0, 0);
     let mut step = move |text: &str, method: &str| {
         version += 1;
         let document = match method {
@@ -323,17 +318,9 @@ fn lsp_edit<'a>(a: &'a str, b: &'a str, errors: usize, uri: &'static str) -> imp
             errors,
             "the published diagnostics"
         );
-        let (rechecked, unchanged) = server.check_stats(version);
+        let rechecked = server.rechecked(version);
         if method == "textDocument/didChange" {
-            warm += 1;
-            if rechecked != 1 {
-                assert_eq!(unchanged, 0, "exactly the edited definition re-checks");
-                full += 1;
-                assert!(
-                    full * 16 <= warm + 15,
-                    "{full} of {warm} warm checks re-checked every item"
-                );
-            }
+            assert_eq!(rechecked, 1, "exactly the edited definition re-checks");
         }
     };
     step(&a, "textDocument/didOpen");

@@ -299,11 +299,11 @@ pub fn pigeonhole(n: u32) -> Cnf {
 mod tests {
     use super::*;
     use rtr_core::check::Checker;
-    use rtr_core::syntax::TyResult;
+    use rtr_core::syntax::{Symbol, TyResult};
 
     /// `src` verifies through the module driver, and its nested
     /// `letrec`/`let` encoding, checked as one expression, verifies with
-    /// the same lifted value up to fresh-name suffixes.
+    /// the same lifted value, as rendered.
     fn verifies(src: &str, c: &Checker) {
         let driver = rtr_lang::check_source(src, c).expect("the module driver verifies");
         let nested = rtr_lang::elaborate_module_items(src)
@@ -312,20 +312,13 @@ mod tests {
         let oracle = c
             .check_program(&nested)
             .expect("the nested encoding verifies");
-        assert_eq!(modulo_fresh(&driver), modulo_fresh(&oracle), "{src}");
+        assert_eq!(shown(&driver), shown(&oracle), "{src}");
     }
 
-    /// `r`'s rendering without fresh-name suffixes (`b%24`): fresh names
-    /// are numbered process-wide, so two checks mint different ones.
-    fn modulo_fresh(r: &TyResult) -> String {
-        let mut in_suffix = false;
-        format!("{r:?}")
-            .chars()
-            .filter(|&c| {
-                in_suffix = c == '%' || (in_suffix && c.is_ascii_digit());
-                !in_suffix
-            })
-            .collect()
+    /// `r` as rendered: fresh names numbered by first occurrence (the
+    /// two values mint their existentials in different scopes).
+    fn shown(r: &TyResult) -> String {
+        Symbol::renumbered(|| format!("{r:?}"))
     }
 
     #[test]

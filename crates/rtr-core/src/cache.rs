@@ -33,7 +33,6 @@
 use std::hash::Hash;
 
 use rtr_solver::fxhash::FxHashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use crate::intern::TyId;
@@ -216,9 +215,6 @@ pub(crate) struct Caches {
     /// The checker's persistent regex session (shared compiled DFAs,
     /// product automata and emptiness verdicts), created lazily.
     pub(crate) re_oracle: Mutex<Option<crate::solver_cache::ReOracle>>,
-    /// The interner evict-epoch this cache set has reconciled against
-    /// (see [`Caches::reconcile_evictions`]).
-    evict_seen: AtomicU64,
 }
 
 impl Caches {
@@ -232,20 +228,6 @@ impl Caches {
             + self.lin.len()
             + self.bv.len()
             + self.re.len()
-    }
-
-    /// Brings this cache set up to date with the interner's fresh-region
-    /// evictions (see [`crate::intern`]): if another session evicted the
-    /// fresh arena since our last check, drop the one table whose
-    /// *values* are type ids — a stale fresh id stored there would panic
-    /// on materialization. Keys are harmless: fresh indices are monotone
-    /// across evictions (never reused), so a stale key can only miss,
-    /// never alias a live entry.
-    pub(crate) fn reconcile_evictions(&self) {
-        let epoch = crate::intern::evict_epoch();
-        if self.evict_seen.swap(epoch, Ordering::Relaxed) != epoch {
-            self.update.clear();
-        }
     }
 
     /// Flushes the judgment-level memo tables (chaos `CacheFlush`

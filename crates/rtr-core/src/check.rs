@@ -936,7 +936,12 @@ impl Checker {
                         None => {
                             let arg_tys: Vec<Ty> =
                                 arg_results.iter().map(|r| r.ty.clone()).collect();
-                            let fun = self.instantiate_poly(p, &arg_tys, context)?;
+                            // Names minted here come from the key's own
+                            // scope, so a hit and a miss leave the item's
+                            // numbering alike.
+                            let fun = Symbol::scoped(Symbol::scope_key(("inst", &key)), || {
+                                self.instantiate_poly(p, &arg_tys, context)
+                            })?;
                             // A starved instantiation may be coarser than the
                             // fault-free one; don't let it poison warm caches.
                             if self.may_store() {

@@ -574,9 +574,8 @@ impl fmt::Display for Severity {
 
 /// The structured (machine-readable) part of a diagnostic. Types and
 /// failed refinement goals are carried as shared trees (`Arc<Ty>` /
-/// `Arc<Prop>`), materialized from the interner at construction — a
-/// diagnostic outlives the check that produced it (and any interner
-/// eviction after it), so it must not hold arena ids.
+/// `Arc<Prop>`), materialized from the interner at construction, so a
+/// diagnostic that outlives its check renders without the interner.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub enum Payload {
     /// No structured payload.

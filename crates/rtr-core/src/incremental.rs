@@ -122,10 +122,17 @@
 //! Degraded verdicts are never cached: a tripped per-item fork, an
 //! `E0202` (resource exhaustion) or `E0203` (ICE) diagnostic, and every
 //! failure in a run an earlier item degraded leave `reuse = None`, so
-//! they are always re-derived. A moved interner eviction epoch or a
-//! changed `set!`-mutated variable set discards the old cache (its
-//! environment snapshots are not comparable) and the run re-checks every
-//! slot, building a fresh one.
+//! they are always re-derived. A changed `set!`-mutated variable set
+//! discards the old cache (its environment snapshots are not comparable)
+//! and the run re-checks every slot, building a fresh one.
+//!
+//! # Fresh names
+//!
+//! A re-checked item mints its fresh names in its own [`Symbol::scoped`]
+//! scope: the defined name and how many earlier items define it, or a
+//! trailing expression's index. These are unique within a check, and a
+//! record splices only into a slot with its own scope (the names it left
+//! would otherwise be minted again by the item re-checked in that scope).
 //!
 //! # Cancellation
 //!
@@ -149,6 +156,8 @@ use std::borrow::Cow;
 use std::collections::HashSet;
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, OnceLock};
+
+use rtr_solver::fxhash::FxHashMap;
 
 use crate::budget::LimitKind;
 use crate::check::{attach_node, big_stack, panic_detail, Checker};
@@ -229,18 +238,17 @@ pub struct ItemRecord {
 
 /// Everything a previous driver run left behind for one module:
 /// per-slot records in check order with the environments between them,
-/// plus the run-wide preconditions (eviction epoch, mutated-variable
-/// set) that gate their reuse.
+/// plus the run-wide precondition (the mutated-variable set) that gates
+/// their reuse.
 #[derive(Clone, Debug)]
 pub struct ItemCache {
-    /// [`crate::intern::evict_epoch`] when the cache was built; a moved
-    /// epoch means interned ids in the snapshots may dangle.
-    epoch: u64,
     /// The union of `set!`-mutated variables the pre-pass marked.
     mutated: HashSet<Symbol>,
     /// One record per item, in check order (definitions first, then
     /// trailing expressions).
     records: Vec<Arc<ItemRecord>>,
+    /// The scope each record's fresh names were minted in.
+    scopes: Vec<ItemScope>,
     /// The indices of the records that mutate a variable or need the big
     /// stack, ascending: the only claimed records the pre-pass reads.
     special: Vec<usize>,
@@ -429,6 +437,59 @@ impl<'a> Slot<'a> {
     }
 }
 
+/// Where an item's fresh names are minted (see the module docs): the
+/// defined name and how many earlier items define it, or, for a
+/// trailing expression (`name: None`), its index among them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct ItemScope {
+    name: Option<Symbol>,
+    nth: u32,
+}
+
+impl ItemScope {
+    /// The scope key of the item's [`Symbol::scoped`] scope.
+    fn key(self) -> u64 {
+        Symbol::scope_key(("item", self))
+    }
+
+    /// Every slot's scope, in check order: the old run's when the slots
+    /// name the same items in the same order (an edit that renames,
+    /// inserts or deletes nothing), else counted afresh. A slot the
+    /// pre-pass left unelaborated claims an old record, whose scope knows
+    /// its name.
+    fn of_slots(slots: &[Slot<'_>], old: Option<&ItemCache>) -> Vec<ItemScope> {
+        let names = slots
+            .iter()
+            .map(|slot| match (slot.item.as_deref(), slot.reuse, old) {
+                (Some(item), _, _) => item.name(),
+                (None, Some(j), Some(c)) => c.scopes[j].name,
+                _ => unreachable!("the pre-pass elaborates every unclaimed slot"),
+            });
+        if let Some(c) = old.filter(|c| c.scopes.len() == slots.len()) {
+            if names.clone().zip(&c.scopes).all(|(n, s)| n == s.name) {
+                return c.scopes.clone();
+            }
+        }
+        let mut seen: FxHashMap<Option<Symbol>, u32> = FxHashMap::default();
+        let scopes: Vec<ItemScope> = names
+            .map(|name| {
+                let nth = seen.entry(name).or_default();
+                *nth += 1;
+                ItemScope {
+                    name,
+                    nth: *nth - 1,
+                }
+            })
+            .collect();
+        debug_assert_eq!(
+            scopes.iter().map(|s| s.key()).collect::<HashSet<_>>().len(),
+            scopes.len(),
+            "two items share a fresh-name scope key"
+        );
+        scopes
+    }
+}
+
 /// The ledger (see the module docs) for the slot that claims old record
 /// `at`.
 struct Ledger {
@@ -563,14 +624,14 @@ impl Checker {
     /// demand (with spans for the *current* file positions), returning
     /// `None` on failure.
     ///
-    /// Returns `None` only when a `fetch` failed. A stale eviction
-    /// epoch or a changed mutated-variable set does not fail the run; it
-    /// discards the old cache and re-checks everything, producing a
-    /// fresh one. Modules with deep items run on the big-stack worker.
+    /// Returns `None` only when a `fetch` failed. A changed
+    /// mutated-variable set does not fail the run; it discards the old
+    /// cache and re-checks everything, producing a fresh one. Modules
+    /// with deep items run on the big-stack worker.
     ///
     /// The returned [`ModuleCheck`] is equivalent to a from-scratch
     /// [`Checker::check_module`] over the same items (the equivalence
-    /// property tests pin this, modulo fresh-symbol numbering),
+    /// property tests pin this),
     /// alongside the new [`ItemCache`] and the run's work counters
     /// (`rechecked`, `skipped`, `cutoff_stopped`, `dep_spliced`, and
     /// everything the judgments counted). A check revoked through its
@@ -604,20 +665,11 @@ impl Checker {
     pub(crate) fn drive(
         &self,
         mut slots: Vec<Slot<'_>>,
-        old: Option<&ItemCache>,
+        mut old: Option<&ItemCache>,
         keep: bool,
         fetch: &mut dyn FnMut(usize) -> Option<ModuleItem>,
     ) -> Option<RunOutput> {
         let this = self.fork_check();
-        let _live = crate::intern::check_guard();
-        this.caches().reconcile_evictions();
-        let epoch = crate::intern::evict_epoch();
-
-        // The old cache is only trusted if nothing was evicted since it
-        // was built: interned ids inside its snapshots would dangle
-        // otherwise. A stale cache is discarded, not an error — the run
-        // proceeds all-fresh and rebuilds it.
-        let mut old = old.filter(|c| c.epoch == epoch);
 
         // Mutation pre-pass: the union of every item's `set!`-mutated
         // variables, and whether any item needs the big stack. A slot
@@ -663,7 +715,7 @@ impl Checker {
             }
         }
         if !deep {
-            return this.run_items(&slots, old, mutated, epoch, keep, fetch);
+            return this.run_items(&slots, old, mutated, keep, fetch);
         }
         // Deep modules ride the persistent big-stack worker (warm stack
         // pages) when it is free, else a one-shot big-stack thread. The
@@ -671,7 +723,7 @@ impl Checker {
         let slots: Vec<Slot<'static>> = slots.into_iter().map(Slot::into_owned).collect();
         let old = old.cloned();
         let that = this.clone();
-        let job = move || that.run_items(&slots, old.as_ref(), mutated, epoch, keep, &mut |_| None);
+        let job = move || that.run_items(&slots, old.as_ref(), mutated, keep, &mut |_| None);
         match big_stack::try_run(job) {
             Ok(r) => r,
             Err(job) => this.on_big_stack(job),
@@ -695,7 +747,6 @@ impl Checker {
         slots: &[Slot<'_>],
         old: Option<&ItemCache>,
         mutated: HashSet<Symbol>,
-        epoch: u64,
         keep: bool,
         fetch: &mut dyn FnMut(usize) -> Option<ModuleItem>,
     ) -> Option<RunOutput> {
@@ -715,6 +766,7 @@ impl Checker {
         // `None` until the next claim computes the ledger.
         let mut ledger: Option<Ledger> = None;
         let n = slots.len();
+        let scopes = ItemScope::of_slots(slots, old);
 
         let mut i = 0;
         while i < n {
@@ -747,7 +799,10 @@ impl Checker {
 
             // The splice rule (see the module docs).
             let splice = reusable.filter(|&(c, j, rec, ru)| {
-                if cancelled || !ru.fits(last, slot.reuse == Some(j), st.degraded.is_some()) {
+                if cancelled
+                    || c.scopes[j] != scopes[i]
+                    || !ru.fits(last, slot.reuse == Some(j), st.degraded.is_some())
+                {
                     return false;
                 }
                 if ledger.as_ref().is_none_or(|l| l.at != j) {
@@ -769,6 +824,7 @@ impl Checker {
                             .zip(j + 1..c.records.len())
                             .take_while(|&(s, r)| {
                                 slots[s].reuse == Some(r)
+                                    && c.scopes[r] == scopes[s]
                                     && !self.budget().cancelled()
                                     && c.records[r].reuse.as_ref().is_some_and(|ru| {
                                         ru.fits(s + 1 == n, true, st.degraded.is_some())
@@ -824,7 +880,21 @@ impl Checker {
             let diags_before = st.out.diagnostics.len();
             let binders_before = st.binders.len();
             let c = self.fork_item(item_salt(item));
-            let result = self.check_item(&c, item, last, &mut st);
+            // The item's fresh names come from its scope; debug builds
+            // assert that none is already bound where they will be bound.
+            let scope = scopes[i];
+            let taken = if cfg!(debug_assertions) {
+                st.env
+                    .types()
+                    .map(|(x, _)| x)
+                    .filter(|x| x.is_fresh())
+                    .collect()
+            } else {
+                HashSet::new()
+            };
+            let result = Symbol::scoped_avoiding(scope.key(), taken, || {
+                Symbol::renumbered(|| self.check_item(&c, item, last, &mut st))
+            });
             if let Some(v) = &result {
                 st.value = Some(Arc::clone(v));
             }
@@ -889,10 +959,12 @@ impl Checker {
             binders: st.binders.into(),
         });
 
+        let mut scopes = scopes;
+        scopes.truncate(st.records.len());
         let cache = ItemCache {
-            epoch,
             mutated,
             records: st.records,
+            scopes,
             special: st.special,
             envs: st.envs,
             reported: st.reported,
@@ -1311,27 +1383,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn stale_epoch_discards_the_cache_but_still_succeeds() {
-        let items = vec![good("ka"), good("kb")];
-        let checker = Checker::default();
-        let (_, cache, _) = checker
-            .check_module_incremental(&all_fresh(&items), None, &mut no_fetch)
-            .expect("cold run");
-        let stale = ItemCache {
-            epoch: cache.epoch.wrapping_add(1),
-            ..cache
-        };
-        let slots: Vec<IncrSlot> = (0..2).map(IncrSlot::Reused).collect();
-        let mut fetch = |i: usize| Some(items[i].clone());
-        let (r, _, s) = checker
-            .check_module_incremental(&slots, Some(&stale), &mut fetch)
-            .expect("stale cache is discarded, not fatal");
-        assert!(r.is_clean());
-        assert_eq!(s.rechecked, 2);
-        assert_eq!(s.skipped, 0);
-    }
-
     /// `name : [x : dom] -> Int`, defined as `(add1 x)`.
     fn helper(name: &str, refined: bool) -> ModuleItem {
         use crate::syntax::LinCmp;
@@ -1545,5 +1596,53 @@ mod tests {
             "{:?}",
             r.diagnostics
         );
+    }
+
+    /// `(define name (let ([t (not #t)]) k))`: its result quantifies
+    /// ghosts its type does not mention, and they stay bound in the
+    /// module environment, with no fact keyed by no name.
+    fn ghostly(name: &str, k: i64) -> ModuleItem {
+        let t = Symbol::intern("gh_t");
+        let not = Expr::prim_app(Prim::Not, vec![Expr::Bool(true)]);
+        ModuleItem::Define {
+            name: Symbol::intern(name),
+            sig: None,
+            rhs: Expr::let_(t, not, Expr::Int(k)),
+            node: None,
+            sig_node: None,
+        }
+    }
+
+    #[test]
+    fn a_record_splices_only_under_its_own_fresh_name_scope() {
+        let checker = Checker::default();
+        let (b, c) = (ghostly("gh", 2), ghostly("gh", 3));
+        let v1 = [ghostly("gh", 1), b.clone(), c.clone()];
+        let (_, c1, _) = checker
+            .check_module_incremental(&all_fresh(&v1), None, &mut no_fetch)
+            .expect("cold run");
+        // Deleting the first definition moves the others to the scopes
+        // of the first and the second: both re-check, neither splices
+        // names of its old scope.
+        let v2 = [b.clone(), c.clone()];
+        let mut fetch = |i: usize| Some(v2[i].clone());
+        let slots: Vec<IncrSlot> = (1..3).map(IncrSlot::Reused).collect();
+        let (r2, c2, s2) = checker
+            .check_module_incremental(&slots, Some(&c1), &mut fetch)
+            .expect("warm run");
+        assert!(r2.is_clean());
+        assert_eq!((s2.rechecked, s2.skipped), (2, 0));
+        // A third definition takes the scope the last one had before;
+        // it must mint no name bound by the items before it (debug
+        // builds assert this, and a clash would surface as an E0203).
+        let d = ghostly("gh", 4);
+        let v3 = [b, c, d.clone()];
+        let mut fetch = |i: usize| Some(v3[i].clone());
+        let slots = [IncrSlot::Reused(0), IncrSlot::Reused(1), IncrSlot::Fresh(d)];
+        let (r3, _, s3) = checker
+            .check_module_incremental(&slots, Some(&c2), &mut fetch)
+            .expect("warm run");
+        assert!(r3.is_clean(), "{:?}", r3.diagnostics);
+        assert_eq!((s3.rechecked, s3.skipped), (1, 2));
     }
 }

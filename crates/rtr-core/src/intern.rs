@@ -37,34 +37,27 @@
 //! `Env::unbind` a pure map remove in the common case), a
 //! mentions-refinement flag, and a solver-relevant theory mask
 //! ([`THEORY_LIN`]/[`THEORY_BV`]/[`THEORY_STR`]). The environment-freedom
-//! and fresh-region flags are packed into the id itself, so the hottest
-//! checks need no arena lookup at all.
+//! flag is packed into the id itself, so the hottest checks need no arena
+//! lookup at all.
 //!
-//! **Arena regions.** The interner is global (like
-//! [`crate::syntax::Symbol`]'s). Canonical entries whose symbols are all
-//! ordinary interned names go to the *permanent* arena and live for the
-//! program's lifetime. Trees that mention a [`Symbol::fresh`] name — ghost
-//! existentials, selfification binders, generated parameter names — can
-//! never recur across checked modules, so they are routed to a separate
-//! *fresh region* with its own (capped, flushed-on-overflow) raw-tree
-//! memo. [`maybe_evict_fresh`] drops the region between checks together
-//! with its entries in the canonical lookup maps. A fresh symbol is a
-//! self-describing id that takes no slot in the symbol table, and telling
-//! it apart is a bit test, so an eviction leaves no per-name residue in
-//! either table; [`arena_stats`] reports both regions and the symbol
-//! table's size.
+//! **One permanent arena.** The interner is global (like
+//! [`crate::syntax::Symbol`]'s), and every canonical entry lives for the
+//! program's lifetime. That includes trees over [`Symbol::fresh`] names
+//! (ghost existentials, selfification binders, generated parameter
+//! names): those names are numbered per item, per elaborated form and
+//! per memoized judgment, so re-checking the same content mints the same
+//! names and interns the same trees, and the arena is bounded by the
+//! content checked, not by the number of checks. [`arena_stats`] reports
+//! the arena and the symbol table's size.
 //!
 //! **Per-thread tables.** The store is one mutex, and sharded checks
 //! (`fig9 --jobs`, `rtr check --jobs`) would otherwise take it for
-//! nearly every [`TyId::get`] and [`TyId::of`]. Most of those calls
-//! resolve to the permanent region, so each thread keeps a table of the
-//! permanent entries it has read: its own deep copy of each permanent
-//! type `get` returned (cloning that `Arc` touches no refcount another
-//! thread shares), and the raw trees `of` resolved to permanent ids
-//! (capped at 4,096 trees, cleared when full). The tables hold
-//! immortal entries only: a permanent id is never evicted or reused, so
-//! an entry never needs invalidating. Fresh-region ids always take the
-//! locked path, which is where a stale id is caught.
+//! nearly every [`TyId::get`] and [`TyId::of`]. So each thread keeps a
+//! table of the entries it has read: its own deep copy of each type
+//! `get` returned (cloning that `Arc` touches no refcount another thread
+//! shares), and the raw trees `of` resolved, each capped at 4,096
+//! entries and cleared when full. An id is never reused, so an entry
+//! never needs invalidating.
 
 use std::cell::RefCell;
 use std::collections::HashSet;
@@ -83,14 +76,10 @@ pub const THEORY_BV: u8 = 2;
 /// Theory-mask bit: the type mentions regex-membership atoms.
 pub const THEORY_STR: u8 = 4;
 
-/// Id bit marking entries in the fresh-named region.
-const FRESH_BIT: u32 = 1 << 31;
 /// Id bit (types only) marking environment-free types.
 const ENV_FREE_BIT: u32 = 1 << 30;
-/// Index mask for type ids (both flag bits stripped).
+/// Index mask for type ids (the flag bit stripped).
 const TY_IDX: u32 = ENV_FREE_BIT - 1;
-/// Index mask for proposition/object ids (fresh bit stripped).
-const IDX: u32 = FRESH_BIT - 1;
 
 /// An interned, canonicalized type.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -111,33 +100,27 @@ impl TyId {
             return id;
         }
         let id = TyId(store().lock_recover().ty(t));
-        if !id.in_fresh_region() {
-            LOCAL.with_borrow_mut(|l| {
-                if l.ty_ids.len() >= LOCAL_MEMO_CAP {
-                    l.ty_ids.clear();
-                }
-                l.ty_ids.insert(t.clone(), id);
-            });
-        }
+        LOCAL.with_borrow_mut(|l| {
+            if l.ty_ids.len() >= LOCAL_MEMO_CAP {
+                l.ty_ids.clear();
+            }
+            l.ty_ids.insert(t.clone(), id);
+        });
         id
     }
 
     /// The canonical type this id stands for.
     pub fn get(self) -> Arc<Ty> {
-        if self.in_fresh_region() {
-            return store().lock_recover().ty_arc(self.0).clone();
-        }
-        let idx = (self.0 & TY_IDX) as usize;
-        if let Some(t) = LOCAL.with_borrow(|l| l.tys.get(idx).cloned().flatten()) {
+        if let Some(t) = LOCAL.with_borrow(|l| l.tys.get(&self.0).cloned()) {
             return t;
         }
         let shared = store().lock_recover().ty_arc(self.0).clone();
         let own = Arc::new((*shared).clone());
         LOCAL.with_borrow_mut(|l| {
-            if l.tys.len() <= idx {
-                l.tys.resize(idx + 1, None);
+            if l.tys.len() >= LOCAL_MEMO_CAP {
+                l.tys.clear();
             }
-            l.tys[idx] = Some(own.clone());
+            l.tys.insert(self.0, own.clone());
         });
         own
     }
@@ -153,12 +136,6 @@ impl TyId {
     /// Read from a bit packed into the id — no arena lookup.
     pub fn env_free(self) -> bool {
         self.0 & ENV_FREE_BIT != 0
-    }
-
-    /// Does this type mention a [`Symbol::fresh`] name (and therefore
-    /// live in the interner's fresh region)?
-    pub fn in_fresh_region(self) -> bool {
-        self.0 & FRESH_BIT != 0
     }
 
     /// The canonical `⊤` id.
@@ -321,11 +298,6 @@ impl PropId {
         self.0
     }
 
-    /// Does this proposition mention a [`Symbol::fresh`] name?
-    pub fn in_fresh_region(self) -> bool {
-        self.0 & FRESH_BIT != 0
-    }
-
     /// Does the proposition mention variable `x` free? Exactly matches
     /// [`Prop::free_vars`] (object-level variables; types embedded in
     /// membership atoms are not consulted), cached per id.
@@ -366,11 +338,6 @@ impl ObjId {
     /// The raw arena index (flag bits included).
     pub fn as_u32(self) -> u32 {
         self.0
-    }
-
-    /// Does this object mention a [`Symbol::fresh`] name?
-    pub fn in_fresh_region(self) -> bool {
-        self.0 & FRESH_BIT != 0
     }
 
     /// Does the object mention variable `x`? Exactly matches
@@ -450,41 +417,37 @@ pub fn canon_prop(p: &Prop) -> Arc<Prop> {
     PropId::of(p).get()
 }
 
-/// Per-region arena sizes. The permanent region holds canonical trees of
-/// ordinary interned names; the fresh region holds trees mentioning
-/// [`Symbol::fresh`] names, which never recur across checked modules.
-/// Comparing snapshots around a `check_source` call measures how much
-/// each module leaks into which region.
+/// Arena sizes. Comparing snapshots around a `check_source` call
+/// measures how much each module adds to the arena.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArenaStats {
-    /// Permanent type entries.
+    /// Type entries.
     pub tys: usize,
-    /// Permanent proposition entries.
+    /// Proposition entries.
     pub props: usize,
-    /// Permanent object entries.
+    /// Object entries.
     pub objs: usize,
-    /// Fresh-region type entries.
+    /// Always 0: there is no separate region for trees over fresh names
+    /// (kept for readers of the former per-region counts).
     pub fresh_tys: usize,
-    /// Fresh-region proposition entries.
+    /// Always 0 (see [`ArenaStats::fresh_tys`]).
     pub fresh_props: usize,
-    /// Fresh-region object entries.
+    /// Always 0 (see [`ArenaStats::fresh_tys`]).
     pub fresh_objs: usize,
     /// Names in the global symbol table ([`Symbol::interned_count`]);
     /// fresh symbols take no slot there.
     pub symbols: usize,
 }
 
-/// Snapshot of the interner's per-region sizes.
+/// Snapshot of the interner's sizes.
 pub fn arena_stats() -> ArenaStats {
     let s = store().lock_recover();
     ArenaStats {
         tys: s.tys.len(),
         props: s.props.len(),
         objs: s.objs.len(),
-        fresh_tys: s.fresh_tys.len(),
-        fresh_props: s.fresh_props.len(),
-        fresh_objs: s.fresh_objs.len(),
         symbols: Symbol::interned_count(),
+        ..ArenaStats::default()
     }
 }
 
@@ -520,38 +483,21 @@ struct ObjMeta {
 
 #[derive(Default)]
 struct Store {
-    // --- permanent region -------------------------------------------------
+    // --- arenas -------------------------------------------------------------
     tys: Vec<Arc<Ty>>,
     ty_metas: Vec<TyMeta>,
     props: Vec<Arc<Prop>>,
     prop_metas: Vec<PropMeta>,
     objs: Vec<Arc<Obj>>,
     obj_metas: Vec<ObjMeta>,
-    // --- fresh region (trees mentioning `Symbol::fresh` names) -----------
-    fresh_tys: Vec<Arc<Ty>>,
-    fresh_ty_metas: Vec<TyMeta>,
-    fresh_props: Vec<Arc<Prop>>,
-    fresh_prop_metas: Vec<PropMeta>,
-    fresh_objs: Vec<Arc<Obj>>,
-    fresh_obj_metas: Vec<ObjMeta>,
-    // Generational eviction offsets: a fresh id's index is
-    // `base + position`, and bases only ever advance (monotone), so an
-    // evicted id can never alias a live entry — a stale access panics in
-    // the region accessors instead (see `evict_fresh_region`).
-    fresh_ty_base: usize,
-    fresh_prop_base: usize,
-    fresh_obj_base: usize,
-    // --- canonical lookup (both regions) ----------------------------------
+    // --- canonical lookup ---------------------------------------------------
     ty_canon: FxHashMap<Arc<Ty>, u32>,
     prop_canon: FxHashMap<Arc<Prop>, u32>,
     obj_canon: FxHashMap<Arc<Obj>, u32>,
-    // --- raw-tree memos (permanent names / fresh names, separately capped)
+    // --- raw-tree memos -----------------------------------------------------
     ty_memo: FxHashMap<Ty, u32>,
-    fresh_ty_memo: FxHashMap<Ty, u32>,
     prop_memo: FxHashMap<Prop, u32>,
-    fresh_prop_memo: FxHashMap<Prop, u32>,
     obj_memo: FxHashMap<Obj, u32>,
-    fresh_obj_memo: FxHashMap<Obj, u32>,
     // --- id-level structure (constructors/destructors) --------------------
     /// Member ids of interned union types.
     ty_unions: FxHashMap<u32, Vec<u32>>,
@@ -575,17 +521,15 @@ fn store() -> &'static Mutex<Store> {
     STORE.get_or_init(|| Mutex::new(Store::default()))
 }
 
-/// Cap on a thread's raw-tree table ([`Local::ty_ids`]).
+/// Cap on each of a thread's tables ([`Local`]).
 const LOCAL_MEMO_CAP: usize = 1 << 12;
 
-/// One thread's lock-free view of permanent-region types (see the
-/// module doc). Only permanent ids ever enter it.
+/// One thread's lock-free view of the type arena (see the module doc).
 #[derive(Default)]
 struct Local {
-    /// This thread's own copy of each permanent type it has read, by
-    /// arena index.
-    tys: Vec<Option<Arc<Ty>>>,
-    /// Raw trees this thread interned to a permanent id.
+    /// This thread's own copy of types it has read, by raw id.
+    tys: FxHashMap<u32, Arc<Ty>>,
+    /// Raw trees this thread interned.
     ty_ids: FxHashMap<Ty, TyId>,
 }
 
@@ -593,90 +537,30 @@ thread_local! {
     static LOCAL: RefCell<Local> = RefCell::default();
 }
 
-/// Resolves a fresh-region index against its generational base,
-/// panicking on a stale (pre-eviction) id — loudly wrong beats silently
-/// aliased, and the per-item panic isolation turns it into one `E0203`
-/// diagnostic if it ever fires.
-fn fresh_slot(idx: usize, base: usize, what: &str) -> usize {
-    idx.checked_sub(base).unwrap_or_else(|| {
-        panic!("stale fresh {what}: its interner region was evicted while the id was held")
-    })
-}
-
-/// Checks currently running (interner ids live on their stacks/envs).
-/// Eviction only proceeds when this is zero.
-static ACTIVE_CHECKS: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
-
-/// Bumped once per fresh-region eviction; caches compare against their
-/// last-seen value to drop id-valued entries (see
-/// `crate::cache::Caches::reconcile_evictions`).
-static EVICT_EPOCH: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// RAII marker for an in-flight check; created by the checking entry
-/// points before any interning so [`maybe_evict_fresh`] never pulls the
-/// fresh region out from under a live judgment.
-pub struct CheckGuard(());
-
-impl Drop for CheckGuard {
-    fn drop(&mut self) {
-        ACTIVE_CHECKS.fetch_sub(1, std::sync::atomic::Ordering::Release);
-    }
-}
-
-/// Marks a check as in-flight for the duration of the returned guard.
-pub fn check_guard() -> CheckGuard {
-    ACTIVE_CHECKS.fetch_add(1, std::sync::atomic::Ordering::Acquire);
-    CheckGuard(())
-}
-
-/// The number of fresh-region evictions performed so far.
+/// The number of fresh-region evictions so far: always 0. Every entry is
+/// permanent (see the module doc); kept for callers that read it.
 pub fn evict_epoch() -> u64 {
-    EVICT_EPOCH.load(std::sync::atomic::Ordering::Acquire)
+    0
 }
 
-/// Evicts the fresh arena region if it holds more than `threshold`
-/// entries (types + propositions + objects) **and** no check is
-/// currently running. Returns whether an eviction happened.
-///
-/// Called between checks (e.g. by the session layer): fresh-named trees
-/// never recur across checked modules, so everything the region
-/// accumulated for the last module is garbage by now. The monotone id
-/// scheme makes this safe even against stragglers: an id minted before
-/// the eviction can never read a later entry — it panics instead.
-pub fn maybe_evict_fresh(threshold: usize) -> bool {
-    let mut s = store().lock_recover();
-    // Read under the store lock: a new check must intern through this
-    // same lock, so a guard registered after this load cannot have
-    // minted fresh ids before the eviction below.
-    if ACTIVE_CHECKS.load(std::sync::atomic::Ordering::Acquire) != 0 {
-        return false;
-    }
-    if s.fresh_tys.len() + s.fresh_props.len() + s.fresh_objs.len() <= threshold {
-        return false;
-    }
-    s.evict_fresh_region();
-    EVICT_EPOCH.fetch_add(1, std::sync::atomic::Ordering::Release);
-    true
+/// Would evict a fresh arena region past `threshold` entries, but every
+/// entry is permanent (see the module doc), so it returns `false`; kept
+/// for callers that invoke it.
+pub fn maybe_evict_fresh(_threshold: usize) -> bool {
+    false
 }
 
-/// Cap on the permanent raw-tree memo maps (`*_memo`). These maps clone
+/// Cap on the raw-tree memo maps (`*_memo`). These maps clone
 /// every raw input tree as a key purely to skip re-canonicalization;
 /// clearing them is always sound (the canonical arenas — which ids index
 /// into — are untouched, so existing ids stay valid).
 const MEMO_CAP: usize = 1 << 20;
-
-/// Cap on the fresh-region raw-tree memos. Much smaller: fresh-named raw
-/// trees recur only within one checked module, so there is no point
-/// holding a module's worth of gensym'd keys after it finishes.
-const FRESH_MEMO_CAP: usize = 1 << 16;
 
 /// One tree-walk collecting everything the per-id metadata needs.
 #[derive(Default)]
 struct Scan {
     /// Object-level variable mentions, binders included.
     vars: HashSet<Symbol>,
-    /// Type-variable mentions (only consulted for freshness).
-    tvars: HashSet<Symbol>,
     mask: u8,
     has_refinement: bool,
 }
@@ -691,10 +575,8 @@ impl Scan {
             | Ty::Unit
             | Ty::BitVec
             | Ty::Str
-            | Ty::Regex => {}
-            Ty::TVar(a) => {
-                self.tvars.insert(*a);
-            }
+            | Ty::Regex
+            | Ty::TVar(_) => {}
             Ty::Pair(a, b) => {
                 self.ty(a);
                 self.ty(b);
@@ -714,10 +596,7 @@ impl Scan {
                 self.ty(&r.base);
                 self.prop(&r.prop);
             }
-            Ty::Poly(p) => {
-                self.tvars.extend(p.vars.iter().copied());
-                self.ty(&p.body);
-            }
+            Ty::Poly(p) => self.ty(&p.body),
         }
     }
 
@@ -791,11 +670,6 @@ impl Scan {
         }
     }
 
-    /// Does anything in the scan mention a `Symbol::fresh` name?
-    fn any_fresh(&self) -> bool {
-        self.vars.iter().chain(&self.tvars).any(|x| x.is_fresh())
-    }
-
     fn sorted_vars(&self) -> Arc<[Symbol]> {
         let mut v: Vec<Symbol> = self.vars.iter().copied().collect();
         v.sort_unstable();
@@ -828,115 +702,30 @@ fn ty_rank(t: &Ty) -> u8 {
 }
 
 impl Store {
-    // --- region plumbing --------------------------------------------------
+    // --- arena access -------------------------------------------------------
 
     fn ty_arc(&self, id: u32) -> &Arc<Ty> {
-        let idx = (id & TY_IDX) as usize;
-        if id & FRESH_BIT != 0 {
-            &self.fresh_tys[fresh_slot(idx, self.fresh_ty_base, "TyId")]
-        } else {
-            &self.tys[idx]
-        }
+        &self.tys[(id & TY_IDX) as usize]
     }
 
     fn ty_meta(&self, id: u32) -> &TyMeta {
-        let idx = (id & TY_IDX) as usize;
-        if id & FRESH_BIT != 0 {
-            &self.fresh_ty_metas[fresh_slot(idx, self.fresh_ty_base, "TyId")]
-        } else {
-            &self.ty_metas[idx]
-        }
+        &self.ty_metas[(id & TY_IDX) as usize]
     }
 
     fn prop_arc(&self, id: u32) -> &Arc<Prop> {
-        let idx = (id & IDX) as usize;
-        if id & FRESH_BIT != 0 {
-            &self.fresh_props[fresh_slot(idx, self.fresh_prop_base, "PropId")]
-        } else {
-            &self.props[idx]
-        }
+        &self.props[id as usize]
     }
 
     fn prop_meta(&self, id: u32) -> &PropMeta {
-        let idx = (id & IDX) as usize;
-        if id & FRESH_BIT != 0 {
-            &self.fresh_prop_metas[fresh_slot(idx, self.fresh_prop_base, "PropId")]
-        } else {
-            &self.prop_metas[idx]
-        }
+        &self.prop_metas[id as usize]
     }
 
     fn obj_arc(&self, id: u32) -> &Arc<Obj> {
-        let idx = (id & IDX) as usize;
-        if id & FRESH_BIT != 0 {
-            &self.fresh_objs[fresh_slot(idx, self.fresh_obj_base, "ObjId")]
-        } else {
-            &self.objs[idx]
-        }
+        &self.objs[id as usize]
     }
 
     fn obj_meta(&self, id: u32) -> &ObjMeta {
-        let idx = (id & IDX) as usize;
-        if id & FRESH_BIT != 0 {
-            &self.fresh_obj_metas[fresh_slot(idx, self.fresh_obj_base, "ObjId")]
-        } else {
-            &self.obj_metas[idx]
-        }
-    }
-
-    /// Drops every fresh-region entry, advancing the region bases so the
-    /// ids handed out so far can never alias a later entry (stale ids
-    /// panic in the accessors above instead — loudly wrong, never
-    /// silently wrong). Canonical lookup maps and id-level structure
-    /// maps shed their fresh entries; fresh raw-tree memos are cleared
-    /// wholesale.
-    fn evict_fresh_region(&mut self) {
-        self.fresh_ty_base += self.fresh_tys.len();
-        self.fresh_tys.clear();
-        self.fresh_ty_metas.clear();
-        self.fresh_prop_base += self.fresh_props.len();
-        self.fresh_props.clear();
-        self.fresh_prop_metas.clear();
-        self.fresh_obj_base += self.fresh_objs.len();
-        self.fresh_objs.clear();
-        self.fresh_obj_metas.clear();
-        self.fresh_ty_memo.clear();
-        self.fresh_prop_memo.clear();
-        self.fresh_obj_memo.clear();
-        let live = |id: &u32| *id & FRESH_BIT == 0;
-        self.ty_canon.retain(|_, id| live(id));
-        self.prop_canon.retain(|_, id| live(id));
-        self.obj_canon.retain(|_, id| live(id));
-        // Whole-tree freshness means a structure over any fresh id is
-        // itself fresh, so retaining by the entry's own id (key for the
-        // id→parts maps, value for the parts→id maps) sheds exactly the
-        // evicted entries.
-        self.ty_unions.retain(|id, _| live(id));
-        self.ty_union_canon.retain(|_, id| live(id));
-        self.ty_pairs.retain(|id, _| live(id));
-        self.ty_pair_canon.retain(|_, id| live(id));
-        self.ty_vecs.retain(|id, _| live(id));
-        self.ty_vec_canon.retain(|_, id| live(id));
-        self.ty_refines.retain(|id, _| live(id));
-        self.ty_refine_canon.retain(|_, id| live(id));
-        self.ty_projections
-            .retain(|(id, _), out| live(id) && live(out));
-        self.prop_ands.retain(|id, _| live(id));
-        self.prop_ors.retain(|id, _| live(id));
-        // Best-effort wrap long before the index space runs out: once
-        // the base passes half the addressable range, restart it. After
-        // a wrap (billions of fresh entries later) staleness detection
-        // is best-effort rather than exact; ids still never alias within
-        // any realistic window.
-        if self.fresh_ty_base > (TY_IDX as usize) / 2 {
-            self.fresh_ty_base = 0;
-        }
-        if self.fresh_prop_base > (IDX as usize) / 2 {
-            self.fresh_prop_base = 0;
-        }
-        if self.fresh_obj_base > (IDX as usize) / 2 {
-            self.fresh_obj_base = 0;
-        }
+        &self.obj_metas[id as usize]
     }
 
     // --- types ------------------------------------------------------------
@@ -964,27 +753,19 @@ impl Store {
         }
         let mut scan = Scan::default();
         scan.ty(&t);
-        let fresh = scan.any_fresh();
         let meta = TyMeta {
             vars: scan.sorted_vars(),
             theory_mask: scan.mask,
             has_refinement: scan.has_refinement,
             rank: ty_rank(&t),
         };
-        let mut id_bits = if env_free(&t) { ENV_FREE_BIT } else { 0 };
+        let flag = if env_free(&t) { ENV_FREE_BIT } else { 0 };
         let arc = Arc::new(t);
-        let idx = if fresh {
-            id_bits |= FRESH_BIT;
-            self.fresh_tys.push(arc.clone());
-            self.fresh_ty_metas.push(meta);
-            self.fresh_ty_base + self.fresh_tys.len() - 1
-        } else {
-            self.tys.push(arc.clone());
-            self.ty_metas.push(meta);
-            self.tys.len() - 1
-        };
+        let idx = self.tys.len();
         assert!(idx < TY_IDX as usize, "type arena overflow");
-        let id = idx as u32 | id_bits;
+        self.tys.push(arc.clone());
+        self.ty_metas.push(meta);
+        let id = idx as u32 | flag;
         self.ty_canon.insert(arc, id);
         id
     }
@@ -1090,9 +871,6 @@ impl Store {
         if let Some(&id) = self.ty_memo.get(t) {
             return id;
         }
-        if let Some(&id) = self.fresh_ty_memo.get(t) {
-            return id;
-        }
         let id = match t {
             Ty::Top
             | Ty::Int
@@ -1145,17 +923,10 @@ impl Store {
                 }
             }
         };
-        if id & FRESH_BIT != 0 {
-            if self.fresh_ty_memo.len() >= FRESH_MEMO_CAP {
-                self.fresh_ty_memo.clear();
-            }
-            self.fresh_ty_memo.insert(t.clone(), id);
-        } else {
-            if self.ty_memo.len() >= MEMO_CAP {
-                self.ty_memo.clear();
-            }
-            self.ty_memo.insert(t.clone(), id);
+        if self.ty_memo.len() >= MEMO_CAP {
+            self.ty_memo.clear();
         }
+        self.ty_memo.insert(t.clone(), id);
         id
     }
 
@@ -1183,17 +954,13 @@ impl Store {
 
     // --- propositions ------------------------------------------------------
 
-    /// Inserts a canonical proposition. `embedded_fresh` carries
-    /// freshness of components that [`Prop::free_vars`] does not see
-    /// (types inside membership atoms, spliced chain members).
-    fn insert_prop(&mut self, p: Prop, embedded_fresh: bool) -> u32 {
+    /// Inserts a canonical proposition.
+    fn insert_prop(&mut self, p: Prop) -> u32 {
         if let Some(&id) = self.prop_canon.get(&p) {
             return id;
         }
         let mut fv = HashSet::new();
         p.free_vars(&mut fv);
-        let fresh = (embedded_fresh || fv.iter().any(|x| x.is_fresh()))
-            && !matches!(p, Prop::TT | Prop::FF);
         let mut sorted: Vec<Symbol> = fv.into_iter().collect();
         sorted.sort_unstable();
         let mut scan = Scan::default();
@@ -1203,17 +970,9 @@ impl Store {
             theory_mask: scan.mask,
         };
         let arc = Arc::new(p);
-        let idx = if fresh {
-            self.fresh_props.push(arc.clone());
-            self.fresh_prop_metas.push(meta);
-            self.fresh_prop_base + self.fresh_props.len() - 1
-        } else {
-            self.props.push(arc.clone());
-            self.prop_metas.push(meta);
-            self.props.len() - 1
-        };
-        assert!(idx < IDX as usize, "proposition arena overflow");
-        let id = idx as u32 | if fresh { FRESH_BIT } else { 0 };
+        let id = u32::try_from(self.props.len()).expect("proposition arena overflow");
+        self.props.push(arc.clone());
+        self.prop_metas.push(meta);
         self.prop_canon.insert(arc, id);
         id
     }
@@ -1278,39 +1037,35 @@ impl Store {
         if let Some(&id) = self.prop_memo.get(p) {
             return id;
         }
-        if let Some(&id) = self.fresh_prop_memo.get(p) {
-            return id;
-        }
         let id = match p {
             Prop::TT | Prop::FF | Prop::Lin(_) | Prop::Bv(_) | Prop::Str(_) => {
-                self.insert_prop(p.clone(), false)
+                self.insert_prop(p.clone())
             }
             Prop::Is(o, t) => {
                 let (o, t) = (self.obj(o), self.ty(t));
                 let candidate = Prop::is(self.obj_tree(o), self.ty_tree(t));
-                self.insert_prop(candidate, t & FRESH_BIT != 0)
+                self.insert_prop(candidate)
             }
             Prop::IsNot(o, t) => {
                 let (o, t) = (self.obj(o), self.ty(t));
                 let candidate = Prop::is_not(self.obj_tree(o), self.ty_tree(t));
-                self.insert_prop(candidate, t & FRESH_BIT != 0)
+                self.insert_prop(candidate)
             }
             Prop::Alias(o1, o2) => {
                 let (o1, o2) = (self.obj(o1), self.obj(o2));
                 let candidate = Prop::alias(self.obj_tree(o1), self.obj_tree(o2));
-                self.insert_prop(candidate, false)
+                self.insert_prop(candidate)
             }
             Prop::And(_, _) | Prop::Or(_, _) => {
                 let and = matches!(p, Prop::And(_, _));
                 match self.flatten_chain(p, and) {
-                    None => self.insert_prop(if and { Prop::FF } else { Prop::TT }, false),
+                    None => self.insert_prop(if and { Prop::FF } else { Prop::TT }),
                     Some(ids) if ids.is_empty() => {
-                        self.insert_prop(if and { Prop::TT } else { Prop::FF }, false)
+                        self.insert_prop(if and { Prop::TT } else { Prop::FF })
                     }
                     Some(ids) if ids.len() == 1 => ids[0],
                     Some(ids) => {
                         // Rebuild right-nested from canonical members.
-                        let embedded_fresh = ids.iter().any(|&i| i & FRESH_BIT != 0);
                         let mut tree = self.prop_tree(ids[ids.len() - 1]);
                         for &id in ids[..ids.len() - 1].iter().rev() {
                             let member = self.prop_tree(id);
@@ -1320,7 +1075,7 @@ impl Store {
                                 Prop::Or(Box::new(member), Box::new(tree))
                             };
                         }
-                        let id = self.insert_prop(tree, embedded_fresh);
+                        let id = self.insert_prop(tree);
                         if and {
                             self.prop_ands.entry(id).or_insert(ids);
                         } else {
@@ -1331,17 +1086,10 @@ impl Store {
                 }
             }
         };
-        if id & FRESH_BIT != 0 {
-            if self.fresh_prop_memo.len() >= FRESH_MEMO_CAP {
-                self.fresh_prop_memo.clear();
-            }
-            self.fresh_prop_memo.insert(p.clone(), id);
-        } else {
-            if self.prop_memo.len() >= MEMO_CAP {
-                self.prop_memo.clear();
-            }
-            self.prop_memo.insert(p.clone(), id);
+        if self.prop_memo.len() >= MEMO_CAP {
+            self.prop_memo.clear();
         }
+        self.prop_memo.insert(p.clone(), id);
         id
     }
 
@@ -1353,24 +1101,15 @@ impl Store {
         }
         let mut fv = HashSet::new();
         o.free_vars(&mut fv);
-        let fresh = fv.iter().any(|x| x.is_fresh());
         let mut sorted: Vec<Symbol> = fv.into_iter().collect();
         sorted.sort_unstable();
         let meta = ObjMeta {
             free_vars: sorted.into(),
         };
         let arc = Arc::new(o);
-        let idx = if fresh {
-            self.fresh_objs.push(arc.clone());
-            self.fresh_obj_metas.push(meta);
-            self.fresh_obj_base + self.fresh_objs.len() - 1
-        } else {
-            self.objs.push(arc.clone());
-            self.obj_metas.push(meta);
-            self.objs.len() - 1
-        };
-        assert!(idx < IDX as usize, "object arena overflow");
-        let id = idx as u32 | if fresh { FRESH_BIT } else { 0 };
+        let id = u32::try_from(self.objs.len()).expect("object arena overflow");
+        self.objs.push(arc.clone());
+        self.obj_metas.push(meta);
         self.obj_canon.insert(arc, id);
         id
     }
@@ -1381,9 +1120,6 @@ impl Store {
 
     fn obj(&mut self, o: &Obj) -> u32 {
         if let Some(&id) = self.obj_memo.get(o) {
-            return id;
-        }
-        if let Some(&id) = self.fresh_obj_memo.get(o) {
             return id;
         }
         let id = match o {
@@ -1397,17 +1133,10 @@ impl Store {
                 self.insert_obj(candidate)
             }
         };
-        if id & FRESH_BIT != 0 {
-            if self.fresh_obj_memo.len() >= FRESH_MEMO_CAP {
-                self.fresh_obj_memo.clear();
-            }
-            self.fresh_obj_memo.insert(o.clone(), id);
-        } else {
-            if self.obj_memo.len() >= MEMO_CAP {
-                self.obj_memo.clear();
-            }
-            self.obj_memo.insert(o.clone(), id);
+        if self.obj_memo.len() >= MEMO_CAP {
+            self.obj_memo.clear();
         }
+        self.obj_memo.insert(o.clone(), id);
         id
     }
 }
@@ -1591,34 +1320,21 @@ mod tests {
     }
 
     #[test]
-    fn fresh_named_trees_go_to_the_fresh_region() {
-        let before = arena_stats();
-        let g = Symbol::fresh("ghost");
-        let psi = Prop::lin(Obj::var(g), LinCmp::Le, Obj::int(1));
-        let t = Ty::refine(g, Ty::Int, psi.clone());
-        let tid = TyId::of(&t);
-        let pid = PropId::of(&psi);
-        let oid = ObjId::of(&Obj::var(g));
-        assert!(tid.in_fresh_region());
-        assert!(pid.in_fresh_region());
-        assert!(oid.in_fresh_region());
-        let after = arena_stats();
-        // Fresh entries grew the fresh region, not the permanent arena
-        // (the permanent region may still grow from this test's plain
-        // subtrees, e.g. `Int`, interned for the first time).
-        assert!(after.fresh_tys > before.fresh_tys);
-        assert!(after.fresh_props > before.fresh_props);
-        assert!(after.fresh_objs > before.fresh_objs);
-        // Ordinary names stay permanent.
-        assert!(!TyId::of(&Ty::refine(
-            Symbol::intern("plain_v"),
-            Ty::Int,
-            Prop::lin(Obj::var(Symbol::intern("plain_v")), LinCmp::Le, Obj::int(1))
-        ))
-        .in_fresh_region());
-        // Interning is still stable across regions.
-        assert_eq!(TyId::of(&t), tid);
-        assert_eq!(*tid.get(), *canon_ty(&t));
+    fn fresh_named_trees_of_one_scope_intern_once() {
+        let key = Symbol::scope_key("intern test");
+        let tree = || {
+            let g = Symbol::fresh("ghost");
+            let psi = Prop::lin(Obj::var(g), LinCmp::Le, Obj::int(1));
+            Ty::refine(g, Ty::Int, psi)
+        };
+        let tid = TyId::of(&Symbol::scoped(key, tree));
+        // The same scope mints the same ghost, so the tree is not new.
+        let again = TyId::of(&Symbol::scoped(key, tree));
+        assert_eq!(again, tid);
+        assert_eq!(*tid.get(), *canon_ty(&Symbol::scoped(key, tree)));
+        // Another scope's ghost is another tree.
+        let other = Symbol::scoped(Symbol::scope_key("intern test 2"), tree);
+        assert_ne!(TyId::of(&other), tid);
     }
 
     #[test]

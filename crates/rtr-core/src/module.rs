@@ -161,10 +161,12 @@ impl ModuleValue {
     /// The module's value closed over its definitions: the lifting
     /// substitution `R[x ⟹τ o]` (§3.2) of every binder, as the nested
     /// encoding applies at each binder exit, so the result never
-    /// mentions a module-local name. Every call mints fresh names for
-    /// the existentialized binders.
+    /// mentions a module-local name. The existentialized binders get
+    /// fresh names of the lift's own scope, the same on every call.
     pub fn lift(&self) -> TyResult {
-        TyResult::clone(&self.result).lift_subst_all(&self.binders)
+        Symbol::scoped(Symbol::scope_key("lift"), || {
+            TyResult::clone(&self.result).lift_subst_all(&self.binders)
+        })
     }
 }
 

@@ -125,8 +125,9 @@ impl TyResult {
         }
         // Everything `mentions_var` could see: quantifier types plus the
         // body fields. (Like `mentions_var`, deliberately not subtracting
-        // the existential binders themselves — they are globally fresh,
-        // so they never collide with a module binder.)
+        // the existential binders themselves — they are fresh names
+        // distinct from every other name their scopes mint, so they never
+        // collide with a module binder.)
         let mut free: std::collections::HashSet<Symbol> = std::collections::HashSet::new();
         for (_, t) in &self.existentials {
             t.free_obj_vars(&mut free);
@@ -307,30 +308,16 @@ mod tests {
             (v, Ty::Int, Obj::Null),
             (w, Ty::Int, Obj::var(v).add(&Obj::int(2))),
         ];
-        let folded = binders
-            .iter()
-            .rev()
-            .fold(value.clone(), |r, (x, t, o)| r.lift_subst(*x, t, o));
-        let batched = value.lift_subst_all(&binders);
-        // Fresh names differ between the two runs (global counter);
-        // compare modulo the digits after '%'.
-        let norm = |r: &TyResult| {
-            let mut out = String::new();
-            let mut skip = false;
-            for ch in r.to_string().chars() {
-                if ch == '%' {
-                    skip = true;
-                    out.push(ch);
-                } else if skip && ch.is_ascii_digit() {
-                    continue;
-                } else {
-                    skip = false;
-                    out.push(ch);
-                }
-            }
-            out
-        };
-        assert_eq!(norm(&folded), norm(&batched));
+        // Both run in one scope, so they mint the same names.
+        let key = Symbol::scope_key("lift_subst_all test");
+        let folded = Symbol::scoped(key, || {
+            binders
+                .iter()
+                .rev()
+                .fold(value.clone(), |r, (x, t, o)| r.lift_subst(*x, t, o))
+        });
+        let batched = Symbol::scoped(key, || value.lift_subst_all(&binders));
+        assert_eq!(folded, batched);
         assert_eq!(folded.existentials.len(), batched.existentials.len());
     }
 

@@ -81,7 +81,9 @@ use rtr_core::syntax::{Symbol, Ty};
 use rtr_core::trace::TraceCounts;
 
 use crate::elab::Elaborator;
-use crate::module::{check_module_source_traced, define_form, signature_form, ModuleReport};
+use crate::module::{
+    check_module_source_traced, define_form, in_form_scope, signature_form, ModuleReport,
+};
 use crate::sexp::{read_all_from, Pos, Sexp};
 
 /// Where every scan of a whole text starts.
@@ -748,13 +750,16 @@ fn elaborate_slot(
         let data = read_all_from(f.text(src), f.pos).ok()?;
         let [form] = data.as_slice() else { return None };
         let mut sig_order = Vec::new();
-        signature_form(elab, form, &mut signatures, &mut sig_order).ok()?;
+        in_form_scope(f.text(src), || {
+            signature_form(elab, form, &mut signatures, &mut sig_order)
+        })
+        .ok()?;
     }
     let f = &forms[slot.form];
     let data = read_all_from(f.text(src), f.pos).ok()?;
     let [form] = data.as_slice() else { return None };
     if slot.is_define {
-        let item = define_form(elab, form, &mut signatures).ok()?;
+        let item = in_form_scope(f.text(src), || define_form(elab, form, &mut signatures)).ok()?;
         // The paired signature must actually be consumed — a textual
         // `(define (f …) …)` whose signature survives would mean our
         // pairing diverged from the elaborator's.
@@ -769,7 +774,7 @@ fn elaborate_slot(
             // expression slot means the scanner misclassified; bail.
             Some(":" | "define") => None,
             _ => {
-                let e = elab.expr(form).ok()?;
+                let e = in_form_scope(f.text(src), || elab.expr(form)).ok()?;
                 Some(ModuleItem::Expr {
                     node: e.span_node(),
                     expr: e,

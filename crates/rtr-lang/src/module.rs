@@ -42,7 +42,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use rtr_core::check::Checker;
-use rtr_core::diag::{Code, Diagnostic, SpanTable};
+use rtr_core::diag::{Code, Diagnostic, LineIndex, SpanTable};
 use rtr_core::interp::{eval_program, EvalError, Value};
 use rtr_core::module::{ItemSummary, ModuleItem, ModuleValue};
 use rtr_core::syntax::{Expr, Lambda, Symbol, Ty, TyResult};
@@ -191,6 +191,7 @@ fn nest_program(items: Vec<ModuleItem>) -> Expr {
 /// datum stream there is nothing to recover.
 pub fn elaborate_module_items(src: &str) -> Result<ElaboratedModule, ReadError> {
     let forms = read_all(src)?;
+    let ix = LineIndex::new(src);
     let mut elab = Elaborator::new();
     let mut signatures: HashMap<Symbol, (Ty, rtr_core::diag::NodeId)> = HashMap::new();
     let mut sig_order: Vec<Symbol> = Vec::new();
@@ -215,7 +216,10 @@ pub fn elaborate_module_items(src: &str) -> Result<ElaboratedModule, ReadError> 
                 }
             }
         }
-        let result = match head {
+        let byte = |at| ix.loc_to_byte(src, at) as usize;
+        let text = src.get(byte(form.span().start)..byte(form.span().end));
+        let text = text.unwrap_or_default();
+        let result = in_form_scope(text, || match head {
             ":" => signature_form(&mut elab, form, &mut signatures, &mut sig_order).map(|()| None),
             "define" => define_form(&mut elab, form, &mut signatures).map(Some),
             _ => elab.expr(form).map(|e| {
@@ -224,7 +228,7 @@ pub fn elaborate_module_items(src: &str) -> Result<ElaboratedModule, ReadError> 
                     expr: e,
                 })
             }),
-        };
+        });
         match result {
             Ok(Some(item)) => items.push(item),
             Ok(None) => {}
@@ -276,6 +280,13 @@ pub fn elaborate_module_items(src: &str) -> Result<ElaboratedModule, ReadError> 
         syntax_errors,
         warnings,
     })
+}
+
+/// Runs `f`, the elaboration of a top-level form, in a fresh-name scope
+/// keyed by the form's source `text`: the form mints the same names
+/// wherever and whenever it is elaborated.
+pub(crate) fn in_form_scope<R>(text: &str, f: impl FnOnce() -> R) -> R {
+    Symbol::scoped(Symbol::scope_key(("form", text)), f)
 }
 
 /// `(: name T)` or the paper's `(: name : dom … -> rng)`.
@@ -688,17 +699,9 @@ mod tests {
         checker().check_program(&m.program())
     }
 
-    /// `r`'s rendering without fresh-name suffixes (`b%24`): fresh names
-    /// are numbered process-wide, so two checks mint different ones.
-    fn modulo_fresh(r: &TyResult) -> String {
-        let mut in_suffix = false;
-        format!("{r:?}")
-            .chars()
-            .filter(|&c| {
-                in_suffix = c == '%' || (in_suffix && c.is_ascii_digit());
-                !in_suffix
-            })
-            .collect()
+    /// `r` as rendered: fresh names numbered by first occurrence.
+    fn shown(r: &TyResult) -> String {
+        Symbol::renumbered(|| format!("{r:?}"))
     }
 
     #[test]
@@ -760,12 +763,12 @@ mod tests {
         assert!(report.is_clean());
         let value = report.value.expect("value").lift();
         let strict = nested_oracle(src).expect("checks");
-        // The existentialized binder is freshened per check (`b%24` vs
-        // `b%25`), so compare modulo the fresh suffix.
+        // The two lifts mint the existentialized binder in different
+        // scopes, so compare the renderings.
         assert_eq!(
-            modulo_fresh(&value),
-            modulo_fresh(&strict),
-            "the driver's value must match the nested encoding's up to fresh renaming"
+            shown(&value),
+            shown(&strict),
+            "the driver's value must match the nested encoding's"
         );
 
         // And a free-variable scan agrees: nothing module-local leaks.

@@ -7,19 +7,19 @@
 use rtr_core::check::Checker;
 use rtr_core::config::CheckerConfig;
 use rtr_core::interp::Value;
-use rtr_core::syntax::TyResult;
+use rtr_core::syntax::{Symbol, TyResult};
 use rtr_lang::{elaborate_module_items, run_source_unchecked, LangError};
 
 /// [`rtr_lang::check_source`], compared with the oracle: the nested
 /// encoding is clean exactly when the module driver is, and its value is
-/// the driver's lifted value up to fresh-name suffixes.
+/// the driver's lifted value, as rendered.
 #[allow(clippy::result_large_err)] // rtr_lang's shape
 fn check_source(src: &str, checker: &Checker) -> Result<TyResult, LangError> {
     let driver = rtr_lang::check_source(src, checker);
     let m = elaborate_module_items(src).expect("reads");
     if m.syntax_errors.is_empty() {
         match (&driver, checker.check_program(&m.program())) {
-            (Ok(d), Ok(o)) => assert_eq!(modulo_fresh(d), modulo_fresh(&o), "{src}"),
+            (Ok(d), Ok(o)) => assert_eq!(shown(d), shown(&o), "{src}"),
             (d, o) => assert_eq!(
                 d.is_ok(),
                 o.is_ok(),
@@ -38,17 +38,10 @@ fn run_source(src: &str, checker: &Checker, fuel: u64) -> Result<Value, LangErro
     rtr_lang::run_source(src, checker, fuel)
 }
 
-/// `r`'s rendering without fresh-name suffixes (`b%24`): fresh names are
-/// numbered process-wide, so two checks mint different ones.
-fn modulo_fresh(r: &TyResult) -> String {
-    let mut in_suffix = false;
-    format!("{r:?}")
-        .chars()
-        .filter(|&c| {
-            in_suffix = c == '%' || (in_suffix && c.is_ascii_digit());
-            !in_suffix
-        })
-        .collect()
+/// `r` as rendered: fresh names numbered by first occurrence (the two
+/// values mint their existentials in different scopes).
+fn shown(r: &TyResult) -> String {
+    Symbol::renumbered(|| format!("{r:?}"))
 }
 
 fn rtr() -> Checker {

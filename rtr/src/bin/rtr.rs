@@ -70,7 +70,7 @@
 use std::io::{BufRead, Write as _};
 use std::process::ExitCode;
 
-use rtr::json::reports_to_json;
+use rtr::json::{reports_to_json, shown};
 use rtr::prelude::*;
 
 const USAGE: &str = "\
@@ -335,7 +335,7 @@ fn check_command(opts: &Options) -> ExitCode {
             eprint!("{}", report.render_human(&source.text));
             if report.is_clean() {
                 match (&report.value, single) {
-                    (Some(v), true) => println!("{}", v.lift()),
+                    (Some(v), true) => println!("{}", shown(v.lift())),
                     _ => println!(
                         "{}: ok ({} definition{})",
                         report.file,
@@ -607,11 +607,8 @@ fn print_stats(reports: &[CheckReport], checker: &Checker) {
         );
     }
     let a = rtr::core::intern::arena_stats();
-    eprintln!("interner arenas (process-wide; permanent / fresh-region):");
-    eprintln!(
-        "  types {} / {}   props {} / {}   objects {} / {}",
-        a.tys, a.fresh_tys, a.props, a.fresh_props, a.objs, a.fresh_objs
-    );
+    eprintln!("interner arenas (process-wide):");
+    eprintln!("  types {}   props {}   objects {}", a.tys, a.props, a.objs);
     eprintln!("  symbols {}", a.symbols);
     let re = checker.re_session_stats();
     eprintln!("regex session (checker lifetime; hits / misses):");
@@ -668,7 +665,7 @@ fn repl(opts: &Options) -> ExitCode {
                 ":quit" | ":q" => break,
                 ":type" if rest.is_empty() => eprintln!("error: usage `:type <expr>`"),
                 ":type" => match check_source(rest, &checker) {
-                    Ok(r) => println!("{}", r.ty),
+                    Ok(r) => println!("{}", shown(r.ty)),
                     Err(e) => eprintln!("error: {e}"),
                 },
                 other => eprintln!("error: unknown repl command {other}"),
@@ -697,7 +694,7 @@ fn repl(opts: &Options) -> ExitCode {
             continue;
         }
         match rtr::lang::check_and_run_source(&src, &checker, opts.fuel) {
-            Ok((r, v)) => println!("{v} : {}", r.ty),
+            Ok((r, v)) => println!("{v} : {}", shown(r.ty)),
             Err(e @ LangError::Eval(_)) => eprintln!("runtime error: {e}"),
             Err(e) => eprintln!("error: {e}"),
         }

@@ -63,6 +63,7 @@
 //!   for other items are still reported but the run is suspect.
 
 use rtr_core::diag::{theory_names, Diagnostic, Payload, Span};
+use rtr_core::syntax::Symbol;
 
 use crate::session::CheckReport;
 
@@ -117,6 +118,12 @@ fn span_json(span: Option<Span>) -> String {
             s.start.line, s.start.col, s.end.line, s.end.col
         ),
     }
+}
+
+/// `x` as users read it: fresh names numbered by first occurrence
+/// ([`Symbol::renumbered`]), so the text depends only on `x`.
+pub fn shown(x: impl std::fmt::Display) -> String {
+    Symbol::renumbered(|| x.to_string())
 }
 
 fn payload_json(p: &Payload) -> String {
@@ -195,7 +202,7 @@ pub fn diagnostic_json(d: &Diagnostic) -> String {
         str_lit(d.severity.as_str()),
         str_lit(&d.message),
         span_json(d.primary),
-        payload_json(&d.payload),
+        Symbol::renumbered(|| payload_json(&d.payload)),
     )
 }
 
@@ -207,7 +214,7 @@ fn report_json(r: &CheckReport) -> String {
             format!(
                 "{{\"name\": {}, \"type\": {}, \"poisoned\": {}}}",
                 opt_str(i.name.map(|n| n.to_string())),
-                opt_str(i.ty.as_ref().map(|t| t.to_string())),
+                opt_str(i.ty.as_ref().map(shown)),
                 i.poisoned
             )
         })
@@ -231,7 +238,7 @@ fn report_json(r: &CheckReport) -> String {
         "{{\n      \"name\": {},\n      \"clean\": {},\n      \"items\": [{items}],\n      \"value_type\": {},\n      \"diagnostics\": [\n        {diagnostics}\n      ],\n      \"stats\": {{\"definitions\": {}, \"errors\": {}, \"warnings\": {}, \"elapsed_us\": {}{incr}}}\n    }}",
         str_lit(&r.file),
         r.is_clean(),
-        opt_str(r.value.as_ref().map(|v| v.lift().ty.to_string())),
+        opt_str(r.value.as_ref().map(|v| shown(v.lift().ty))),
         r.stats.definitions,
         r.stats.errors,
         r.stats.warnings,

@@ -42,7 +42,7 @@ use rtr_core::budget::CancelToken;
 use rtr_core::diag::LineIndex;
 use rtr_core::module::ItemSummary;
 
-use crate::json::{escape, Json};
+use crate::json::{escape, shown, Json};
 use crate::session::{Session, SourceFile};
 
 use super::framing;
@@ -449,8 +449,8 @@ impl<W: Write> Server<W> {
                 })?;
                 let ty = item.ty.as_ref()?;
                 let rendered = match item.name {
-                    Some(name) => format!("{name} : {ty}"),
-                    None => ty.to_string(),
+                    Some(name) => format!("{name} : {}", shown(ty)),
+                    None => shown(ty),
                 };
                 let value = format!(
                     "```rtr\n{}\n```{}",

@@ -37,12 +37,6 @@ use rtr_core::parallel::map_pulled;
 use rtr_core::trace::TraceCounts;
 use rtr_lang::{check_module_source_incremental, ModuleCache};
 
-/// Retire the interner's fresh-id region once it holds this many entries
-/// and no check is in flight. Fresh names never recur across modules, so
-/// the region is garbage between checks; evicting it bounds arena growth
-/// in a long-lived session (memo tables reconcile via the eviction epoch).
-const FRESH_ARENA_BUDGET: usize = 1 << 14;
-
 /// Configuration for a [`Session`].
 #[derive(Clone, Debug)]
 pub struct SessionConfig {
@@ -314,12 +308,6 @@ impl Session {
         if let Some(cache) = new_cache.or(old_cache) {
             self.lock_caches().insert(file.name.clone(), cache);
         }
-        // Reports hold owned trees, never interned ids, so retiring the
-        // fresh interner region between checks cannot invalidate them.
-        // The eviction is skipped while any other check is in flight —
-        // and the item caches stored above carry the eviction epoch, so
-        // a retirement here just makes the next run rebuild them.
-        rtr_core::intern::maybe_evict_fresh(FRESH_ARENA_BUDGET);
         let elapsed = start.elapsed();
         let stats = CheckStats {
             definitions: report.results.iter().filter(|r| r.name.is_some()).count(),

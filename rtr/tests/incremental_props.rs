@@ -4,10 +4,8 @@
 //! synthetic module; after every step, the report is compared against a
 //! cold check of the same text (a session that forgets the file first). Diagnostic codes, primary
 //! spans, per-item verdicts, the module value type, and the whole
-//! human rendering must agree. (The single permitted normalization:
-//! fresh existential names `%N` are numbered per *run*, not per
-//! module, so their digits are stripped before comparison — the same
-//! caveat the core equivalence tests document.)
+//! human rendering must agree, byte for byte: fresh names are numbered
+//! per item, so the warm and the cold check mint the same ones.
 //!
 //! Edits cover every cache-relevant transition: body tweaks, flipping
 //! an item clean ↔ ill-typed ↔ unbound, insertion, deletion,
@@ -153,24 +151,7 @@ fn render(items: &[Item], rng: &mut Rng) -> String {
     src
 }
 
-/// Strips the digits after `%`: fresh existentials are numbered per
-/// process-wide counter, so two runs of the same module differ only
-/// there.
-fn normalize(s: &str) -> String {
-    let mut out = String::new();
-    let mut chars = s.chars().peekable();
-    while let Some(c) = chars.next() {
-        out.push(c);
-        if c == '%' {
-            while chars.peek().is_some_and(char::is_ascii_digit) {
-                chars.next();
-            }
-        }
-    }
-    out
-}
-
-/// Everything observable about a report, up to `%N` renaming.
+/// Everything observable about a report.
 fn report_key(r: &CheckReport, source: &str) -> String {
     let mut out = String::new();
     for d in &r.diagnostics {
@@ -187,22 +168,20 @@ fn report_key(r: &CheckReport, source: &str) -> String {
         out.push_str(&format!(
             "{:?} : {:?} poisoned={}\n",
             i.name.map(|n| n.as_str().to_owned()),
-            i.ty.as_ref().map(|t| normalize(&t.to_string())),
+            i.ty.as_ref().map(|t| t.to_string()),
             i.poisoned
         ));
     }
     out.push_str(&format!(
         "value {:?}\n",
-        r.value
-            .as_ref()
-            .map(|v| normalize(&v.lift().ty.to_string()))
+        r.value.as_ref().map(|v| v.lift().ty.to_string())
     ));
     out.push_str(&format!(
         "clean {} errors {}\n",
         r.is_clean(),
         r.stats.errors
     ));
-    out.push_str(&normalize(&r.render_human(source)));
+    out.push_str(&r.render_human(source));
     out
 }
 
