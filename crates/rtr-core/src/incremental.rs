@@ -439,54 +439,46 @@ impl<'a> Slot<'a> {
 
 /// Where an item's fresh names are minted (see the module docs): the
 /// defined name and how many earlier items define it, or, for a
-/// trailing expression (`name: None`), its index among them.
+/// trailing expression (`name: None`), its index among them. The
+/// elaborator mints the names of the item's forms in scopes of the same
+/// item under phases of its own, so a record spliced under its own scope
+/// carries the elaborator names a fresh elaboration would mint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-struct ItemScope {
+pub struct ItemScope {
     name: Option<Symbol>,
     nth: u32,
 }
 
 impl ItemScope {
-    /// The scope key of the item's [`Symbol::scoped`] scope.
-    fn key(self) -> u64 {
-        Symbol::scope_key(("item", self))
+    /// The key of the [`Symbol::scoped`] scope in which `phase` mints
+    /// the item's names; the driver's phase is `"item"`.
+    pub fn key(self, phase: &str) -> u64 {
+        Symbol::scope_key((phase, self))
+    }
+}
+
+/// Counts a module's items into their [`ItemScope`]s. Definitions and
+/// trailing expressions are counted apart, so source order and check
+/// order (definitions first) give the same scopes.
+#[derive(Default)]
+pub struct ItemScopes(FxHashMap<Option<Symbol>, u32>);
+
+impl ItemScopes {
+    /// The scope of the next item defining `name` (`None`: the next
+    /// trailing expression), counted.
+    pub fn next(&mut self, name: Option<Symbol>) -> ItemScope {
+        let nth = self.0.entry(name).or_default();
+        *nth += 1;
+        ItemScope {
+            name,
+            nth: *nth - 1,
+        }
     }
 
-    /// Every slot's scope, in check order: the old run's when the slots
-    /// name the same items in the same order (an edit that renames,
-    /// inserts or deletes nothing), else counted afresh. A slot the
-    /// pre-pass left unelaborated claims an old record, whose scope knows
-    /// its name.
-    fn of_slots(slots: &[Slot<'_>], old: Option<&ItemCache>) -> Vec<ItemScope> {
-        let names = slots
-            .iter()
-            .map(|slot| match (slot.item.as_deref(), slot.reuse, old) {
-                (Some(item), _, _) => item.name(),
-                (None, Some(j), Some(c)) => c.scopes[j].name,
-                _ => unreachable!("the pre-pass elaborates every unclaimed slot"),
-            });
-        if let Some(c) = old.filter(|c| c.scopes.len() == slots.len()) {
-            if names.clone().zip(&c.scopes).all(|(n, s)| n == s.name) {
-                return c.scopes.clone();
-            }
-        }
-        let mut seen: FxHashMap<Option<Symbol>, u32> = FxHashMap::default();
-        let scopes: Vec<ItemScope> = names
-            .map(|name| {
-                let nth = seen.entry(name).or_default();
-                *nth += 1;
-                ItemScope {
-                    name,
-                    nth: *nth - 1,
-                }
-            })
-            .collect();
-        debug_assert_eq!(
-            scopes.iter().map(|s| s.key()).collect::<HashSet<_>>().len(),
-            scopes.len(),
-            "two items share a fresh-name scope key"
-        );
-        scopes
+    /// The scope the next item defining `name` will take, not counted.
+    pub fn peek(&self, name: Option<Symbol>) -> ItemScope {
+        let nth = self.0.get(&name).copied().unwrap_or(0);
+        ItemScope { name, nth }
     }
 }
 
@@ -766,7 +758,26 @@ impl Checker {
         // `None` until the next claim computes the ledger.
         let mut ledger: Option<Ledger> = None;
         let n = slots.len();
-        let scopes = ItemScope::of_slots(slots, old);
+        // Every slot's scope. A slot the pre-pass left unelaborated
+        // claims an old record, whose scope knows its name.
+        let mut counts = ItemScopes::default();
+        let mut scopes: Vec<ItemScope> = slots
+            .iter()
+            .map(|slot| match (slot.item.as_deref(), slot.reuse, old) {
+                (Some(item), _, _) => counts.next(item.name()),
+                (None, Some(j), Some(c)) => counts.next(c.scopes[j].name),
+                _ => unreachable!("the pre-pass elaborates every unclaimed slot"),
+            })
+            .collect();
+        debug_assert_eq!(
+            scopes
+                .iter()
+                .map(|s| s.key("item"))
+                .collect::<HashSet<_>>()
+                .len(),
+            n,
+            "two items share a fresh-name scope key"
+        );
 
         let mut i = 0;
         while i < n {
@@ -882,7 +893,6 @@ impl Checker {
             let c = self.fork_item(item_salt(item));
             // The item's fresh names come from its scope; debug builds
             // assert that none is already bound where they will be bound.
-            let scope = scopes[i];
             let taken = if cfg!(debug_assertions) {
                 st.env
                     .types()
@@ -892,7 +902,7 @@ impl Checker {
             } else {
                 HashSet::new()
             };
-            let result = Symbol::scoped_avoiding(scope.key(), taken, || {
+            let result = Symbol::scoped_avoiding(scopes[i].key("item"), taken, || {
                 Symbol::renumbered(|| self.check_item(&c, item, last, &mut st))
             });
             if let Some(v) = &result {
@@ -959,7 +969,6 @@ impl Checker {
             binders: st.binders.into(),
         });
 
-        let mut scopes = scopes;
         scopes.truncate(st.records.len());
         let cache = ItemCache {
             mutated,

@@ -252,11 +252,7 @@ impl Symbol {
             let block = n >> COUNTER_BITS;
             let slot = match *cached {
                 Some((b, s)) if b == block => s,
-                _ => {
-                    let s = slot_of(key, block);
-                    *cached = Some((block, s));
-                    s
-                }
+                _ => cached.insert((block, slot_of(key, block))).1,
             };
             let sym = Symbol(
                 FRESH_BIT
@@ -289,18 +285,15 @@ impl Symbol {
     /// the names can meet: two scopes whose names may share an
     /// environment need distinct keys.
     pub fn scoped<R>(key: u64, f: impl FnOnce() -> R) -> R {
-        Symbol::open(key, None, f)
+        Symbol::scoped_avoiding(key, HashSet::new(), f)
     }
 
     /// [`Symbol::scoped`], asserting in debug builds that no name the
     /// scope (or a scope nested in it) mints is in `taken` — the fresh
     /// names already bound where its names will be bound.
     pub fn scoped_avoiding<R>(key: u64, taken: HashSet<Symbol>, f: impl FnOnce() -> R) -> R {
-        Symbol::open(key, (!taken.is_empty()).then(|| Rc::new(taken)), f)
-    }
-
-    fn open<R>(key: u64, taken: Option<Rc<HashSet<Symbol>>>, f: impl FnOnce() -> R) -> R {
         FRESH.with_borrow_mut(|fr| {
+            let taken = (!taken.is_empty()).then(|| Rc::new(taken));
             let taken = taken.or_else(|| fr.scopes.last().and_then(|s| s.taken.clone()));
             fr.scopes.push(Scope {
                 key,

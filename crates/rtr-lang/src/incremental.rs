@@ -75,15 +75,13 @@ use std::sync::Arc;
 
 use rtr_core::check::Checker;
 use rtr_core::diag::{changed_range, Diagnostic, NodeId, Span};
-use rtr_core::incremental::{IncrSlot, ItemCache};
+use rtr_core::incremental::{IncrSlot, ItemCache, ItemScope, ItemScopes};
 use rtr_core::module::ModuleItem;
 use rtr_core::syntax::{Symbol, Ty};
 use rtr_core::trace::TraceCounts;
 
 use crate::elab::Elaborator;
-use crate::module::{
-    check_module_source_traced, define_form, in_form_scope, signature_form, ModuleReport,
-};
+use crate::module::{check_module_source_traced, define_form, signature_form, ModuleReport};
 use crate::sexp::{read_all_from, Pos, Sexp};
 
 /// Where every scan of a whole text starts.
@@ -539,6 +537,8 @@ struct SlotDesc {
     is_define: bool,
     /// [`slot_key`] of the constituent forms.
     key: u64,
+    /// The item's scope, in which its forms mint fresh names.
+    scope: ItemScope,
 }
 
 /// Pairs signatures with their defines, mirroring the elaborator's
@@ -553,6 +553,7 @@ fn pair_slots(forms: &[FormSlice]) -> Option<Vec<SlotDesc>> {
     let mut pending: Vec<(Symbol, usize)> = Vec::new();
     let mut defines: Vec<SlotDesc> = Vec::with_capacity(forms.len());
     let mut trailing: Vec<SlotDesc> = Vec::new();
+    let mut scopes = ItemScopes::default();
     for (i, f) in forms.iter().enumerate() {
         match f.head {
             Head::Sig(name) => {
@@ -574,6 +575,7 @@ fn pair_slots(forms: &[FormSlice]) -> Option<Vec<SlotDesc>> {
                     sig,
                     is_define: true,
                     key: slot_key(f, sig.map(|s| &forms[s])),
+                    scope: scopes.next(Some(name)),
                 });
             }
             Head::Other => trailing.push(SlotDesc {
@@ -581,6 +583,7 @@ fn pair_slots(forms: &[FormSlice]) -> Option<Vec<SlotDesc>> {
                 sig: None,
                 is_define: false,
                 key: slot_key(f, None),
+                scope: scopes.next(None),
             }),
         }
     }
@@ -745,12 +748,13 @@ fn elaborate_slot(
     elab: &mut Elaborator,
 ) -> Option<ModuleItem> {
     let mut signatures: HashMap<Symbol, (Ty, NodeId)> = HashMap::new();
+    let key = |phase| slot.scope.key(phase);
     if let Some(s) = slot.sig {
         let f = &forms[s];
         let data = read_all_from(f.text(src), f.pos).ok()?;
         let [form] = data.as_slice() else { return None };
         let mut sig_order = Vec::new();
-        in_form_scope(f.text(src), || {
+        Symbol::scoped(key(":"), || {
             signature_form(elab, form, &mut signatures, &mut sig_order)
         })
         .ok()?;
@@ -759,7 +763,8 @@ fn elaborate_slot(
     let data = read_all_from(f.text(src), f.pos).ok()?;
     let [form] = data.as_slice() else { return None };
     if slot.is_define {
-        let item = in_form_scope(f.text(src), || define_form(elab, form, &mut signatures)).ok()?;
+        let item =
+            Symbol::scoped(key("define"), || define_form(elab, form, &mut signatures)).ok()?;
         // The paired signature must actually be consumed — a textual
         // `(define (f …) …)` whose signature survives would mean our
         // pairing diverged from the elaborator's.
@@ -774,7 +779,7 @@ fn elaborate_slot(
             // expression slot means the scanner misclassified; bail.
             Some(":" | "define") => None,
             _ => {
-                let e = in_form_scope(f.text(src), || elab.expr(form)).ok()?;
+                let e = Symbol::scoped(key("expr"), || elab.expr(form)).ok()?;
                 Some(ModuleItem::Expr {
                     node: e.span_node(),
                     expr: e,

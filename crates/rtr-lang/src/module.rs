@@ -42,7 +42,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use rtr_core::check::Checker;
-use rtr_core::diag::{Code, Diagnostic, LineIndex, SpanTable};
+use rtr_core::diag::{Code, Diagnostic, SpanTable};
+use rtr_core::incremental::ItemScopes;
 use rtr_core::interp::{eval_program, EvalError, Value};
 use rtr_core::module::{ItemSummary, ModuleItem, ModuleValue};
 use rtr_core::syntax::{Expr, Lambda, Symbol, Ty, TyResult};
@@ -191,7 +192,6 @@ fn nest_program(items: Vec<ModuleItem>) -> Expr {
 /// datum stream there is nothing to recover.
 pub fn elaborate_module_items(src: &str) -> Result<ElaboratedModule, ReadError> {
     let forms = read_all(src)?;
-    let ix = LineIndex::new(src);
     let mut elab = Elaborator::new();
     let mut signatures: HashMap<Symbol, (Ty, rtr_core::diag::NodeId)> = HashMap::new();
     let mut sig_order: Vec<Symbol> = Vec::new();
@@ -202,12 +202,20 @@ pub fn elaborate_module_items(src: &str) -> Result<ElaboratedModule, ReadError> 
     // diagnostics would be spurious).
     let mut failed_sigs: std::collections::HashSet<Symbol> = std::collections::HashSet::new();
 
+    // Each form mints its fresh names in a scope of the item it
+    // elaborates to; a signature, in that of the next define of its name.
+    let mut scopes = ItemScopes::default();
     for form in &forms {
         let head = form
             .as_list()
             .and_then(|l| l.first())
             .and_then(Sexp::as_symbol)
             .unwrap_or("");
+        let (phase, scope) = match head {
+            ":" => (":", scopes.peek(sig_name(form))),
+            "define" => ("define", scopes.next(defined_name(form))),
+            _ => ("expr", scopes.next(None)),
+        };
         if head == "define" {
             if let Some(name) = defined_name(form) {
                 if failed_sigs.remove(&name) {
@@ -216,10 +224,7 @@ pub fn elaborate_module_items(src: &str) -> Result<ElaboratedModule, ReadError> 
                 }
             }
         }
-        let byte = |at| ix.loc_to_byte(src, at) as usize;
-        let text = src.get(byte(form.span().start)..byte(form.span().end));
-        let text = text.unwrap_or_default();
-        let result = in_form_scope(text, || match head {
+        let result = Symbol::scoped(scope.key(phase), || match head {
             ":" => signature_form(&mut elab, form, &mut signatures, &mut sig_order).map(|()| None),
             "define" => define_form(&mut elab, form, &mut signatures).map(Some),
             _ => elab.expr(form).map(|e| {
@@ -247,12 +252,8 @@ pub fn elaborate_module_items(src: &str) -> Result<ElaboratedModule, ReadError> 
                     // way: without the declared type, checking the body
                     // would only manufacture spurious diagnostics.
                     ":" => {
-                        if let Some(name) = form
-                            .as_list()
-                            .and_then(|l| l.get(1))
-                            .and_then(Sexp::as_symbol)
-                        {
-                            failed_sigs.insert(Symbol::intern(name));
+                        if let Some(name) = sig_name(form) {
+                            failed_sigs.insert(name);
                         }
                     }
                     _ => {}
@@ -282,13 +283,6 @@ pub fn elaborate_module_items(src: &str) -> Result<ElaboratedModule, ReadError> 
     })
 }
 
-/// Runs `f`, the elaboration of a top-level form, in a fresh-name scope
-/// keyed by the form's source `text`: the form mints the same names
-/// wherever and whenever it is elaborated.
-pub(crate) fn in_form_scope<R>(text: &str, f: impl FnOnce() -> R) -> R {
-    Symbol::scoped(Symbol::scope_key(("form", text)), f)
-}
-
 /// `(: name T)` or the paper's `(: name : dom … -> rng)`.
 pub(crate) fn signature_form(
     elab: &mut Elaborator,
@@ -314,6 +308,12 @@ pub(crate) fn signature_form(
     signatures.insert(sym, (ty, node));
     sig_order.push(sym);
     Ok(())
+}
+
+/// The name a `(: name …)` form declares, if it has one.
+fn sig_name(form: &Sexp) -> Option<Symbol> {
+    let name = form.as_list()?.get(1)?.as_symbol()?;
+    Some(Symbol::intern(name))
 }
 
 /// The name a `define` form would bind, if it is recoverable from the

@@ -3,9 +3,12 @@
 //! module mints the names its last check minted and interns no new tree.
 //! A long-lived [`Session`] that checks the same module again and again,
 //! or cycles one definition through the same few edits, stops growing
-//! the arena after the first round. (This file holds exactly one test on
-//! purpose: the arena is process-wide, so a concurrent test in the same
-//! binary would grow it.)
+//! the arena after the first round. An edit that brings new text mints
+//! the same names too (the elaborator and the checker key them by the
+//! item, not by its text), so only trees that mention the new content
+//! are new: edits of a constant no type mentions grow nothing. (This file
+//! holds exactly one test on purpose: the arena is process-wide, so a
+//! concurrent test in the same binary would grow it.)
 
 use rtr::core::intern;
 use rtr::prelude::*;
@@ -16,8 +19,8 @@ fn total() -> usize {
 }
 
 /// `dot-prod`-shaped items, whose `for/sum` loops and applications mint
-/// ghost existentials and selfification binders, plus one definition
-/// whose body constant is `edit`.
+/// ghost existentials and selfification binders, plus one such
+/// definition whose body constant, typed `Int`, is `edit`.
 fn module(edit: usize) -> SourceFile {
     let mut src = String::new();
     for k in 0..40 {
@@ -33,7 +36,8 @@ fn module(edit: usize) -> SourceFile {
     }
     src.push_str(&format!(
         "(: edited : [A : (Vecof Int)] -> Int)
-         (define (edited A) (+ (len (vec {edit} {edit})) (len A)))\n"
+         (define (edited A)
+           (+ {edit} (for/sum ([i (in-range (len A))]) (* (safe-vec-ref A i) {edit}))))\n"
     ));
     SourceFile::new("bounded.rtr", src)
 }
@@ -62,5 +66,16 @@ fn repeated_checks_and_cycled_edits_keep_the_arena_flat() {
         let now = total();
         let first = *after_cycle.get_or_insert(now);
         assert_eq!(now, first, "edit cycle {cycle} grew the arena");
+    }
+    // Edits that bring new text each time: the edited item mints the
+    // names its earlier texts minted, and no tree mentions the constant.
+    for edit in 9..300 {
+        let report = session.check(&module(edit));
+        assert!(report.is_clean(), "distinct edit {edit}");
+        assert_eq!(
+            total(),
+            after_cycle.unwrap(),
+            "distinct edit {edit} grew the arena"
+        );
     }
 }

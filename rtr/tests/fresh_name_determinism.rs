@@ -1,4 +1,4 @@
-//! A file's rendered output depends only on the file: fresh names are
+//! A file's rendered fresh names depend only on the file: they are
 //! numbered per item and rendered by first occurrence, so checking a file
 //! beside other files — serially, sharded over `--jobs` threads, in any
 //! order — or in an LSP session that checked other text first prints
@@ -9,6 +9,14 @@
 //! serially, with `--jobs 2` and `--jobs 4` (20 runs each) and in
 //! reversed order; the human rendering and the `--json` document (minus
 //! `elapsed_us`) of each copy must match its alone run byte for byte.
+//! It is also checked after and beside a different file that mints
+//! names of the same bases in an item of the same name and interns the
+//! fixture's compound types first.
+//!
+//! What this does not cover: members of a union that share a compound
+//! kind (two vector types, say) print in the order the process interned
+//! them, so a union can read the other way round after another file
+//! interned its second member first.
 
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
@@ -146,6 +154,59 @@ fn each_file_renders_as_it_does_alone() {
                 expected,
                 "{stem}, {way}: --json differs from alone"
             );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Mints `vlit` and `acc` names in an item named `s`, and interns
+/// `(Vecof (Vecof Int))` and unions over vector types.
+const OTHER: &str = "(: w : [A : (Vecof Int)] -> (Vecof (Vecof Int)))
+(define (w A) (vec A A))
+(: s2 : [A : (Vecof Int)] -> Int)
+(define (s2 A)
+  (for/sum ([i (in-range (len A))])
+    (vec A (vec i))))
+(: s : [A : (Vecof Int)] -> Int)
+(define (s A)
+  (for/sum ([k (in-range (len A))])
+    (vec A A)))
+";
+
+#[test]
+fn each_file_renders_as_alone_beside_a_different_file() {
+    for (stem, src) in fixtures() {
+        let (dir, names) = copies(&format!("{stem}-beside"), &src);
+        let other = "other.rtr".to_string();
+        std::fs::write(dir.join(&other), OTHER).expect("write other");
+        let fixture = &names[0];
+        for flags in [&[][..], &["--json"]] {
+            let alone = |f: &String| check(&dir, flags, &[f]);
+            let (other_alone, fixture_alone) = (alone(&other), alone(fixture));
+            assert!(
+                other_alone.1.contains('%') || flags == ["--json"],
+                "the other file shows no fresh name"
+            );
+            for run in 0..RUNS {
+                for jobs in ["1", "2"] {
+                    let flags = [flags, &["--jobs", jobs]].concat();
+                    let (stdout, stderr) = check(&dir, &flags, &[&other, fixture]);
+                    let way = format!("{stem}, {flags:?}, run {run}");
+                    if flags.contains(&"--json") {
+                        let expected = [other_alone.0.as_str(), fixture_alone.0.as_str()]
+                            .iter()
+                            .flat_map(|d| json_files(d))
+                            .collect::<Vec<_>>();
+                        assert_eq!(json_files(&stdout), expected, "{way}: --json differs");
+                    } else {
+                        assert_eq!(
+                            stderr,
+                            other_alone.1.clone() + &fixture_alone.1,
+                            "{way}: rendering differs from alone"
+                        );
+                    }
+                }
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }
