@@ -154,7 +154,7 @@ impl Env {
         Entries {
             ty: self.types.get(x).copied(),
             alias: self.aliases.get(x).copied(),
-            negs: negs.map(|(p, ts)| (p.clone(), ts.clone())).collect(),
+            negs: negs.map(|(p, ts)| (*p, ts.clone())).collect(),
         }
     }
 
@@ -518,7 +518,7 @@ mod tests {
     fn negs_round_trip() {
         let mut env = Env::new();
         let p = Path::var(s("n"));
-        env.add_neg(p.clone(), TyId::of(&Ty::Int));
+        env.add_neg(p, TyId::of(&Ty::Int));
         assert_eq!(env.negs_of(&p), &[TyId::of(&Ty::Int)]);
         assert!(env.negs_of(&Path::var(s("other"))).is_empty());
     }

@@ -104,15 +104,21 @@ impl Fp {
     }
 
     /// A free user name hashes by spelling, stable across processes; a
-    /// fresh one by its id under its own tag, so it never meets a user
-    /// identifier spelled like it (`x%7`).
+    /// fresh one by its base's spelling, scope key and counter under its
+    /// own tag, so it never meets a user identifier spelled like it
+    /// (`x%7`) and never depends on the order scopes took their slots.
     fn free_name(&mut self, x: Symbol, tag: u8, fresh_tag: u8) {
-        if x.is_fresh() {
-            self.tag(fresh_tag);
-            self.word(x.index());
-        } else {
-            self.tag(tag);
-            self.word(str_hash(x.as_str()));
+        match x.scope_and_counter() {
+            Some((key, n)) => {
+                self.tag(fresh_tag);
+                self.word(str_hash(x.base().as_str()));
+                self.word(key);
+                self.word(n);
+            }
+            None => {
+                self.tag(tag);
+                self.word(str_hash(x.as_str()));
+            }
         }
     }
 
@@ -402,8 +408,9 @@ impl Fp {
 
     fn path(&mut self, p: &Path) {
         self.obj_var(p.base);
-        self.word(p.fields.len() as u64);
-        for f in &p.fields {
+        let fields = p.fields();
+        self.word(fields.len() as u64);
+        for f in fields {
             self.tag(match f {
                 Field::Fst => 0x60,
                 Field::Snd => 0x61,
@@ -414,10 +421,10 @@ impl Fp {
 
     fn lin_obj(&mut self, l: &LinObj) {
         self.word(l.constant as u64);
-        self.word(l.terms.len() as u64);
-        for (c, p) in &l.terms {
-            self.word(*c as u64);
-            self.path(p);
+        self.word(l.terms().len() as u64);
+        for (c, p) in l.terms() {
+            self.word(c as u64);
+            self.path(&p);
         }
     }
 
@@ -543,6 +550,17 @@ pub fn item_fingerprint(item: &ModuleItem) -> u128 {
         }
     }
     fp.finish()
+}
+
+/// A structural hash of a type, by the same traversal as
+/// [`item_fingerprint`]: names hash by spelling (fresh ones by base,
+/// scope key and counter), so the key depends only on the type, never
+/// on what else the process interned. The interner orders union members
+/// by it.
+pub(crate) fn ty_key(t: &Ty) -> u64 {
+    let mut fp = Fp::new();
+    fp.ty(t);
+    fp.finish() as u64
 }
 
 /// The budget/chaos salt for an item's per-item checker fork. Keyed by

@@ -17,8 +17,10 @@
 //!
 //! * unions are flattened, deduplicated and sorted (base-type members in
 //!   a fixed structural rank order — so `Bool` always reads
-//!   `(U True False)` — compound members by id), and singleton unions
-//!   collapse to their member;
+//!   `(U True False)` — compound members of one kind by a structural
+//!   hash of the member, ids breaking hash ties only), and singleton
+//!   unions collapse to their member. So a union prints the same way
+//!   whatever else the process interned first;
 //! * refinements with a trivial (`tt`) proposition collapse to their base;
 //! * conjunction/disjunction chains are flattened and deduplicated with
 //!   `tt`/`ff` unit/absorption short-circuits;
@@ -53,11 +55,16 @@
 //! **Per-thread tables.** The store is one mutex, and sharded checks
 //! (`fig9 --jobs`, `rtr check --jobs`) would otherwise take it for
 //! nearly every [`TyId::get`] and [`TyId::of`]. So each thread keeps a
-//! table of the entries it has read: its own deep copy of each type
-//! `get` returned (cloning that `Arc` touches no refcount another thread
+//! table of the entries it has read: its own copy of each type `get`
+//! returned (cloning that `Arc` touches no refcount another thread
 //! shares), and the raw trees `of` resolved, each capped at 4,096
 //! entries and cleared when full. An id is never reused, so an entry
-//! never needs invalidating.
+//! never needs invalidating. With these tables the store is no longer
+//! what limits sharding: a two-job corpus pass takes it about 4,200
+//! times, and of the pass's roughly 26,000 lock acquisitions (this
+//! store, the symbol and scope-slot tables, the memo tables) only a
+//! couple of hundred wait. What does limit two-job scaling is still
+//! open; allocation volume is the leading suspect (ROADMAP item 9).
 
 use std::cell::RefCell;
 use std::collections::HashSet;
@@ -464,6 +471,9 @@ struct TyMeta {
     /// Canonical sort rank for union members (base types in declaration
     /// order, compound types after).
     rank: u8,
+    /// Structural hash ([`crate::fingerprint::ty_key`]) ordering union
+    /// members of one rank.
+    key: u64,
 }
 
 /// Intern-time metadata for a proposition.
@@ -628,7 +638,7 @@ impl Scan {
             }
             Prop::Lin(a) => {
                 self.mask |= THEORY_LIN;
-                for (_, p) in a.lhs.terms.iter().chain(a.rhs.terms.iter()) {
+                for (_, p) in a.lhs.terms().chain(a.rhs.terms()) {
                     self.vars.insert(p.base);
                 }
             }
@@ -680,7 +690,7 @@ impl Scan {
 /// Canonical sort rank for union members: base types in a fixed order
 /// (so canonical member order is stable across processes for base-type
 /// unions — `Bool` is always `(U True False)`), compound types after,
-/// ordered among themselves by id.
+/// ordered among themselves by [`TyMeta::key`].
 fn ty_rank(t: &Ty) -> u8 {
     match t {
         Ty::Top => 0,
@@ -758,6 +768,7 @@ impl Store {
             theory_mask: scan.mask,
             has_refinement: scan.has_refinement,
             rank: ty_rank(&t),
+            key: crate::fingerprint::ty_key(&t),
         };
         let flag = if env_free(&t) { ENV_FREE_BIT } else { 0 };
         let arc = Arc::new(t);
@@ -775,9 +786,10 @@ impl Store {
     }
 
     /// The canonical union of (already canonical) member ids: members
-    /// that are unions splice in, duplicates drop, base members sort by
-    /// structural rank and compound members by id. The single code path
-    /// for both the tree-interning route and the id-level constructor.
+    /// that are unions splice in, duplicates drop, and members sort by
+    /// structural rank, then (compound members of one rank) by
+    /// structural key, then id. The single code path for both the
+    /// tree-interning route and the id-level constructor.
     fn make_union(&mut self, members: Vec<u32>) -> u32 {
         let mut flat: Vec<u32> = Vec::with_capacity(members.len());
         for mid in members {
@@ -786,7 +798,10 @@ impl Store {
                 None => flat.push(mid),
             }
         }
-        flat.sort_unstable_by_key(|&id| (self.ty_meta(id).rank, id));
+        flat.sort_unstable_by_key(|&id| {
+            let meta = self.ty_meta(id);
+            (meta.rank, meta.key, id)
+        });
         flat.dedup();
         if flat.len() == 1 {
             return flat[0];

@@ -173,11 +173,11 @@ impl Checker {
                 if !self.config.hybrid_env {
                     // §4.1 ablation (pure-proposition environment): record
                     // the atom; `ty_of_path` replays it at every query.
-                    env.add_pending(p.clone(), t_id, true);
+                    env.add_pending(*p, t_id, true);
                     return;
                 }
                 let current = env.raw_ty_id(p.base).unwrap_or_else(TyId::top);
-                let updated = self.update_ty_id(env, current, &p.fields, t_id, true, fuel);
+                let updated = self.update_ty_id(env, current, p.fields(), t_id, true, fuel);
                 if self.is_empty_id(updated) {
                     env.mark_absurd();
                 }
@@ -194,7 +194,7 @@ impl Checker {
         if let (Obj::Path(p), Some(inner_fuel)) = (o, fuel.checked_sub(1)) {
             if self.config.hybrid_env && !matches!(&*t.get(), Ty::Refine(_)) {
                 let current = env.raw_ty_id(p.base).unwrap_or_else(TyId::top);
-                let updated = self.update_ty_id(env, current, &p.fields, t, true, inner_fuel);
+                let updated = self.update_ty_id(env, current, p.fields(), t, true, inner_fuel);
                 if self.is_empty_id(updated) {
                     env.mark_absurd();
                 }
@@ -263,17 +263,17 @@ impl Checker {
             Obj::Path(p) => {
                 let t_id = TyId::of(t);
                 if !self.config.hybrid_env {
-                    env.add_pending(p.clone(), t_id, false);
-                    env.add_neg(p.clone(), t_id);
+                    env.add_pending(*p, t_id, false);
+                    env.add_neg(*p, t_id);
                     return;
                 }
                 let current = env.raw_ty_id(p.base).unwrap_or_else(TyId::top);
-                let updated = self.update_ty_id(env, current, &p.fields, t_id, false, fuel);
+                let updated = self.update_ty_id(env, current, p.fields(), t_id, false, fuel);
                 if self.is_empty_id(updated) {
                     env.mark_absurd();
                 }
                 env.set_ty_id(p.base, updated);
-                env.add_neg(p.clone(), t_id);
+                env.add_neg(*p, t_id);
             }
         }
     }
@@ -288,7 +288,7 @@ impl Checker {
                 self.assume_alias(env, a, c, fuel);
                 self.assume_alias(env, b, d, fuel);
             }
-            (Obj::Path(p), other) | (other, Obj::Path(p)) if p.fields.is_empty() => {
+            (Obj::Path(p), other) | (other, Obj::Path(p)) if p.fields().is_empty() => {
                 let x = p.base;
                 if other.find_var(&mut |v| v == x).is_some() || env.is_mutable(x) {
                     self.alias_as_theory_eq(env, o1, o2);
@@ -312,7 +312,7 @@ impl Checker {
                     if let Obj::Path(q) = other {
                         // Propagate length information for vectors.
                         let lx = Obj::var(x).len();
-                        let lq = Obj::Path(q.clone()).len();
+                        let lq = Obj::Path(*q).len();
                         self.assume(env, &Prop::lin(lx, LinCmp::Eq, lq), fuel);
                     }
                 }
@@ -387,7 +387,7 @@ impl Checker {
     fn resolve_str(&self, env: &Env, a: &StrAtomProp) -> StrAtomProp {
         let lhs = match &a.lhs {
             StrObj::Const(_) => return a.clone(),
-            StrObj::Path(p) => env.resolve(&Obj::Path(p.clone())),
+            StrObj::Path(p) => env.resolve(&Obj::Path(*p)),
         };
         match lhs.as_str_obj() {
             Some(lhs) => StrAtomProp {
@@ -662,11 +662,11 @@ impl Checker {
             let fuel = self.config.logic_fuel;
             for (q, s, positive) in env.pending() {
                 if q.base == p.base {
-                    t = self.update_ty_id(env, t, &q.fields, *s, *positive, fuel);
+                    t = self.update_ty_id(env, t, q.fields(), *s, *positive, fuel);
                 }
             }
         }
-        for f in &p.fields {
+        for f in p.fields() {
             t = t.project(*f);
         }
         t
@@ -885,7 +885,7 @@ struct StrTranslator {
 impl StrTranslator {
     fn var(&mut self, p: &Path) -> SolverVar {
         let next = SolverVar(self.vars.len() as u32);
-        *self.vars.entry(p.clone()).or_insert(next)
+        *self.vars.entry(*p).or_insert(next)
     }
 
     fn constraint(&mut self, a: &StrAtomProp) -> rtr_solver::re::ReConstraint {
@@ -916,7 +916,7 @@ impl BvTranslator {
 
     fn var(&mut self, p: &Path) -> SolverVar {
         let next = SolverVar(self.vars.len() as u32);
-        *self.vars.entry(p.clone()).or_insert(next)
+        *self.vars.entry(*p).or_insert(next)
     }
 
     fn term(&mut self, o: &BvObj) -> rtr_solver::bv::BvTerm {

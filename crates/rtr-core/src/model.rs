@@ -27,7 +27,7 @@ pub fn eval_obj(rho: &RtEnv, o: &Obj) -> Option<Value> {
         Obj::Null => None,
         Obj::Path(p) => {
             let mut v = rho.lookup(p.base)?;
-            for f in &p.fields {
+            for f in p.fields() {
                 v = match (f, v) {
                     (Field::Fst, Value::Pair(a, _)) => (*a).clone(),
                     (Field::Snd, Value::Pair(_, b)) => (*b).clone(),
@@ -51,8 +51,8 @@ pub fn eval_obj(rho: &RtEnv, o: &Obj) -> Option<Value> {
 
 fn eval_lin(rho: &RtEnv, l: &LinObj) -> Option<i64> {
     let mut acc = l.constant;
-    for (c, p) in &l.terms {
-        let v = eval_obj(rho, &Obj::Path(p.clone()))?;
+    for (c, p) in l.terms() {
+        let v = eval_obj(rho, &Obj::Path(p))?;
         let Value::Int(n) = v else { return None };
         acc = acc.checked_add(c.checked_mul(n)?)?;
     }
@@ -64,7 +64,7 @@ const BV_MASK: u64 = 0xffff;
 fn eval_bv(rho: &RtEnv, b: &BvObj) -> Option<u64> {
     Some(match b {
         BvObj::Const(v) => *v & BV_MASK,
-        BvObj::Path(p) => match eval_obj(rho, &Obj::Path(p.clone()))? {
+        BvObj::Path(p) => match eval_obj(rho, &Obj::Path(*p))? {
             Value::Bv(v) => v & BV_MASK,
             _ => return None,
         },
@@ -229,7 +229,7 @@ pub fn satisfies(checker: &Checker, rho: &RtEnv, p: &Prop) -> Option<bool> {
         Prop::Str(a) => {
             let s = match &a.lhs {
                 StrObj::Const(s) => s.clone(),
-                StrObj::Path(p) => match eval_obj(rho, &Obj::Path(p.clone()))? {
+                StrObj::Path(p) => match eval_obj(rho, &Obj::Path(*p))? {
                     Value::Str(s) => s,
                     _ => return None,
                 },

@@ -114,23 +114,23 @@ mod op {
 }
 
 /// First-occurrence path renamer shared by the atoms of one query.
-/// Borrows the paths (a query touches a handful, so a linear scan beats
-/// hashing plus cloning each `Path` into a map).
+/// A query touches a handful of paths, so a linear scan over `Copy`
+/// paths beats hashing them into a map.
 #[derive(Default)]
-struct Renamer<'a> {
-    seen: Vec<&'a Path>,
+struct Renamer {
+    seen: Vec<Path>,
 }
 
-impl<'a> Renamer<'a> {
-    fn tok(&mut self, p: &'a Path) -> FpTok {
-        let idx = match self.seen.iter().position(|q| *q == p) {
+impl Renamer {
+    fn tok(&mut self, p: &Path) -> FpTok {
+        let idx = match self.seen.iter().position(|q| q == p) {
             Some(i) => i as u32,
             None => {
-                self.seen.push(p);
+                self.seen.push(*p);
                 (self.seen.len() - 1) as u32
             }
         };
-        if p.fields.last() == Some(&Field::Len) {
+        if p.fields().last() == Some(&Field::Len) {
             FpTok::LenVar(idx)
         } else {
             FpTok::Var(idx)
@@ -146,7 +146,7 @@ impl<'a> Renamer<'a> {
 fn fingerprint<'a, A: PartialEq>(
     atoms: Vec<&'a A>,
     cmp: impl Fn(&A, &A) -> std::cmp::Ordering,
-    emit: impl Fn(&'a A, &mut Renamer<'a>, &mut Vec<FpTok>),
+    emit: impl Fn(&'a A, &mut Renamer, &mut Vec<FpTok>),
 ) -> TheoryFp {
     let mut sorted = atoms;
     sorted.sort_unstable_by(|a, b| cmp(a, b));
@@ -165,7 +165,7 @@ fn fingerprint<'a, A: PartialEq>(
 fn cmp_lin_obj(a: &LinObj, b: &LinObj) -> std::cmp::Ordering {
     a.constant
         .cmp(&b.constant)
-        .then_with(|| a.terms.cmp(&b.terms))
+        .then_with(|| a.terms().cmp(b.terms()))
 }
 
 fn cmp_lin_atom(a: &LinAtom, b: &LinAtom) -> std::cmp::Ordering {
@@ -248,22 +248,22 @@ fn lin_cmp_op(c: LinCmp) -> u8 {
     }
 }
 
-fn emit_lin_obj<'a>(l: &'a LinObj, r: &mut Renamer<'a>, out: &mut Vec<FpTok>) {
+fn emit_lin_obj(l: &LinObj, r: &mut Renamer, out: &mut Vec<FpTok>) {
     out.push(FpTok::Int(l.constant));
-    for (c, p) in &l.terms {
-        out.push(FpTok::Int(*c));
-        out.push(r.tok(p));
+    for (c, p) in l.terms() {
+        out.push(FpTok::Int(c));
+        out.push(r.tok(&p));
     }
 }
 
-fn emit_lin_atom<'a>(a: &'a LinAtom, r: &mut Renamer<'a>, out: &mut Vec<FpTok>) {
+fn emit_lin_atom(a: &LinAtom, r: &mut Renamer, out: &mut Vec<FpTok>) {
     out.push(FpTok::Op(lin_cmp_op(a.cmp)));
     emit_lin_obj(&a.lhs, r, out);
     out.push(FpTok::Op(op::SEP));
     emit_lin_obj(&a.rhs, r, out);
 }
 
-fn emit_bv_obj<'a>(o: &'a BvObj, r: &mut Renamer<'a>, out: &mut Vec<FpTok>) {
+fn emit_bv_obj(o: &BvObj, r: &mut Renamer, out: &mut Vec<FpTok>) {
     match o {
         BvObj::Const(v) => {
             out.push(FpTok::Op(op::CONST));
@@ -286,19 +286,13 @@ fn emit_bv_obj<'a>(o: &'a BvObj, r: &mut Renamer<'a>, out: &mut Vec<FpTok>) {
     }
 }
 
-fn emit_bv_binary<'a>(
-    code: u8,
-    a: &'a BvObj,
-    b: &'a BvObj,
-    r: &mut Renamer<'a>,
-    out: &mut Vec<FpTok>,
-) {
+fn emit_bv_binary<'a>(code: u8, a: &'a BvObj, b: &'a BvObj, r: &mut Renamer, out: &mut Vec<FpTok>) {
     out.push(FpTok::Op(code));
     emit_bv_obj(a, r, out);
     emit_bv_obj(b, r, out);
 }
 
-fn emit_bv_atom<'a>(a: &'a BvAtomProp, r: &mut Renamer<'a>, out: &mut Vec<FpTok>) {
+fn emit_bv_atom(a: &BvAtomProp, r: &mut Renamer, out: &mut Vec<FpTok>) {
     out.push(FpTok::Op(if a.positive { op::POS } else { op::NEG }));
     out.push(FpTok::Op(match a.cmp {
         BvCmp::Eq => op::EQ,
@@ -309,7 +303,7 @@ fn emit_bv_atom<'a>(a: &'a BvAtomProp, r: &mut Renamer<'a>, out: &mut Vec<FpTok>
     emit_bv_obj(&a.rhs, r, out);
 }
 
-fn emit_str_atom<'a>(a: &'a StrAtomProp, r: &mut Renamer<'a>, out: &mut Vec<FpTok>) {
+fn emit_str_atom(a: &StrAtomProp, r: &mut Renamer, out: &mut Vec<FpTok>) {
     out.push(FpTok::Op(if a.positive { op::POS } else { op::NEG }));
     match &a.lhs {
         crate::syntax::StrObj::Const(s) => {
@@ -366,7 +360,7 @@ pub(crate) fn str_fingerprint(facts: &[StrAtomProp], goal: Option<&StrAtomProp>)
 /// before the row that mentions it, so equal inputs give equal rows.
 /// Both the memoized path and the one-shot reference path use it.
 pub(crate) fn lin_rows(facts: &[LinAtom], neg_goal: Option<&LinAtom>) -> Vec<Constraint> {
-    let mut vars: Vec<&Path> = Vec::new();
+    let mut vars: Vec<Path> = Vec::new();
     let mut rows = Vec::with_capacity(facts.len() + 3);
     for a in facts.iter().chain(neg_goal) {
         let lhs = lin_expr(&a.lhs, &mut vars, &mut rows);
@@ -381,26 +375,25 @@ pub(crate) fn lin_rows(facts: &[LinAtom], neg_goal: Option<&LinAtom>) -> Vec<Con
     rows
 }
 
-fn lin_expr<'a>(l: &'a LinObj, vars: &mut Vec<&'a Path>, rows: &mut Vec<Constraint>) -> LinExpr {
+fn lin_expr(l: &LinObj, vars: &mut Vec<Path>, rows: &mut Vec<Constraint>) -> LinExpr {
     let terms: Vec<(Rat, SolverVar)> = l
-        .terms
-        .iter()
-        .map(|(c, p)| (Rat::from(*c), lin_var(p, vars, rows)))
+        .terms()
+        .map(|(c, p)| (Rat::from(c), lin_var(p, vars, rows)))
         .collect();
     LinExpr::from_terms(terms, Rat::from(l.constant))
 }
 
 /// The solver variable for `p`, its index in `vars` (a query touches a
-/// handful of paths, so a linear scan beats hashing and cloning them).
+/// handful of paths, so a linear scan beats hashing them).
 /// A path seen for the first time is appended, and a new `len` path
 /// adds its `0 ≤ v` row.
-fn lin_var<'a>(p: &'a Path, vars: &mut Vec<&'a Path>, rows: &mut Vec<Constraint>) -> SolverVar {
+fn lin_var(p: Path, vars: &mut Vec<Path>, rows: &mut Vec<Constraint>) -> SolverVar {
     if let Some(i) = vars.iter().position(|q| *q == p) {
         return SolverVar(i as u32);
     }
     let v = SolverVar(vars.len() as u32);
     vars.push(p);
-    if p.fields.last() == Some(&Field::Len) {
+    if p.fields().last() == Some(&Field::Len) {
         rows.push(Constraint::ge(LinExpr::var(v), LinExpr::constant(0)));
     }
     v
@@ -483,7 +476,7 @@ impl BvOracle {
             return v;
         }
         let v = SolverVar(self.vars.len() as u32);
-        self.vars.insert(p.clone(), v);
+        self.vars.insert(*p, v);
         v
     }
 
@@ -616,7 +609,7 @@ impl ReOracle {
             return v;
         }
         let v = SolverVar(self.vars.len() as u32);
-        self.vars.insert(p.clone(), v);
+        self.vars.insert(*p, v);
         v
     }
 

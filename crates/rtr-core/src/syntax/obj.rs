@@ -12,12 +12,15 @@
 //! sorted, and anything not liftable collapses to the null object [`Obj::Null`]
 //! (propositions about which are vacuous, per §3.1).
 
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use rtr_solver::re::Regex;
 
 use super::symbol::Symbol;
+use crate::cache::LockRecover;
 
 /// A field selector, applied to a path one step at a time.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -43,39 +46,138 @@ impl fmt::Display for Field {
 /// A variable with a (possibly empty) chain of field accesses:
 /// `x`, `(fst x)`, `(len (snd x))`, …
 ///
-/// `fields[0]` is applied first (innermost).
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+/// A fixed-size `Copy` value: up to [`Path::INLINE_FIELDS`] fields are
+/// packed inline, innermost first; a longer chain is interned once in a
+/// process-wide table and held by its index, so every path is exact at
+/// any depth. Equality, order, hashing and display are those of the base
+/// followed by the field sequence.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Path {
     /// The root variable.
     pub base: Symbol,
-    /// Field accesses, innermost first.
-    pub fields: Vec<Field>,
+    fields: Fields,
+}
+
+/// The field chain of a [`Path`], in one canonical representation per
+/// sequence (so the derived equality is the sequence's).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Fields {
+    /// At most [`Path::INLINE_FIELDS`] fields; unused slots hold `Fst`.
+    Inline {
+        len: u8,
+        slots: [Field; Path::INLINE_FIELDS],
+    },
+    /// A longer chain: its index in the spill table.
+    Spilled(u32),
+}
+
+/// The field chains longer than [`Path::INLINE_FIELDS`], each stored
+/// once and never freed (like the symbol interner's spellings). Such
+/// chains are rare, so one lock serves them.
+#[derive(Default)]
+struct Spills {
+    chains: Vec<&'static [Field]>,
+    index: HashMap<&'static [Field], u32>,
+}
+
+fn spills() -> &'static Mutex<Spills> {
+    static SPILLS: OnceLock<Mutex<Spills>> = OnceLock::new();
+    SPILLS.get_or_init(Mutex::default)
+}
+
+impl Fields {
+    fn spill(chain: Vec<Field>) -> Fields {
+        let mut table = spills().lock_recover();
+        if let Some(&i) = table.index.get(&chain[..]) {
+            return Fields::Spilled(i);
+        }
+        let chain: &'static [Field] = Box::leak(chain.into_boxed_slice());
+        let i = u32::try_from(table.chains.len()).expect("spilled path chains exceed u32");
+        table.chains.push(chain);
+        table.index.insert(chain, i);
+        Fields::Spilled(i)
+    }
 }
 
 impl Path {
+    /// The longest field chain a path holds inline.
+    pub const INLINE_FIELDS: usize = 7;
+
     /// A bare variable path.
     pub fn var(base: Symbol) -> Path {
         Path {
             base,
-            fields: Vec::new(),
+            fields: Fields::Inline {
+                len: 0,
+                slots: [Field::Fst; Path::INLINE_FIELDS],
+            },
         }
     }
 
     /// Extends the path with one more field access (outermost).
-    pub fn field(mut self, f: Field) -> Path {
-        self.fields.push(f);
-        self
+    pub fn field(self, f: Field) -> Path {
+        let fields = match self.fields {
+            Fields::Inline { len, mut slots } if usize::from(len) < Path::INLINE_FIELDS => {
+                slots[usize::from(len)] = f;
+                Fields::Inline {
+                    len: len + 1,
+                    slots,
+                }
+            }
+            _ => {
+                let mut chain = self.fields().to_vec();
+                chain.push(f);
+                Fields::spill(chain)
+            }
+        };
+        Path { fields, ..self }
+    }
+
+    /// The field accesses, innermost first.
+    pub fn fields(&self) -> &[Field] {
+        match &self.fields {
+            Fields::Inline { len, slots } => &slots[..usize::from(*len)],
+            Fields::Spilled(i) => spills().lock_recover().chains[*i as usize],
+        }
+    }
+}
+
+impl Ord for Path {
+    fn cmp(&self, other: &Path) -> std::cmp::Ordering {
+        (self.base, self.fields()).cmp(&(other.base, other.fields()))
+    }
+}
+
+impl PartialOrd for Path {
+    fn partial_cmp(&self, other: &Path) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for Path {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.base.hash(state);
+        self.fields().hash(state);
+    }
+}
+
+impl fmt::Debug for Path {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Path")
+            .field("base", &self.base)
+            .field("fields", &self.fields())
+            .finish()
     }
 }
 
 impl fmt::Display for Path {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Print outermost-first: (len (fst x))
-        for field in self.fields.iter().rev() {
+        for field in self.fields().iter().rev() {
             write!(f, "({field} ")?;
         }
         write!(f, "{}", self.base)?;
-        for _ in &self.fields {
+        for _ in self.fields() {
             write!(f, ")")?;
         }
         Ok(())
@@ -85,13 +187,27 @@ impl fmt::Display for Path {
 /// A linear combination `constant + Σ coeffᵢ·pathᵢ` over the integers.
 ///
 /// Terms are sorted by path and contain no zero coefficients, so structural
-/// equality is semantic equality.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
+/// equality is semantic equality. Cloning never allocates: a lone `1·p`
+/// term is stored inline, any other term list in a shared immutable
+/// slice.
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct LinObj {
     /// The constant part.
     pub constant: i64,
-    /// Sorted, coefficient-labelled paths.
-    pub terms: Vec<(i64, Path)>,
+    terms: Terms,
+}
+
+/// The terms of a [`LinObj`], in one canonical representation each.
+#[derive(Clone, PartialEq, Eq, Default)]
+enum Terms {
+    /// No variable terms.
+    #[default]
+    None,
+    /// Exactly `1·p`.
+    Unit(Path),
+    /// Any other non-empty list. A thin pointer, so `Terms` fits in a
+    /// [`Path`] and its spare bit patterns.
+    Shared(Arc<Vec<(i64, Path)>>),
 }
 
 impl LinObj {
@@ -99,7 +215,7 @@ impl LinObj {
     pub fn constant(n: i64) -> LinObj {
         LinObj {
             constant: n,
-            terms: Vec::new(),
+            terms: Terms::None,
         }
     }
 
@@ -107,77 +223,162 @@ impl LinObj {
     pub fn path(p: Path) -> LinObj {
         LinObj {
             constant: 0,
-            terms: vec![(1, p)],
+            terms: Terms::Unit(p),
+        }
+    }
+
+    /// `constant + Σ terms`, the terms sorted by path, distinct and
+    /// non-zero.
+    fn from_sorted(constant: i64, terms: Vec<(i64, Path)>) -> LinObj {
+        let terms = match terms[..] {
+            [] => Terms::None,
+            [(1, p)] => Terms::Unit(p),
+            _ => Terms::Shared(Arc::new(terms)),
+        };
+        LinObj { constant, terms }
+    }
+
+    /// The terms, sorted by path.
+    pub fn terms(&self) -> LinTerms<'_> {
+        let (unit, list) = match &self.terms {
+            Terms::None => (None, &[][..]),
+            Terms::Unit(p) => (Some(*p), &[][..]),
+            Terms::Shared(ts) => (None, &ts[..]),
+        };
+        LinTerms {
+            unit,
+            list: list.iter(),
         }
     }
 
     /// Returns the constant if the object has no variable terms.
     pub fn as_constant(&self) -> Option<i64> {
-        self.terms.is_empty().then_some(self.constant)
-    }
-
-    fn add_term(&mut self, coeff: i64, p: Path) {
-        if coeff == 0 {
-            return;
-        }
-        match self.terms.binary_search_by(|(_, q)| q.cmp(&p)) {
-            Ok(i) => {
-                self.terms[i].0 = self.terms[i].0.saturating_add(coeff);
-                if self.terms[i].0 == 0 {
-                    self.terms.remove(i);
-                }
-            }
-            Err(i) => self.terms.insert(i, (coeff, p)),
-        }
+        matches!(self.terms, Terms::None).then_some(self.constant)
     }
 
     /// Does the combination mention variable `x`? Allocation-free (used
     /// by `Env::unbind`'s theory-fact filters).
     pub fn mentions_var(&self, x: Symbol) -> bool {
-        self.terms.iter().any(|(_, p)| p.base == x)
+        self.terms().any(|(_, p)| p.base == x)
     }
 
     /// Pointwise sum.
     pub fn add(&self, other: &LinObj) -> LinObj {
-        let mut out = self.clone();
-        out.constant = out.constant.saturating_add(other.constant);
-        for (c, p) in &other.terms {
-            out.add_term(*c, p.clone());
+        let constant = self.constant.saturating_add(other.constant);
+        if matches!(other.terms, Terms::None) {
+            return LinObj {
+                constant,
+                terms: self.terms.clone(),
+            };
         }
-        out
+        if matches!(self.terms, Terms::None) {
+            return LinObj {
+                constant,
+                terms: other.terms.clone(),
+            };
+        }
+        // Merge the two sorted lists, summing the coefficients of a
+        // shared path and dropping those that cancel.
+        let (mut a, mut b) = (self.terms().peekable(), other.terms().peekable());
+        let mut out = Vec::with_capacity(a.len() + b.len());
+        loop {
+            let next = match (a.peek(), b.peek()) {
+                (Some(&(c, p)), Some(&(d, q))) => match p.cmp(&q) {
+                    std::cmp::Ordering::Less => a.next(),
+                    std::cmp::Ordering::Greater => b.next(),
+                    std::cmp::Ordering::Equal => {
+                        a.next();
+                        b.next();
+                        Some((c.saturating_add(d), p))
+                    }
+                },
+                (Some(_), None) => a.next(),
+                (None, Some(_)) => b.next(),
+                (None, None) => break,
+            };
+            out.extend(next.filter(|&(c, _)| c != 0));
+        }
+        LinObj::from_sorted(constant, out)
     }
 
     /// Scales every coefficient by `k`.
     pub fn scale(&self, k: i64) -> LinObj {
-        if k == 0 {
-            return LinObj::constant(0);
-        }
-        LinObj {
-            constant: self.constant.saturating_mul(k),
-            terms: self
-                .terms
-                .iter()
-                .map(|(c, p)| (c.saturating_mul(k), p.clone()))
-                .collect(),
+        match k {
+            0 => LinObj::constant(0),
+            1 => self.clone(),
+            _ => LinObj::from_sorted(
+                self.constant.saturating_mul(k),
+                self.terms()
+                    .map(|(c, p)| (c.saturating_mul(k), p))
+                    .collect(),
+            ),
         }
     }
 }
 
+impl Hash for LinObj {
+    /// Hashes as a `constant` and a term slice, whatever the storage.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.constant.hash(state);
+        match &self.terms {
+            Terms::None => <[(i64, Path)]>::hash(&[], state),
+            Terms::Unit(p) => [(1_i64, *p)].hash(state),
+            Terms::Shared(ts) => ts[..].hash(state),
+        }
+    }
+}
+
+impl fmt::Debug for LinObj {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LinObj")
+            .field("constant", &self.constant)
+            .field("terms", &self.terms().collect::<Vec<_>>())
+            .finish()
+    }
+}
+
+/// The terms of a [`LinObj`] by value, sorted by path.
+#[derive(Clone, Debug)]
+pub struct LinTerms<'a> {
+    /// The lone `1·p` term, until taken.
+    unit: Option<Path>,
+    /// A term list.
+    list: std::slice::Iter<'a, (i64, Path)>,
+}
+
+impl Iterator for LinTerms<'_> {
+    type Item = (i64, Path);
+
+    fn next(&mut self) -> Option<(i64, Path)> {
+        match self.unit.take() {
+            Some(p) => Some((1, p)),
+            None => self.list.next().copied(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = usize::from(self.unit.is_some()) + self.list.len();
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for LinTerms<'_> {}
+
 impl fmt::Display for LinObj {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.terms.is_empty() {
+        if matches!(self.terms, Terms::None) {
             return write!(f, "{}", self.constant);
         }
         let mut first = true;
-        for (c, p) in &self.terms {
+        for (c, p) in self.terms() {
             if first {
-                if *c == 1 {
+                if c == 1 {
                     write!(f, "{p}")?;
                 } else {
                     write!(f, "{c}·{p}")?;
                 }
                 first = false;
-            } else if *c < 0 {
+            } else if c < 0 {
                 write!(f, " - {}·{p}", -c)?;
             } else {
                 write!(f, " + {c}·{p}")?;
@@ -376,7 +577,7 @@ impl Obj {
     pub fn as_lin(&self) -> Option<LinObj> {
         match self {
             Obj::Lin(l) => Some(l.clone()),
-            Obj::Path(p) => Some(LinObj::path(p.clone())),
+            Obj::Path(p) => Some(LinObj::path(*p)),
             _ => None,
         }
     }
@@ -385,7 +586,7 @@ impl Obj {
     pub fn as_bv(&self) -> Option<BvObj> {
         match self {
             Obj::Bv(b) => Some(b.clone()),
-            Obj::Path(p) => Some(BvObj::Path(p.clone())),
+            Obj::Path(p) => Some(BvObj::Path(*p)),
             _ => None,
         }
     }
@@ -394,7 +595,7 @@ impl Obj {
     pub fn as_str_obj(&self) -> Option<StrObj> {
         match self {
             Obj::Str(s) => Some(StrObj::Const(s.clone())),
-            Obj::Path(p) => Some(StrObj::Path(p.clone())),
+            Obj::Path(p) => Some(StrObj::Path(*p)),
             _ => None,
         }
     }
@@ -507,27 +708,27 @@ impl Obj {
             Obj::Null => Obj::Null,
             Obj::Path(p) => {
                 if p.base == x {
-                    rep.clone().apply_fields(&p.fields)
+                    rep.clone().apply_fields(p.fields())
                 } else {
                     self.clone()
                 }
             }
             Obj::Pair(a, b) => Obj::pair(a.subst(x, rep), b.subst(x, rep)),
             Obj::Lin(l) => {
+                if !l.mentions_var(x) {
+                    return self.clone();
+                }
                 let mut acc = LinObj::constant(l.constant);
-                for (c, p) in &l.terms {
-                    if p.base == x {
-                        let repl = rep.clone().apply_fields(&p.fields);
-                        match repl.as_lin() {
-                            Some(rl) => acc = acc.add(&rl.scale(*c)),
+                for (c, p) in l.terms() {
+                    let term = if p.base == x {
+                        match rep.clone().apply_fields(p.fields()).as_lin() {
+                            Some(rl) => rl.scale(c),
                             None => return Obj::Null,
                         }
                     } else {
-                        acc = acc.add(&LinObj {
-                            constant: 0,
-                            terms: vec![(*c, p.clone())],
-                        });
-                    }
+                        LinObj::path(p).scale(c)
+                    };
+                    acc = acc.add(&term);
                 }
                 Obj::Lin(acc)
             }
@@ -551,7 +752,7 @@ impl Obj {
                 b.free_vars(out);
             }
             Obj::Lin(l) => {
-                for (_, p) in &l.terms {
+                for (_, p) in l.terms() {
                     out.insert(p.base);
                 }
             }
@@ -567,7 +768,7 @@ impl Obj {
             Obj::Null | Obj::Str(_) | Obj::Re(_) => None,
             Obj::Path(p) => pred(p.base).then_some(p.base),
             Obj::Pair(a, b) => a.find_var(pred).or_else(|| b.find_var(pred)),
-            Obj::Lin(l) => l.terms.iter().map(|(_, p)| p.base).find(|x| pred(*x)),
+            Obj::Lin(l) => l.terms().map(|(_, p)| p.base).find(|x| pred(*x)),
             Obj::Bv(b) => bv_find_var(b, pred),
         }
     }
@@ -576,12 +777,12 @@ impl Obj {
     pub fn paths(&self, out: &mut Vec<Path>) {
         match self {
             Obj::Null | Obj::Str(_) | Obj::Re(_) => {}
-            Obj::Path(p) => out.push(p.clone()),
+            Obj::Path(p) => out.push(*p),
             Obj::Pair(a, b) => {
                 a.paths(out);
                 b.paths(out);
             }
-            Obj::Lin(l) => out.extend(l.terms.iter().map(|(_, p)| p.clone())),
+            Obj::Lin(l) => out.extend(l.terms().map(|(_, p)| p)),
             Obj::Bv(b) => bv_paths(b, out),
         }
     }
@@ -592,9 +793,9 @@ fn subst_bv(b: &BvObj, x: Symbol, rep: &Obj) -> Option<BvObj> {
         BvObj::Const(v) => BvObj::Const(*v),
         BvObj::Path(p) => {
             if p.base == x {
-                rep.clone().apply_fields(&p.fields).as_bv()?
+                rep.clone().apply_fields(p.fields()).as_bv()?
             } else {
-                BvObj::Path(p.clone())
+                BvObj::Path(*p)
             }
         }
         BvObj::Not(a) => BvObj::Not(Box::new(subst_bv(a, x, rep)?)),
@@ -661,7 +862,7 @@ fn bv_free_vars(b: &BvObj, out: &mut std::collections::HashSet<Symbol>) {
 fn bv_paths(b: &BvObj, out: &mut Vec<Path>) {
     match b {
         BvObj::Const(_) => {}
-        BvObj::Path(p) => out.push(p.clone()),
+        BvObj::Path(p) => out.push(*p),
         BvObj::Not(a) => bv_paths(a, out),
         BvObj::And(a, b)
         | BvObj::Or(a, b)
@@ -714,11 +915,130 @@ mod tests {
         match &o {
             Obj::Path(p) => {
                 assert_eq!(p.base, x());
-                assert_eq!(p.fields, vec![Field::Fst, Field::Len]);
+                assert_eq!(p.fields(), [Field::Fst, Field::Len]);
             }
             other => panic!("expected path, got {other}"),
         }
         assert_eq!(o.to_string(), "(len (fst x))");
+    }
+
+    /// The vector-backed values the packed ones replaced, to compare
+    /// their derived order, hashes and debug text against.
+    mod unpacked {
+        use super::{Field, Symbol};
+
+        #[derive(PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+        pub struct Path {
+            pub base: Symbol,
+            pub fields: Vec<Field>,
+        }
+
+        #[derive(Hash, Debug)]
+        pub struct LinObj {
+            pub constant: i64,
+            pub terms: Vec<(i64, Path)>,
+        }
+    }
+
+    fn unpack(p: &Path) -> unpacked::Path {
+        unpacked::Path {
+            base: p.base,
+            fields: p.fields().to_vec(),
+        }
+    }
+
+    fn hash_of(v: &impl Hash) -> u64 {
+        let mut h = std::hash::DefaultHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn packed_values_order_hash_and_print_as_vectors() {
+        let fields = [Field::Fst, Field::Snd, Field::Len];
+        let mut paths = vec![Path::var(x()), Path::var(y())];
+        for depth in 0..3 {
+            let longer: Vec<Path> = paths
+                .iter()
+                .filter(|p| p.fields().len() == depth)
+                .flat_map(|p| fields.iter().map(|&f| p.field(f)))
+                .collect();
+            paths.extend(longer);
+        }
+        for p in &paths {
+            assert_eq!(hash_of(p), hash_of(&unpack(p)), "{p}");
+            assert_eq!(format!("{p:?}"), format!("{:?}", unpack(p)));
+            for q in &paths {
+                assert_eq!(p.cmp(q), unpack(p).cmp(&unpack(q)), "{p} vs {q}");
+                assert_eq!(p == q, unpack(p) == unpack(q), "{p} vs {q}");
+            }
+        }
+        // Constants, lone unit terms, scaled terms and sums.
+        let objs: Vec<LinObj> = paths
+            .iter()
+            .take(6)
+            .flat_map(|&p| {
+                let unit = LinObj::path(p);
+                [
+                    LinObj::constant(3),
+                    unit.clone(),
+                    unit.scale(-2),
+                    unit.add(&LinObj::path(Path::var(y())))
+                        .add(&LinObj::constant(1)),
+                ]
+            })
+            .collect();
+        for l in &objs {
+            let old = unpacked::LinObj {
+                constant: l.constant,
+                terms: l.terms().map(|(c, p)| (c, unpack(&p))).collect(),
+            };
+            assert_eq!(hash_of(l), hash_of(&old), "{l}");
+            assert_eq!(format!("{l:?}"), format!("{old:?}"));
+        }
+    }
+
+    #[test]
+    fn sums_that_cancel_keep_one_representation() {
+        // Terms sort by symbol, and symbols by interning order, so these
+        // names are this test's own: interned here, `a` sorts first.
+        let (a, b) = (Symbol::intern("cancel_a"), Symbol::intern("cancel_b"));
+        let (px, py) = (LinObj::path(Path::var(a)), LinObj::path(Path::var(b)));
+        let sum = px.add(&py).add(&LinObj::constant(2));
+        assert_eq!(sum.to_string(), "cancel_a + 1·cancel_b + 2");
+        // (a + b + 2) - a = b + 2, stored as the lone unit term again.
+        let rest = sum.add(&px.scale(-1));
+        assert_eq!(rest, py.add(&LinObj::constant(2)));
+        assert_eq!(rest.add(&py.scale(-1)).as_constant(), Some(2));
+        assert_eq!(px.scale(2).scale(1), px.add(&px));
+    }
+
+    #[test]
+    fn a_path_past_its_inline_depth_stays_exact() {
+        let deepest = (0..Path::INLINE_FIELDS).fold(Obj::var(x()), |o, _| o.snd());
+        let longer = deepest.clone().len();
+        let Obj::Path(p) = &longer else {
+            panic!("expected a path, got {longer}");
+        };
+        assert_eq!(p.fields().len(), Path::INLINE_FIELDS + 1);
+        assert_eq!(p.fields().last(), Some(&Field::Len));
+        assert_eq!(
+            longer.to_string(),
+            "(len (snd (snd (snd (snd (snd (snd (snd x))))))))"
+        );
+        // A spilled chain is stored once: equal chains are equal paths.
+        assert_eq!(longer, deepest.clone().len());
+        assert_ne!(longer, deepest.clone().fst());
+        assert_eq!(hash_of(p), hash_of(&unpack(p)));
+        let q = Path::var(x()).field(Field::Fst);
+        assert_eq!(p.cmp(&q), unpack(p).cmp(&unpack(&q)));
+        // Substituting a path into another's field chain extends it.
+        let v = Symbol::intern("v");
+        assert_eq!(Obj::var(v).len().subst(v, &deepest), longer);
+        assert_eq!(
+            Obj::Path(p.field(Field::Fst)).to_string(),
+            format!("(fst {longer})")
+        );
     }
 
     #[test]
@@ -736,7 +1056,7 @@ mod tests {
         match o {
             Obj::Lin(l) => {
                 assert_eq!(l.constant, 3);
-                assert_eq!(l.terms, vec![(3, Path::var(x()))]);
+                assert!(l.terms().eq([(3, Path::var(x()))]));
             }
             other => panic!("expected lin, got {other}"),
         }

@@ -336,7 +336,7 @@ impl Prop {
             Prop::Str(a) => {
                 let lhs = match &a.lhs {
                     StrObj::Const(_) => return self.clone(),
-                    StrObj::Path(p) => Obj::Path(p.clone()).subst(x, rep),
+                    StrObj::Path(p) => Obj::Path(*p).subst(x, rep),
                 };
                 let p = Prop::re_match(&lhs, &Obj::Re(a.re.clone()));
                 if a.positive {

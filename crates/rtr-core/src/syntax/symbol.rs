@@ -333,9 +333,21 @@ impl Symbol {
 
     /// A fresh symbol's number within its scope.
     fn counter(self) -> u64 {
+        self.scope_and_counter().map_or(0, |(_, n)| n)
+    }
+
+    /// A fresh symbol's scope key and number within that scope; `None`
+    /// for an interned one. With [`Symbol::base`], these identify a fresh
+    /// name by where it was minted, not by the order in which scopes
+    /// first took a slot, so they can key what must not depend on what
+    /// else the process checked.
+    pub(crate) fn scope_and_counter(self) -> Option<(u64, u64)> {
+        if !self.is_fresh() {
+            return None;
+        }
         let slot = ((self.0 >> COUNTER_BITS) & SLOT_MASK) as usize;
-        let block = slots().lock_recover().keys[slot].1;
-        (block << COUNTER_BITS) | (self.0 & COUNTER_MASK)
+        let (key, block) = slots().lock_recover().keys[slot];
+        Some((key, (block << COUNTER_BITS) | (self.0 & COUNTER_MASK)))
     }
 }
 

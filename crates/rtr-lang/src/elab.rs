@@ -15,7 +15,7 @@ use rtr_core::syntax::{BvCmp, Expr, LinCmp, Obj, Prop, Symbol, Ty, TyResult};
 
 use crate::base_env::{is_reserved, lookup_prim};
 use crate::expand;
-use crate::sexp::{Sexp, Span};
+use crate::sexp::{ListDisplay, Sexp, Span};
 
 /// An elaboration error with its source region.
 #[derive(Clone, PartialEq, Debug)]
@@ -96,76 +96,78 @@ impl Elaborator {
     /// expression or definition that used them.)
     pub fn ty(&mut self, s: &Sexp) -> Result<Ty, ElabError> {
         match s {
-            Sexp::Symbol(name, pos) => self.base_ty(name, *pos),
-            Sexp::List(items, pos) => {
-                // Infix arrow: ([x : Int] [y : Int] -> R).
-                if let Some(k) = items
-                    .iter()
-                    .position(|i| i.as_symbol() == Some("->"))
-                    .filter(|&k| k > 0)
-                {
-                    return self.arrow_ty(&items[..k], &items[k + 1..], *pos);
-                }
-                let head = items.first().and_then(Sexp::as_symbol).unwrap_or("");
-                match head {
-                    "->" => {
-                        self.arrow_ty(&items[1..items.len() - 1], &items[items.len() - 1..], *pos)
-                    }
-                    "Vecof" | "Vectorof" => {
-                        if items.len() != 2 {
-                            return err(*pos, "Vecof takes one type");
-                        }
-                        Ok(Ty::vec(self.ty(&items[1])?))
-                    }
-                    "Pairof" | "Pair" => {
-                        if items.len() != 3 {
-                            return err(*pos, "Pairof takes two types");
-                        }
-                        Ok(Ty::pair(self.ty(&items[1])?, self.ty(&items[2])?))
-                    }
-                    "U" | "Union" => {
-                        let mut members = Vec::new();
-                        for t in &items[1..] {
-                            members.push(self.ty(t)?);
-                        }
-                        Ok(Ty::union_of(members))
-                    }
-                    "All" | "∀" => {
-                        let [_, vars, body] = items.as_slice() else {
-                            return err(*pos, "(All (A …) T)");
-                        };
-                        let Some(var_list) = vars.as_list() else {
-                            return err(vars.pos(), "All expects a variable list");
-                        };
-                        let mut names = Vec::new();
-                        for v in var_list {
-                            let Some(name) = v.as_symbol() else {
-                                return err(v.pos(), "type variable must be a symbol");
-                            };
-                            names.push(Symbol::intern(name));
-                        }
-                        let added: Vec<Symbol> = names
-                            .iter()
-                            .copied()
-                            .filter(|n| self.tvars.insert(*n))
-                            .collect();
-                        let body = self.ty(body);
-                        for n in added {
-                            self.tvars.remove(&n);
-                        }
-                        Ok(Ty::poly(names, body?))
-                    }
-                    "Refine" => {
-                        let [_, binder, prop] = items.as_slice() else {
-                            return err(*pos, "(Refine [x : T] ψ)");
-                        };
-                        let (x, base) = self.binder(binder)?;
-                        Ok(Ty::refine(x, base, self.prop(prop)?))
-                    }
-                    _ => err(*pos, format!("unknown type form {s}")),
-                }
-            }
+            Sexp::Symbol(name, pos) => self.base_ty(name.as_str(), *pos),
+            Sexp::List(items, pos) => self.list_ty(items, *pos),
             _ => err(s.pos(), format!("expected a type, got {s}")),
+        }
+    }
+
+    /// Elaborates the type written as a list of `items` spanning `pos`;
+    /// the items may be a slice of a larger form (a signature's arrow).
+    pub(crate) fn list_ty(&mut self, items: &[Sexp], pos: Span) -> Result<Ty, ElabError> {
+        // Infix arrow: ([x : Int] [y : Int] -> R).
+        if let Some(k) = items
+            .iter()
+            .position(|i| i.as_symbol() == Some("->"))
+            .filter(|&k| k > 0)
+        {
+            return self.arrow_ty(&items[..k], &items[k + 1..], pos);
+        }
+        let head = items.first().and_then(Sexp::as_symbol).unwrap_or("");
+        match head {
+            "->" => self.arrow_ty(&items[1..items.len() - 1], &items[items.len() - 1..], pos),
+            "Vecof" | "Vectorof" => {
+                if items.len() != 2 {
+                    return err(pos, "Vecof takes one type");
+                }
+                Ok(Ty::vec(self.ty(&items[1])?))
+            }
+            "Pairof" | "Pair" => {
+                if items.len() != 3 {
+                    return err(pos, "Pairof takes two types");
+                }
+                Ok(Ty::pair(self.ty(&items[1])?, self.ty(&items[2])?))
+            }
+            "U" | "Union" => {
+                let mut members = Vec::new();
+                for t in &items[1..] {
+                    members.push(self.ty(t)?);
+                }
+                Ok(Ty::union_of(members))
+            }
+            "All" | "∀" => {
+                let [_, vars, body] = items else {
+                    return err(pos, "(All (A …) T)");
+                };
+                let Some(var_list) = vars.as_list() else {
+                    return err(vars.pos(), "All expects a variable list");
+                };
+                let mut names = Vec::new();
+                for v in var_list {
+                    let Some(name) = v.as_symbol() else {
+                        return err(v.pos(), "type variable must be a symbol");
+                    };
+                    names.push(Symbol::intern(name));
+                }
+                let added: Vec<Symbol> = names
+                    .iter()
+                    .copied()
+                    .filter(|n| self.tvars.insert(*n))
+                    .collect();
+                let body = self.ty(body);
+                for n in added {
+                    self.tvars.remove(&n);
+                }
+                Ok(Ty::poly(names, body?))
+            }
+            "Refine" => {
+                let [_, binder, prop] = items else {
+                    return err(pos, "(Refine [x : T] ψ)");
+                };
+                let (x, base) = self.binder(binder)?;
+                Ok(Ty::refine(x, base, self.prop(prop)?))
+            }
+            _ => err(pos, format!("unknown type form {}", ListDisplay(items))),
         }
     }
 
@@ -219,7 +221,7 @@ impl Elaborator {
                 let x = Symbol::intern(name);
                 match &items[2..] {
                     [t] => return Ok((x, self.ty(t)?)),
-                    [t, Sexp::Keyword(k, _), prop] if k == "where" => {
+                    [t, Sexp::Keyword(k, _), prop] if k.as_str() == "where" => {
                         let base = self.ty(t)?;
                         // The refinement binds the parameter's own name, so
                         // the proposition may mention it directly.
@@ -250,7 +252,7 @@ impl Elaborator {
         if let Some(items) = s.as_list() {
             if items.len() == 5
                 && items[1].as_symbol() == Some(":")
-                && matches!(&items[3], Sexp::Keyword(k, _) if k == "where")
+                && matches!(&items[3], Sexp::Keyword(k, _) if k.as_str() == "where")
             {
                 let Some(name) = items[0].as_symbol() else {
                     return err(items[0].pos(), "range binder must be a symbol");
@@ -385,7 +387,7 @@ impl Elaborator {
             Sexp::BvHex(v, _) => Ok(Obj::bv(*v)),
             Sexp::Str(s, _) => Ok(Obj::str_const(s.as_str())),
             Sexp::Regex(pat, pos) => Ok(Obj::re(self.regex(pat, *pos)?)),
-            Sexp::Symbol(name, _) => Ok(Obj::var(Symbol::intern(name))),
+            Sexp::Symbol(name, _) => Ok(Obj::var(*name)),
             Sexp::List(items, pos) => {
                 let head = items.first().and_then(Sexp::as_symbol).unwrap_or("");
                 let rest = &items[1..];
@@ -492,13 +494,13 @@ impl Elaborator {
             Sexp::Regex(pat, pos) => Ok(Expr::ReLit(self.regex(pat, *pos)?)),
             Sexp::Keyword(k, pos) => err(*pos, format!("unexpected keyword #:{k}")),
             Sexp::Symbol(name, pos) => {
-                if let Some(p) = lookup_prim(name) {
+                if let Some(p) = lookup_prim(name.as_str()) {
                     return Ok(Expr::Prim(p));
                 }
-                if is_reserved(name) {
+                if is_reserved(name.as_str()) {
                     return err(*pos, format!("{name} is syntax, not an expression"));
                 }
-                Ok(Expr::Var(Symbol::intern(name)))
+                Ok(Expr::Var(*name))
             }
             Sexp::List(items, pos) => {
                 let head = items.first().and_then(Sexp::as_symbol).unwrap_or("");

@@ -295,13 +295,11 @@ pub(crate) fn signature_form(
         return err(form.span(), "(: name T)");
     };
     let ty = if items.get(2).and_then(Sexp::as_symbol) == Some(":") {
-        let arrow = Sexp::List(items[3..].to_vec(), form.span());
-        elab.ty(&arrow)?
+        elab.list_ty(&items[3..], form.span())?
     } else if items.len() == 3 {
         elab.ty(&items[2])?
     } else {
-        let arrow = Sexp::List(items[2..].to_vec(), form.span());
-        elab.ty(&arrow)?
+        elab.list_ty(&items[2..], form.span())?
     };
     let sym = Symbol::intern(name);
     let node = elab.form_node(form.span());
@@ -321,7 +319,7 @@ fn sig_name(form: &Sexp) -> Option<Symbol> {
 fn defined_name(form: &Sexp) -> Option<Symbol> {
     let items = form.as_list()?;
     match items.get(1) {
-        Some(Sexp::Symbol(name, _)) => Some(Symbol::intern(name)),
+        Some(Sexp::Symbol(name, _)) => Some(*name),
         Some(Sexp::List(header, _)) => header.first().and_then(Sexp::as_symbol).map(Symbol::intern),
         _ => None,
     }
@@ -386,7 +384,7 @@ pub(crate) fn define_form(
         }
         // (define x e) / (define x : T e) / with a prior signature.
         Some(Sexp::Symbol(name, _)) => {
-            let xsym = Symbol::intern(name);
+            let xsym = *name;
             match &items[2..] {
                 [e] => {
                     let e = elab.expr(e)?;

@@ -10,6 +10,7 @@
 use std::fmt;
 
 pub use rtr_core::diag::Span;
+use rtr_core::syntax::Symbol;
 
 /// A source position (1-based line and column) — the core
 /// [`rtr_core::diag::Loc`] under its traditional reader name.
@@ -18,16 +19,16 @@ pub type Pos = rtr_core::diag::Loc;
 /// A parsed s-expression datum.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Sexp {
-    /// A symbol (identifier or operator).
-    Symbol(String, Span),
+    /// A symbol (identifier or operator), interned as it is read.
+    Symbol(Symbol, Span),
     /// An integer literal.
     Int(i64, Span),
     /// A boolean literal `#t` / `#f`.
     Bool(bool, Span),
     /// A bitvector literal `#xNN`.
     BvHex(u64, Span),
-    /// A keyword such as `#:where`.
-    Keyword(String, Span),
+    /// A keyword such as `#:where` (its name, interned).
+    Keyword(Symbol, Span),
     /// A string literal.
     Str(String, Span),
     /// A regex literal `#rx"…"` (raw pattern text; validated during
@@ -58,9 +59,9 @@ impl Sexp {
     }
 
     /// The symbol's name, if this is a symbol.
-    pub fn as_symbol(&self) -> Option<&str> {
+    pub fn as_symbol(&self) -> Option<&'static str> {
         match self {
-            Sexp::Symbol(s, _) => Some(s),
+            Sexp::Symbol(s, _) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -85,17 +86,24 @@ impl fmt::Display for Sexp {
             Sexp::Keyword(k, _) => write!(f, "#:{k}"),
             Sexp::Str(s, _) => write!(f, "{s:?}"),
             Sexp::Regex(r, _) => write!(f, "#rx\"{r}\""),
-            Sexp::List(items, _) => {
-                write!(f, "(")?;
-                for (i, x) in items.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " ")?;
-                    }
-                    write!(f, "{x}")?;
-                }
-                write!(f, ")")
-            }
+            Sexp::List(items, _) => write!(f, "{}", ListDisplay(items)),
         }
+    }
+}
+
+/// Displays a slice of data as the list that holds them: `(a b c)`.
+pub(crate) struct ListDisplay<'a>(pub(crate) &'a [Sexp]);
+
+impl fmt::Display for ListDisplay<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "(")?;
+        for (i, x) in self.0.iter().enumerate() {
+            if i > 0 {
+                write!(f, " ")?;
+            }
+            write!(f, "{x}")?;
+        }
+        write!(f, ")")
     }
 }
 
@@ -117,20 +125,22 @@ impl fmt::Display for ReadError {
 impl std::error::Error for ReadError {}
 
 struct Reader<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
+    /// The unread rest of the source.
+    rest: &'a str,
     pos: Pos,
 }
 
 impl<'a> Reader<'a> {
     fn new(src: &'a str) -> Reader<'a> {
         Reader {
-            chars: src.chars().peekable(),
+            rest: src,
             pos: Pos { line: 1, col: 1 },
         }
     }
 
     fn bump(&mut self) -> Option<char> {
-        let c = self.chars.next()?;
+        let c = self.peek()?;
+        self.rest = &self.rest[c.len_utf8()..];
         if c == '\n' {
             self.pos.line += 1;
             self.pos.col = 1;
@@ -140,8 +150,8 @@ impl<'a> Reader<'a> {
         Some(c)
     }
 
-    fn peek(&mut self) -> Option<char> {
-        self.chars.peek().copied()
+    fn peek(&self) -> Option<char> {
+        self.rest.chars().next()
     }
 
     fn error(&self, message: impl Into<String>) -> ReadError {
@@ -245,19 +255,11 @@ impl<'a> Reader<'a> {
                     }
                     Some('x') => {
                         self.bump();
-                        let mut digits = String::new();
-                        while let Some(c) = self.peek() {
-                            if c.is_ascii_hexdigit() {
-                                digits.push(c);
-                                self.bump();
-                            } else {
-                                break;
-                            }
-                        }
+                        let digits = self.take_while(|c| c.is_ascii_hexdigit());
                         if digits.is_empty() {
                             return Err(self.error("`#x` needs hex digits"));
                         }
-                        u64::from_str_radix(&digits, 16)
+                        u64::from_str_radix(digits, 16)
                             .map(|v| Sexp::BvHex(v, self.span(pos)))
                             .map_err(|_| self.error("hex literal out of range"))
                     }
@@ -267,7 +269,7 @@ impl<'a> Reader<'a> {
                         if word.is_empty() {
                             return Err(self.error("`#:` needs a keyword name"));
                         }
-                        Ok(Sexp::Keyword(word, self.span(pos)))
+                        Ok(Sexp::Keyword(Symbol::intern(word), self.span(pos)))
                     }
                     Some('r') => {
                         self.bump();
@@ -310,21 +312,23 @@ impl<'a> Reader<'a> {
                     // Bare `-`/`+` are symbols, parse::<i64> rejects them.
                     return Ok(Sexp::Int(n, self.span(pos)));
                 }
-                Ok(Sexp::Symbol(word, self.span(pos)))
+                Ok(Sexp::Symbol(Symbol::intern(word), self.span(pos)))
             }
         }
     }
 
-    fn read_word(&mut self) -> String {
-        let mut s = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_whitespace() || matches!(c, '(' | ')' | '[' | ']' | '"' | ';') {
-                break;
-            }
-            s.push(c);
+    /// The source text up to the next delimiter, whitespace or comment.
+    fn read_word(&mut self) -> &'a str {
+        self.take_while(|c| !(c.is_whitespace() || matches!(c, '(' | ')' | '[' | ']' | '"' | ';')))
+    }
+
+    /// Consumes the longest prefix whose characters satisfy `keep`.
+    fn take_while(&mut self, keep: impl Fn(char) -> bool) -> &'a str {
+        let start = self.rest;
+        while self.peek().is_some_and(&keep) {
             self.bump();
         }
-        s
+        &start[..start.len() - self.rest.len()]
     }
 }
 
@@ -397,9 +401,9 @@ mod tests {
         assert!(matches!(read_one("#t"), Ok(Sexp::Bool(true, _))));
         assert!(matches!(read_one("#f"), Ok(Sexp::Bool(false, _))));
         assert!(matches!(read_one("#x1b"), Ok(Sexp::BvHex(0x1b, _))));
-        assert!(matches!(read_one("#:where"), Ok(Sexp::Keyword(ref k, _)) if k == "where"));
-        assert!(matches!(read_one("vec-ref"), Ok(Sexp::Symbol(ref s, _)) if s == "vec-ref"));
-        assert!(matches!(read_one("-"), Ok(Sexp::Symbol(ref s, _)) if s == "-"));
+        assert!(matches!(read_one("#:where"), Ok(Sexp::Keyword(k, _)) if k.as_str() == "where"));
+        assert!(matches!(read_one("vec-ref"), Ok(Sexp::Symbol(s, _)) if s.as_str() == "vec-ref"));
+        assert!(matches!(read_one("-"), Ok(Sexp::Symbol(s, _)) if s.as_str() == "-"));
         assert!(matches!(read_one("\"hi\\n\""), Ok(Sexp::Str(ref s, _)) if s == "hi\n"));
     }
 

@@ -361,3 +361,62 @@ fn or_returns_the_witness_value() {
         other => panic!("(and 1 2) must be 2: {other:?}"),
     }
 }
+
+/// `(fst (fst … x))`, `n` accesses deep.
+fn fsts(n: usize, x: &str) -> String {
+    (0..n).fold(x.to_string(), |o, _| format!("(fst {o})"))
+}
+
+/// `inner` wrapped in `n` pairs, as the first component of each.
+fn nested(n: usize, inner: &str) -> String {
+    (0..n).fold(inner.to_string(), |t, _| format!("(Pairof {t} Int)"))
+}
+
+/// Objects deeper than a path holds inline stay exact: the length of a
+/// vector seven pairs deep is an eight-field path, and an index past it
+/// is rejected, whether the path is written out or built by substituting
+/// an argument's path into a parameter type.
+#[test]
+fn deep_paths_keep_their_bounds() {
+    let vec7 = nested(7, "(Vecof Int)");
+    let v7 = fsts(7, "p");
+    let direct = |body: &str| {
+        format!(
+            "(: f : [p : {vec7}] -> Int)
+             (define (f p) {body})"
+        )
+    };
+    let unguarded = direct(&format!("(safe-vec-ref {v7} 100)"));
+    assert!(
+        check_source(&unguarded, &rtr()).is_err(),
+        "index 100 into a vector of unknown length"
+    );
+    let guarded = direct(&format!(
+        "(if (< 100 (len {v7})) (safe-vec-ref {v7} 100) 0)"
+    ));
+    assert!(check_source(&guarded, &rtr()).is_ok(), "{guarded}");
+
+    // A parameter type three fields deep meets an argument path four
+    // fields deep: `(len (fst (fst (fst q))))` becomes eight fields.
+    let through_param = |body: &str| {
+        format!(
+            "(: get : [q : {vec3}] [i : (Refine [i : Int] (and (<= 0 i) (< i (len {q3}))))] -> Int)
+             (define (get q i) (safe-vec-ref {q3} i))
+             (: use : [r : {vec7}] -> Int)
+             (define (use r) {body})",
+            vec3 = nested(3, "(Vecof Int)"),
+            q3 = fsts(3, "q"),
+        )
+    };
+    let r4 = fsts(4, "r");
+    let unguarded = through_param(&format!("(get {r4} 100)"));
+    assert!(
+        check_source(&unguarded, &rtr()).is_err(),
+        "index 100 through the parameter type"
+    );
+    let guarded = through_param(&format!(
+        "(if (< 100 (len {})) (get {r4} 100) 0)",
+        fsts(7, "r")
+    ));
+    assert!(check_source(&guarded, &rtr()).is_ok(), "{guarded}");
+}

@@ -1,8 +1,9 @@
-//! A file's rendered fresh names depend only on the file: they are
-//! numbered per item and rendered by first occurrence, so checking a file
-//! beside other files — serially, sharded over `--jobs` threads, in any
-//! order — or in an LSP session that checked other text first prints
-//! exactly what checking it alone prints.
+//! A file's rendering depends only on the file: fresh names are
+//! numbered per item and rendered by first occurrence, and union members
+//! of one compound kind sort by a structural key of the member, so
+//! checking a file beside other files — serially, sharded over `--jobs`
+//! threads, in any order — or in an LSP session that checked other text
+//! first prints exactly what checking it alone prints.
 //!
 //! Every golden fixture whose blessed rendering shows a fresh name
 //! (`base%n`) is copied four times and checked alone, among the copies
@@ -11,12 +12,8 @@
 //! `elapsed_us`) of each copy must match its alone run byte for byte.
 //! It is also checked after and beside a different file that mints
 //! names of the same bases in an item of the same name and interns the
-//! fixture's compound types first.
-//!
-//! What this does not cover: members of a union that share a compound
-//! kind (two vector types, say) print in the order the process interned
-//! them, so a union can read the other way round after another file
-//! interned its second member first.
+//! fixture's compound types first, and a union of two vector types is
+//! checked after a file that interned its second member first.
 
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
@@ -210,6 +207,35 @@ fn each_file_renders_as_alone_beside_a_different_file() {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// Interns `(Vecof (Pairof Str Bool))` before `b.rtr`'s union does.
+const UNION_FIRST: &str = "(: f : [p : (Vecof (Pairof Str Bool))] -> Int)
+(define (f p) (len p))
+";
+
+/// Prints a union of two vector types in a diagnostic.
+const UNION: &str = "(: g : [x : (U (Vecof (Vecof Bool)) (Vecof (Pairof Str Bool)))] -> Int)
+(define (g x) x)
+";
+
+#[test]
+fn a_union_renders_as_alone_after_a_file_that_interned_its_members() {
+    let dir = std::env::temp_dir().join(format!("rtr-determinism-{}-union", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (a, b) = ("a.rtr".to_string(), "b.rtr".to_string());
+    std::fs::write(dir.join(&a), UNION_FIRST).expect("write a");
+    std::fs::write(dir.join(&b), UNION).expect("write b");
+    let (a_alone, b_alone) = (check(&dir, &[], &[&a]).1, check(&dir, &[], &[&b]).1);
+    assert!(
+        b_alone.contains("(U (Vecof"),
+        "b.rtr prints no union: {b_alone}"
+    );
+    for jobs in ["1", "2"] {
+        let (_, stderr) = check(&dir, &["--jobs", jobs], &[&a, &b]);
+        assert_eq!(stderr, a_alone.clone() + &b_alone, "--jobs {jobs}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// An `rtr lsp` process fed `messages` one at a time, each answered by
